@@ -22,6 +22,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -303,7 +304,7 @@ def _run_benchmark(args) -> int:
 
     # Single-call timing snapshot at the coarsest resolution.
     timing = {}
-    clean = sim.generate_clean(sim.SimScenario(peaks=scenario.peaks, n=resolutions[0], x_range=scenario.x_range, background=scenario.background))
+    clean = sim.generate_clean(replace(scenario, n=resolutions[0]))
     noisy, _ = sim.add_noise(clean, sigmas[0], seeds[0])
     for method, grid in method_grids.items():
         timing[method] = sim.time_method(method, grid[0], noisy.intensity)

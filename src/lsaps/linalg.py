@@ -4,14 +4,21 @@ Everything here works on the pentadiagonal normal-equations matrix
 M = diag(weights) + lam * D^T D, where D is the (n-2) x n discrete
 second-difference operator with stencil (1, -2, 1) on a unit-spaced grid.
 M is kept in band-compact form (main diagonal plus two upper
-off-diagonals; the matrix is symmetric) and factorized with a banded
-LDL^T Cholesky variant, so solves run in O(n) time and memory.
+off-diagonals; the matrix is symmetric) and factorized once, by LAPACK's
+banded Cholesky M = U^T U, the first time a solve or the hat diagonal
+needs it. Both reuse that factor and run in O(n) time and memory: solves
+by banded triangular substitution, the diagonal of M^{-1} by the band
+selected-inverse recurrence (Hutchinson & de Hoog 1985, "Smoothing noisy
+data with spline functions"; Eilers 2003, "A Perfect Smoother",
+Anal. Chem. 75, which uses it for leave-one-out CV).
 """
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy import sparse
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .errors import InvalidSizeError, NotPositiveDefiniteError, SingularSystemError
 
@@ -19,41 +26,8 @@ from .errors import InvalidSizeError, NotPositiveDefiniteError, SingularSystemEr
 # treated as a loss of positive definiteness.
 PIVOT_RTOL = 1e-14
 
-
-@dataclass(frozen=True)
-class SecondDifferenceOperator:
-    """Discrete second-difference operator of shape (n-2, n)."""
-
-    n: int
-
-    def apply(self, y):
-        """Second differences of ``y``; constants and linear trends map to zero."""
-        y = np.asarray(y, dtype=float)
-        if y.shape[-1] != self.n:
-            raise ValueError(f"expected length {self.n}, got {y.shape[-1]}")
-        return np.diff(y, n=2, axis=-1)
-
-    def __matmul__(self, y):
-        return self.apply(y)
-
-    def toarray(self):
-        d = np.zeros((self.n - 2, self.n))
-        for r in range(self.n - 2):
-            d[r, r : r + 3] = (1.0, -2.0, 1.0)
-        return d
-
-
-def build_second_difference(n: int) -> SecondDifferenceOperator:
-    """Build the (n-2) x n second-difference operator.
-
-    Raises
-    ------
-    InvalidSizeError
-        If ``n < 3``.
-    """
-    if n < 3:
-        raise InvalidSizeError(f"second differences need n >= 3, got n={n}")
-    return SecondDifferenceOperator(n)
+# Iterative-refinement steps of every solve, with long-double residuals.
+REFINE_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -78,12 +52,36 @@ class PentadiagonalSystem:
         m += np.diag(self.off2, 2) + np.diag(self.off2, -2)
         return m
 
+    @cached_property
+    def _cholesky(self):
+        """Upper band Cholesky factor U (M = U^T U) in LAPACK storage.
 
-def _penalty_bands(n: int):
-    """Diagonals 0, 1, 2 of D^T D for the second-difference D."""
-    d = sparse.diags([1.0, -2.0, 1.0], [0, 1, 2], shape=(n - 2, n))
-    dtd = (d.T @ d).todia()
-    return dtd.diagonal(0), dtd.diagonal(1), dtd.diagonal(2)
+        Row 2 holds U[i, i], row 1 from column 1 on U[i-1, i], and row 0
+        from column 2 on U[i-2, i].
+
+        Raises
+        ------
+        NotPositiveDefiniteError
+            If a pivot U[i, i]^2 falls below the positive-definiteness
+            tolerance.
+        """
+        ab = np.zeros((3, self.n))
+        ab[0, 2:] = self.off2
+        ab[1, 1:] = self.off1
+        ab[2] = self.main
+        try:
+            u = cholesky_banded(ab, check_finite=False)
+        except LinAlgError as exc:
+            raise NotPositiveDefiniteError(f"system is not SPD: {exc}") from None
+        pivots = np.square(u[2])
+        # Negated comparison so that a NaN pivot is caught as well.
+        bad = np.flatnonzero(~(pivots > PIVOT_RTOL * float(self.main.max())))
+        if bad.size:
+            i = int(bad[0])
+            raise NotPositiveDefiniteError(
+                f"non-positive pivot {pivots[i]:.3e} at row {i}; system is not SPD"
+            )
+        return u
 
 
 def assemble_system(weights, lam: float) -> PentadiagonalSystem:
@@ -92,85 +90,38 @@ def assemble_system(weights, lam: float) -> PentadiagonalSystem:
     Parameters
     ----------
     weights : array-like
-        Per-point data-fidelity weights, length n >= 3, all >= 0.
+        Per-point data-fidelity weights, length n >= 3, all finite and
+        >= 0.
     lam : float
-        Penalty strength, >= 0. With ``lam == 0`` every weight must be
-        strictly positive, otherwise M is singular.
+        Penalty strength, finite and >= 0. With ``lam == 0`` every weight
+        must be strictly positive, otherwise M is singular.
     """
     weights = np.asarray(weights, dtype=float)
     n = weights.shape[0]
     if n < 3:
         raise InvalidSizeError(f"system needs n >= 3, got n={n}")
+    bad = np.flatnonzero(~np.isfinite(weights))
+    if bad.size:
+        raise ValueError(f"weights must be finite, got {weights[bad[0]]} at index {bad[0]}")
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     if np.any(weights < 0):
         raise ValueError("weights must be non-negative")
     if lam == 0 and np.any(weights == 0):
         raise SingularSystemError("lam = 0 with a zero weight gives a singular system")
-    d0, d1, d2 = _penalty_bands(n)
+    # Diagonals 0, 1, 2 of D^T D: each row of D adds its stencil's
+    # products (1, 4, 1), (-2, -2) and (1) to the three bands.
+    ones = np.ones(n - 2)
     return PentadiagonalSystem(
         n=n,
-        main=weights + lam * d0,
-        off1=lam * d1,
-        off2=lam * d2,
+        main=weights + lam * np.convolve(ones, [1.0, 4.0, 1.0]),
+        off1=lam * np.convolve(ones, [-2.0, -2.0]),
+        off2=lam * ones,
         weights=weights,
         lam=float(lam),
     )
-
-
-def _ldl_factor(system: PentadiagonalSystem):
-    """Banded LDL^T factorization of a pentadiagonal SPD matrix.
-
-    Returns (d, c, e) with unit lower factor L having L[i+1, i] = c[i]
-    and L[i+2, i] = e[i], and positive pivots d.
-    """
-    n = system.n
-    main, off1, off2 = system.main, system.off1, system.off2
-    d = np.empty(n)
-    c = np.zeros(n)
-    e = np.zeros(n)
-    tol = PIVOT_RTOL * float(main.max())
-    for i in range(n):
-        di = main[i]
-        if i >= 1:
-            di -= c[i - 1] * c[i - 1] * d[i - 1]
-        if i >= 2:
-            di -= e[i - 2] * e[i - 2] * d[i - 2]
-        if di <= tol:
-            raise NotPositiveDefiniteError(
-                f"non-positive pivot {di:.3e} at row {i}; system is not SPD"
-            )
-        d[i] = di
-        if i < n - 1:
-            ci = off1[i]
-            if i >= 1:
-                ci -= c[i - 1] * e[i - 1] * d[i - 1]
-            c[i] = ci / di
-        if i < n - 2:
-            e[i] = off2[i] / di
-    return d, c, e
-
-
-def _ldl_solve(factors, rhs):
-    """Solve L D L^T x = rhs; rhs may be (n,) or (n, m)."""
-    d, c, e = factors
-    n = d.shape[0]
-    z = np.array(rhs, dtype=float, copy=True)
-    for i in range(1, n):
-        zi = z[i] - c[i - 1] * z[i - 1]
-        if i >= 2:
-            zi -= e[i - 2] * z[i - 2]
-        z[i] = zi
-    if z.ndim == 1:
-        z /= d
-    else:
-        z /= d[:, None]
-    for i in range(n - 2, -1, -1):
-        zi = z[i] - c[i] * z[i + 1]
-        if i < n - 2:
-            zi -= e[i] * z[i + 2]
-        z[i] = zi
-    return z
 
 
 def _band_matvec(main, off1, off2, x):
@@ -183,8 +134,8 @@ def _band_matvec(main, off1, off2, x):
     return out
 
 
-def solve(system: PentadiagonalSystem, rhs, refine: int = 2):
-    """Solve M x = rhs via banded Cholesky (LDL^T).
+def solve(system: PentadiagonalSystem, rhs):
+    """Solve M x = rhs for one finite right-hand side of length n.
 
     Iterative refinement with extended-precision residuals keeps the
     forward error small even for extreme penalty values, where the
@@ -192,38 +143,56 @@ def solve(system: PentadiagonalSystem, rhs, refine: int = 2):
 
     Raises
     ------
+    ValueError
+        If ``rhs`` is not 1-d of length n, or not finite.
     NotPositiveDefiniteError
         If a pivot falls below the positive-definiteness tolerance.
     """
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[0] != system.n:
-        raise ValueError(f"rhs length {rhs.shape[0]} != system size {system.n}")
-    factors = _ldl_factor(system)
-    x = _ldl_solve(factors, rhs)
-    if refine and x.ndim == 1:
-        main = system.main.astype(np.longdouble)
-        off1 = system.off1.astype(np.longdouble)
-        off2 = system.off2.astype(np.longdouble)
-        rhs_ld = rhs.astype(np.longdouble)
-        x = x.astype(np.longdouble)
-        for _ in range(refine):
-            residual = rhs_ld - _band_matvec(main, off1, off2, x)
-            x = x + _ldl_solve(factors, residual.astype(float)).astype(np.longdouble)
-        x = x.astype(float)
-    return x
+    if rhs.shape != (system.n,):
+        raise ValueError(f"rhs must have shape ({system.n},), got {rhs.shape}")
+    bad = np.flatnonzero(~np.isfinite(rhs))
+    if bad.size:
+        raise ValueError(f"rhs must be finite, got {rhs[bad[0]]} at index {bad[0]}")
+    factor = (system._cholesky, False)
+    x = cho_solve_banded(factor, rhs, check_finite=False)
+    main = system.main.astype(np.longdouble)
+    off1 = system.off1.astype(np.longdouble)
+    off2 = system.off2.astype(np.longdouble)
+    rhs_ld = rhs.astype(np.longdouble)
+    x = x.astype(np.longdouble)
+    for _ in range(REFINE_STEPS):
+        residual = rhs_ld - _band_matvec(main, off1, off2, x)
+        step = cho_solve_banded(factor, residual.astype(float), check_finite=False)
+        x = x + step.astype(np.longdouble)
+    return x.astype(float)
 
 
-def hat_diagonal(system: PentadiagonalSystem, weights=None):
+def hat_diagonal(system: PentadiagonalSystem):
     """Diagonal of the hat matrix H = M^{-1} diag(weights).
 
-    Uses the n unit-vector solves of the banded factorization (one
-    multi-RHS solve against the identity). Since the weight matrix is
-    diagonal, H_ii = (M^{-1})_ii * w_i, and each entry lies in [0, 1].
+    Since the weight matrix is diagonal, H_ii = (M^{-1})_ii * w_i, and
+    each entry lies in [0, 1]. The diagonal of Z = M^{-1} comes from the
+    system's banded Cholesky factor in O(n): U Z = U^{-T} is lower
+    triangular with diagonal 1 / U[i, i], so on and above the diagonal
+
+        Z[i, j] = (delta_ij / U[i, i] - U[i, i+1] Z[i+1, j]
+                   - U[i, i+2] Z[i+2, j]) / U[i, i],
+
+    and a sweep from i = n-1 down to 0 needs only the entries of Z
+    within the band.
     """
-    if weights is None:
-        weights = system.weights
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape[0] != system.n:
-        raise ValueError("weights length does not match system size")
-    inv_diag = np.diagonal(_ldl_solve(_ldl_factor(system), np.eye(system.n)))
-    return inv_diag * weights
+    u = system._cholesky
+    diag = u[2]
+    c = (np.append(u[1, 1:], 0.0) / diag).tolist()
+    e = (np.append(u[0, 2:], [0.0, 0.0]) / diag).tolist()
+    inv_pivot = (1.0 / np.square(diag)).tolist()
+    z = [0.0] * system.n
+    z_11 = z_22 = 0.0  # Z[i+1, i+1], Z[i+2, i+2]
+    z_12 = 0.0  # Z[i+1, i+2]
+    for i in range(system.n - 1, -1, -1):
+        z_02 = -(c[i] * z_12 + e[i] * z_22)
+        z_01 = -(c[i] * z_11 + e[i] * z_12)
+        z[i] = inv_pivot[i] - (c[i] * z_01 + e[i] * z_02)
+        z_11, z_22, z_12 = z[i], z_11, z_01
+    return np.array(z) * system.weights

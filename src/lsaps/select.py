@@ -94,7 +94,7 @@ def _evaluate_candidate(y, weight_values, lam):
     """Smoothed output, hat diagonal, and LOO residuals for one candidate."""
     system = linalg.assemble_system(weight_values, lam)
     x = linalg.solve(system, weight_values * y)
-    h = linalg.hat_diagonal(system, weight_values)
+    h = linalg.hat_diagonal(system)
     r = loo_residuals(y, x, h)
     return x, r
 

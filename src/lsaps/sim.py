@@ -11,7 +11,7 @@ are reproducible across platforms.
 import math
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -277,8 +277,6 @@ def run_benchmark(
     the aggregates rather than aborting the run. Value columns are
     deterministic under fixed seeds; only ``time_s`` varies.
     """
-    from dataclasses import replace
-
     cells = []
     for n in resolutions:
         sc = replace(scenario, n=int(n))

@@ -11,7 +11,6 @@ solves (A + lam * D^T D) x = A y.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import savgol_filter
 
 from . import linalg
 from .errors import DegenerateSignalError, InvalidConfigError, InvalidSizeError
@@ -106,6 +105,9 @@ def smooth_savitzky_golay(y, window: int, poly_order: int):
         raise InvalidSizeError(f"signal length {y.shape[0]} < window {window}")
     if window == 1:
         return y.copy()
+    # Imported here so that PS and LSA-PS runs never load scipy.signal.
+    from scipy.signal import savgol_filter
+
     return savgol_filter(y, window_length=window, polyorder=poly_order, mode="interp")
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lsaps import linalg
+from lsaps import linalg, select
 from lsaps.errors import (
     InvalidSizeError,
     NotPositiveDefiniteError,
@@ -16,34 +18,6 @@ def dense_system(weights, lam):
     for r in range(n - 2):
         d[r, r : r + 3] = (1.0, -2.0, 1.0)
     return np.diag(np.asarray(weights, dtype=float)) + lam * d.T @ d
-
-
-class TestSecondDifference:
-    def test_too_small(self):
-        with pytest.raises(InvalidSizeError):
-            linalg.build_second_difference(2)
-
-    def test_annihilates_constants(self):
-        op = linalg.build_second_difference(5)
-        assert np.array_equal(op.apply(np.zeros(5)), np.zeros(3))
-        assert np.array_equal(op.apply(np.full(5, 7.0)), np.zeros(3))
-
-    def test_annihilates_linear(self):
-        op = linalg.build_second_difference(5)
-        assert np.array_equal(op.apply([0.0, 1.0, 2.0, 3.0, 4.0]), np.zeros(3))
-
-    def test_squares_give_two(self):
-        op = linalg.build_second_difference(5)
-        assert np.array_equal(op.apply([0.0, 1.0, 4.0, 9.0, 16.0]), [2.0, 2.0, 2.0])
-
-    def test_sine_not_annihilated(self):
-        op = linalg.build_second_difference(20)
-        assert np.linalg.norm(op.apply(np.sin(np.linspace(0, 3, 20)))) > 0
-
-    def test_matrix_matches_stencil(self):
-        op = linalg.build_second_difference(6)
-        y = np.random.default_rng(0).standard_normal(6)
-        assert np.allclose(op.toarray() @ y, op.apply(y))
 
 
 class TestAssemble:
@@ -82,6 +56,15 @@ class TestAssemble:
             linalg.assemble_system(np.ones(5), -1.0)
         with pytest.raises(ValueError):
             linalg.assemble_system([1.0, -1.0, 1.0], 1.0)
+
+    def test_non_finite_lam(self):
+        for lam in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"lam must be finite, got {lam}"):
+                linalg.assemble_system(np.ones(5), lam)
+
+    def test_non_finite_weights(self):
+        with pytest.raises(ValueError, match="got nan at index 2"):
+            linalg.assemble_system([1.0, 1.0, np.nan, 1.0], 1.0)
 
 
 class TestSolve:
@@ -124,6 +107,16 @@ class TestSolve:
         with pytest.raises(ValueError):
             linalg.solve(s, np.ones(4))
 
+    def test_rhs_must_be_1d(self):
+        s = linalg.assemble_system(np.ones(5), 1.0)
+        with pytest.raises(ValueError, match=r"got \(5, 2\)"):
+            linalg.solve(s, np.ones((5, 2)))
+
+    def test_rhs_must_be_finite(self):
+        s = linalg.assemble_system(np.ones(5), 1.0)
+        with pytest.raises(ValueError, match="got inf at index 3"):
+            linalg.solve(s, [0.0, 1.0, 2.0, np.inf, 4.0])
+
 
 class TestHatDiagonal:
     def test_lambda_zero_gives_ones(self):
@@ -162,3 +155,44 @@ class TestHatDiagonal:
             for lam in (0.1, 1.0, 10.0)
         ]
         assert traces[0] > traces[1] > traces[2]
+
+
+@st.composite
+def band_systems(draw):
+    """Weights in [0.05, 3] for n in [3, 60], lam log-uniform in [1e-4, 1e4]."""
+    n = draw(st.integers(3, 60))
+    w = np.array(draw(st.lists(st.floats(0.05, 3.0), min_size=n, max_size=n)))
+    lam = 10.0 ** draw(st.floats(-4.0, 4.0))
+    rhs = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    return w, lam, rhs
+
+
+class TestAgainstDenseOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(band_systems())
+    def test_solve_and_hat_diagonal(self, case):
+        w, lam, rhs = case
+        s = linalg.assemble_system(w, lam)
+        dense = dense_system(w, lam)
+        x = linalg.solve(s, rhs)
+        x_dense = np.linalg.solve(dense, rhs)
+        assert np.linalg.norm(x - x_dense) <= 1e-8 * np.linalg.norm(x_dense)
+        h = linalg.hat_diagonal(s)
+        h_dense = np.diagonal(np.linalg.inv(dense)) * w
+        assert np.max(np.abs(h - h_dense)) <= 1e-9
+
+
+def test_select_factors_each_candidate_once(monkeypatch):
+    calls = []
+    real = linalg.cholesky_banded
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "cholesky_banded", counting)
+    y = np.sin(np.linspace(0, 6, 80)) + 0.1 * np.random.default_rng(4).standard_normal(80)
+    for method in (select.METHOD_PS, select.METHOD_LSA_PS):
+        calls.clear()
+        select.select_parameter(y, method=method)
+        assert len(calls) == len(select.DEFAULT_GRID)

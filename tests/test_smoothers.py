@@ -82,6 +82,14 @@ class TestPs:
         x = smooth_ps(y, 5.0)
         assert abs(x.mean() - y.mean()) < 0.1
 
+    def test_rejects_non_finite_input(self):
+        y = np.random.default_rng(4).standard_normal(20)
+        with pytest.raises(ValueError, match="lam must be finite"):
+            smooth_ps(y, np.nan)
+        y[7] = np.nan
+        with pytest.raises(ValueError, match="rhs must be finite"):
+            smooth_ps(y, 1.0)
+
 
 class TestLsaPs:
     def test_returns_triple(self):

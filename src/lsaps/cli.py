@@ -29,9 +29,11 @@ import numpy as np
 
 from . import select as select_mod
 from . import sim
-from .errors import IngestError, LsapsError
+from .errors import IngestError, InvalidConfigError, LsapsError
 from .peaks import detect_peaks
 from .smoothers import (
+    METHODS,
+    PENALIZED,
     Spectrum,
     smooth_gaussian,
     smooth_lsa_ps,
@@ -114,7 +116,12 @@ def _run_smooth(args) -> int:
 
     grid = select_mod.DEFAULT_GRID
     if args.grid:
-        grid = tuple(float(g) for g in args.grid.split(","))
+        try:
+            grid = tuple(float(g) for g in args.grid.split(","))
+        except ValueError:
+            raise InvalidConfigError(
+                f"--grid must be comma-separated numbers, got {args.grid!r}"
+            ) from None
     clip = args.clip == "on"
 
     summary = {
@@ -126,7 +133,7 @@ def _run_smooth(args) -> int:
     curve = None
     t0 = time.perf_counter()
     if args.auto:
-        if args.method not in ("ps", "lsa-ps"):
+        if args.method not in PENALIZED:
             raise LsapsError("auto-selection supports only ps and lsa-ps")
         result = select_mod.select_parameter(y, method=args.method, grid=grid, clip=clip)
         smoothed = result.smoothed
@@ -148,8 +155,6 @@ def _run_smooth(args) -> int:
     elif args.method == "gaussian":
         smoothed = smooth_gaussian(y, args.window)
         summary["window"] = args.window
-    else:
-        raise LsapsError(f"unknown method {args.method!r}")
     summary["smooth_time_s"] = time.perf_counter() - t0
 
     _write_two_column(out_dir / "smoothed.txt", spectrum.abscissa, smoothed)
@@ -195,10 +200,24 @@ def load_scenario_file(path):
     """Parse and validate a benchmark scenario JSON file.
 
     Returns (scenario, resolutions, sigmas, method_grids, seeds).
-    """
-    with Path(path).open() as fh:
-        data = json.load(fh)
 
+    Raises
+    ------
+    LsapsError
+        If the file cannot be read, is not a valid JSON object, or a
+        value has the wrong type or range.
+    """
+    try:
+        with Path(path).open() as fh:
+            return _parse_scenario(json.load(fh))
+    except LsapsError:
+        raise
+    except (OSError, TypeError, ValueError) as exc:
+        raise LsapsError(f"scenario file: {exc}") from None
+
+
+def _parse_scenario(data):
+    _require(isinstance(data, dict), "top level must be a JSON object")
     if "peaks" in data:
         _require(isinstance(data["peaks"], list) and data["peaks"], "'peaks' must be a non-empty list")
         peaks = []
@@ -236,10 +255,7 @@ def load_scenario_file(path):
     else:
         method_grids = {}
         for method, grid in raw_methods.items():
-            _require(
-                method in ("ps", "lsa-ps", "sg", "gaussian", "none"),
-                f"unknown method {method!r}",
-            )
+            _require(method in (*METHODS, "none"), f"unknown method {method!r}")
             if method == "none":
                 method_grids[method] = [None]
             elif method == "sg":
@@ -333,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sm = sub.add_parser("smooth", help="smooth one spectrum file")
     sm.add_argument("input", help="two-column spectrum file")
-    sm.add_argument("--method", choices=["ps", "lsa-ps", "sg", "gaussian"], default="lsa-ps")
+    sm.add_argument("--method", choices=METHODS, default="lsa-ps")
     mode = sm.add_mutually_exclusive_group()
     mode.add_argument("--param", type=float, help="fixed smoothness parameter (ps / lsa-ps)")
     mode.add_argument("--auto", action="store_true", help="CV-based parameter selection")
@@ -357,7 +373,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "smooth" and not args.auto and args.param is None:
-        if args.method in ("ps", "lsa-ps"):
+        if args.method in PENALIZED:
             parser.error("ps / lsa-ps need --param or --auto")
     try:
         return args.func(args)

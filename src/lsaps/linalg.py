@@ -20,7 +20,12 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
-from .errors import InvalidSizeError, NotPositiveDefiniteError, SingularSystemError
+from .errors import (
+    InvalidConfigError,
+    InvalidSizeError,
+    NotPositiveDefiniteError,
+    SingularSystemError,
+)
 
 # Pivots below this fraction of the largest main-diagonal entry are
 # treated as a loss of positive definiteness.
@@ -44,7 +49,6 @@ class PentadiagonalSystem:
     off1: np.ndarray = field(repr=False)
     off2: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    lam: float
 
     def toarray(self):
         m = np.diag(self.main)
@@ -104,9 +108,9 @@ def assemble_system(weights, lam: float) -> PentadiagonalSystem:
     if bad.size:
         raise ValueError(f"weights must be finite, got {weights[bad[0]]} at index {bad[0]}")
     if not math.isfinite(lam):
-        raise ValueError(f"lam must be finite, got {lam}")
+        raise InvalidConfigError(f"lam must be finite, got {lam}")
     if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+        raise InvalidConfigError(f"lam must be >= 0, got {lam}")
     if np.any(weights < 0):
         raise ValueError("weights must be non-negative")
     if lam == 0 and np.any(weights == 0):
@@ -120,7 +124,6 @@ def assemble_system(weights, lam: float) -> PentadiagonalSystem:
         off1=lam * np.convolve(ones, [-2.0, -2.0]),
         off2=lam * ones,
         weights=weights,
-        lam=float(lam),
     )
 
 

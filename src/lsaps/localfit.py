@@ -39,10 +39,6 @@ class CurvatureWeights:
     median: float
     clipped: bool = False
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
 
 def local_quadratic_curvature(y) -> CurvatureWeights:
     """Compute curvature weights (2 a_i)^2 for every point of ``y``.
@@ -51,11 +47,17 @@ def local_quadratic_curvature(y) -> CurvatureWeights:
     ------
     InvalidSizeError
         If fewer than five points are given.
+    ValueError
+        If ``y`` is not finite; a NaN would spread through the weights
+        into a wrong diagnosis downstream.
     """
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
     if n < 5:
         raise InvalidSizeError(f"five-point regression needs n >= 5, got n={n}")
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise ValueError(f"y must be finite, got {y[bad[0]]} at index {bad[0]}")
     a = np.convolve(y, _QUAD_KERNEL, mode="valid") / 14.0
     w = np.empty(n)
     w[2 : n - 2] = np.square(2.0 * a)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSizeError
+from .errors import InvalidConfigError, InvalidSizeError
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def detect_peaks(x, k: int, abscissa=None) -> PeakSet:
     if n < 5:
         raise InvalidSizeError(f"peak detection needs n >= 5, got n={n}")
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise InvalidConfigError(f"k must be >= 1, got {k}")
     if abscissa is None:
         abscissa = np.arange(n, dtype=float)
     else:

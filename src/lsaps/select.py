@@ -15,21 +15,19 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    DegenerateSignalError,
+    InvalidConfigError,
     LeverageSaturationError,
     SelectionFailedError,
     SingularSystemError,
 )
-from .localfit import CurvatureWeights, clip_weights, floor_weights, local_quadratic_curvature
+from .localfit import CurvatureWeights, floor_weights
+from .smoothers import penalized_fit, penalized_weights
 
 # Default candidate grid, shared by PS and LSA-PS thanks to the
 # median-of-curvature penalty scaling.
 DEFAULT_GRID = (0.001, 0.01, 0.1, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0)
 
 LEVERAGE_TOL = 1e-12
-
-METHOD_PS = "ps"
-METHOD_LSA_PS = "lsa-ps"
 
 
 @dataclass(frozen=True)
@@ -90,72 +88,55 @@ def cv_loss_lsa(r, weights) -> float:
     return float(np.sqrt(np.mean(np.square(r) / w)))
 
 
-def _evaluate_candidate(y, weight_values, lam):
-    """Smoothed output, hat diagonal, and LOO residuals for one candidate."""
-    system = linalg.assemble_system(weight_values, lam)
-    x = linalg.solve(system, weight_values * y)
-    h = linalg.hat_diagonal(system)
-    r = loo_residuals(y, x, h)
-    return x, r
-
-
 def select_parameter(
     y,
-    method: str = METHOD_LSA_PS,
+    method: str = "lsa-ps",
     grid=DEFAULT_GRID,
     clip: bool = True,
 ) -> SelectionResult:
     """Pick the smoothness parameter minimizing the method's CV loss.
 
+    Each candidate is fitted exactly as the method's smoother fits it.
     Candidates whose leverage saturates (or whose system is singular)
     get a loss of +inf and are excluded from the argmin; ties break
     toward the larger parameter.
 
     Raises
     ------
+    InvalidConfigError
+        If the grid is empty or holds a negative or non-finite candidate.
     SelectionFailedError
         If every candidate on the grid fails.
     """
     y = np.asarray(y, dtype=float)
     grid = tuple(float(g) for g in grid)
     if not grid:
-        raise ValueError("candidate grid must be non-empty")
+        raise InvalidConfigError("candidate grid must be non-empty")
+    bad = [g for g in grid if not math.isfinite(g)]
+    if bad:
+        raise InvalidConfigError(f"candidates must be finite, got {bad[0]}")
     if any(g < 0 for g in grid):
-        raise ValueError("candidates must be >= 0")
-    if method not in (METHOD_PS, METHOD_LSA_PS):
-        raise ValueError(f"unknown method {method!r}")
+        raise InvalidConfigError("candidates must be >= 0")
 
-    n = y.shape[0]
-    if method == METHOD_LSA_PS:
-        raw = local_quadratic_curvature(y)
-        if raw.median == 0:
-            raise DegenerateSignalError(
-                "median curvature is zero; LSA-PS selection is ill-posed"
-            )
-        solve_weights = clip_weights(raw) if clip else raw
-        loss_weights = floor_weights(solve_weights)
-        normalization = float(np.linalg.norm(solve_weights.values))
-        weight_values = solve_weights.values
-        lam_of = lambda g: g * raw.median
+    a, scale, weights = penalized_weights(y, method, clip)
+    if weights is not None:
+        # LSA-PS: modified loss, and the weight norm for plotting.
+        loss_weights = floor_weights(weights).values
+        normalization = float(np.linalg.norm(a))
     else:
-        solve_weights = None
         normalization = None
-        weight_values = np.ones(n)
-        lam_of = lambda g: g
 
     losses = np.empty(len(grid))
     outputs: list[np.ndarray | None] = []
     for j, cand in enumerate(grid):
         try:
-            x, r = _evaluate_candidate(y, weight_values, lam_of(cand))
+            x, system = penalized_fit(y, a, cand * scale)
+            r = loo_residuals(y, x, linalg.hat_diagonal(system))
         except (LeverageSaturationError, SingularSystemError):
             losses[j] = math.inf
             outputs.append(None)
             continue
-        if method == METHOD_LSA_PS:
-            losses[j] = cv_loss_lsa(r, loss_weights.values)
-        else:
-            losses[j] = cv_loss_ps(r)
+        losses[j] = cv_loss_ps(r) if weights is None else cv_loss_lsa(r, loss_weights)
         outputs.append(x)
 
     if not np.any(np.isfinite(losses)):
@@ -176,6 +157,6 @@ def select_parameter(
         curve=curve,
         best_parameter=best,
         smoothed=outputs[best_index],
-        effective_lambda=lam_of(best),
-        weights=solve_weights,
+        effective_lambda=best * scale,
+        weights=weights,
     )

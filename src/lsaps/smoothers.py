@@ -2,10 +2,13 @@
 penalized (LSA-PS), and the Savitzky-Golay and Gaussian-convolution
 baselines.
 
-PS solves (I + lam * D^T D) x = y. LSA-PS replaces the identity with a
-diagonal weight matrix A built from local curvature, scales the penalty
-as lam = lambda_bar * median(A), optionally clips A at its median, and
-solves (A + lam * D^T D) x = A y.
+Both penalized smoothers are one formula, x = (A + lam * D^T D)^{-1} A y
+with a diagonal weight matrix A and lam = parameter * scale. PS is the
+case A = I, scale = 1. LSA-PS builds A from local curvature, optionally
+clips it at its median, and takes scale = median(A) with the pre-clip
+median. ``penalized_weights`` turns a method into (A, scale) and
+``penalized_fit`` solves for x; the smoothers and the CV selection in
+``select`` share both.
 """
 
 from dataclasses import dataclass, field
@@ -14,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateSignalError, InvalidConfigError, InvalidSizeError
-from .localfit import CurvatureWeights, clip_weights, local_quadratic_curvature
+from .localfit import clip_weights, local_quadratic_curvature
 
 
 @dataclass(frozen=True)
@@ -42,11 +45,52 @@ class Spectrum:
         return self.abscissa.shape[0]
 
 
+# Method names of the CLI and the benchmark; CV supports the penalized ones.
+PENALIZED = ("ps", "lsa-ps")
+METHODS = PENALIZED + ("sg", "gaussian")
+
+
+def penalized_weights(y, method: str, clip: bool = True):
+    """Weight diagonal A and penalty scale of a penalized method.
+
+    Returns (A, scale, weights) with lam = parameter * scale: PS gives
+    (ones, 1, None), LSA-PS its optionally clipped curvature weights
+    and their pre-clip median.
+
+    Raises
+    ------
+    DegenerateSignalError
+        For LSA-PS on an affine signal (zero median curvature).
+    ValueError
+        For an unknown method, or a ``y`` that is not 1-d and finite.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise ValueError(f"y must be 1-d, got shape {y.shape}")
+    if method == "ps":
+        return np.ones(y.shape[0]), 1.0, None
+    if method == "lsa-ps":
+        raw = local_quadratic_curvature(y)
+        if raw.median == 0:
+            raise DegenerateSignalError(
+                "median curvature is zero (affine signal); effective penalty collapses"
+            )
+        weights = clip_weights(raw) if clip else raw
+        return weights.values, raw.median, weights
+    raise ValueError(f"unknown method {method!r}")
+
+
+def penalized_fit(y, a, lam: float):
+    """Solve (diag(a) + lam * D^T D) x = a * y; return x and the system,
+    whose factor the hat diagonal can reuse."""
+    system = linalg.assemble_system(a, lam)
+    return linalg.solve(system, a * y), system
+
+
 def smooth_ps(y, lam: float):
     """Penalized smoother: (I + lam * D^T D)^{-1} y."""
-    y = np.asarray(y, dtype=float)
-    system = linalg.assemble_system(np.ones(y.shape[0]), lam)
-    return linalg.solve(system, y)
+    a, scale, _ = penalized_weights(y, "ps")
+    return penalized_fit(y, a, lam * scale)[0]
 
 
 def smooth_lsa_ps(y, lambda_bar: float, clip: bool = True):
@@ -55,7 +99,7 @@ def smooth_lsa_ps(y, lambda_bar: float, clip: bool = True):
     Parameters
     ----------
     y : array-like
-        Noisy signal, length >= 5.
+        Noisy signal, length >= 5, all finite.
     lambda_bar : float
         Scaled global smoothness; the effective penalty is
         ``lambda_bar * median(weights)`` with the pre-clip median.
@@ -71,25 +115,23 @@ def smooth_lsa_ps(y, lambda_bar: float, clip: bool = True):
 
     Raises
     ------
+    InvalidConfigError
+        If ``lambda_bar`` is negative or the effective penalty is not
+        finite.
+    ValueError
+        If ``y`` is not 1-d or not finite.
     DegenerateSignalError
-        If the signal is perfectly affine (median curvature zero) while
-        ``lambda_bar > 0``; the penalty scale collapses and the caller
+        If the signal is perfectly affine (median curvature zero), for
+        any ``lambda_bar``; the penalty scale collapses and the caller
         must decide what to do.
+    SingularSystemError
+        If ``lambda_bar`` is zero and some curvature weight is zero.
     """
-    y = np.asarray(y, dtype=float)
     if lambda_bar < 0:
-        raise ValueError(f"lambda_bar must be >= 0, got {lambda_bar}")
-    weights = local_quadratic_curvature(y)
-    if weights.median == 0 and lambda_bar > 0:
-        raise DegenerateSignalError(
-            "median curvature is zero (affine signal); effective penalty collapses"
-        )
-    lam = lambda_bar * weights.median
-    if clip:
-        weights = clip_weights(weights)
-    system = linalg.assemble_system(weights.values, lam)
-    x = linalg.solve(system, weights.values * y)
-    return x, weights, lam
+        raise InvalidConfigError(f"lambda_bar must be >= 0, got {lambda_bar}")
+    a, scale, weights = penalized_weights(y, "lsa-ps", clip)
+    lam = lambda_bar * scale
+    return penalized_fit(y, a, lam)[0], weights, lam
 
 
 def smooth_savitzky_golay(y, window: int, poly_order: int):

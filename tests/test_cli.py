@@ -158,6 +158,25 @@ class TestSmoothCommand:
         assert record["error"] == "IngestError"
         assert "missing.txt" in record["message"]
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--param", "-1"], "lambda_bar must be >= 0"),
+            (["--param", "nan"], "lam must be finite"),
+            (["--method", "ps", "--param", "-1"], "lam must be >= 0"),
+            (["--auto", "--grid", "nan,1"], "candidates must be finite"),
+            (["--auto", "--grid", "1,,2"], "--grid must be comma-separated numbers"),
+            (["--param", "1", "--peaks", "-1"], "k must be >= 1"),
+        ],
+    )
+    def test_bad_parameter_prints_json_line(self, tmp_path, noisy_file, capsys, extra, message):
+        path, _ = noisy_file
+        rc = cli.main(["smooth", str(path), *extra, "--out", str(tmp_path / "x")])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "InvalidConfigError"
+        assert message in record["message"]
+
     def test_auto_rejected_for_sg(self, tmp_path, noisy_file, capsys):
         path, _ = noisy_file
         rc = cli.main(["smooth", str(path), "--method", "sg", "--auto", "--out", str(tmp_path / "x")])
@@ -214,6 +233,27 @@ class TestBenchmarkCommand:
         assert strip_times(out1) == strip_times(out2)
         assert (out1 / "aggregates.csv").read_text() == (out2 / "aggregates.csv").read_text()
         assert (out1 / "best.csv").read_text() == (out2 / "best.csv").read_text()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            json.dumps({"methods": {"sg": [5]}}),
+            json.dumps({"seeds": ["x"]}),
+            json.dumps({"background": {"foo": 1}}),
+            '{"seeds": [0',
+            "[1]",
+            None,
+        ],
+    )
+    def test_malformed_scenario_prints_json_line(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        if text is not None:  # None: the file does not exist
+            path.write_text(text)
+        rc = cli.main(["benchmark", str(path), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "LsapsError"
+        assert record["message"].startswith("scenario file: ")
 
     def test_invalid_scenario(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsaps import linalg, select
+from lsaps import linalg, select, smoothers
 from lsaps.errors import (
     InvalidSizeError,
     NotPositiveDefiniteError,
@@ -192,7 +192,7 @@ def test_select_factors_each_candidate_once(monkeypatch):
 
     monkeypatch.setattr(linalg, "cholesky_banded", counting)
     y = np.sin(np.linspace(0, 6, 80)) + 0.1 * np.random.default_rng(4).standard_normal(80)
-    for method in (select.METHOD_PS, select.METHOD_LSA_PS):
+    for method in smoothers.PENALIZED:
         calls.clear()
         select.select_parameter(y, method=method)
         assert len(calls) == len(select.DEFAULT_GRID)

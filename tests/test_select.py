@@ -15,6 +15,7 @@ from lsaps.select import (
     loo_residuals,
     select_parameter,
 )
+from lsaps.smoothers import smooth_lsa_ps, smooth_ps
 
 
 def loo_refit_oracle(y, weights, lam, i):
@@ -120,11 +121,12 @@ class TestSelectParameter:
             assert result.curve.losses[j] == pytest.approx(expected, abs=1e-12)
 
     def test_smoothed_output_matches_best(self):
+        # CV fits each candidate exactly as the smoother does.
         y = np.random.default_rng(5).standard_normal(80)
         result = select_parameter(y, method="ps")
-        from lsaps.smoothers import smooth_ps
-
-        assert np.allclose(result.smoothed, smooth_ps(y, result.best_parameter), atol=1e-12)
+        assert np.array_equal(result.smoothed, smooth_ps(y, result.best_parameter))
+        result = select_parameter(y, method="lsa-ps")
+        assert np.array_equal(result.smoothed, smooth_lsa_ps(y, result.best_parameter)[0])
 
     def test_effective_lambda_scaling(self):
         y = np.random.default_rng(6).standard_normal(80)
@@ -175,6 +177,13 @@ class TestSelectParameter:
     def test_affine_signal_rejected_for_lsa(self):
         with pytest.raises(DegenerateSignalError):
             select_parameter(np.arange(50.0), method="lsa-ps")
+
+    def test_nan_input_is_not_called_affine(self):
+        y = np.sin(np.linspace(0, 6, 40))
+        y[5] = np.nan
+        # Match the message: DegenerateSignalError is a ValueError too.
+        with pytest.raises(ValueError, match="y must be finite, got nan at index 5"):
+            select_parameter(y, method="lsa-ps")
 
     def test_bad_inputs(self):
         y = np.random.default_rng(12).standard_normal(30)

@@ -146,6 +146,19 @@ class TestLsaPs:
         with pytest.raises(ValueError):
             smooth_lsa_ps(np.random.default_rng(9).standard_normal(20), -1.0)
 
+    def test_rejects_non_finite_input(self):
+        y = np.sin(np.linspace(0, 6, 40))
+        y[5] = np.nan
+        # Match the message: DegenerateSignalError is a ValueError too.
+        with pytest.raises(ValueError, match="y must be finite, got nan at index 5"):
+            smooth_lsa_ps(y, 1.0)
+
+    def test_rejects_2d_input(self):
+        y = np.random.default_rng(11).standard_normal((20, 3))
+        for smooth in (smooth_ps, lambda y, lam: smooth_lsa_ps(y, lam)[0]):
+            with pytest.raises(ValueError, match="y must be 1-d"):
+                smooth(y, 1.0)
+
     def test_scale_shift_equivariance(self):
         y = np.random.default_rng(10).standard_normal(90)
         x, _, _ = smooth_lsa_ps(y, 2.0)

@@ -22,7 +22,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -111,8 +110,6 @@ def _write_two_column(path, col1, col2):
 def _run_smooth(args) -> int:
     spectrum = ingest(args.input, delimiter=args.delimiter)
     y = spectrum.intensity
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     grid = select_mod.DEFAULT_GRID
     if args.grid:
@@ -156,13 +153,18 @@ def _run_smooth(args) -> int:
         smoothed = smooth_gaussian(y, args.window)
         summary["window"] = args.window
     summary["smooth_time_s"] = time.perf_counter() - t0
+    peak_set = None
+    if args.peaks is not None:
+        peak_set = detect_peaks(smoothed, args.peaks, abscissa=spectrum.abscissa)
 
+    # Every check has passed; only now is anything written.
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_two_column(out_dir / "smoothed.txt", spectrum.abscissa, smoothed)
     d2 = np.diff(smoothed, n=2)
     _write_two_column(out_dir / "second_derivative.txt", spectrum.abscissa[1:-1], d2)
 
-    if args.peaks:
-        peak_set = detect_peaks(smoothed, args.peaks, abscissa=spectrum.abscissa)
+    if peak_set is not None:
         with (out_dir / "peaks.txt").open("w") as fh:
             fh.write("index\tabscissa\tsharpness\tintensity\n")
             for entry in peak_set.entries:
@@ -177,7 +179,8 @@ def _run_smooth(args) -> int:
         with (out_dir / "cv_curve.txt").open("w") as fh:
             fh.write("parameter\tloss\n")
             for g, loss in zip(curve.grid, curve.losses):
-                fh.write(f"{_fmt(g)}\t{_fmt(loss)}\n")
+                # A failed candidate's loss is inf, not an SNR: no _fmt.
+                fh.write(f"{_fmt(g)}\t{FLOAT_FMT % loss}\n")
         summary["cv_curve"] = {
             "grid": list(curve.grid),
             "losses": [None if math.isinf(v) else v for v in curve.losses],
@@ -318,9 +321,10 @@ def _run_benchmark(args) -> int:
                  _param_str(b.parameter), _fmt(b.value)]
             )
 
-    # Single-call timing snapshot at the coarsest resolution.
+    # Single-call timing snapshot at the first listed resolution, the
+    # scenario's own n.
     timing = {}
-    clean = sim.generate_clean(replace(scenario, n=resolutions[0]))
+    clean = sim.generate_clean(scenario)
     noisy, _ = sim.add_noise(clean, sigmas[0], seeds[0])
     for method, grid in method_grids.items():
         timing[method] = sim.time_method(method, grid[0], noisy.intensity)

@@ -22,7 +22,9 @@ class NotPositiveDefiniteError(SingularSystemError):
 
 
 class DegenerateSignalError(LsapsError, ValueError):
-    """The signal carries no curvature anywhere (perfectly affine)."""
+    """The curvature weights are zero at the median (the LSA-PS penalty
+    scale collapses) or everywhere: an affine signal, one straight on at least
+    half of its points, or one whose squared curvature underflows."""
 
 
 class LeverageSaturationError(LsapsError, ValueError):

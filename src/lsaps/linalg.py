@@ -3,14 +3,17 @@
 Everything here works on the pentadiagonal normal-equations matrix
 M = diag(weights) + lam * D^T D, where D is the (n-2) x n discrete
 second-difference operator with stencil (1, -2, 1) on a unit-spaced grid.
-M is kept in band-compact form (main diagonal plus two upper
-off-diagonals; the matrix is symmetric) and factorized once, by LAPACK's
-banded Cholesky M = U^T U, the first time a solve or the hat diagonal
-needs it. Both reuse that factor and run in O(n) time and memory: solves
-by banded triangular substitution, the diagonal of M^{-1} by the band
-selected-inverse recurrence (Hutchinson & de Hoog 1985, "Smoothing noisy
-data with spline functions"; Eilers 2003, "A Perfect Smoother",
-Anal. Chem. 75, which uses it for leave-one-out CV).
+M is symmetric, so it is stored once, as its upper band in the (3, n)
+layout LAPACK consumes (Eilers 2003, "A Perfect Smoother", Anal. Chem.
+75): row 2 holds the main diagonal, row 1 from column 1 on the first
+superdiagonal and row 0 from column 2 on the second. The same array is
+factorized once, by LAPACK's banded Cholesky M = U^T U, the first time a
+solve or the hat diagonal needs it, and read as-is by the residuals of
+iterative refinement. Solves and the diagonal of M^{-1} reuse the factor
+and run in O(n) time and memory: solves by banded triangular
+substitution, the diagonal of M^{-1} by the band selected-inverse
+recurrence (Hutchinson & de Hoog 1985, "Smoothing noisy data with spline
+functions"; Eilers 2003, which uses it for leave-one-out CV).
 """
 
 import math
@@ -37,28 +40,24 @@ REFINE_STEPS = 2
 
 @dataclass(frozen=True)
 class PentadiagonalSystem:
-    """Band-compact M = diag(weights) + lam * D^T D.
+    """M = diag(weights) + lam * D^T D in LAPACK upper band storage.
 
-    ``main`` has length n, ``off1`` length n-1 (entries (i, i+1)) and
-    ``off2`` length n-2 (entries (i, i+2)). The matrix is symmetric, so
-    the lower bands are implied.
+    ``ab`` has shape (3, n): ``ab[2]`` is the main diagonal, ``ab[1, 1:]``
+    the entries (i, i+1) and ``ab[0, 2:]`` the entries (i, i+2); the
+    lower bands are implied by symmetry. ``weights`` is the diagonal A
+    of the hat matrix H = M^{-1} A, the caller's own array.
     """
 
-    n: int
-    main: np.ndarray = field(repr=False)
-    off1: np.ndarray = field(repr=False)
-    off2: np.ndarray = field(repr=False)
+    ab: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
-    def toarray(self):
-        m = np.diag(self.main)
-        m += np.diag(self.off1, 1) + np.diag(self.off1, -1)
-        m += np.diag(self.off2, 2) + np.diag(self.off2, -2)
-        return m
+    @property
+    def n(self) -> int:
+        return self.ab.shape[1]
 
     @cached_property
     def _cholesky(self):
-        """Upper band Cholesky factor U (M = U^T U) in LAPACK storage.
+        """Upper band Cholesky factor U (M = U^T U) in the layout of ``ab``.
 
         Row 2 holds U[i, i], row 1 from column 1 on U[i-1, i], and row 0
         from column 2 on U[i-2, i].
@@ -69,17 +68,13 @@ class PentadiagonalSystem:
             If a pivot U[i, i]^2 falls below the positive-definiteness
             tolerance.
         """
-        ab = np.zeros((3, self.n))
-        ab[0, 2:] = self.off2
-        ab[1, 1:] = self.off1
-        ab[2] = self.main
         try:
-            u = cholesky_banded(ab, check_finite=False)
+            u = cholesky_banded(self.ab, check_finite=False)
         except LinAlgError as exc:
             raise NotPositiveDefiniteError(f"system is not SPD: {exc}") from None
         pivots = np.square(u[2])
         # Negated comparison so that a NaN pivot is caught as well.
-        bad = np.flatnonzero(~(pivots > PIVOT_RTOL * float(self.main.max())))
+        bad = np.flatnonzero(~(pivots > PIVOT_RTOL * float(self.ab[2].max())))
         if bad.size:
             i = int(bad[0])
             raise NotPositiveDefiniteError(
@@ -89,7 +84,7 @@ class PentadiagonalSystem:
 
 
 def assemble_system(weights, lam: float) -> PentadiagonalSystem:
-    """Assemble M = diag(weights) + lam * D^T D in band form.
+    """Assemble M = diag(weights) + lam * D^T D in upper band storage.
 
     Parameters
     ----------
@@ -118,18 +113,17 @@ def assemble_system(weights, lam: float) -> PentadiagonalSystem:
     # Diagonals 0, 1, 2 of D^T D: each row of D adds its stencil's
     # products (1, 4, 1), (-2, -2) and (1) to the three bands.
     ones = np.ones(n - 2)
-    return PentadiagonalSystem(
-        n=n,
-        main=weights + lam * np.convolve(ones, [1.0, 4.0, 1.0]),
-        off1=lam * np.convolve(ones, [-2.0, -2.0]),
-        off2=lam * ones,
-        weights=weights,
-    )
+    ab = np.zeros((3, n))
+    ab[0, 2:] = lam
+    ab[1, 1:] = lam * np.convolve(ones, [-2.0, -2.0])
+    ab[2] = weights + lam * np.convolve(ones, [1.0, 4.0, 1.0])
+    return PentadiagonalSystem(ab=ab, weights=weights)
 
 
-def _band_matvec(main, off1, off2, x):
-    """M @ x from band diagonals; dtype follows the inputs."""
-    out = main * x
+def _band_matvec(ab, x):
+    """M @ x from upper band storage; dtype follows ``x``."""
+    off1, off2 = ab[1, 1:], ab[0, 2:]
+    out = ab[2] * x
     out[:-1] += off1 * x[1:]
     out[1:] += off1 * x[:-1]
     out[:-2] += off2 * x[2:]
@@ -158,16 +152,12 @@ def solve(system: PentadiagonalSystem, rhs):
     if bad.size:
         raise ValueError(f"rhs must be finite, got {rhs[bad[0]]} at index {bad[0]}")
     factor = (system._cholesky, False)
-    x = cho_solve_banded(factor, rhs, check_finite=False)
-    main = system.main.astype(np.longdouble)
-    off1 = system.off1.astype(np.longdouble)
-    off2 = system.off2.astype(np.longdouble)
-    rhs_ld = rhs.astype(np.longdouble)
-    x = x.astype(np.longdouble)
+    # Float64 bands and rhs promote exactly against the long-double x, so
+    # the residual is formed in extended precision without copying them.
+    x = cho_solve_banded(factor, rhs, check_finite=False).astype(np.longdouble)
     for _ in range(REFINE_STEPS):
-        residual = rhs_ld - _band_matvec(main, off1, off2, x)
-        step = cho_solve_banded(factor, residual.astype(float), check_finite=False)
-        x = x + step.astype(np.longdouble)
+        residual = rhs - _band_matvec(system.ab, x)
+        x += cho_solve_banded(factor, residual.astype(float), check_finite=False)
     return x.astype(float)
 
 

@@ -87,12 +87,15 @@ def floor_weights(
     Raises
     ------
     DegenerateSignalError
-        If every weight is zero (perfectly affine input).
+        If every weight is zero (an affine input, or curvature that
+        underflows).
     """
     if epsilon_ratio <= 0:
         raise ValueError(f"epsilon_ratio must be > 0, got {epsilon_ratio}")
     positive = weights.values[weights.values > 0]
     if positive.size == 0:
-        raise DegenerateSignalError("all curvature weights are zero; signal is affine")
+        raise DegenerateSignalError(
+            "all curvature weights are zero (affine signal, or curvature that underflows)"
+        )
     floor = epsilon_ratio * float(np.median(positive))
     return replace(weights, values=np.maximum(weights.values, floor))

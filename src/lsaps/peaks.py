@@ -54,21 +54,14 @@ def detect_peaks(x, k: int, abscissa=None) -> PeakSet:
         abscissa = np.asarray(abscissa, dtype=float)
 
     d = np.diff(x, n=2)
-    m = d.shape[0]
-    # Run-length framing so equal-valued plateaus resolve to one
-    # candidate at the leftmost index.
-    boundaries = np.flatnonzero(d[1:] != d[:-1]) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [m]))
-    candidates = []
-    for s, e in zip(starts, ends):
-        if s == 0 or e == m:
-            continue
-        v = d[s]
-        if v < 0 and v < d[s - 1] and v < d[e]:
-            candidates.append(s)
-
-    candidates.sort(key=lambda j: (-abs(d[j]), j))
+    # Runs of equal values, so that a plateau is one candidate at its
+    # leftmost index: an interior run below zero and below both
+    # neighbouring runs.
+    starts = np.flatnonzero(np.r_[True, d[1:] != d[:-1]])
+    v = d[starts]
+    inner = (v[1:-1] < 0) & (v[1:-1] < v[:-2]) & (v[1:-1] < v[2:])
+    candidates = starts[1:-1][inner]
+    candidates = candidates[np.lexsort((candidates, -np.abs(d[candidates])))]
     entries = tuple(
         PeakEntry(
             index=j + 1,
@@ -76,7 +69,7 @@ def detect_peaks(x, k: int, abscissa=None) -> PeakSet:
             sharpness=float(abs(d[j])),
             intensity=float(x[j + 1]),
         )
-        for j in candidates[:k]
+        for j in candidates[:k].tolist()
     )
     return PeakSet(entries=entries, k=k, n_candidates=len(candidates))
 

@@ -101,8 +101,6 @@ class SimScenario:
     n: int = 1000
     x_range: tuple = DEFAULT_RANGE
     background: Background | None = None
-    noise_sigma: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if len(self.peaks) < 1:
@@ -115,8 +113,6 @@ class SimScenario:
         for p in self.peaks:
             if not lo <= p.center <= hi:
                 raise ValueError(f"peak center {p.center} outside x_range")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
 
     def grid(self):
         lo, hi = self.x_range

@@ -60,7 +60,9 @@ def penalized_weights(y, method: str, clip: bool = True):
     Raises
     ------
     DegenerateSignalError
-        For LSA-PS on an affine signal (zero median curvature).
+        For LSA-PS when the median curvature weight is zero, so the
+        penalty scale collapses (an affine signal, one straight on at least
+        half of its points, or curvature that underflows).
     ValueError
         For an unknown method, or a ``y`` that is not 1-d and finite.
     """
@@ -73,7 +75,7 @@ def penalized_weights(y, method: str, clip: bool = True):
         raw = local_quadratic_curvature(y)
         if raw.median == 0:
             raise DegenerateSignalError(
-                "median curvature is zero (affine signal); effective penalty collapses"
+                "median curvature weight is zero, so the LSA-PS penalty scale collapses"
             )
         weights = clip_weights(raw) if clip else raw
         return weights.values, raw.median, weights
@@ -121,9 +123,10 @@ def smooth_lsa_ps(y, lambda_bar: float, clip: bool = True):
     ValueError
         If ``y`` is not 1-d or not finite.
     DegenerateSignalError
-        If the signal is perfectly affine (median curvature zero), for
-        any ``lambda_bar``; the penalty scale collapses and the caller
-        must decide what to do.
+        If the median curvature weight is zero, for any ``lambda_bar``:
+        the penalty scale collapses and the caller must decide what to
+        do. Affine signals, signals straight on at least half of their
+        points and signals whose squared curvature underflows do this.
     SingularSystemError
         If ``lambda_bar`` is zero and some curvature weight is zero.
     """

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +170,7 @@ class TestSmoothCommand:
             (["--auto", "--grid", "nan,1"], "candidates must be finite"),
             (["--auto", "--grid", "1,,2"], "--grid must be comma-separated numbers"),
             (["--param", "1", "--peaks", "-1"], "k must be >= 1"),
+            (["--param", "1", "--peaks", "0"], "k must be >= 1"),
         ],
     )
     def test_bad_parameter_prints_json_line(self, tmp_path, noisy_file, capsys, extra, message):
@@ -176,6 +180,21 @@ class TestSmoothCommand:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "InvalidConfigError"
         assert message in record["message"]
+        # Validation runs before anything is written.
+        assert not (tmp_path / "x").exists()
+
+    def test_failed_cv_candidate_loss_is_inf(self, tmp_path, noisy_file):
+        # PS at lambda 0 interpolates: every leverage is 1, so the
+        # candidate fails and its loss is inf, not a "noise-free" SNR.
+        path, _ = noisy_file
+        out = tmp_path / "out"
+        rc = cli.main(["smooth", str(path), "--method", "ps", "--auto",
+                       "--grid", "0,1", "--out", str(out)])
+        assert rc == 0
+        lines = (out / "cv_curve.txt").read_text().splitlines()
+        assert lines[1] == "0\tinf"
+        assert float(lines[1].split("\t")[1]) == float("inf")
+        assert np.isfinite(float(lines[2].split("\t")[1]))
 
     def test_auto_rejected_for_sg(self, tmp_path, noisy_file, capsys):
         path, _ = noisy_file
@@ -262,3 +281,16 @@ class TestBenchmarkCommand:
         assert rc == 1
         record = json.loads(capsys.readouterr().err.strip())
         assert "median" in record["message"]
+
+
+def test_cli_import_skips_scipy_signal_and_sparse():
+    # A fresh interpreter, so modules imported by other tests do not count.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import lsaps.cli; "
+        "print(' '.join(m for m in ('scipy.signal', 'scipy.sparse') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == ""

@@ -23,19 +23,19 @@ def dense_system(weights, lam):
 class TestAssemble:
     def test_n3_unit_weights(self):
         s = linalg.assemble_system([1.0, 1.0, 1.0], 1.0)
-        assert np.array_equal(s.main, [2.0, 5.0, 2.0])
-        assert np.array_equal(s.off1, [-2.0, -2.0])
-        assert np.array_equal(s.off2, [1.0])
+        assert np.array_equal(s.ab[2], [2.0, 5.0, 2.0])
+        assert np.array_equal(s.ab[1, 1:], [-2.0, -2.0])
+        assert np.array_equal(s.ab[0, 2:], [1.0])
 
     def test_lambda_zero_identity(self):
         s = linalg.assemble_system(np.ones(7), 0.0)
-        assert np.array_equal(s.main, np.ones(7))
-        assert np.array_equal(s.off1, np.zeros(6))
-        assert np.array_equal(s.off2, np.zeros(5))
+        assert np.array_equal(s.ab[2], np.ones(7))
+        assert np.array_equal(s.ab[1, 1:], np.zeros(6))
+        assert np.array_equal(s.ab[0, 2:], np.zeros(5))
 
     def test_n3_with_zero_weight(self):
         s = linalg.assemble_system([4.0, 0.0, 4.0], 2.0)
-        assert np.array_equal(s.main, [6.0, 8.0, 6.0])
+        assert np.array_equal(s.ab[2], [6.0, 8.0, 6.0])
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(3)
@@ -43,7 +43,10 @@ class TestAssemble:
             w = rng.uniform(0.1, 3.0, n)
             lam = rng.uniform(0.0, 5.0)
             s = linalg.assemble_system(w, lam)
-            assert np.allclose(s.toarray(), dense_system(w, lam), atol=1e-12)
+            dense = dense_system(w, lam)
+            assert s.n == n
+            for k in range(3):
+                assert np.allclose(s.ab[2 - k, k:], np.diagonal(dense, k), atol=1e-12)
 
     def test_singular_assembly(self):
         with pytest.raises(SingularSystemError):
@@ -93,7 +96,7 @@ class TestSolve:
         s = linalg.assemble_system(w, 10.0)
         b = rng.standard_normal(120)
         x = linalg.solve(s, b)
-        res = s.toarray() @ x - b
+        res = dense_system(w, 10.0) @ x - b
         assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(b)
 
     def test_not_positive_definite(self):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsaps.errors import InvalidSizeError
 from lsaps.peaks import detect_peaks, match_peaks
@@ -74,6 +76,45 @@ class TestDetect:
         x = np.zeros(20)
         x[10] = 1.0
         assert detect_peaks(x, 1).indices == [10]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            # Small integers make plateaus, ties and all-zero input likely.
+            st.lists(st.integers(-3, 3).map(float), min_size=5, max_size=40),
+            st.lists(st.floats(-1e3, 1e3), min_size=5, max_size=40),
+        ),
+        st.integers(1, 12),
+    )
+    def test_matches_naive_reference(self, values, k):
+        x = np.array(values)
+        found = detect_peaks(x, k)
+        expected = naive_candidates(x)
+        d = np.diff(x, n=2)
+        assert found.n_candidates == len(expected)
+        assert found.indices == [j + 1 for j in expected[:k]]
+        assert [e.sharpness for e in found.entries] == [abs(d[j]) for j in expected[:k]]
+        assert [e.intensity for e in found.entries] == [x[j + 1] for j in expected[:k]]
+
+
+def naive_candidates(x):
+    """Second-difference indices of the peak candidates, index by index.
+
+    j is a candidate if d[j] < 0, d[j] < d[j-1] (so j starts its
+    plateau), and the first value after the plateau exists and is
+    larger. Sharpest first, ties to the left.
+    """
+    d = np.diff(x, n=2)
+    candidates = []
+    for j in range(1, len(d)):
+        if not (d[j] < 0 and d[j] < d[j - 1]):
+            continue
+        end = j
+        while end < len(d) and d[end] == d[j]:
+            end += 1
+        if end < len(d) and d[end] > d[j]:
+            candidates.append(j)
+    return sorted(candidates, key=lambda j: (-abs(d[j]), j))
 
 
 class TestMatch:

@@ -43,8 +43,6 @@ class TestScenario:
             SimScenario(x_range=(5.0, 1.0))
         with pytest.raises(ValueError):
             SimScenario(peaks=(LorentzianPeak(200.0, 1.0, 1.0),))
-        with pytest.raises(ValueError):
-            SimScenario(noise_sigma=-1.0)
 
     def test_peak_validation(self):
         with pytest.raises(ValueError):

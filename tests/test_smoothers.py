@@ -136,6 +136,13 @@ class TestLsaPs:
         with pytest.raises(DegenerateSignalError):
             smooth_lsa_ps(np.arange(30.0), 1.0)
 
+    def test_flat_baseline_peak_is_not_called_affine(self):
+        # Curved, but flat on most points: the median weight is zero.
+        y = np.zeros(200)
+        y[100:110] = [1, 3, 6, 9, 10, 9, 6, 3, 1, 0.5]
+        with pytest.raises(DegenerateSignalError, match="median curvature weight is zero"):
+            smooth_lsa_ps(y, 1.0)
+
     def test_zero_weight_with_zero_lambda(self):
         # One locally-affine stretch zeroes a weight; lam = 0 then fails.
         y = np.concatenate([np.arange(10.0), np.arange(10.0) ** 2 + 9.0])

@@ -9,6 +9,10 @@ clips it at its median, and takes scale = median(A) with the pre-clip
 median. ``penalized_weights`` turns a method into (A, scale) and
 ``penalized_fit`` solves for x; the smoothers and the CV selection in
 ``select`` share both.
+
+The Savitzky-Golay baseline is a local least-squares polynomial fit,
+built per call as an orthogonal projection from the QR factor of a
+small Chebyshev basis, with numpy alone.
 """
 
 from dataclasses import dataclass, field
@@ -138,22 +142,40 @@ def smooth_lsa_ps(y, lambda_bar: float, clip: bool = True):
 
 
 def smooth_savitzky_golay(y, window: int, poly_order: int):
-    """Savitzky-Golay smoothing with polynomial-refit edge handling."""
+    """Savitzky-Golay smoothing: a least-squares polynomial fit of degree
+    ``poly_order`` over each ``window``-point neighbourhood.
+
+    Interior points take the centre value of the fit around them; the
+    first and last ``window // 2`` points take the fit to the first or
+    last ``window`` samples (scipy's ``mode="interp"``). The fit is the
+    projection q q^T onto degree-``poly_order`` polynomials, with q the
+    orthonormal QR factor of Chebyshev columns on the window scaled to
+    [-1, 1] (Gorry 1990), so every order up to ``window - 1`` stays
+    accurate. At ``poly_order == window - 1`` the fit interpolates and
+    the output is an exact copy.
+    """
     y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise ValueError(f"y must be 1-d, got shape {y.shape}")
     if window < 1 or window % 2 == 0:
         raise InvalidConfigError(f"window must be odd and >= 1, got {window}")
     if window > 1 and not 1 <= poly_order < window:
         raise InvalidConfigError(
             f"poly_order must satisfy 1 <= order < window, got order={poly_order}"
         )
-    if y.shape[0] < window:
-        raise InvalidSizeError(f"signal length {y.shape[0]} < window {window}")
-    if window == 1:
+    n = y.shape[0]
+    if n < window:
+        raise InvalidSizeError(f"signal length {n} < window {window}")
+    if window == 1 or poly_order == window - 1:
         return y.copy()
-    # Imported here so that PS and LSA-PS runs never load scipy.signal.
-    from scipy.signal import savgol_filter
-
-    return savgol_filter(y, window_length=window, polyorder=poly_order, mode="interp")
+    h = window // 2
+    t = (np.arange(window) - h) / h
+    q = np.linalg.qr(np.cos(np.arange(poly_order + 1) * np.arccos(t)[:, None]))[0]
+    out = np.empty(n)
+    out[h : n - h] = np.correlate(y, q @ q[h], "valid")
+    out[:h] = q[:h] @ (q.T @ y[:window])
+    out[n - h :] = q[h + 1 :] @ (q.T @ y[n - window :])
+    return out
 
 
 def smooth_gaussian(y, window: int):

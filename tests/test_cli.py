@@ -89,6 +89,27 @@ class TestIngest:
         with pytest.raises(cli.IngestError, match="non-finite"):
             cli.ingest(path)
 
+    @pytest.mark.parametrize(
+        "abscissa, line", [([0.0, 1.0, 2.0, 4.0, 5.0], 4), ([5.0, 0.0, 1.0, 2.0, 4.0], 5)]
+    )
+    def test_non_uniform_abscissa(self, tmp_path, abscissa, line):
+        # The message names the file line of the point that ends the bad step.
+        path = tmp_path / "s.txt"
+        write_spectrum(path, abscissa, [1.0, 2.0, 3.0, 4.0, 5.0])
+        with pytest.raises(cli.IngestError, match=f"line {line}: abscissa step 2 differs"):
+            cli.ingest(path)
+
+    def test_reingests_large_output(self, tmp_path):
+        # At n = 1e5 the 12-digit abscissa of smoothed.txt is off by up to
+        # 1e-7 of a step, well inside the uniform-grid tolerance.
+        n = 100_000
+        path = tmp_path / "big.txt"
+        y = np.random.default_rng(6).standard_normal(n)
+        write_spectrum(path, np.linspace(0.0, 100.0, n), y)
+        out = tmp_path / "out"
+        assert cli.main(["smooth", str(path), "--method", "ps", "--param", "1", "--out", str(out)]) == 0
+        assert cli.ingest(out / "smoothed.txt").n == n
+
     def test_explicit_delimiter(self, tmp_path):
         path = tmp_path / "s.txt"
         path.write_text("0;1\n1;2\n2;3\n3;4\n4;5\n")
@@ -294,3 +315,21 @@ def test_cli_import_skips_scipy_signal_and_sparse():
         [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == ""
+
+
+def test_cli_sg_smooth_skips_scipy_signal_and_ndimage(tmp_path, noisy_file):
+    # A fresh interpreter, so modules imported by other tests do not count.
+    path, _ = noisy_file
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from lsaps import cli; "
+        "rc = cli.main(['smooth', sys.argv[2], '--method', 'sg', '--window', '9', "
+        "'--order', '4', '--out', sys.argv[3]]); "
+        "print(rc, ' '.join(m for m in ('scipy.signal', 'scipy.ndimage') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(src), str(path), str(tmp_path / "out")],
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "0"
+    assert (tmp_path / "out" / "smoothed.txt").exists()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +247,12 @@ class TestBenchmark:
         assert "InvalidSizeError" in errs[0].error
         assert any(r.method == "ps" for r in report.aggregates)
         assert all(r.method != "sg" for r in report.aggregates)
+
+    def test_default_sweep_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_benchmark(SimScenario(n=500), [500], [0.2], COMPARISON_GRIDS, [0])
+        assert all(c.error is None for c in report.cells)
 
     def test_time_method_positive(self):
         y = np.random.default_rng(4).standard_normal(200)

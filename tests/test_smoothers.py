@@ -1,3 +1,6 @@
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from lsaps.errors import (
     SingularSystemError,
 )
 from lsaps.localfit import clip_weights, local_quadratic_curvature
+from lsaps.sim import COMPARISON_GRIDS
 from lsaps.smoothers import (
     Spectrum,
     smooth_gaussian,
@@ -23,6 +27,52 @@ def dense_ps_oracle(y, lam):
     for r in range(n - 2):
         d[r, r : r + 3] = (1.0, -2.0, 1.0)
     return np.linalg.solve(np.eye(n) + lam * d.T @ d, np.asarray(y, dtype=float))
+
+
+def projection_oracle(y, window, order):
+    """Savitzky-Golay with fit-to-window edges, as P = V (V^T V)^{-1} V^T
+    in 80-digit arithmetic; V is the monomial basis on (i - h) / h."""
+    mp = mpmath.mp
+    h = window // 2
+    n = len(y)
+    m = order + 1
+    with mpmath.workdps(80):
+        t = [mpmath.mpf(i - h) / h for i in range(window)]
+        v = [[ti**k for k in range(m)] for ti in t]
+        ys = [mpmath.mpf(float(u)) for u in y]
+        # Right-hand sides: V's centre row, and V^T times the first and
+        # last windows of y.
+        cols = [v[h]] + [
+            [mp.fdot([row[k] for row in v], seg) for k in range(m)]
+            for seg in (ys[:window], ys[n - window :])
+        ]
+        # V^T V is the Hankel matrix of the moments of t; it is SPD, so
+        # elimination needs no pivoting.
+        moments = [mp.fsum(ti**p for ti in t) for p in range(2 * m - 1)]
+        a = [[moments[j + k] for k in range(m)] + [c[j] for c in cols] for j in range(m)]
+        for p in range(m):
+            for r in range(p + 1, m):
+                f = a[r][p] / a[p][p]
+                a[r] = [x - f * u for x, u in zip(a[r], a[p])]
+        sol = [[None] * m for _ in cols]
+        for r in reversed(range(m)):
+            for c in range(len(cols)):
+                sol[c][r] = (a[r][m + c] - mp.fdot(a[r][r + 1 : m], sol[c][r + 1 :])) / a[r][r]
+        kernel = [mp.fdot(row, sol[0]) for row in v]
+        out = np.empty(n)
+        out[h : n - h] = [float(mp.fdot(kernel, ys[i : i + window])) for i in range(n - window + 1)]
+        out[:h] = [float(mp.fdot(v[i], sol[1])) for i in range(h)]
+        out[n - h :] = [float(mp.fdot(v[i], sol[2])) for i in range(h + 1, window)]
+        return out
+
+
+def lorentzian_plus_noise(n, seed):
+    t = np.arange(n, dtype=float)
+    clean = 5.0 / (1.0 + ((t - 0.4 * n) / 3.0) ** 2) + 2.0 / (1.0 + ((t - 0.9 * n) / 1.5) ** 2)
+    return clean + 0.1 * np.random.default_rng(seed).standard_normal(n)
+
+
+SG_WINDOWS = sorted({w for w, _ in COMPARISON_GRIDS["sg"] if w > 1})
 
 
 class TestSpectrum:
@@ -192,6 +242,41 @@ class TestSavitzkyGolay:
         y = 0.5 * t**2 - t + 2.0
         assert np.allclose(smooth_savitzky_golay(y, 7, 2), y, atol=1e-9)
 
+    def test_interpolating_order_is_copy(self):
+        y = np.random.default_rng(12).standard_normal(40)
+        for window in (3, 9, 35):
+            x = smooth_savitzky_golay(y, window, window - 1)
+            assert np.array_equal(x, y) and x is not y
+
+    @pytest.mark.parametrize("window", SG_WINDOWS)
+    def test_matches_projection_oracle(self, window):
+        y = lorentzian_plus_noise(80, window)
+        scale = np.abs(y).max()
+        for order in sorted({1, 2, window // 2, window - 3, window - 2}):
+            if 1 <= order < window:
+                expected = projection_oracle(y, window, order)
+                err = np.abs(smooth_savitzky_golay(y, window, order) - expected)
+                assert err.max() <= 1e-8 * scale, (window, order, err.max() / scale)
+
+    def test_matches_scipy_at_low_order(self):
+        # scipy.signal is a reference here only; the library never imports it.
+        from scipy.signal import savgol_filter
+
+        y = lorentzian_plus_noise(200, 13)
+        scale = np.abs(y).max()
+        for window in SG_WINDOWS:
+            for order in range(1, min(3, window - 1) + 1):
+                expected = savgol_filter(y, window, order, mode="interp")
+                err = np.abs(smooth_savitzky_golay(y, window, order) - expected).max()
+                assert err <= 1e-12 * scale, (window, order, err / scale)
+
+    def test_comparison_grid_raises_no_warning(self):
+        y = lorentzian_plus_noise(500, 14)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for window, order in COMPARISON_GRIDS["sg"]:
+                smooth_savitzky_golay(y, window, order)
+
     def test_bad_window(self):
         y = np.ones(20)
         with pytest.raises(InvalidConfigError):
@@ -209,6 +294,10 @@ class TestSavitzkyGolay:
     def test_short_signal(self):
         with pytest.raises(InvalidSizeError):
             smooth_savitzky_golay(np.ones(5), 7, 2)
+
+    def test_rejects_2d_input(self):
+        with pytest.raises(ValueError, match="y must be 1-d"):
+            smooth_savitzky_golay(np.ones((3, 40)), 5, 2)
 
 
 class TestGaussian:

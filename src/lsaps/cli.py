@@ -22,6 +22,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from array import array
 from pathlib import Path
 
@@ -56,18 +57,87 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def ingest(path, delimiter=None) -> Spectrum:
-    """Parse a two-column delimited spectrum file.
+def _line_delimiter(line, delimiter):
+    """The delimiter a stripped line is split on: ``delimiter`` if given,
+    else comma, else tab, else None for runs of whitespace."""
+    if delimiter is not None:
+        return delimiter
+    if "," in line:
+        return ","
+    if "\t" in line:
+        return "\t"
+    return None
 
-    Delimiter (comma, tab, or whitespace) and a single header line are
-    auto-detected; an explicit ``delimiter`` overrides detection. Rows
-    are sorted by abscissa; duplicate abscissa values, and steps that
-    differ from the median step by more than ``UNIFORM_RTOL`` of it, are
-    rejected.
+
+def _fields(line, sep):
+    return [p.strip() for p in line.split(sep) if p.strip()]
+
+
+def _first_bad_step(abscissa):
+    """Index of the first zero step of a sorted abscissa, else of the first
+    step that differs from the median step by more than ``UNIFORM_RTOL``
+    of it; None for a uniform grid."""
+    steps = np.diff(abscissa)
+    zero = np.flatnonzero(steps == 0)
+    if zero.size:
+        return int(zero[0])
+    median = np.median(steps)
+    off = np.flatnonzero(np.abs(steps - median) > UNIFORM_RTOL * median)
+    return int(off[0]) if off.size else None
+
+
+def _ingest_fast(path, delimiter):
+    """Parse a well-formed file with numpy's C reader.
+
+    Returns None, and raises nothing, wherever ``_ingest_lines`` could
+    read the file differently or would raise.
     """
-    path = Path(path)
-    if not path.exists():
-        raise IngestError(f"input file not found: {path}")
+    try:
+        with path.open() as fh:
+            for skip, line in enumerate(fh):
+                line = line.strip()
+                if line:
+                    break
+            else:
+                return None
+            sep = _line_delimiter(line, delimiter)
+            parts = _fields(line, sep)
+            if len(parts) < 2:
+                return None
+            try:
+                float(parts[0]), float(parts[1])
+            except ValueError:
+                skip += 1  # single header line
+            # Without an explicit delimiter the line parser splits a line
+            # holding a comma on commas, else one holding a tab on tabs;
+            # loadtxt would split it on the first line's delimiter and
+            # could read values the line parser rejects.
+            if delimiter is None and sep != ",":
+                mixed = "," if sep == "\t" else ",\t"
+                while chunk := fh.read(1 << 20):
+                    if any(c in chunk for c in mixed):
+                        return None
+            fh.seek(0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # "input contained no data"
+                # An open file, not the path, which would import gzip.
+                rows = np.loadtxt(fh, delimiter=sep, comments=None, usecols=(0, 1),
+                                  skiprows=skip, ndmin=2)
+    except (OSError, TypeError, ValueError):
+        # TypeError: a delimiter loadtxt does not take, e.g. a multi-character one.
+        return None
+    if rows.shape[0] < 5 or not np.isfinite(rows).all():
+        return None
+    order = np.argsort(rows[:, 0], kind="stable")
+    abscissa = rows[order, 0]
+    if _first_bad_step(abscissa) is not None:
+        return None
+    return Spectrum(abscissa=abscissa, intensity=rows[order, 1])
+
+
+def _ingest_lines(path, delimiter):
+    """Parse a file line by line; the source of every ``IngestError``
+    that names a line."""
     # Typed columns, not a list of tuples: 24 bytes a row, which keeps
     # ingest's peak memory down on large files.
     xs, ys, linenos = array("d"), array("d"), array("q")
@@ -78,15 +148,7 @@ def ingest(path, delimiter=None) -> Spectrum:
             if not line:
                 continue
             nonblank += 1
-            if delimiter is not None:
-                parts = line.split(delimiter)
-            elif "," in line:
-                parts = line.split(",")
-            elif "\t" in line:
-                parts = line.split("\t")
-            else:
-                parts = line.split()
-            parts = [p.strip() for p in parts if p.strip()]
+            parts = _fields(line, _line_delimiter(line, delimiter))
             if len(parts) < 2:
                 raise IngestError(f"line {lineno}: expected two columns, got {len(parts)}")
             try:
@@ -104,14 +166,13 @@ def ingest(path, delimiter=None) -> Spectrum:
         raise IngestError(f"need at least 5 data points, got {len(xs)}")
     order = np.argsort(xs, kind="stable")
     abscissa = np.asarray(xs)[order]
-    steps = np.diff(abscissa)
-    if np.any(steps == 0):
-        raise IngestError("duplicate abscissa values")
-    # Every smoother assumes unit spacing, so the grid must be uniform.
-    median = float(np.median(steps))
-    off = np.flatnonzero(np.abs(steps - median) > UNIFORM_RTOL * median)
-    if off.size:
-        i = int(off[0])
+    i = _first_bad_step(abscissa)
+    if i is not None:
+        steps = np.diff(abscissa)
+        if steps[i] == 0:
+            raise IngestError("duplicate abscissa values")
+        # Every smoother assumes unit spacing, so the grid must be uniform.
+        median = float(np.median(steps))
         raise IngestError(
             f"line {linenos[order[i + 1]]}: abscissa step {FLOAT_FMT % steps[i]} differs from "
             f"the median step {FLOAT_FMT % median} by more than {UNIFORM_RTOL:g} of it; "
@@ -120,10 +181,36 @@ def ingest(path, delimiter=None) -> Spectrum:
     return Spectrum(abscissa=abscissa, intensity=np.asarray(ys)[order])
 
 
+def ingest(path, delimiter=None) -> Spectrum:
+    """Parse a two-column delimited spectrum file.
+
+    Delimiter (comma, tab, or whitespace) and a single header line are
+    auto-detected; an explicit ``delimiter`` overrides detection. Rows
+    are sorted by abscissa; duplicate abscissa values, and steps that
+    differ from the median step by more than ``UNIFORM_RTOL`` of it, are
+    rejected. A file that numpy's C reader parses with its first line's
+    delimiter into a valid grid is read that way, and any other file is
+    re-read line by line, which accepts per-line delimiter mixes and
+    names the offending line in every error.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise IngestError(f"input file not found: {path}")
+    spectrum = _ingest_fast(path, delimiter)
+    return spectrum if spectrum is not None else _ingest_lines(path, delimiter)
+
+
+# Rows formatted per string operation; bounds the Python floats alive at once.
+WRITE_BLOCK_ROWS = 8192
+
+
 def _write_two_column(path, col1, col2):
     with Path(path).open("w") as fh:
-        for a, b in zip(col1, col2):
-            fh.write(f"{FLOAT_FMT % a}\t{FLOAT_FMT % b}\n")
+        for start in range(0, len(col1), WRITE_BLOCK_ROWS):
+            block = np.column_stack(
+                (col1[start : start + WRITE_BLOCK_ROWS], col2[start : start + WRITE_BLOCK_ROWS])
+            )
+            fh.write(f"{FLOAT_FMT}\t{FLOAT_FMT}\n" * len(block) % tuple(block.ravel().tolist()))
 
 
 def _run_smooth(args) -> int:

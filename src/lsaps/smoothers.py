@@ -15,7 +15,7 @@ built per call as an orthogonal projection from the QR factor of a
 small Chebyshev basis, with numpy alone.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -117,7 +117,9 @@ def smooth_lsa_ps(y, lambda_bar: float, clip: bool = True):
     -------
     (numpy.ndarray, CurvatureWeights, float)
         The smoothed signal, the weights that entered the solve, and
-        the effective penalty used.
+        the effective penalty used, both in units of y squared. They
+        overflow to inf for max|y| beyond about 1e154 and underflow
+        below about 1e-154; the smoothed signal does neither.
 
     Raises
     ------
@@ -136,9 +138,22 @@ def smooth_lsa_ps(y, lambda_bar: float, clip: bool = True):
     """
     if lambda_bar < 0:
         raise InvalidConfigError(f"lambda_bar must be >= 0, got {lambda_bar}")
-    a, scale, weights = penalized_weights(y, "lsa-ps", clip)
-    lam = lambda_bar * scale
-    return penalized_fit(y, a, lam)[0], weights, lam
+    # The weights square y, so they are taken on y scaled by 2**-e to
+    # max|y| in [0.5, 1), where they neither overflow nor underflow. The
+    # fit is the same for weights and penalty scaled by 4**-e, and scaling
+    # by a power of two is exact, so in-range results do not change.
+    y = np.asarray(y, dtype=float)
+    e = int(np.frexp(np.max(np.abs(y), initial=0.0))[1])
+    a, scale, weights = penalized_weights(np.ldexp(y, -e), "lsa-ps", clip)
+    x = penalized_fit(y, a, lambda_bar * scale)[0]
+    with np.errstate(over="ignore", under="ignore"):
+        weights = replace(
+            weights,
+            values=np.ldexp(weights.values, 2 * e),
+            median=float(np.ldexp(weights.median, 2 * e)),
+        )
+        lam = float(np.ldexp(lambda_bar * scale, 2 * e))
+    return x, weights, lam
 
 
 def smooth_savitzky_golay(y, window: int, poly_order: int):
@@ -186,6 +201,8 @@ def smooth_gaussian(y, window: int):
     available support instead of padding.
     """
     y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise ValueError(f"y must be 1-d, got shape {y.shape}")
     if window < 1:
         raise InvalidConfigError(f"window must be >= 1, got {window}")
     n = y.shape[0]

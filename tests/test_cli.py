@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lsaps import cli
 from lsaps.sim import SimScenario, add_noise, generate_clean
@@ -114,6 +117,135 @@ class TestIngest:
         path = tmp_path / "s.txt"
         path.write_text("0;1\n1;2\n2;3\n3;4\n4;5\n")
         assert cli.ingest(path, delimiter=";").n == 5
+
+
+    def test_one_field_first_line(self, tmp_path):
+        # Not a header: a header line must have two fields too.
+        path = tmp_path / "s.txt"
+        path.write_text("intensity\n0\t1\n1\t2\n2\t3\n3\t4\n4\t5\n")
+        with pytest.raises(cli.IngestError, match="^line 1: expected two columns, got 1$"):
+            cli.ingest(path)
+
+    def test_fast_path_reads_written_files(self, tmp_path, noisy_file, monkeypatch):
+        # Files written by `lsaps smooth` (12 digits) and at full double
+        # precision with np.savetxt, as the benchmark writes its inputs,
+        # never reach the line parser.
+        path, noisy = noisy_file
+        out = tmp_path / "out"
+        assert cli.main(["smooth", str(path), "--method", "ps", "--param", "2", "--out", str(out)]) == 0
+        full = tmp_path / "full.txt"
+        np.savetxt(full, np.column_stack([noisy.abscissa, noisy.intensity]), fmt="%.17g", delimiter="\t")
+        files = [path, full, out / "smoothed.txt", out / "second_derivative.txt"]
+        expected = [cli._ingest_lines(f, None) for f in files]
+
+        def line_parser(*args):
+            raise AssertionError("the line parser ran")
+
+        monkeypatch.setattr(cli, "_ingest_lines", line_parser)
+        for f, spec in zip(files, expected):
+            got = cli.ingest(f)
+            assert got.abscissa.tobytes() == spec.abscissa.tobytes()
+            assert got.intensity.tobytes() == spec.intensity.tobytes()
+
+
+ROW_SEPARATORS = (",", "\t", " ", "  ", ", ", " ,", "\t ", ";", "::")
+
+
+@st.composite
+def spectrum_files(draw):
+    """The text of a spectrum file and the ``delimiter`` to ingest it with.
+
+    Each kind of defect is drawn rarely, so that many files are well
+    formed and the rest have one or two defects.
+    """
+
+    def rarely():
+        return draw(st.integers(0, 4)) == 4
+
+    delimiter = draw(st.sampled_from((None, None, None, ",", "\t", ";", "::")))
+    sep = draw(st.sampled_from(ROW_SEPARATORS[:5])) if delimiter is None else delimiter
+    mixed = rarely()
+
+    n = draw(st.integers(0, 4)) if rarely() else draw(st.integers(5, 12))
+    x0 = draw(st.sampled_from((0.0, -3.0, 0.5, 1000.0)))
+    step = draw(st.sampled_from((1.0, 0.25, 0.1, 2.5)))
+    xs = [x0 + i * step for i in range(n)]
+    fault = draw(st.sampled_from(("unsorted", "duplicate", "non-uniform"))) if rarely() else None
+    if fault == "unsorted":
+        xs = draw(st.permutations(xs))
+    elif fault == "duplicate" and n >= 2:
+        xs[draw(st.integers(1, n - 1))] = xs[0]
+    elif fault == "non-uniform" and n >= 3:
+        xs[draw(st.integers(1, n - 1))] += 0.5 * step
+    ys = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n))
+    fmt = draw(st.sampled_from((repr, "%.12g".__mod__, "%.17g".__mod__)))
+    cells = [[fmt(x), fmt(y)] for x, y in zip(xs, ys)]
+    if cells and rarely():
+        cell = draw(st.sampled_from(("nan", "inf", "-inf", "NaN", "1_0", "x")))
+        cells[draw(st.integers(0, n - 1))][draw(st.integers(0, 1))] = cell
+
+    extra = draw(st.sampled_from(("", "7", "x"))) if rarely() else ""
+    pad = draw(st.sampled_from(("", " ", "\t"))) if rarely() else ""
+    lines = []
+    for row in cells:
+        row_sep = draw(st.sampled_from(ROW_SEPARATORS)) if mixed else sep
+        lines.append(pad + row_sep.join(row + ([extra] if extra else [])) + pad)
+        if mixed and rarely():
+            lines[-1] += draw(st.sampled_from(("\t3,4", " 3", ",3")))
+    if rarely():
+        lines.insert(0, draw(st.sampled_from((f"x{sep}y", "intensity", "# x y", f"1{sep}"))))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("", "  ", "\t"))))
+    if rarely():
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("# note", "#0\t1"))))
+    newline = draw(st.sampled_from(("\n", "\r\n")))
+    return newline.join(lines) + draw(st.sampled_from(("", newline))), delimiter
+
+
+def _outcome(parse, path, delimiter):
+    try:
+        spec = parse(path, delimiter)
+    except cli.IngestError as exc:
+        return str(exc)
+    return spec.abscissa.tobytes(), spec.intensity.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(spectrum_files())
+@example(("intensity\n0\t1\n1\t2\n2\t3\n3\t4\n4\t5\n", None))
+@example(("0 1\n1 2\t9\n2 3\n3 4\n4 5\n", None))
+@example(("0\t1\n1\t2\t3,4\n2\t3\n3\t4\n4\t5\n", None))
+@example(("\r\nx,y\r\n0,1\r\n1,2\r\n\r\n2,3\r\n3,4\r\n4,5", None))
+def test_fast_path_matches_line_parser(case):
+    # Wherever the C reader accepts a file, the line parser reads the
+    # same floats; ingest returns what the line parser returns, or raises
+    # its message.
+    text, delimiter = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.txt"
+        path.write_text(text, newline="")
+        expected = _outcome(cli._ingest_lines, path, delimiter)
+        fast = cli._ingest_fast(path, delimiter)
+        if fast is not None:
+            assert (fast.abscissa.tobytes(), fast.intensity.tobytes()) == expected
+        assert _outcome(cli.ingest, path, delimiter) == expected
+
+
+@pytest.mark.parametrize("rows", [3, 2 * cli.WRITE_BLOCK_ROWS + 7])
+def test_writer_matches_per_row_format(tmp_path, rows):
+    edge = [
+        -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e300, -1e300,
+        1.7976931348623157e308, 0.1234567890125, 0.12345678901250001, 1.0000000000005,
+        9.9999999999995, 999999999999.5, 123456789012.5, 1e16,
+    ]
+    rng = np.random.default_rng(18)
+    col2 = np.resize(np.array(edge), rows)
+    col1 = rng.standard_normal(rows) * 10.0 ** rng.integers(-320, 300, rows)
+    col1 = np.where(rng.random(rows) < 0.3, col2[::-1], col1)
+    path = tmp_path / "out.txt"
+    cli._write_two_column(path, col1, col2)
+    expected = "".join(f"{cli.FLOAT_FMT % a}\t{cli.FLOAT_FMT % b}\n" for a, b in zip(col1, col2))
+    assert path.read_text() == expected
 
 
 class TestSmoothCommand:
@@ -333,3 +465,24 @@ def test_cli_sg_smooth_skips_scipy_signal_and_ndimage(tmp_path, noisy_file):
     )
     assert result.stdout.strip() == "0"
     assert (tmp_path / "out" / "smoothed.txt").exists()
+
+
+def test_cli_smooth_loads_no_new_module(tmp_path, noisy_file):
+    # A fresh interpreter: a smooth run on the fast ingest path imports no
+    # top-level module that importing lsaps.cli did not (loadtxt given a
+    # path, not an open file, would import gzip).
+    path, _ = noisy_file
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from lsaps import cli\n"
+        "def line_parser(*args): raise AssertionError('the line parser ran')\n"
+        "cli._ingest_lines = line_parser\n"
+        "top = lambda: {m.partition('.')[0] for m in sys.modules}; before = top()\n"
+        "rc = cli.main(['smooth', sys.argv[2], '--param', '2.5', '--peaks', '5', '--out', sys.argv[3]])\n"
+        "print(rc, *sorted(top() - before))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(src), str(path), str(tmp_path / "out")],
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "0"

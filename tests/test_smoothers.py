@@ -222,6 +222,37 @@ class TestLsaPs:
         x2, _, _ = smooth_lsa_ps(3.0 * y + 11.0, 2.0)
         assert np.allclose(x2, 3.0 * x + 11.0, atol=1e-9)
 
+    def test_in_range_weights_and_lambda_are_exact(self):
+        # The weights are taken on y scaled by a power of two and scaled
+        # back; in range that is exact, so they equal the unscaled ones.
+        y = 1e6 * np.random.default_rng(15).standard_normal(80)
+        raw = local_quadratic_curvature(y)
+        _, weights, lam = smooth_lsa_ps(y, 3.0)
+        assert np.array_equal(weights.values, clip_weights(raw).values)
+        assert weights.median == raw.median
+        assert lam == 3.0 * raw.median
+
+    @pytest.mark.parametrize("factor", [2.0**660, 2.0**-600], ids=["2**660", "2**-600"])
+    def test_extreme_scale_is_exactly_equivariant(self, factor):
+        # Squared curvature overflows beyond about 1e154 and underflows
+        # below about 1e-154; the fit must not depend on it.
+        y = np.sin(np.linspace(0, 6, 200)) + 0.1 * np.random.default_rng(16).standard_normal(200)
+        x, _, _ = smooth_lsa_ps(y, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x_scaled, _, _ = smooth_lsa_ps(y * factor, 1.0)
+        assert np.array_equal(x_scaled, x * factor)
+
+    def test_overflow_scale_data(self):
+        y = np.sin(np.linspace(0, 6, 200)) + 0.1 * np.random.default_rng(17).standard_normal(200)
+        x, _, _ = smooth_lsa_ps(y, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x_big, _, lam = smooth_lsa_ps(y * 1e200, 1.0)
+        assert np.max(np.abs(x_big / 1e200 - x)) <= 1e-14 * np.max(np.abs(x))
+        # In units of y squared the penalty itself does not fit a float64.
+        assert lam == np.inf
+
 
 class TestSavitzkyGolay:
     def test_window_one_is_copy(self):
@@ -331,3 +362,7 @@ class TestGaussian:
     def test_bad_window(self):
         with pytest.raises(InvalidConfigError):
             smooth_gaussian(np.ones(10), 0)
+
+    def test_rejects_2d_input(self):
+        with pytest.raises(ValueError, match="y must be 1-d"):
+            smooth_gaussian(np.ones((3, 40)), 5)

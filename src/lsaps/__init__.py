@@ -9,7 +9,7 @@ from .localfit import (
     floor_weights,
     local_quadratic_curvature,
 )
-from .peaks import MatchReport, PeakSet, detect_peaks, match_peaks
+from .peaks import PeakSet, detect_peaks
 from .select import CvCurve, SelectionResult, select_parameter
 from .sim import (
     Background,
@@ -34,7 +34,6 @@ __all__ = [
     "CurvatureWeights",
     "CvCurve",
     "LorentzianPeak",
-    "MatchReport",
     "PeakSet",
     "SelectionResult",
     "SimScenario",
@@ -45,7 +44,6 @@ __all__ = [
     "floor_weights",
     "generate_clean",
     "local_quadratic_curvature",
-    "match_peaks",
     "rrse_second_derivative",
     "run_benchmark",
     "select_parameter",

@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import math
+import statistics
 import sys
 import time
 import warnings
@@ -45,6 +46,11 @@ from .smoothers import (
 FLOAT_FMT = "%.12g"
 # Largest relative deviation of an abscissa step from the median step.
 UNIFORM_RTOL = 1e-3
+
+
+def _json_float(value):
+    """``value``, or None where it is not finite, which strict JSON cannot hold."""
+    return value if math.isfinite(value) else None
 
 
 def _fmt(value) -> str:
@@ -193,6 +199,8 @@ def ingest(path, delimiter=None) -> Spectrum:
     re-read line by line, which accepts per-line delimiter mixes and
     names the offending line in every error.
     """
+    if delimiter == "":
+        raise InvalidConfigError("delimiter must not be empty")
     path = Path(path)
     if not path.exists():
         raise IngestError(f"input file not found: {path}")
@@ -242,7 +250,7 @@ def _run_smooth(args) -> int:
         smoothed = result.smoothed
         curve = result.curve
         summary["selected_parameter"] = result.best_parameter
-        summary["effective_lambda"] = result.effective_lambda
+        summary["effective_lambda"] = _json_float(result.effective_lambda)
     elif args.method == "ps":
         smoothed = smooth_ps(y, args.param)
         summary["parameter"] = args.param
@@ -250,7 +258,7 @@ def _run_smooth(args) -> int:
     elif args.method == "lsa-ps":
         smoothed, _, lam = smooth_lsa_ps(y, args.param, clip=clip)
         summary["parameter"] = args.param
-        summary["effective_lambda"] = lam
+        summary["effective_lambda"] = _json_float(lam)
     elif args.method == "sg":
         smoothed = smooth_savitzky_golay(y, args.window, args.order)
         summary["window"] = args.window
@@ -289,9 +297,8 @@ def _run_smooth(args) -> int:
                 fh.write(f"{_fmt(g)}\t{FLOAT_FMT % loss}\n")
         summary["cv_curve"] = {
             "grid": list(curve.grid),
-            "losses": [None if math.isinf(v) else v for v in curve.losses],
+            "losses": [_json_float(v) for v in curve.losses],
             "best_index": curve.best_index,
-            "normalization": curve.normalization,
         }
 
     with (out_dir / "summary.json").open("w") as fh:
@@ -303,6 +310,10 @@ def _run_smooth(args) -> int:
 def _require(cond, message):
     if not cond:
         raise LsapsError(f"scenario file: {message}")
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_scenario_file(path):
@@ -362,15 +373,31 @@ def _parse_scenario(data):
     if raw_methods is None:
         method_grids = dict(sim.COMPARISON_GRIDS)
     else:
+        _require(isinstance(raw_methods, dict), "'methods' must be an object")
         method_grids = {}
         for method, grid in raw_methods.items():
             _require(method in (*METHODS, "none"), f"unknown method {method!r}")
             if method == "none":
                 method_grids[method] = [None]
-            elif method == "sg":
+                continue
+            # Types are checked here; a value out of range, such as a window
+            # wider than the signal, fails only its own cells.
+            _require(isinstance(grid, list), f"'methods.{method}' must be a list")
+            if method == "sg":
+                _require(
+                    all(isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)) for p in grid),
+                    "'methods.sg' entries must be [window, order] pairs of integers",
+                )
                 method_grids[method] = [tuple(p) for p in grid]
+            elif method == "gaussian":
+                _require(all(map(_is_int, grid)), "'methods.gaussian' values must be integers")
+                method_grids[method] = grid
             else:
-                method_grids[method] = list(grid)
+                _require(
+                    all(_is_int(v) or isinstance(v, float) for v in grid),
+                    f"'methods.{method}' values must be numbers",
+                )
+                method_grids[method] = grid
 
     scenario = sim.SimScenario(peaks=peaks, n=int(resolutions[0]), x_range=x_range, background=background)
     return scenario, [int(n) for n in resolutions], [float(s) for s in sigmas], method_grids, [int(s) for s in seeds]
@@ -427,13 +454,9 @@ def _run_benchmark(args) -> int:
                  _param_str(b.parameter), _fmt(b.value)]
             )
 
-    # Single-call timing snapshot at the first listed resolution, the
-    # scenario's own n.
-    timing = {}
-    clean = sim.generate_clean(scenario)
-    noisy, _ = sim.add_noise(clean, sigmas[0], seeds[0])
-    for method, grid in method_grids.items():
-        timing[method] = sim.time_method(method, grid[0], noisy.intensity)
+    times = {}
+    for c in report.cells:
+        times.setdefault(c.method, []).append(c.time_s)
 
     summary = {
         "scenario": str(args.scenario),
@@ -442,7 +465,7 @@ def _run_benchmark(args) -> int:
         "seeds": seeds,
         "methods": {m: len(g) for m, g in method_grids.items()},
         "cells": len(report.cells),
-        "single_call_median_time_s": timing,
+        "single_call_median_time_s": {m: statistics.median(t) for m, t in times.items()},
     }
     with (out_dir / "summary.json").open("w") as fh:
         json.dump(summary, fh, indent=2)

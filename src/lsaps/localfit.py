@@ -37,7 +37,6 @@ class CurvatureWeights:
 
     values: np.ndarray = field(repr=False)
     median: float
-    clipped: bool = False
 
 
 def local_quadratic_curvature(y) -> CurvatureWeights:
@@ -71,18 +70,15 @@ def clip_weights(weights: CurvatureWeights) -> CurvatureWeights:
     return CurvatureWeights(
         values=np.minimum(weights.values, weights.median),
         median=weights.median,
-        clipped=True,
     )
 
 
-def floor_weights(
-    weights: CurvatureWeights, epsilon_ratio: float = DEFAULT_FLOOR_RATIO
-) -> CurvatureWeights:
+def floor_weights(weights: CurvatureWeights) -> CurvatureWeights:
     """Raise zero weights to a tiny floor so diag(A) is invertible.
 
-    The floor is ``epsilon_ratio`` times the median of the strictly
-    positive values. Used only when evaluating the modified CV loss,
-    never inside the smoothing solve itself.
+    The floor is ``DEFAULT_FLOOR_RATIO`` times the median of the strictly
+    positive values. Used only in the CV loss of LSA-PS, never inside
+    the smoothing solve itself.
 
     Raises
     ------
@@ -90,12 +86,10 @@ def floor_weights(
         If every weight is zero (an affine input, or curvature that
         underflows).
     """
-    if epsilon_ratio <= 0:
-        raise ValueError(f"epsilon_ratio must be > 0, got {epsilon_ratio}")
     positive = weights.values[weights.values > 0]
     if positive.size == 0:
         raise DegenerateSignalError(
             "all curvature weights are zero (affine signal, or curvature that underflows)"
         )
-    floor = epsilon_ratio * float(np.median(positive))
+    floor = DEFAULT_FLOOR_RATIO * float(np.median(positive))
     return replace(weights, values=np.maximum(weights.values, floor))

@@ -2,11 +2,10 @@
 
 A peak apex shows up as a negative local minimum of the second
 difference; candidates are ranked by the absolute value of that minimum
-(the sharpness) and the top k are kept. A greedy matcher scores a
-detected set against known true peak positions for benchmarking.
+(the sharpness) and the top k are kept.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +25,6 @@ class PeakSet:
     """Detected peaks, ordered by descending sharpness."""
 
     entries: tuple
-    k: int
-    n_candidates: int
 
     @property
     def indices(self):
@@ -39,8 +36,8 @@ def detect_peaks(x, k: int, abscissa=None) -> PeakSet:
 
     Candidates are strict local minima of the second difference with a
     negative value (negative apex curvature); plateaus of equal values
-    count once at their leftmost index. Fewer than ``k`` candidates is
-    reported in the result, not an error.
+    count once at their leftmost index. Fewer than ``k`` candidates
+    gives fewer entries, not an error.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
@@ -71,46 +68,4 @@ def detect_peaks(x, k: int, abscissa=None) -> PeakSet:
         )
         for j in candidates[:k].tolist()
     )
-    return PeakSet(entries=entries, k=k, n_candidates=len(candidates))
-
-
-@dataclass(frozen=True)
-class MatchReport:
-    hits: int
-    misses: int
-    false_positives: int
-    pairs: tuple = field(repr=False, default=())
-
-
-def match_peaks(found: PeakSet, truth, tolerance: int = 3) -> MatchReport:
-    """Greedy one-to-one matching of detected peaks to true positions.
-
-    Detected peaks are visited in descending sharpness order; each
-    claims the nearest still-unmatched true peak within ``tolerance``
-    grid indices, if any.
-    """
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-    truth = [int(t) for t in truth]
-    unmatched = set(range(len(truth)))
-    pairs = []
-    false_positives = 0
-    for entry in found.entries:
-        best = None
-        best_dist = tolerance + 1
-        for t in sorted(unmatched):
-            dist = abs(truth[t] - entry.index)
-            if dist < best_dist:
-                best = t
-                best_dist = dist
-        if best is None:
-            false_positives += 1
-        else:
-            unmatched.discard(best)
-            pairs.append((entry.index, truth[best]))
-    return MatchReport(
-        hits=len(pairs),
-        misses=len(unmatched),
-        false_positives=false_positives,
-        pairs=tuple(pairs),
-    )
+    return PeakSet(entries=entries)

@@ -2,10 +2,12 @@
 
 For every candidate on a grid, the smoothed output, the hat-matrix
 diagonal, and the closed-form leave-one-out residuals
-r_i = (y_i - x_i) / (1 - H_ii) are computed. PS uses the standard loss
-sqrt(r^T r / N); LSA-PS uses the curvature-weighted modified loss
-sqrt(r^T A^{-1} r / N), which discounts residuals at high-curvature
-points and counters the chronic underestimation of the smoothness.
+r_i = (y_i - x_i) / (1 - H_ii) are computed. Both methods use one loss,
+sqrt(r^T A^{-1} r / N) with a diagonal A. PS passes its unit weights,
+which gives the standard loss sqrt(r^T r / N); LSA-PS passes its
+curvature weights, and the modified loss discounts residuals at
+high-curvature points, which counters the chronic underestimation of
+the smoothness.
 """
 
 import math
@@ -20,7 +22,7 @@ from .errors import (
     SelectionFailedError,
     SingularSystemError,
 )
-from .localfit import CurvatureWeights, floor_weights
+from .localfit import floor_weights
 from .smoothers import penalized_fit, penalized_weights
 
 # Default candidate grid, shared by PS and LSA-PS thanks to the
@@ -32,17 +34,11 @@ LEVERAGE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class CvCurve:
-    """CV loss over a candidate grid, with the argmin candidate.
-
-    ``normalization`` is a plotting-only divisor (the Euclidean norm of
-    the weight diagonal for LSA-PS); it never affects the argmin.
-    """
+    """CV loss over a candidate grid, with the argmin candidate."""
 
     grid: tuple
     losses: np.ndarray = field(repr=False)
     best_index: int
-    method: str
-    normalization: float | None = None
 
 
 @dataclass(frozen=True)
@@ -51,7 +47,6 @@ class SelectionResult:
     best_parameter: float
     smoothed: np.ndarray = field(repr=False)
     effective_lambda: float
-    weights: CurvatureWeights | None = None
 
 
 def loo_residuals(y, smoothed, hat_diag):
@@ -73,14 +68,9 @@ def loo_residuals(y, smoothed, hat_diag):
     return (y - smoothed) / (1.0 - hat_diag)
 
 
-def cv_loss_ps(r) -> float:
-    """Original CV loss sqrt(r^T r / N)."""
-    r = np.asarray(r, dtype=float)
-    return float(np.sqrt(np.mean(np.square(r))))
-
-
 def cv_loss_lsa(r, weights) -> float:
-    """Modified CV loss sqrt(r^T A^{-1} r / N) with diagonal A = weights."""
+    """CV loss sqrt(r^T A^{-1} r / N) with diagonal A = weights; unit
+    weights give the standard PS loss sqrt(r^T r / N)."""
     r = np.asarray(r, dtype=float)
     w = np.asarray(weights, dtype=float)
     if np.any(w <= 0):
@@ -99,7 +89,11 @@ def select_parameter(
     Each candidate is fitted exactly as the method's smoother fits it.
     Candidates whose leverage saturates (or whose system is singular)
     get a loss of +inf and are excluded from the argmin; ties break
-    toward the larger parameter.
+    toward the larger parameter. The loss is taken on residuals and
+    weights scaled by the power of two of ``penalized_weights``, so it
+    neither overflows nor underflows, and scaled back exactly: the PS
+    loss is in units of y, the LSA-PS loss has none, and the LSA-PS
+    effective lambda is in units of y squared.
 
     Raises
     ------
@@ -118,13 +112,8 @@ def select_parameter(
     if any(g < 0 for g in grid):
         raise InvalidConfigError("candidates must be >= 0")
 
-    a, scale, weights = penalized_weights(y, method, clip)
-    if weights is not None:
-        # LSA-PS: modified loss, and the weight norm for plotting.
-        loss_weights = floor_weights(weights).values
-        normalization = float(np.linalg.norm(a))
-    else:
-        normalization = None
+    a, scale, weights, e = penalized_weights(y, method, clip)
+    loss_weights = a if weights is None else floor_weights(weights).values
 
     losses = np.empty(len(grid))
     outputs: list[np.ndarray | None] = []
@@ -136,7 +125,7 @@ def select_parameter(
             losses[j] = math.inf
             outputs.append(None)
             continue
-        losses[j] = cv_loss_ps(r) if weights is None else cv_loss_lsa(r, loss_weights)
+        losses[j] = cv_loss_lsa(np.ldexp(r, -e), loss_weights)
         outputs.append(x)
 
     if not np.any(np.isfinite(losses)):
@@ -146,17 +135,15 @@ def select_parameter(
     # of grid ordering.
     best_index = min(range(len(grid)), key=lambda j: (losses[j], -grid[j]))
     best = grid[best_index]
-    curve = CvCurve(
-        grid=grid,
-        losses=losses,
-        best_index=best_index,
-        method=method,
-        normalization=normalization,
-    )
+    effective_lambda = best * scale
+    with np.errstate(over="ignore", under="ignore"):
+        if weights is None:
+            losses = np.ldexp(losses, e)
+        else:
+            effective_lambda = float(np.ldexp(effective_lambda, 2 * e))
     return SelectionResult(
-        curve=curve,
+        curve=CvCurve(grid=grid, losses=losses, best_index=best_index),
         best_parameter=best,
         smoothed=outputs[best_index],
-        effective_lambda=best * scale,
-        weights=weights,
+        effective_lambda=effective_lambda,
     )

@@ -9,7 +9,6 @@ are reproducible across platforms.
 """
 
 import math
-import statistics
 import time
 from dataclasses import dataclass, field, replace
 
@@ -118,11 +117,6 @@ class SimScenario:
         lo, hi = self.x_range
         return np.linspace(lo, hi, self.n)
 
-    def true_peak_indices(self):
-        """Nearest grid index of every peak center."""
-        t = self.grid()
-        return [int(np.argmin(np.abs(t - p.center))) for p in self.peaks]
-
 
 def generate_clean(scenario: SimScenario) -> Spectrum:
     """Sample the Lorentzian mixture (plus optional background)."""
@@ -140,10 +134,10 @@ def add_noise(clean: Spectrum, sigma: float, seed: int):
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if sigma == 0:
-        return Spectrum(clean.abscissa, clean.intensity.copy(), clean.units), NOISE_FREE_DB
+        return Spectrum(clean.abscissa, clean.intensity.copy()), NOISE_FREE_DB
     rng = np.random.default_rng(seed)
     eps = rng.standard_normal(clean.n) * sigma
-    noisy = Spectrum(clean.abscissa, clean.intensity + eps, clean.units)
+    noisy = Spectrum(clean.abscissa, clean.intensity + eps)
     realized = 10.0 * math.log10(
         float(np.dot(clean.intensity, clean.intensity)) / float(np.dot(eps, eps))
     )
@@ -164,14 +158,6 @@ def snr(reference, estimate) -> float:
     if err_energy == 0:
         return NOISE_FREE_DB
     return 10.0 * math.log10(ref_energy / err_energy)
-
-
-def sigma_for_target_snr(clean_intensity, target_db: float) -> float:
-    """Noise std dev whose expected realized SNR equals ``target_db``."""
-    clean_intensity = np.asarray(clean_intensity, dtype=float)
-    energy = float(np.dot(clean_intensity, clean_intensity))
-    n = clean_intensity.shape[0]
-    return math.sqrt(energy / (n * 10.0 ** (target_db / 10.0)))
 
 
 def rrse_second_derivative(x_star, x_true) -> float:
@@ -352,16 +338,3 @@ def run_benchmark(
         )
 
     return BenchmarkReport(cells=tuple(cells), aggregates=tuple(aggregates), best=tuple(best))
-
-
-def time_method(method: str, parameter, y, repeats: int = 5) -> float:
-    """Median wall-clock seconds over ``repeats`` calls after one warm-up."""
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    apply_method(method, parameter, y)
-    samples = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        apply_method(method, parameter, y)
-        samples.append(time.perf_counter() - t0)
-    return statistics.median(samples)

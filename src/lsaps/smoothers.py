@@ -6,9 +6,9 @@ Both penalized smoothers are one formula, x = (A + lam * D^T D)^{-1} A y
 with a diagonal weight matrix A and lam = parameter * scale. PS is the
 case A = I, scale = 1. LSA-PS builds A from local curvature, optionally
 clips it at its median, and takes scale = median(A) with the pre-clip
-median. ``penalized_weights`` turns a method into (A, scale) and
-``penalized_fit`` solves for x; the smoothers and the CV selection in
-``select`` share both.
+median. ``penalized_weights`` turns a method into (A, scale), taken on
+y scaled by a power of two to unit size, and ``penalized_fit`` solves
+for x; the smoothers and the CV selection in ``select`` share both.
 
 The Savitzky-Golay baseline is a local least-squares polynomial fit,
 built per call as an orthogonal projection from the QR factor of a
@@ -30,7 +30,6 @@ class Spectrum:
 
     abscissa: np.ndarray = field(repr=False)
     intensity: np.ndarray = field(repr=False)
-    units: str = ""
 
     def __post_init__(self):
         abscissa = np.asarray(self.abscissa, dtype=float)
@@ -57,9 +56,14 @@ METHODS = PENALIZED + ("sg", "gaussian")
 def penalized_weights(y, method: str, clip: bool = True):
     """Weight diagonal A and penalty scale of a penalized method.
 
-    Returns (A, scale, weights) with lam = parameter * scale: PS gives
-    (ones, 1, None), LSA-PS its optionally clipped curvature weights
-    and their pre-clip median.
+    Returns (A, scale, weights, e) with lam = parameter * scale, where e
+    is the exponent of max|y| = m * 2**e with m in [0.5, 1). PS gives
+    (ones, 1, None, e), LSA-PS its optionally clipped curvature weights
+    and their pre-clip median, taken on y * 2**-e: the weights square y,
+    so on y itself they would overflow beyond about 1e154 and underflow
+    below about 1e-154. The fit is the same for A and lam both scaled by
+    4**-e, and scaling by a power of two is exact, so in range the fit
+    does not change.
 
     Raises
     ------
@@ -73,16 +77,21 @@ def penalized_weights(y, method: str, clip: bool = True):
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError(f"y must be 1-d, got shape {y.shape}")
+    e = int(np.frexp(np.max(np.abs(y), initial=0.0))[1])
     if method == "ps":
-        return np.ones(y.shape[0]), 1.0, None
+        return np.ones(y.shape[0]), 1.0, None, e
     if method == "lsa-ps":
+        # Bound to a name, so the scaled copy lives until return: freed
+        # before clip_weights, it raised the peak RSS of an n = 1e5 smooth
+        # by about 1 MB through the order in which glibc reuses blocks.
+        y = np.ldexp(y, -e)
         raw = local_quadratic_curvature(y)
         if raw.median == 0:
             raise DegenerateSignalError(
                 "median curvature weight is zero, so the LSA-PS penalty scale collapses"
             )
         weights = clip_weights(raw) if clip else raw
-        return weights.values, raw.median, weights
+        return weights.values, raw.median, weights, e
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -95,7 +104,7 @@ def penalized_fit(y, a, lam: float):
 
 def smooth_ps(y, lam: float):
     """Penalized smoother: (I + lam * D^T D)^{-1} y."""
-    a, scale, _ = penalized_weights(y, "ps")
+    a, scale, _, _ = penalized_weights(y, "ps")
     return penalized_fit(y, a, lam * scale)[0]
 
 
@@ -138,13 +147,7 @@ def smooth_lsa_ps(y, lambda_bar: float, clip: bool = True):
     """
     if lambda_bar < 0:
         raise InvalidConfigError(f"lambda_bar must be >= 0, got {lambda_bar}")
-    # The weights square y, so they are taken on y scaled by 2**-e to
-    # max|y| in [0.5, 1), where they neither overflow nor underflow. The
-    # fit is the same for weights and penalty scaled by 4**-e, and scaling
-    # by a power of two is exact, so in-range results do not change.
-    y = np.asarray(y, dtype=float)
-    e = int(np.frexp(np.max(np.abs(y), initial=0.0))[1])
-    a, scale, weights = penalized_weights(np.ldexp(y, -e), "lsa-ps", clip)
+    a, scale, weights, e = penalized_weights(y, "lsa-ps", clip)
     x = penalized_fit(y, a, lambda_bar * scale)[0]
     with np.errstate(over="ignore", under="ignore"):
         weights = replace(

@@ -12,7 +12,7 @@ import pytest
 
 from lsaps import linalg
 from lsaps.localfit import local_quadratic_curvature
-from lsaps.peaks import detect_peaks, match_peaks
+from lsaps.peaks import detect_peaks
 from lsaps.select import loo_residuals, select_parameter
 from lsaps.sim import (
     COMPARISON_GRIDS,
@@ -22,10 +22,10 @@ from lsaps.sim import (
     generate_clean,
     rrse_second_derivative,
     run_benchmark,
-    sigma_for_target_snr,
     snr,
 )
 from lsaps.smoothers import smooth_lsa_ps, smooth_ps
+from scoring import match_peaks, sigma_for_target_snr, true_peak_indices
 
 
 def _report(number, label, ok):
@@ -210,7 +210,7 @@ def test_criterion_8_auto_pipeline_peak_recovery():
     t0 = time.perf_counter()
     scenario = SimScenario(n=1000)
     clean = generate_clean(scenario)
-    truth = scenario.true_peak_indices()
+    truth = true_peak_indices(scenario)
     sigma = sigma_for_target_snr(clean.intensity, 34.0)
     at_least = 0
     strictly_more = 0

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -324,6 +325,7 @@ class TestSmoothCommand:
             (["--auto", "--grid", "1,,2"], "--grid must be comma-separated numbers"),
             (["--param", "1", "--peaks", "-1"], "k must be >= 1"),
             (["--param", "1", "--peaks", "0"], "k must be >= 1"),
+            (["--param", "1", "--delimiter", ""], "delimiter must not be empty"),
         ],
     )
     def test_bad_parameter_prints_json_line(self, tmp_path, noisy_file, capsys, extra, message):
@@ -335,6 +337,22 @@ class TestSmoothCommand:
         assert message in record["message"]
         # Validation runs before anything is written.
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("extra", [["--param", "1"], ["--auto"]])
+    def test_summary_is_strict_json_on_overflow_scale_data(self, tmp_path, noisy_file, extra):
+        # The effective lambda is in units of y squared and overflows to
+        # inf; strict JSON has no Infinity, so it is written as null.
+        _, noisy = noisy_file
+        path = tmp_path / "big.txt"
+        write_spectrum(path, noisy.abscissa, noisy.intensity * 1e200)
+        out = tmp_path / "out"
+        assert cli.main(["smooth", str(path), *extra, "--out", str(out)]) == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert summary["effective_lambda"] is None
 
     def test_failed_cv_candidate_loss_is_inf(self, tmp_path, noisy_file):
         # PS at lambda 0 interpolates: every leverage is 1, so the
@@ -390,6 +408,24 @@ class TestBenchmarkCommand:
         assert summary["cells"] == 6
         assert set(summary["single_call_median_time_s"]) == {"ps", "none"}
 
+    def test_failed_cell_is_recorded_not_fatal(self, tmp_path):
+        # The window is wider than the signal: that cell fails, is recorded,
+        # and the run still writes every output.
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(
+            {"resolutions": [10], "methods": {"sg": [[21, 2], [5, 2]], "ps": [1.0]}}
+        ))
+        out = tmp_path / "bench"
+        assert cli.main(["benchmark", str(path), "--out", str(out)]) == 0
+        assert sorted(f.name for f in out.iterdir()) == [
+            "aggregates.csv", "best.csv", "cells.csv", "summary.json"
+        ]
+        with (out / "cells.csv").open(newline="") as fh:
+            errors = [row["error"] for row in csv.DictReader(fh)]
+        assert errors == ["InvalidSizeError: signal length 10 < window 21", "", ""]
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary["single_call_median_time_s"]) == {"sg", "ps"}
+
     def test_value_columns_deterministic(self, tmp_path, scenario_file):
         def strip_times(out_dir):
             rows = []
@@ -415,6 +451,10 @@ class TestBenchmarkCommand:
             '{"seeds": [0',
             "[1]",
             None,
+            json.dumps({"methods": [1]}),
+            json.dumps({"methods": {"sg": [[5]]}}),
+            json.dumps({"methods": {"ps": ["a"]}}),
+            json.dumps({"methods": {"gaussian": [2.5]}}),
         ],
     )
     def test_malformed_scenario_prints_json_line(self, tmp_path, capsys, text):
@@ -426,6 +466,7 @@ class TestBenchmarkCommand:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "LsapsError"
         assert record["message"].startswith("scenario file: ")
+        assert not (tmp_path / "x").exists()
 
     def test_invalid_scenario(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -17,10 +17,9 @@ from lsaps.sim import (
     generate_clean,
     rrse_second_derivative,
     run_benchmark,
-    sigma_for_target_snr,
     snr,
-    time_method,
 )
+from scoring import sigma_for_target_snr, true_peak_indices
 
 
 class TestScenario:
@@ -33,7 +32,7 @@ class TestScenario:
 
     def test_true_peak_indices_nearest(self):
         sc = SimScenario(peaks=(LorentzianPeak(50.0, 1.0, 1.0),), n=101, x_range=(0.0, 100.0))
-        assert sc.true_peak_indices() == [50]
+        assert true_peak_indices(sc) == [50]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -253,9 +252,3 @@ class TestBenchmark:
             warnings.simplefilter("error")
             report = run_benchmark(SimScenario(n=500), [500], [0.2], COMPARISON_GRIDS, [0])
         assert all(c.error is None for c in report.cells)
-
-    def test_time_method_positive(self):
-        y = np.random.default_rng(4).standard_normal(200)
-        assert time_method("ps", 1.0, y, repeats=3) > 0.0
-        with pytest.raises(ValueError):
-            time_method("ps", 1.0, y, repeats=0)

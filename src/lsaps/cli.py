@@ -25,6 +25,8 @@ import sys
 import time
 import warnings
 from array import array
+from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -33,15 +35,7 @@ from . import select as select_mod
 from . import sim
 from .errors import IngestError, InvalidConfigError, LsapsError
 from .peaks import detect_peaks
-from .smoothers import (
-    METHODS,
-    PENALIZED,
-    Spectrum,
-    smooth_gaussian,
-    smooth_lsa_ps,
-    smooth_ps,
-    smooth_savitzky_golay,
-)
+from .smoothers import METHODS, PENALIZED, Spectrum, smooth
 
 FLOAT_FMT = "%.12g"
 # Largest relative deviation of an abscissa step from the median step.
@@ -54,13 +48,12 @@ def _json_float(value):
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float) and math.isinf(value):
-        return "noise-free" if value > 0 else "-inf"
+    # Floats first: they are most of the values of a benchmark table.
     if isinstance(value, float):
+        if math.isinf(value):
+            return "noise-free" if value > 0 else "-inf"
         return FLOAT_FMT % value
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def _line_delimiter(line, delimiter):
@@ -251,21 +244,19 @@ def _run_smooth(args) -> int:
         curve = result.curve
         summary["selected_parameter"] = result.best_parameter
         summary["effective_lambda"] = _json_float(result.effective_lambda)
-    elif args.method == "ps":
-        smoothed = smooth_ps(y, args.param)
-        summary["parameter"] = args.param
-        summary["effective_lambda"] = args.param
-    elif args.method == "lsa-ps":
-        smoothed, _, lam = smooth_lsa_ps(y, args.param, clip=clip)
-        summary["parameter"] = args.param
-        summary["effective_lambda"] = _json_float(lam)
-    elif args.method == "sg":
-        smoothed = smooth_savitzky_golay(y, args.window, args.order)
-        summary["window"] = args.window
-        summary["poly_order"] = args.order
-    elif args.method == "gaussian":
-        smoothed = smooth_gaussian(y, args.window)
-        summary["window"] = args.window
+    else:
+        if args.method in PENALIZED:
+            parameter = args.param
+            summary["parameter"] = args.param
+        elif args.method == "sg":
+            parameter = (args.window, args.order)
+            summary.update(window=args.window, poly_order=args.order)
+        else:
+            parameter = args.window
+            summary["window"] = args.window
+        smoothed, lam = smooth(y, args.method, parameter, clip)
+        if lam is not None:
+            summary["effective_lambda"] = _json_float(lam)
     summary["smooth_time_s"] = time.perf_counter() - t0
     peak_set = None
     if args.peaks is not None:
@@ -316,6 +307,10 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value):
+    return _is_int(value) or isinstance(value, float)
+
+
 def load_scenario_file(path):
     """Parse and validate a benchmark scenario JSON file.
 
@@ -358,16 +353,20 @@ def _parse_scenario(data):
 
     resolutions = data.get("resolutions", [1000])
     _require(
-        isinstance(resolutions, list) and all(int(n) >= 5 for n in resolutions),
-        "'resolutions' must be a list of integers >= 5",
+        isinstance(resolutions, list) and resolutions
+        and all(_is_int(n) and n >= 5 for n in resolutions),
+        "'resolutions' must be a non-empty list of integers >= 5",
     )
     sigmas = data.get("noise_sigmas", [0.0])
     _require(
-        isinstance(sigmas, list) and all(float(s) >= 0 for s in sigmas),
-        "'noise_sigmas' must be a list of values >= 0",
+        isinstance(sigmas, list) and all(_is_number(s) and 0 <= s < math.inf for s in sigmas),
+        "'noise_sigmas' must be a list of finite numbers >= 0",
     )
     seeds = data.get("seeds", [0])
-    _require(isinstance(seeds, list) and seeds, "'seeds' must be a non-empty list")
+    _require(
+        isinstance(seeds, list) and seeds and all(_is_int(s) and s >= 0 for s in seeds),
+        "'seeds' must be a non-empty list of integers >= 0",
+    )
 
     raw_methods = data.get("methods")
     if raw_methods is None:
@@ -393,14 +392,11 @@ def _parse_scenario(data):
                 _require(all(map(_is_int, grid)), "'methods.gaussian' values must be integers")
                 method_grids[method] = grid
             else:
-                _require(
-                    all(_is_int(v) or isinstance(v, float) for v in grid),
-                    f"'methods.{method}' values must be numbers",
-                )
+                _require(all(map(_is_number, grid)), f"'methods.{method}' values must be numbers")
                 method_grids[method] = grid
 
-    scenario = sim.SimScenario(peaks=peaks, n=int(resolutions[0]), x_range=x_range, background=background)
-    return scenario, [int(n) for n in resolutions], [float(s) for s in sigmas], method_grids, [int(s) for s in seeds]
+    scenario = sim.SimScenario(peaks=peaks, n=resolutions[0], x_range=x_range, background=background)
+    return scenario, resolutions, [float(s) for s in sigmas], method_grids, seeds
 
 
 def _param_str(parameter):
@@ -411,48 +407,29 @@ def _param_str(parameter):
     return _fmt(float(parameter)) if isinstance(parameter, float) else str(parameter)
 
 
+def _write_table(path, row_type, rows):
+    """Write the dataclass ``rows`` as CSV, one column per field of ``row_type``."""
+    # A column at a time, so the loops run in C; csv writes int and str as _fmt would.
+    columns = {f.name: map(attrgetter(f.name), rows) for f in fields(row_type)}
+    for f in fields(row_type):
+        if f.type not in (int, str):
+            columns[f.name] = map(_param_str if f.name == "parameter" else _fmt, columns[f.name])
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(zip(*columns.values()))
+
+
 def _run_benchmark(args) -> int:
     scenario, resolutions, sigmas, method_grids, seeds = load_scenario_file(args.scenario)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     report = sim.run_benchmark(scenario, resolutions, sigmas, method_grids, seeds)
 
-    with (out_dir / "cells.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["resolution", "sigma", "method", "parameter", "seed",
-             "input_snr_db", "output_snr_db", "rrse", "time_s", "error"]
-        )
-        for c in report.cells:
-            writer.writerow(
-                [c.resolution, _fmt(c.sigma), c.method, _param_str(c.parameter), c.seed,
-                 _fmt(c.input_snr), _fmt(c.output_snr), _fmt(c.rrse),
-                 _fmt(c.time_s), c.error or ""]
-            )
-
-    with (out_dir / "aggregates.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["resolution", "sigma", "method", "parameter", "seeds",
-             "input_snr_mean", "output_snr_mean", "output_snr_std",
-             "rrse_mean", "rrse_std"]
-        )
-        for r in report.aggregates:
-            writer.writerow(
-                [r.resolution, _fmt(r.sigma), r.method, _param_str(r.parameter), r.seeds,
-                 _fmt(r.input_snr_mean), _fmt(r.output_snr_mean), _fmt(r.output_snr_std),
-                 _fmt(r.rrse_mean), _fmt(r.rrse_std)]
-            )
-
-    with (out_dir / "best.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["resolution", "sigma", "method", "criterion", "parameter", "value"])
-        for b in report.best:
-            writer.writerow(
-                [b.resolution, _fmt(b.sigma), b.method, b.criterion,
-                 _param_str(b.parameter), _fmt(b.value)]
-            )
+    # The sweep has returned; only now is anything written.
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_table(out_dir / "cells.csv", sim.BenchmarkCell, report.cells)
+    _write_table(out_dir / "aggregates.csv", sim.AggregateRow, report.aggregates)
+    _write_table(out_dir / "best.csv", sim.BestRow, report.best)
 
     times = {}
     for c in report.cells:

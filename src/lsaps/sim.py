@@ -9,21 +9,20 @@ are reproducible across platforms.
 """
 
 import math
+import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import InvalidSizeError, UndefinedMetricError
-from .smoothers import (
-    Spectrum,
-    smooth_gaussian,
-    smooth_lsa_ps,
-    smooth_ps,
-    smooth_savitzky_golay,
-)
+from .smoothers import Spectrum, smooth
 
 NOISE_FREE_DB = math.inf
+
+
+def _is_finite_number(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -33,6 +32,8 @@ class LorentzianPeak:
     halfwidth: float
 
     def __post_init__(self):
+        if not all(map(_is_finite_number, (self.center, self.height, self.halfwidth))):
+            raise ValueError("peak center, height and halfwidth must be finite numbers")
         if self.height <= 0 or self.halfwidth <= 0:
             raise ValueError("height and halfwidth must be > 0")
 
@@ -46,6 +47,12 @@ class Background:
     hump_width: float = 1.0
     slope: float = 0.0
     offset: float = 0.0
+
+    def __post_init__(self):
+        if not all(_is_finite_number(getattr(self, f.name)) for f in fields(self)):
+            raise ValueError("background values must be finite numbers")
+        if self.hump_width <= 0:
+            raise ValueError("background hump_width must be > 0")
 
     def evaluate(self, t):
         t = np.asarray(t, dtype=float)
@@ -107,8 +114,8 @@ class SimScenario:
         if self.n < 5:
             raise InvalidSizeError(f"scenario needs n >= 5, got n={self.n}")
         lo, hi = self.x_range
-        if not lo < hi:
-            raise ValueError("x_range must be increasing")
+        if not (_is_finite_number(lo) and _is_finite_number(hi) and lo < hi):
+            raise ValueError("x_range must be two increasing finite numbers")
         for p in self.peaks:
             if not lo <= p.center <= hi:
                 raise ValueError(f"peak center {p.center} outside x_range")
@@ -175,22 +182,6 @@ def rrse_second_derivative(x_star, x_true) -> float:
     return float(np.linalg.norm(np.diff(x_star, n=2) - d_true)) / denom
 
 
-def apply_method(method: str, parameter, y):
-    """Dispatch a single smoother call; ``none`` is the identity control."""
-    if method == "none":
-        return np.asarray(y, dtype=float).copy()
-    if method == "ps":
-        return smooth_ps(y, parameter)
-    if method == "lsa-ps":
-        return smooth_lsa_ps(y, parameter, clip=True)[0]
-    if method == "sg":
-        window, order = parameter
-        return smooth_savitzky_golay(y, window, order)
-    if method == "gaussian":
-        return smooth_gaussian(y, parameter)
-    raise ValueError(f"unknown method {method!r}")
-
-
 @dataclass(frozen=True)
 class BenchmarkCell:
     resolution: int
@@ -198,8 +189,8 @@ class BenchmarkCell:
     method: str
     parameter: object
     seed: int
-    input_snr: float
-    output_snr: float | None
+    input_snr_db: float
+    output_snr_db: float | None
     rrse: float | None
     time_s: float
     error: str | None = None
@@ -270,7 +261,7 @@ def run_benchmark(
                     for parameter in grid:
                         t0 = time.perf_counter()
                         try:
-                            smoothed = apply_method(method, parameter, noisy.intensity)
+                            smoothed = smooth(noisy.intensity, method, parameter)[0]
                             err = None
                         except Exception as exc:  # recorded per-cell
                             smoothed = None
@@ -288,8 +279,8 @@ def run_benchmark(
                                 method=method,
                                 parameter=parameter,
                                 seed=int(seed),
-                                input_snr=input_snr,
-                                output_snr=out_snr,
+                                input_snr_db=input_snr,
+                                output_snr_db=out_snr,
                                 rrse=out_rrse,
                                 time_s=elapsed,
                                 error=err,
@@ -305,9 +296,9 @@ def run_benchmark(
             (cell.resolution, cell.sigma, cell.method, cell.parameter), []
         ).append(cell)
     for (n, sigma, method, parameter), members in groups.items():
-        snr_mean, snr_std = _mean_std([c.output_snr for c in members])
+        snr_mean, snr_std = _mean_std([c.output_snr_db for c in members])
         rrse_mean, rrse_std = _mean_std([c.rrse for c in members])
-        in_mean, _ = _mean_std([c.input_snr for c in members])
+        in_mean, _ = _mean_std([c.input_snr_db for c in members])
         aggregates.append(
             AggregateRow(
                 resolution=n,

@@ -9,6 +9,7 @@ clips it at its median, and takes scale = median(A) with the pre-clip
 median. ``penalized_weights`` turns a method into (A, scale), taken on
 y scaled by a power of two to unit size, and ``penalized_fit`` solves
 for x; the smoothers and the CV selection in ``select`` share both.
+``smooth`` calls any smoother by its method name.
 
 The Savitzky-Golay baseline is a local least-squares polynomial fit,
 built per call as an orthogonal projection from the QR factor of a
@@ -227,3 +228,26 @@ def smooth_gaussian(y, window: int):
         out[lo:hi] += coeff * y[lo + off : hi + off]
         norm[lo:hi] += coeff
     return out / norm
+
+
+def smooth(y, method: str, parameter, clip: bool = True):
+    """Smooth ``y`` by method name; return (x, effective lambda).
+
+    ``parameter`` is lam for ``ps``, lambda_bar for ``lsa-ps``, a
+    (window, poly_order) pair for ``sg`` and a window for ``gaussian``;
+    ``clip`` applies to ``lsa-ps`` alone. The lambda is None for ``sg``,
+    ``gaussian`` and ``none``, the benchmark's identity control, which
+    returns a copy of y. Raises ValueError for an unknown method.
+    """
+    if method == "ps":
+        return smooth_ps(y, parameter), parameter
+    if method == "lsa-ps":
+        x, _, lam = smooth_lsa_ps(y, parameter, clip)
+        return x, lam
+    if method == "sg":
+        return smooth_savitzky_golay(y, *parameter), None
+    if method == "gaussian":
+        return smooth_gaussian(y, parameter), None
+    if method == "none":
+        return np.asarray(y, dtype=float).copy(), None
+    raise ValueError(f"unknown method {method!r}")

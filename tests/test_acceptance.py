@@ -18,13 +18,12 @@ from lsaps.sim import (
     COMPARISON_GRIDS,
     SimScenario,
     add_noise,
-    apply_method,
     generate_clean,
     rrse_second_derivative,
     run_benchmark,
     snr,
 )
-from lsaps.smoothers import smooth_lsa_ps, smooth_ps
+from lsaps.smoothers import smooth, smooth_lsa_ps, smooth_ps
 from scoring import match_peaks, sigma_for_target_snr, true_peak_indices
 
 
@@ -174,7 +173,7 @@ def _best_parameter_scores(clean, noisy, method):
     best_snr = -np.inf
     best_rrse = np.inf
     for parameter in COMPARISON_GRIDS[method]:
-        smoothed = apply_method(method, parameter, noisy)
+        smoothed = smooth(noisy, method, parameter)[0]
         best_snr = max(best_snr, snr(clean, smoothed))
         best_rrse = min(best_rrse, rrse_second_derivative(smoothed, clean))
     return best_snr, best_rrse
@@ -264,7 +263,7 @@ def test_criterion_10_benchmark_determinism():
     def value_columns(report):
         cells = tuple(
             (c.resolution, c.sigma, c.method, c.parameter, c.seed,
-             c.input_snr, c.output_snr, c.rrse, c.error)
+             c.input_snr_db, c.output_snr_db, c.rrse, c.error)
             for c in report.cells
         )
         aggregates = tuple(

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -455,6 +456,18 @@ class TestBenchmarkCommand:
             json.dumps({"methods": {"sg": [[5]]}}),
             json.dumps({"methods": {"ps": ["a"]}}),
             json.dumps({"methods": {"gaussian": [2.5]}}),
+            # Bools and non-integers, negative seeds, non-finite and zero-width values.
+            json.dumps({"seeds": [-1], "noise_sigmas": [0.1], "methods": {"ps": [1.0]}}),
+            json.dumps({"noise_sigmas": [math.inf], "methods": {"ps": [1.0]}}),
+            json.dumps({"background": {"slope": "x"}, "methods": {"ps": [1.0]}}),
+            json.dumps({"background": {"hump_width": 0}, "methods": {"ps": [1.0]}}),
+            json.dumps({"resolutions": [20.7], "methods": {"ps": [1.0]}}),
+            json.dumps({"seeds": [1.5, True], "resolutions": [20], "methods": {"ps": [1.0]}}),
+            json.dumps({"resolutions": []}),
+            json.dumps({"peaks": [{"center": 5, "height": math.inf, "halfwidth": 1}],
+                        "x_range": [0, 10], "methods": {"ps": [1.0]}}),
+            json.dumps({"peaks": [{"center": 5, "height": 1, "halfwidth": 1}],
+                        "x_range": [0, math.inf], "methods": {"ps": [1.0]}}),
         ],
     )
     def test_malformed_scenario_prints_json_line(self, tmp_path, capsys, text):
@@ -466,6 +479,18 @@ class TestBenchmarkCommand:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "LsapsError"
         assert record["message"].startswith("scenario file: ")
+        assert not (tmp_path / "x").exists()
+
+    def test_failed_sweep_writes_nothing(self, tmp_path, capsys):
+        # A flat clean signal leaves the RRSE undefined, which ends the sweep.
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "peaks": [{"center": 50, "height": 1, "halfwidth": 1e300}],
+            "resolutions": [20], "methods": {"ps": [1.0]},
+        }))
+        rc = cli.main(["benchmark", str(path), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "UndefinedMetricError"
         assert not (tmp_path / "x").exists()
 
     def test_invalid_scenario(self, tmp_path, capsys):

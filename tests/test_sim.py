@@ -13,7 +13,6 @@ from lsaps.sim import (
     LorentzianPeak,
     SimScenario,
     add_noise,
-    apply_method,
     generate_clean,
     rrse_second_derivative,
     run_benchmark,
@@ -160,28 +159,6 @@ class TestMetrics:
             rrse_second_derivative(np.ones(10), np.arange(10.0))
 
 
-class TestApplyMethod:
-    def test_none_is_identity_copy(self):
-        y = np.random.default_rng(2).standard_normal(20)
-        out = apply_method("none", None, y)
-        assert np.array_equal(out, y) and out is not y
-
-    def test_dispatch(self):
-        y = np.random.default_rng(3).standard_normal(60)
-        from lsaps.smoothers import smooth_gaussian, smooth_ps, smooth_savitzky_golay
-
-        assert np.array_equal(apply_method("ps", 2.0, y), smooth_ps(y, 2.0))
-        assert np.array_equal(apply_method("sg", (5, 2), y), smooth_savitzky_golay(y, 5, 2))
-        assert np.array_equal(apply_method("gaussian", 5, y), smooth_gaussian(y, 5))
-        with pytest.raises(ValueError):
-            apply_method("median", 3, y)
-
-    def test_comparison_grids_cover_methods(self):
-        assert set(COMPARISON_GRIDS) == {"ps", "lsa-ps", "sg", "gaussian"}
-        assert (1, 0) in COMPARISON_GRIDS["sg"]
-        assert all(w % 2 == 1 and 0 <= o < w for w, o in COMPARISON_GRIDS["sg"])
-
-
 @pytest.fixture(scope="module")
 def small_report():
     sc = SimScenario(peaks=DEFAULT_PEAKS[:4], x_range=(0.0, 30.0))
@@ -190,6 +167,11 @@ def small_report():
 
 
 class TestBenchmark:
+    def test_comparison_grids_cover_methods(self):
+        assert set(COMPARISON_GRIDS) == {"ps", "lsa-ps", "sg", "gaussian"}
+        assert (1, 0) in COMPARISON_GRIDS["sg"]
+        assert all(w % 2 == 1 and 0 <= o < w for w, o in COMPARISON_GRIDS["sg"])
+
     def test_cell_count(self, small_report):
         _, grids, report = small_report
         per_seed = sum(len(g) for g in grids.values())
@@ -205,7 +187,7 @@ class TestBenchmark:
             ]
             assert row.seeds == len(members) == 2
             assert row.output_snr_mean == pytest.approx(
-                np.mean([c.output_snr for c in members]), abs=1e-12
+                np.mean([c.output_snr_db for c in members]), abs=1e-12
             )
             assert row.rrse_std == pytest.approx(
                 np.std([c.rrse for c in members], ddof=1), abs=1e-12
@@ -233,8 +215,8 @@ class TestBenchmark:
             assert (a.resolution, a.sigma, a.method, a.parameter, a.seed) == (
                 b.resolution, b.sigma, b.method, b.parameter, b.seed
             )
-            assert a.input_snr == b.input_snr
-            assert a.output_snr == b.output_snr
+            assert a.input_snr_db == b.input_snr_db
+            assert a.output_snr_db == b.output_snr_db
             assert a.rrse == b.rrse
 
     def test_error_cells_recorded_not_fatal(self):

@@ -13,7 +13,9 @@ from lsaps.errors import (
 from lsaps.localfit import clip_weights, local_quadratic_curvature
 from lsaps.sim import COMPARISON_GRIDS
 from lsaps.smoothers import (
+    METHODS,
     Spectrum,
+    smooth,
     smooth_gaussian,
     smooth_lsa_ps,
     smooth_ps,
@@ -367,3 +369,31 @@ class TestGaussian:
     def test_rejects_2d_input(self):
         with pytest.raises(ValueError, match="y must be 1-d"):
             smooth_gaussian(np.ones((3, 40)), 5)
+
+
+class TestSmooth:
+    def test_none_is_identity_copy(self):
+        y = np.random.default_rng(2).standard_normal(20)
+        out, lam = smooth(y, "none", None)
+        assert np.array_equal(out, y) and out is not y and lam is None
+
+    def test_dispatch(self):
+        # Each method against its direct smoother call, bit for bit, with
+        # the effective lambda: lam itself for PS, none for the baselines.
+        y = np.random.default_rng(3).standard_normal(60)
+        for clip in (True, False):
+            x, _, lam = smooth_lsa_ps(y, 2.0, clip=clip)
+            got, got_lam = smooth(y, "lsa-ps", 2.0, clip)
+            assert np.array_equal(got, x) and got_lam == lam
+        expected = {
+            "ps": (2.0, smooth_ps(y, 2.0), 2.0),
+            "sg": ((5, 2), smooth_savitzky_golay(y, 5, 2), None),
+            "gaussian": (5, smooth_gaussian(y, 5), None),
+            "none": (None, y, None),
+        }
+        assert {*expected, "lsa-ps"} == {*METHODS, "none"}
+        for method, (parameter, x, lam) in expected.items():
+            got, got_lam = smooth(y, method, parameter)
+            assert np.array_equal(got, x) and got_lam == lam, method
+        with pytest.raises(ValueError, match="unknown method"):
+            smooth(y, "median", 3)

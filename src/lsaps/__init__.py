@@ -3,12 +3,7 @@ regularization, CV-based parameter selection, second-derivative peak
 detection, and a synthetic Lorentzian benchmark harness.
 """
 
-from .localfit import (
-    CurvatureWeights,
-    clip_weights,
-    floor_weights,
-    local_quadratic_curvature,
-)
+from .localfit import floor_weights, local_quadratic_curvature
 from .peaks import PeakSet, detect_peaks
 from .select import CvCurve, SelectionResult, select_parameter
 from .sim import (
@@ -31,7 +26,6 @@ from .smoothers import (
 
 __all__ = [
     "Background",
-    "CurvatureWeights",
     "CvCurve",
     "LorentzianPeak",
     "PeakSet",
@@ -39,7 +33,6 @@ __all__ = [
     "SimScenario",
     "Spectrum",
     "add_noise",
-    "clip_weights",
     "detect_peaks",
     "floor_weights",
     "generate_clean",

@@ -190,7 +190,8 @@ def ingest(path, delimiter=None) -> Spectrum:
     rejected. A file that numpy's C reader parses with its first line's
     delimiter into a valid grid is read that way, and any other file is
     re-read line by line, which accepts per-line delimiter mixes and
-    names the offending line in every error.
+    names the offending line in every error. A path that cannot be read
+    or decoded as text, such as a directory, raises ``IngestError`` too.
     """
     if delimiter == "":
         raise InvalidConfigError("delimiter must not be empty")
@@ -198,7 +199,12 @@ def ingest(path, delimiter=None) -> Spectrum:
     if not path.exists():
         raise IngestError(f"input file not found: {path}")
     spectrum = _ingest_fast(path, delimiter)
-    return spectrum if spectrum is not None else _ingest_lines(path, delimiter)
+    if spectrum is not None:
+        return spectrum
+    try:
+        return _ingest_lines(path, delimiter)
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, or not UTF-8 text
+        raise IngestError(f"cannot read {path}: {exc}") from None
 
 
 # Rows formatted per string operation; bounds the Python floats alive at once.
@@ -482,9 +488,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "smooth" and not args.auto and args.param is None:
-        if args.method in PENALIZED:
+    if args.command == "smooth":
+        if args.method in PENALIZED and not args.auto and args.param is None:
             parser.error("ps / lsa-ps need --param or --auto")
+        if args.method not in PENALIZED and args.param is not None:
+            parser.error("--param applies to ps / lsa-ps only; sg and gaussian take --window")
     try:
         return args.func(args)
     except LsapsError as exc:

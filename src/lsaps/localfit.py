@@ -9,10 +9,10 @@ sum(xi^4) = 34:
     a_i = (2 y[i-2] - y[i-1] - 2 y[i] - y[i+1] + 2 y[i+2]) / 14
 
 and the weight is (2 a_i)^2. The first and last two points reuse the
-curvature of the nearest full five-point window.
+curvature of the nearest full five-point window. Weights are plain
+arrays; ``smoothers.penalized_weights`` clips them and takes their
+median.
 """
-
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,19 +27,7 @@ _QUAD_KERNEL = np.array([2.0, -1.0, -2.0, -1.0, 2.0])
 DEFAULT_FLOOR_RATIO = 1e-8
 
 
-@dataclass(frozen=True)
-class CurvatureWeights:
-    """Diagonal data-fidelity weights derived from local curvature.
-
-    ``median`` always caches the median of the original (pre-clip)
-    values; penalty scaling uses it even after clipping.
-    """
-
-    values: np.ndarray = field(repr=False)
-    median: float
-
-
-def local_quadratic_curvature(y) -> CurvatureWeights:
+def local_quadratic_curvature(y) -> np.ndarray:
     """Compute curvature weights (2 a_i)^2 for every point of ``y``.
 
     Raises
@@ -62,23 +50,15 @@ def local_quadratic_curvature(y) -> CurvatureWeights:
     w[2 : n - 2] = np.square(2.0 * a)
     w[:2] = w[2]
     w[n - 2 :] = w[n - 3]
-    return CurvatureWeights(values=w, median=float(np.median(w)))
+    return w
 
 
-def clip_weights(weights: CurvatureWeights) -> CurvatureWeights:
-    """Clip every value at the pre-clip median; idempotent."""
-    return CurvatureWeights(
-        values=np.minimum(weights.values, weights.median),
-        median=weights.median,
-    )
-
-
-def floor_weights(weights: CurvatureWeights) -> CurvatureWeights:
+def floor_weights(weights: np.ndarray) -> np.ndarray:
     """Raise zero weights to a tiny floor so diag(A) is invertible.
 
     The floor is ``DEFAULT_FLOOR_RATIO`` times the median of the strictly
-    positive values. Used only in the CV loss of LSA-PS, never inside
-    the smoothing solve itself.
+    positive values, so unit weights come back unchanged. Used only in
+    the CV loss, never inside the smoothing solve itself.
 
     Raises
     ------
@@ -86,10 +66,10 @@ def floor_weights(weights: CurvatureWeights) -> CurvatureWeights:
         If every weight is zero (an affine input, or curvature that
         underflows).
     """
-    positive = weights.values[weights.values > 0]
+    positive = weights[weights > 0]
     if positive.size == 0:
         raise DegenerateSignalError(
             "all curvature weights are zero (affine signal, or curvature that underflows)"
         )
     floor = DEFAULT_FLOOR_RATIO * float(np.median(positive))
-    return replace(weights, values=np.maximum(weights.values, floor))
+    return np.maximum(weights, floor)

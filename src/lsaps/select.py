@@ -3,9 +3,9 @@
 For every candidate on a grid, the smoothed output, the hat-matrix
 diagonal, and the closed-form leave-one-out residuals
 r_i = (y_i - x_i) / (1 - H_ii) are computed. Both methods use one loss,
-sqrt(r^T A^{-1} r / N) with a diagonal A. PS passes its unit weights,
-which gives the standard loss sqrt(r^T r / N); LSA-PS passes its
-curvature weights, and the modified loss discounts residuals at
+sqrt(r^T A^{-1} r / N), with A the method's weights raised to a tiny
+floor. PS's unit weights give the standard loss sqrt(r^T r / N); with
+the LSA-PS curvature weights the modified loss discounts residuals at
 high-curvature points, which counters the chronic underestimation of
 the smoothness.
 """
@@ -89,11 +89,12 @@ def select_parameter(
     Each candidate is fitted exactly as the method's smoother fits it.
     Candidates whose leverage saturates (or whose system is singular)
     get a loss of +inf and are excluded from the argmin; ties break
-    toward the larger parameter. The loss is taken on residuals and
-    weights scaled by the power of two of ``penalized_weights``, so it
-    neither overflows nor underflows, and scaled back exactly: the PS
-    loss is in units of y, the LSA-PS loss has none, and the LSA-PS
-    effective lambda is in units of y squared.
+    toward the larger parameter. Every fit, and so every residual and
+    loss, is taken on y scaled by the power of two of
+    ``penalized_weights``, so none overflows or underflows, and scaled
+    back exactly: the smoothed output and the PS loss are in units of y,
+    the LSA-PS loss has none, and the LSA-PS effective lambda is in units
+    of y squared.
 
     Raises
     ------
@@ -112,20 +113,21 @@ def select_parameter(
     if any(g < 0 for g in grid):
         raise InvalidConfigError("candidates must be >= 0")
 
-    a, scale, weights, e = penalized_weights(y, method, clip)
-    loss_weights = a if weights is None else floor_weights(weights).values
+    a, scale, e = penalized_weights(y, method, clip)
+    loss_weights = floor_weights(a)
+    y_unit = np.ldexp(y, -e)
 
     losses = np.empty(len(grid))
     outputs: list[np.ndarray | None] = []
     for j, cand in enumerate(grid):
         try:
-            x, system = penalized_fit(y, a, cand * scale)
-            r = loo_residuals(y, x, linalg.hat_diagonal(system))
+            x, system = penalized_fit(y, a, cand * scale, e)
+            r = loo_residuals(y_unit, x, linalg.hat_diagonal(system))
         except (LeverageSaturationError, SingularSystemError):
             losses[j] = math.inf
             outputs.append(None)
             continue
-        losses[j] = cv_loss_lsa(np.ldexp(r, -e), loss_weights)
+        losses[j] = cv_loss_lsa(r, loss_weights)
         outputs.append(x)
 
     if not np.any(np.isfinite(losses)):
@@ -137,13 +139,13 @@ def select_parameter(
     best = grid[best_index]
     effective_lambda = best * scale
     with np.errstate(over="ignore", under="ignore"):
-        if weights is None:
+        if method == "ps":
             losses = np.ldexp(losses, e)
         else:
             effective_lambda = float(np.ldexp(effective_lambda, 2 * e))
     return SelectionResult(
         curve=CvCurve(grid=grid, losses=losses, best_index=best_index),
         best_parameter=best,
-        smoothed=outputs[best_index],
+        smoothed=np.ldexp(outputs[best_index], e),
         effective_lambda=effective_lambda,
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import InvalidSizeError, UndefinedMetricError
+from .errors import InvalidConfigError, InvalidSizeError, UndefinedMetricError
 from .smoothers import Spectrum, smooth
 
 NOISE_FREE_DB = math.inf
@@ -126,29 +126,47 @@ class SimScenario:
 
 
 def generate_clean(scenario: SimScenario) -> Spectrum:
-    """Sample the Lorentzian mixture (plus optional background)."""
+    """Sample the Lorentzian mixture (plus optional background).
+
+    Raises InvalidConfigError if the signal's sum of squares is not
+    finite: its SNR could not be scored.
+    """
     t = scenario.grid()
     intensity = np.zeros_like(t)
-    for p in scenario.peaks:
-        intensity += p.height / (1.0 + ((t - p.center) / p.halfwidth) ** 2)
-    if scenario.background is not None:
-        intensity += scenario.background.evaluate(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in scenario.peaks:
+            intensity += p.height / (1.0 + ((t - p.center) / p.halfwidth) ** 2)
+        if scenario.background is not None:
+            intensity += scenario.background.evaluate(t)
+        energy = float(np.dot(intensity, intensity))
+    if not math.isfinite(energy):
+        raise InvalidConfigError("the clean signal overflows: its sum of squares is not finite")
     return Spectrum(abscissa=t, intensity=intensity)
 
 
 def add_noise(clean: Spectrum, sigma: float, seed: int):
-    """Add seeded i.i.d. Gaussian noise; returns (noisy, realized SNR)."""
+    """Add seeded i.i.d. Gaussian noise; returns (noisy, realized SNR).
+
+    Raises InvalidConfigError, for sigma > 0, unless the sums of squares
+    of the clean signal and of the noise are both positive and finite:
+    the realized SNR is their ratio.
+    """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if sigma == 0:
         return Spectrum(clean.abscissa, clean.intensity.copy()), NOISE_FREE_DB
     rng = np.random.default_rng(seed)
-    eps = rng.standard_normal(clean.n) * sigma
+    with np.errstate(over="ignore"):
+        eps = rng.standard_normal(clean.n) * sigma
+        signal = float(np.dot(clean.intensity, clean.intensity))
+        noise = float(np.dot(eps, eps))
+    if not (0 < signal < math.inf and 0 < noise < math.inf):
+        raise InvalidConfigError(
+            f"noise sigma {sigma:g}: the sum of squares of the clean signal or of the "
+            "noise is not a positive finite number"
+        )
     noisy = Spectrum(clean.abscissa, clean.intensity + eps)
-    realized = 10.0 * math.log10(
-        float(np.dot(clean.intensity, clean.intensity)) / float(np.dot(eps, eps))
-    )
-    return noisy, realized
+    return noisy, 10.0 * math.log10(signal / noise)
 
 
 def snr(reference, estimate) -> float:

@@ -6,9 +6,11 @@ Both penalized smoothers are one formula, x = (A + lam * D^T D)^{-1} A y
 with a diagonal weight matrix A and lam = parameter * scale. PS is the
 case A = I, scale = 1. LSA-PS builds A from local curvature, optionally
 clips it at its median, and takes scale = median(A) with the pre-clip
-median. ``penalized_weights`` turns a method into (A, scale), taken on
-y scaled by a power of two to unit size, and ``penalized_fit`` solves
-for x; the smoothers and the CV selection in ``select`` share both.
+median. ``penalized_weights`` turns a method into (A, scale) and the
+exponent e of a power of two that scales y to unit size;
+``penalized_fit`` solves for x on y * 2**-e. The smoothers and the CV
+selection in ``select`` share both, and each scales its result back by
+2**e once.
 ``smooth`` calls any smoother by its method name.
 
 The Savitzky-Golay baseline is a local least-squares polynomial fit,
@@ -16,13 +18,13 @@ built per call as an orthogonal projection from the QR factor of a
 small Chebyshev basis, with numpy alone.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
 from .errors import DegenerateSignalError, InvalidConfigError, InvalidSizeError
-from .localfit import clip_weights, local_quadratic_curvature
+from .localfit import local_quadratic_curvature
 
 
 @dataclass(frozen=True)
@@ -55,16 +57,14 @@ METHODS = PENALIZED + ("sg", "gaussian")
 
 
 def penalized_weights(y, method: str, clip: bool = True):
-    """Weight diagonal A and penalty scale of a penalized method.
+    """Weight diagonal A, penalty scale and exponent e of a penalized method.
 
-    Returns (A, scale, weights, e) with lam = parameter * scale, where e
-    is the exponent of max|y| = m * 2**e with m in [0.5, 1). PS gives
-    (ones, 1, None, e), LSA-PS its optionally clipped curvature weights
-    and their pre-clip median, taken on y * 2**-e: the weights square y,
-    so on y itself they would overflow beyond about 1e154 and underflow
-    below about 1e-154. The fit is the same for A and lam both scaled by
-    4**-e, and scaling by a power of two is exact, so in range the fit
-    does not change.
+    Returns (A, scale, e) with lam = parameter * scale and max|y| =
+    m * 2**e, m in [0.5, 1). Every penalized fit runs on y * 2**-e, of
+    unit size, so it neither overflows nor underflows; scaling by a power
+    of two is exact, so in range the fit does not change. PS gives
+    (ones, 1, e), LSA-PS the curvature weights of y * 2**-e, clipped at
+    their median if ``clip``, and that pre-clip median.
 
     Raises
     ------
@@ -80,33 +80,37 @@ def penalized_weights(y, method: str, clip: bool = True):
         raise ValueError(f"y must be 1-d, got shape {y.shape}")
     e = int(np.frexp(np.max(np.abs(y), initial=0.0))[1])
     if method == "ps":
-        return np.ones(y.shape[0]), 1.0, None, e
+        return np.ones(y.shape[0]), 1.0, e
     if method == "lsa-ps":
         # Bound to a name, so the scaled copy lives until return: freed
-        # before clip_weights, it raised the peak RSS of an n = 1e5 smooth
-        # by about 1 MB through the order in which glibc reuses blocks.
+        # before the clip, it raised the peak RSS of an n = 1e5 smooth by
+        # about 1 MB through the order in which glibc reuses blocks.
         y = np.ldexp(y, -e)
         raw = local_quadratic_curvature(y)
-        if raw.median == 0:
+        median = float(np.median(raw))
+        if median == 0:
             raise DegenerateSignalError(
                 "median curvature weight is zero, so the LSA-PS penalty scale collapses"
             )
-        weights = clip_weights(raw) if clip else raw
-        return weights.values, raw.median, weights, e
+        return (np.minimum(raw, median) if clip else raw), median, e
     raise ValueError(f"unknown method {method!r}")
 
 
-def penalized_fit(y, a, lam: float):
-    """Solve (diag(a) + lam * D^T D) x = a * y; return x and the system,
-    whose factor the hat diagonal can reuse."""
+def penalized_fit(y, a, lam: float, e: int):
+    """Solve (diag(a) + lam * D^T D) x = a * y * 2**-e; return x, in units
+    of 2**e, and the system, whose factor the hat diagonal can reuse."""
     system = linalg.assemble_system(a, lam)
-    return linalg.solve(system, a * y), system
+    # One n-array: a scaled copy of y kept beside it raises the peak RSS.
+    rhs = np.ldexp(y, -e)
+    rhs *= a
+    return linalg.solve(system, rhs), system
 
 
 def smooth_ps(y, lam: float):
     """Penalized smoother: (I + lam * D^T D)^{-1} y."""
-    a, scale, _, _ = penalized_weights(y, "ps")
-    return penalized_fit(y, a, lam * scale)[0]
+    a, scale, e = penalized_weights(y, "ps")
+    x = penalized_fit(y, a, lam * scale, e)[0]
+    return np.ldexp(x, e, out=x)
 
 
 def smooth_lsa_ps(y, lambda_bar: float, clip: bool = True):
@@ -125,11 +129,11 @@ def smooth_lsa_ps(y, lambda_bar: float, clip: bool = True):
 
     Returns
     -------
-    (numpy.ndarray, CurvatureWeights, float)
-        The smoothed signal, the weights that entered the solve, and
-        the effective penalty used, both in units of y squared. They
-        overflow to inf for max|y| beyond about 1e154 and underflow
-        below about 1e-154; the smoothed signal does neither.
+    (numpy.ndarray, float)
+        The smoothed signal and the effective penalty used. The penalty
+        is in units of y squared: it overflows to inf for max|y| beyond
+        about 1e154 and underflows below about 1e-154. The smoothed
+        signal does neither.
 
     Raises
     ------
@@ -148,16 +152,11 @@ def smooth_lsa_ps(y, lambda_bar: float, clip: bool = True):
     """
     if lambda_bar < 0:
         raise InvalidConfigError(f"lambda_bar must be >= 0, got {lambda_bar}")
-    a, scale, weights, e = penalized_weights(y, "lsa-ps", clip)
-    x = penalized_fit(y, a, lambda_bar * scale)[0]
+    a, scale, e = penalized_weights(y, "lsa-ps", clip)
+    x = penalized_fit(y, a, lambda_bar * scale, e)[0]
     with np.errstate(over="ignore", under="ignore"):
-        weights = replace(
-            weights,
-            values=np.ldexp(weights.values, 2 * e),
-            median=float(np.ldexp(weights.median, 2 * e)),
-        )
         lam = float(np.ldexp(lambda_bar * scale, 2 * e))
-    return x, weights, lam
+    return np.ldexp(x, e, out=x), lam
 
 
 def smooth_savitzky_golay(y, window: int, poly_order: int):
@@ -242,8 +241,7 @@ def smooth(y, method: str, parameter, clip: bool = True):
     if method == "ps":
         return smooth_ps(y, parameter), parameter
     if method == "lsa-ps":
-        x, _, lam = smooth_lsa_ps(y, parameter, clip)
-        return x, lam
+        return smooth_lsa_ps(y, parameter, clip)
     if method == "sg":
         return smooth_savitzky_golay(y, *parameter), None
     if method == "gaussian":

@@ -339,6 +339,31 @@ class TestSmoothCommand:
         # Validation runs before anything is written.
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("kind", ["directory", "latin-1 header"])
+    def test_unreadable_input_prints_json_line(self, tmp_path, capsys, kind):
+        path = tmp_path / "in"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes("intensit\xe9\tx\n".encode("latin-1") + b"0\t1\n" * 5)
+        rc = cli.main(["smooth", str(path), "--param", "1", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "IngestError"
+        assert record["message"].startswith(f"cannot read {path}: ")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("method", ["sg", "gaussian"])
+    def test_param_rejected_for_window_methods(self, tmp_path, noisy_file, capsys, method):
+        # --param would be ignored: these methods smooth with --window.
+        path, _ = noisy_file
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["smooth", str(path), "--method", method, "--param", "3",
+                      "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "--param applies to ps / lsa-ps only" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("extra", [["--param", "1"], ["--auto"]])
     def test_summary_is_strict_json_on_overflow_scale_data(self, tmp_path, noisy_file, extra):
         # The effective lambda is in units of y squared and overflows to
@@ -374,6 +399,21 @@ class TestSmoothCommand:
         assert rc == 1
         record = json.loads(capsys.readouterr().err.strip())
         assert "auto" in record["message"]
+
+
+# Scenarios that parse but whose signal overflows, or whose noise
+# underflows, once the sweep builds it; each maps to its error message.
+OVERFLOWING_SCENARIOS = {
+    json.dumps({"noise_sigmas": [1e308], "resolutions": [50], "methods": {"ps": [1]}}):
+        "noise sigma 1e+308: the sum of squares",
+    json.dumps({"noise_sigmas": [1e160], "resolutions": [50], "methods": {"ps": [1]}}):
+        "noise sigma 1e+160: the sum of squares",
+    json.dumps({"noise_sigmas": [1e-170], "resolutions": [50], "methods": {"ps": [1]}}):
+        "noise sigma 1e-170: the sum of squares",
+    json.dumps({"resolutions": [50], "peaks": [{"center": 50, "height": 1e308, "halfwidth": 1}],
+                "background": {"offset": 1e308}, "methods": {"ps": [1]}}):
+        "the clean signal overflows",
+}
 
 
 class TestBenchmarkCommand:
@@ -446,6 +486,7 @@ class TestBenchmarkCommand:
     @pytest.mark.parametrize(
         "text",
         [
+            *OVERFLOWING_SCENARIOS,
             json.dumps({"methods": {"sg": [5]}}),
             json.dumps({"seeds": ["x"]}),
             json.dumps({"background": {"foo": 1}}),
@@ -477,8 +518,12 @@ class TestBenchmarkCommand:
         rc = cli.main(["benchmark", str(path), "--out", str(tmp_path / "x")])
         assert rc == 1
         record = json.loads(capsys.readouterr().err.strip())
-        assert record["error"] == "LsapsError"
-        assert record["message"].startswith("scenario file: ")
+        if text in OVERFLOWING_SCENARIOS:
+            assert record["error"] == "InvalidConfigError"
+            assert OVERFLOWING_SCENARIOS[text] in record["message"]
+        else:
+            assert record["error"] == "LsapsError"
+            assert record["message"].startswith("scenario file: ")
         assert not (tmp_path / "x").exists()
 
     def test_failed_sweep_writes_nothing(self, tmp_path, capsys):

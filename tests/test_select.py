@@ -7,7 +7,7 @@ from lsaps.errors import (
     LeverageSaturationError,
     SelectionFailedError,
 )
-from lsaps.localfit import clip_weights, local_quadratic_curvature
+from lsaps.localfit import floor_weights, local_quadratic_curvature
 from lsaps.select import (
     DEFAULT_GRID,
     cv_loss_lsa,
@@ -47,8 +47,9 @@ class TestLooResiduals:
     def test_closed_form_matches_refit_weighted(self):
         rng = np.random.default_rng(1)
         y = rng.standard_normal(35)
-        w = clip_weights(local_quadratic_curvature(y)).values
-        lam = 1.5 * np.median(local_quadratic_curvature(y).values)
+        raw = local_quadratic_curvature(y)
+        w = np.minimum(raw, np.median(raw))
+        lam = 1.5 * np.median(raw)
         system = linalg.assemble_system(w, lam)
         x = linalg.solve(system, w * y)
         h = linalg.hat_diagonal(system)
@@ -111,19 +112,18 @@ class TestSelectParameter:
             assert result.curve.losses[j] == expected
 
     def test_losses_match_manual_lsa(self):
-        from lsaps.localfit import floor_weights
-
         y = np.random.default_rng(4).standard_normal(60)
         raw = local_quadratic_curvature(y)
-        solve_w = clip_weights(raw)
+        median = np.median(raw)
+        solve_w = np.minimum(raw, median)
         loss_w = floor_weights(solve_w)
         result = select_parameter(y, method="lsa-ps", grid=(1.0, 10.0))
         for j, cand in enumerate((1.0, 10.0)):
-            lam = cand * raw.median
-            system = linalg.assemble_system(solve_w.values, lam)
-            x = linalg.solve(system, solve_w.values * y)
+            lam = cand * median
+            system = linalg.assemble_system(solve_w, lam)
+            x = linalg.solve(system, solve_w * y)
             h = linalg.hat_diagonal(system)
-            expected = cv_loss_lsa(loo_residuals(y, x, h), loss_w.values)
+            expected = cv_loss_lsa(loo_residuals(y, x, h), loss_w)
             assert result.curve.losses[j] == expected
 
     def test_smoothed_output_matches_best(self):
@@ -138,7 +138,7 @@ class TestSelectParameter:
         y = np.random.default_rng(6).standard_normal(80)
         raw = local_quadratic_curvature(y)
         result = select_parameter(y, method="lsa-ps")
-        assert result.effective_lambda == result.best_parameter * raw.median
+        assert result.effective_lambda == result.best_parameter * np.median(raw)
 
     def test_tie_breaks_toward_larger(self):
         y = np.random.default_rng(8).standard_normal(60)

@@ -10,11 +10,12 @@ from lsaps.errors import (
     InvalidSizeError,
     SingularSystemError,
 )
-from lsaps.localfit import clip_weights, local_quadratic_curvature
+from lsaps.localfit import local_quadratic_curvature
 from lsaps.sim import COMPARISON_GRIDS
 from lsaps.smoothers import (
     METHODS,
     Spectrum,
+    penalized_weights,
     smooth,
     smooth_gaussian,
     smooth_lsa_ps,
@@ -29,6 +30,11 @@ def dense_ps_oracle(y, lam):
     for r in range(n - 2):
         d[r, r : r + 3] = (1.0, -2.0, 1.0)
     return np.linalg.solve(np.eye(n) + lam * d.T @ d, np.asarray(y, dtype=float))
+
+
+def dense_weighted_oracle(y, a, lam):
+    d = np.diff(np.eye(len(y)), n=2, axis=0)
+    return np.linalg.solve(np.diag(a) + lam * d.T @ d, a * y)
 
 
 def projection_oracle(y, window, order):
@@ -144,43 +150,40 @@ class TestPs:
 
 
 class TestLsaPs:
-    def test_returns_triple(self):
+    def test_returns_pair(self):
         y = np.random.default_rng(4).standard_normal(50)
-        x, weights, lam = smooth_lsa_ps(y, 1.0)
+        x, lam = smooth_lsa_ps(y, 1.0)
         assert x.shape == y.shape
         # Clipping is on by default.
-        assert weights.values.max() <= weights.median
-        assert lam == pytest.approx(weights.median)
+        assert np.array_equal(x, smooth_lsa_ps(y, 1.0, clip=True)[0])
+        assert lam == pytest.approx(np.median(local_quadratic_curvature(y)))
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(5)
         y = rng.standard_normal(120)
-        x, weights, lam = smooth_lsa_ps(y, 2.5)
-        n = 120
-        d = np.zeros((n - 2, n))
-        for r in range(n - 2):
-            d[r, r : r + 3] = (1.0, -2.0, 1.0)
-        a = np.diag(weights.values)
-        x_dense = np.linalg.solve(a + lam * d.T @ d, weights.values * y)
+        x, lam = smooth_lsa_ps(y, 2.5)
+        raw = local_quadratic_curvature(y)
+        x_dense = dense_weighted_oracle(y, np.minimum(raw, np.median(raw)), lam)
         assert np.linalg.norm(x - x_dense) <= 1e-9 * max(1.0, np.linalg.norm(x_dense))
 
     def test_lambda_scaling_uses_pre_clip_median(self):
         y = np.random.default_rng(6).standard_normal(80)
         raw = local_quadratic_curvature(y)
-        _, weights, lam = smooth_lsa_ps(y, 3.0, clip=True)
-        assert lam == pytest.approx(3.0 * raw.median)
-        assert np.array_equal(weights.values, clip_weights(raw).values)
+        _, lam = smooth_lsa_ps(y, 3.0, clip=True)
+        assert lam == pytest.approx(3.0 * np.median(raw))
+        assert lam == smooth_lsa_ps(y, 3.0, clip=False)[1]
 
     def test_clip_off(self):
         y = np.random.default_rng(7).standard_normal(80)
-        raw = local_quadratic_curvature(y)
-        _, weights, _ = smooth_lsa_ps(y, 1.0, clip=False)
-        assert np.array_equal(weights.values, raw.values)
+        x, lam = smooth_lsa_ps(y, 1.0, clip=False)
+        x_dense = dense_weighted_oracle(y, local_quadratic_curvature(y), lam)
+        assert np.linalg.norm(x - x_dense) <= 1e-9 * max(1.0, np.linalg.norm(x_dense))
+        assert not np.array_equal(x, smooth_lsa_ps(y, 1.0, clip=True)[0])
 
     def test_lambda_bar_zero_is_identity(self):
         # All weights positive for generic noise, so A x = A y gives x = y.
         y = np.random.default_rng(8).standard_normal(60)
-        x, _, lam = smooth_lsa_ps(y, 0.0)
+        x, lam = smooth_lsa_ps(y, 0.0)
         assert lam == 0.0
         assert np.allclose(x, y, atol=1e-12)
 
@@ -221,37 +224,38 @@ class TestLsaPs:
 
     def test_scale_shift_equivariance(self):
         y = np.random.default_rng(10).standard_normal(90)
-        x, _, _ = smooth_lsa_ps(y, 2.0)
-        x2, _, _ = smooth_lsa_ps(3.0 * y + 11.0, 2.0)
+        x, _ = smooth_lsa_ps(y, 2.0)
+        x2, _ = smooth_lsa_ps(3.0 * y + 11.0, 2.0)
         assert np.allclose(x2, 3.0 * x + 11.0, atol=1e-9)
 
     def test_in_range_weights_and_lambda_are_exact(self):
-        # The weights are taken on y scaled by a power of two and scaled
-        # back; in range that is exact, so they equal the unscaled ones.
+        # The weights are taken on y scaled by a power of two; in range,
+        # scaling them back is exact, so they equal the unscaled ones.
         y = 1e6 * np.random.default_rng(15).standard_normal(80)
         raw = local_quadratic_curvature(y)
-        _, weights, lam = smooth_lsa_ps(y, 3.0)
-        assert np.array_equal(weights.values, clip_weights(raw).values)
-        assert weights.median == raw.median
-        assert lam == 3.0 * raw.median
+        median = np.median(raw)
+        a, scale, e = penalized_weights(y, "lsa-ps")
+        assert np.array_equal(np.ldexp(a, 2 * e), np.minimum(raw, median))
+        assert np.ldexp(scale, 2 * e) == median
+        assert smooth_lsa_ps(y, 3.0)[1] == 3.0 * median
 
     @pytest.mark.parametrize("factor", [2.0**660, 2.0**-600], ids=["2**660", "2**-600"])
     def test_extreme_scale_is_exactly_equivariant(self, factor):
         # Squared curvature overflows beyond about 1e154 and underflows
         # below about 1e-154; the fit must not depend on it.
         y = np.sin(np.linspace(0, 6, 200)) + 0.1 * np.random.default_rng(16).standard_normal(200)
-        x, _, _ = smooth_lsa_ps(y, 1.0)
+        x, _ = smooth_lsa_ps(y, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x_scaled, _, _ = smooth_lsa_ps(y * factor, 1.0)
+            x_scaled, _ = smooth_lsa_ps(y * factor, 1.0)
         assert np.array_equal(x_scaled, x * factor)
 
     def test_overflow_scale_data(self):
         y = np.sin(np.linspace(0, 6, 200)) + 0.1 * np.random.default_rng(17).standard_normal(200)
-        x, _, _ = smooth_lsa_ps(y, 1.0)
+        x, _ = smooth_lsa_ps(y, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x_big, _, lam = smooth_lsa_ps(y * 1e200, 1.0)
+            x_big, lam = smooth_lsa_ps(y * 1e200, 1.0)
         assert np.max(np.abs(x_big / 1e200 - x)) <= 1e-14 * np.max(np.abs(x))
         # In units of y squared the penalty itself does not fit a float64.
         assert lam == np.inf
@@ -382,7 +386,7 @@ class TestSmooth:
         # the effective lambda: lam itself for PS, none for the baselines.
         y = np.random.default_rng(3).standard_normal(60)
         for clip in (True, False):
-            x, _, lam = smooth_lsa_ps(y, 2.0, clip=clip)
+            x, lam = smooth_lsa_ps(y, 2.0, clip=clip)
             got, got_lam = smooth(y, "lsa-ps", 2.0, clip)
             assert np.array_equal(got, x) and got_lam == lam
         expected = {

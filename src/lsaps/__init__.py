@@ -4,7 +4,7 @@ detection, and a synthetic Lorentzian benchmark harness.
 """
 
 from .localfit import floor_weights, local_quadratic_curvature
-from .peaks import PeakSet, detect_peaks
+from .peaks import detect_peaks
 from .select import CvCurve, SelectionResult, select_parameter
 from .sim import (
     Background,
@@ -17,7 +17,6 @@ from .sim import (
     snr,
 )
 from .smoothers import (
-    Spectrum,
     smooth_gaussian,
     smooth_lsa_ps,
     smooth_ps,
@@ -28,10 +27,8 @@ __all__ = [
     "Background",
     "CvCurve",
     "LorentzianPeak",
-    "PeakSet",
     "SelectionResult",
     "SimScenario",
-    "Spectrum",
     "add_noise",
     "detect_peaks",
     "floor_weights",

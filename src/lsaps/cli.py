@@ -34,8 +34,8 @@ import numpy as np
 from . import select as select_mod
 from . import sim
 from .errors import IngestError, InvalidConfigError, LsapsError
-from .peaks import detect_peaks
-from .smoothers import METHODS, PENALIZED, Spectrum, smooth
+from .peaks import detect_peaks, second_difference
+from .smoothers import METHODS, PENALIZED, smooth
 
 FLOAT_FMT = "%.12g"
 # Largest relative deviation of an abscissa step from the median step.
@@ -131,7 +131,7 @@ def _ingest_fast(path, delimiter):
     abscissa = rows[order, 0]
     if _first_bad_step(abscissa) is not None:
         return None
-    return Spectrum(abscissa=abscissa, intensity=rows[order, 1])
+    return abscissa, rows[order, 1]
 
 
 def _ingest_lines(path, delimiter):
@@ -177,12 +177,14 @@ def _ingest_lines(path, delimiter):
             f"the median step {FLOAT_FMT % median} by more than {UNIFORM_RTOL:g} of it; "
             "the abscissa must be uniformly spaced"
         )
-    return Spectrum(abscissa=abscissa, intensity=np.asarray(ys)[order])
+    return abscissa, np.asarray(ys)[order]
 
 
-def ingest(path, delimiter=None) -> Spectrum:
-    """Parse a two-column delimited spectrum file.
+def ingest(path, delimiter=None):
+    """Parse a two-column delimited spectrum file into (abscissa, intensity).
 
+    Both are 1-d float arrays of equal length, at least 5, with every
+    value finite and the abscissa strictly increasing.
     Delimiter (comma, tab, or whitespace) and a single header line are
     auto-detected; an explicit ``delimiter`` overrides detection. Rows
     are sorted by abscissa; duplicate abscissa values, and steps that
@@ -198,9 +200,9 @@ def ingest(path, delimiter=None) -> Spectrum:
     path = Path(path)
     if not path.exists():
         raise IngestError(f"input file not found: {path}")
-    spectrum = _ingest_fast(path, delimiter)
-    if spectrum is not None:
-        return spectrum
+    columns = _ingest_fast(path, delimiter)
+    if columns is not None:
+        return columns
     try:
         return _ingest_lines(path, delimiter)
     except (OSError, UnicodeDecodeError) as exc:  # a directory, or not UTF-8 text
@@ -221,8 +223,7 @@ def _write_two_column(path, col1, col2):
 
 
 def _run_smooth(args) -> int:
-    spectrum = ingest(args.input, delimiter=args.delimiter)
-    y = spectrum.intensity
+    abscissa, y = ingest(args.input, delimiter=args.delimiter)
 
     grid = select_mod.DEFAULT_GRID
     if args.grid:
@@ -238,7 +239,7 @@ def _run_smooth(args) -> int:
         "input": str(args.input),
         "method": args.method,
         "clip": clip,
-        "n": spectrum.n,
+        "n": y.shape[0],
     }
     curve = None
     t0 = time.perf_counter()
@@ -264,26 +265,27 @@ def _run_smooth(args) -> int:
         if lam is not None:
             summary["effective_lambda"] = _json_float(lam)
     summary["smooth_time_s"] = time.perf_counter() - t0
-    peak_set = None
+    peaks = None
     if args.peaks is not None:
-        peak_set = detect_peaks(smoothed, args.peaks, abscissa=spectrum.abscissa)
+        peaks = detect_peaks(smoothed, args.peaks, abscissa=abscissa)
 
     # Every check has passed; only now is anything written.
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_two_column(out_dir / "smoothed.txt", spectrum.abscissa, smoothed)
-    d2 = np.diff(smoothed, n=2)
-    _write_two_column(out_dir / "second_derivative.txt", spectrum.abscissa[1:-1], d2)
+    _write_two_column(out_dir / "smoothed.txt", abscissa, smoothed)
+    d2 = second_difference(smoothed)
+    _write_two_column(out_dir / "second_derivative.txt", abscissa[1:-1], d2)
 
-    if peak_set is not None:
+    if peaks is not None:
         with (out_dir / "peaks.txt").open("w") as fh:
             fh.write("index\tabscissa\tsharpness\tintensity\n")
-            for entry in peak_set.entries:
+            for entry in peaks:
+                # An overflowing sharpness is inf, not an SNR: no _fmt.
                 fh.write(
                     f"{entry.index}\t{_fmt(entry.abscissa)}\t"
-                    f"{_fmt(entry.sharpness)}\t{_fmt(entry.intensity)}\n"
+                    f"{FLOAT_FMT % entry.sharpness}\t{_fmt(entry.intensity)}\n"
                 )
-        summary["peaks_found"] = len(peak_set.entries)
+        summary["peaks_found"] = len(peaks)
         summary["peaks_requested"] = args.peaks
 
     if curve is not None:

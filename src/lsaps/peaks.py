@@ -2,7 +2,9 @@
 
 A peak apex shows up as a negative local minimum of the second
 difference; candidates are ranked by the absolute value of that minimum
-(the sharpness) and the top k are kept.
+(the sharpness) and the top k are kept. The second difference is taken
+on x * 2**-e, of unit size, where it cannot overflow, and scaled back by
+2**e only for output: a value beyond float64 becomes +-inf, never NaN.
 """
 
 from dataclasses import dataclass
@@ -10,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidSizeError
+from .smoothers import unit_exponent
 
 
 @dataclass(frozen=True)
@@ -20,24 +23,30 @@ class PeakEntry:
     intensity: float
 
 
-@dataclass(frozen=True)
-class PeakSet:
-    """Detected peaks, ordered by descending sharpness."""
-
-    entries: tuple
-
-    @property
-    def indices(self):
-        return [entry.index for entry in self.entries]
+def _unit_second_difference(x):
+    """(d, e): the second difference d of x * 2**-e, e = ``unit_exponent(x)``."""
+    e = unit_exponent(x)
+    return np.diff(np.ldexp(x, -e), n=2), e
 
 
-def detect_peaks(x, k: int, abscissa=None) -> PeakSet:
+def second_difference(x):
+    """The second difference of ``x``, in units of x; +-inf where it
+    exceeds float64."""
+    d, e = _unit_second_difference(np.asarray(x, dtype=float))
+    with np.errstate(over="ignore"):
+        return np.ldexp(d, e, out=d)
+
+
+def detect_peaks(x, k: int, abscissa=None):
     """Find the k sharpest peaks of ``x``.
 
-    Candidates are strict local minima of the second difference with a
-    negative value (negative apex curvature); plateaus of equal values
-    count once at their leftmost index. Fewer than ``k`` candidates
-    gives fewer entries, not an error.
+    Returns a tuple of ``PeakEntry``, sharpest first. Candidates are
+    strict local minima of the second difference with a negative value
+    (negative apex curvature); plateaus of equal values count once at
+    their leftmost index. Fewer than ``k`` candidates gives fewer
+    entries, not an error. The index and the ``abscissa`` of an entry
+    are those of its apex, and its sharpness is |second difference|
+    there, in units of x.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
@@ -50,7 +59,7 @@ def detect_peaks(x, k: int, abscissa=None) -> PeakSet:
     else:
         abscissa = np.asarray(abscissa, dtype=float)
 
-    d = np.diff(x, n=2)
+    d, e = _unit_second_difference(x)
     # Runs of equal values, so that a plateau is one candidate at its
     # leftmost index: an interior run below zero and below both
     # neighbouring runs.
@@ -58,14 +67,15 @@ def detect_peaks(x, k: int, abscissa=None) -> PeakSet:
     v = d[starts]
     inner = (v[1:-1] < 0) & (v[1:-1] < v[:-2]) & (v[1:-1] < v[2:])
     candidates = starts[1:-1][inner]
-    candidates = candidates[np.lexsort((candidates, -np.abs(d[candidates])))]
-    entries = tuple(
+    top = candidates[np.lexsort((candidates, -np.abs(d[candidates])))][:k]
+    with np.errstate(over="ignore"):
+        sharpness = np.ldexp(np.abs(d[top]), e)
+    return tuple(
         PeakEntry(
             index=j + 1,
             abscissa=float(abscissa[j + 1]),
-            sharpness=float(abs(d[j])),
+            sharpness=s,
             intensity=float(x[j + 1]),
         )
-        for j in candidates[:k].tolist()
+        for j, s in zip(top.tolist(), sharpness.tolist())
     )
-    return PeakSet(entries=entries)

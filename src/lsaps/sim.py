@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidSizeError, UndefinedMetricError
-from .smoothers import Spectrum, smooth
+from .smoothers import smooth
 
 NOISE_FREE_DB = math.inf
 
@@ -125,8 +125,9 @@ class SimScenario:
         return np.linspace(lo, hi, self.n)
 
 
-def generate_clean(scenario: SimScenario) -> Spectrum:
-    """Sample the Lorentzian mixture (plus optional background).
+def generate_clean(scenario: SimScenario):
+    """The Lorentzian mixture, plus the optional background, sampled on
+    ``scenario.grid()``: one intensity array.
 
     Raises InvalidConfigError if the signal's sum of squares is not
     finite: its SNR could not be scored.
@@ -141,32 +142,33 @@ def generate_clean(scenario: SimScenario) -> Spectrum:
         energy = float(np.dot(intensity, intensity))
     if not math.isfinite(energy):
         raise InvalidConfigError("the clean signal overflows: its sum of squares is not finite")
-    return Spectrum(abscissa=t, intensity=intensity)
+    return intensity
 
 
-def add_noise(clean: Spectrum, sigma: float, seed: int):
-    """Add seeded i.i.d. Gaussian noise; returns (noisy, realized SNR).
+def add_noise(clean, sigma: float, seed: int):
+    """Add seeded i.i.d. Gaussian noise to the intensity array ``clean``.
 
-    Raises InvalidConfigError, for sigma > 0, unless the sums of squares
-    of the clean signal and of the noise are both positive and finite:
-    the realized SNR is their ratio.
+    Returns (noisy, realized SNR in dB); for sigma = 0, a copy of
+    ``clean`` and ``NOISE_FREE_DB``. Raises InvalidConfigError, for
+    sigma > 0, unless the sums of squares of the clean signal and of the
+    noise are both positive and finite: the realized SNR is their ratio.
     """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
+    clean = np.asarray(clean, dtype=float)
     if sigma == 0:
-        return Spectrum(clean.abscissa, clean.intensity.copy()), NOISE_FREE_DB
+        return clean.copy(), NOISE_FREE_DB
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore"):
-        eps = rng.standard_normal(clean.n) * sigma
-        signal = float(np.dot(clean.intensity, clean.intensity))
+        eps = rng.standard_normal(clean.shape[0]) * sigma
+        signal = float(np.dot(clean, clean))
         noise = float(np.dot(eps, eps))
     if not (0 < signal < math.inf and 0 < noise < math.inf):
         raise InvalidConfigError(
             f"noise sigma {sigma:g}: the sum of squares of the clean signal or of the "
             "noise is not a positive finite number"
         )
-    noisy = Spectrum(clean.abscissa, clean.intensity + eps)
-    return noisy, 10.0 * math.log10(signal / noise)
+    return clean + eps, 10.0 * math.log10(signal / noise)
 
 
 def snr(reference, estimate) -> float:
@@ -279,7 +281,7 @@ def run_benchmark(
                     for parameter in grid:
                         t0 = time.perf_counter()
                         try:
-                            smoothed = smooth(noisy.intensity, method, parameter)[0]
+                            smoothed = smooth(noisy, method, parameter)[0]
                             err = None
                         except Exception as exc:  # recorded per-cell
                             smoothed = None
@@ -288,8 +290,8 @@ def run_benchmark(
                         if smoothed is None:
                             out_snr = out_rrse = None
                         else:
-                            out_snr = snr(clean.intensity, smoothed)
-                            out_rrse = rrse_second_derivative(smoothed, clean.intensity)
+                            out_snr = snr(clean, smoothed)
+                            out_rrse = rrse_second_derivative(smoothed, clean)
                         cells.append(
                             BenchmarkCell(
                                 resolution=int(n),

@@ -18,7 +18,7 @@ built per call as an orthogonal projection from the QR factor of a
 small Chebyshev basis, with numpy alone.
 """
 
-from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
@@ -27,40 +27,27 @@ from .errors import DegenerateSignalError, InvalidConfigError, InvalidSizeError
 from .localfit import local_quadratic_curvature
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """An ordered abscissa grid with one intensity value per point."""
-
-    abscissa: np.ndarray = field(repr=False)
-    intensity: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        abscissa = np.asarray(self.abscissa, dtype=float)
-        intensity = np.asarray(self.intensity, dtype=float)
-        object.__setattr__(self, "abscissa", abscissa)
-        object.__setattr__(self, "intensity", intensity)
-        if abscissa.shape != intensity.shape or abscissa.ndim != 1:
-            raise ValueError("abscissa and intensity must be equal-length 1-d arrays")
-        if not (np.isfinite(abscissa).all() and np.isfinite(intensity).all()):
-            raise ValueError("spectrum values must be finite")
-        if abscissa.size > 1 and np.any(np.diff(abscissa) <= 0):
-            raise ValueError("abscissa must be strictly increasing")
-
-    @property
-    def n(self) -> int:
-        return self.abscissa.shape[0]
-
-
 # Method names of the CLI and the benchmark; CV supports the penalized ones.
 PENALIZED = ("ps", "lsa-ps")
 METHODS = PENALIZED + ("sg", "gaussian")
 
 
+def unit_exponent(y) -> int:
+    """The exponent e with max|y| = m * 2**e, m in [0.5, 1), or 0 for y = 0.
+
+    Sums and differences of a few entries of y * 2**-e, which is of unit
+    size, cannot overflow. Scaling by a power of two is exact while
+    values stay in the normal range, so there a result computed on
+    y * 2**-e and scaled back by 2**e is the one computed on y.
+    """
+    return math.frexp(np.abs(y).max(initial=0.0))[1]
+
+
 def penalized_weights(y, method: str, clip: bool = True):
     """Weight diagonal A, penalty scale and exponent e of a penalized method.
 
-    Returns (A, scale, e) with lam = parameter * scale and max|y| =
-    m * 2**e, m in [0.5, 1). Every penalized fit runs on y * 2**-e, of
+    Returns (A, scale, e) with lam = parameter * scale and e =
+    ``unit_exponent(y)``. Every penalized fit runs on y * 2**-e, of
     unit size, so it neither overflows nor underflows; scaling by a power
     of two is exact, so in range the fit does not change. PS gives
     (ones, 1, e), LSA-PS the curvature weights of y * 2**-e, clipped at
@@ -78,7 +65,7 @@ def penalized_weights(y, method: str, clip: bool = True):
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError(f"y must be 1-d, got shape {y.shape}")
-    e = int(np.frexp(np.max(np.abs(y), initial=0.0))[1])
+    e = unit_exponent(y)
     if method == "ps":
         return np.ones(y.shape[0]), 1.0, e
     if method == "lsa-ps":
@@ -170,7 +157,9 @@ def smooth_savitzky_golay(y, window: int, poly_order: int):
     orthonormal QR factor of Chebyshev columns on the window scaled to
     [-1, 1] (Gorry 1990), so every order up to ``window - 1`` stays
     accurate. At ``poly_order == window - 1`` the fit interpolates and
-    the output is an exact copy.
+    the output is an exact copy. The fit runs on y * 2**-e, of unit
+    size, and is scaled back by 2**e, so data near the float64 limit
+    does not overflow in it.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
@@ -186,6 +175,8 @@ def smooth_savitzky_golay(y, window: int, poly_order: int):
         raise InvalidSizeError(f"signal length {n} < window {window}")
     if window == 1 or poly_order == window - 1:
         return y.copy()
+    e = unit_exponent(y)
+    y = np.ldexp(y, -e)
     h = window // 2
     t = (np.arange(window) - h) / h
     q = np.linalg.qr(np.cos(np.arange(poly_order + 1) * np.arccos(t)[:, None]))[0]
@@ -193,7 +184,7 @@ def smooth_savitzky_golay(y, window: int, poly_order: int):
     out[h : n - h] = np.correlate(y, q @ q[h], "valid")
     out[:h] = q[:h] @ (q.T @ y[:window])
     out[n - h :] = q[h + 1 :] @ (q.T @ y[n - window :])
-    return out
+    return np.ldexp(out, e, out=out)
 
 
 def smooth_gaussian(y, window: int):

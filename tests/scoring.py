@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from lsaps.peaks import PeakSet
 from lsaps.sim import SimScenario
 
 
@@ -36,10 +35,11 @@ class MatchReport:
     pairs: tuple = field(repr=False, default=())
 
 
-def match_peaks(found: PeakSet, truth, tolerance: int = 3) -> MatchReport:
+def match_peaks(found, truth, tolerance: int = 3) -> MatchReport:
     """Greedy one-to-one matching of detected peaks to true positions.
 
-    Detected peaks are visited in descending sharpness order; each
+    ``found`` is the tuple of ``detect_peaks``, whose peaks are visited
+    in descending sharpness order; each
     claims the nearest still-unmatched true peak within ``tolerance``
     grid indices, if any.
     """
@@ -49,7 +49,7 @@ def match_peaks(found: PeakSet, truth, tolerance: int = 3) -> MatchReport:
     unmatched = set(range(len(truth)))
     pairs = []
     false_positives = 0
-    for entry in found.entries:
+    for entry in found:
         best = None
         best_dist = tolerance + 1
         for t in sorted(unmatched):

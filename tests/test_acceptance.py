@@ -183,15 +183,15 @@ def test_criterion_7_best_parameter_ordering():
     for n in (500, 1000):
         scenario = SimScenario(n=n)
         clean = generate_clean(scenario)
-        sigma = sigma_for_target_snr(clean.intensity, 34.0)
+        sigma = sigma_for_target_snr(clean, 34.0)
         snr_wins = 0
         rrse_wins = 0
         input_dbs = []
         for seed in range(10):
             noisy, input_db = add_noise(clean, sigma, seed)
             input_dbs.append(input_db)
-            ps_snr, ps_rrse = _best_parameter_scores(clean.intensity, noisy.intensity, "ps")
-            lsa_snr, lsa_rrse = _best_parameter_scores(clean.intensity, noisy.intensity, "lsa-ps")
+            ps_snr, ps_rrse = _best_parameter_scores(clean, noisy, "ps")
+            lsa_snr, lsa_rrse = _best_parameter_scores(clean, noisy, "lsa-ps")
             snr_wins += lsa_snr > ps_snr
             rrse_wins += lsa_rrse < ps_rrse
         in_band = all(20.0 <= db <= 35.0 for db in input_dbs)
@@ -208,14 +208,14 @@ def test_criterion_8_auto_pipeline_peak_recovery():
     scenario = SimScenario(n=1000)
     clean = generate_clean(scenario)
     truth = true_peak_indices(scenario)
-    sigma = sigma_for_target_snr(clean.intensity, 34.0)
+    sigma = sigma_for_target_snr(clean, 34.0)
     at_least = 0
     strictly_more = 0
     for seed in range(10):
         noisy, _ = add_noise(clean, sigma, seed)
         hits = {}
         for method in ("ps", "lsa-ps"):
-            result = select_parameter(noisy.intensity, method=method)
+            result = select_parameter(noisy, method=method)
             found = detect_peaks(result.smoothed, 20)
             hits[method] = match_peaks(found, truth, tolerance=3).hits
         at_least += hits["lsa-ps"] >= hits["ps"]
@@ -239,12 +239,12 @@ def test_criterion_9_peak_detector_invariance():
             y += rng.uniform(0.5, 2.0) * np.sin(
                 2.0 * np.pi * rng.uniform(0.5, 6.0) * t + rng.uniform(0, 2 * np.pi)
             )
-        base = detect_peaks(y, 10).indices
+        base = [p.index for p in detect_peaks(y, 10)]
         scale = float(rng.uniform(0.1, 50.0))
         slope = float(rng.uniform(-10.0, 10.0))
         offset = float(rng.uniform(-100.0, 100.0))
-        scaled = detect_peaks(scale * y, 10).indices
-        trended = detect_peaks(y + slope * np.arange(n) + offset, 10).indices
+        scaled = [p.index for p in detect_peaks(scale * y, 10)]
+        trended = [p.index for p in detect_peaks(y + slope * np.arange(n) + offset, 10)]
         ok = ok and scaled == base and trended == base
     print(f"\n  invariance held on all trials: {ok}")
     _report(9, "peak-detector invariance", ok)

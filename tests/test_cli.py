@@ -26,39 +26,39 @@ def write_spectrum(path, abscissa, intensity, sep="\t", header=None):
 @pytest.fixture()
 def noisy_file(tmp_path):
     scenario = SimScenario(n=400)
-    clean = generate_clean(scenario)
-    noisy, _ = add_noise(clean, 0.2, 5)
+    t = scenario.grid()
+    y, _ = add_noise(generate_clean(scenario), 0.2, 5)
     path = tmp_path / "spectrum.txt"
-    write_spectrum(path, noisy.abscissa, noisy.intensity)
-    return path, noisy
+    write_spectrum(path, t, y)
+    return path, (t, y)
 
 
 class TestIngest:
     def test_tab_separated(self, tmp_path, noisy_file):
-        path, noisy = noisy_file
-        spec = cli.ingest(path)
-        assert np.allclose(spec.abscissa, noisy.abscissa)
-        assert np.allclose(spec.intensity, noisy.intensity)
+        path, (t, y) = noisy_file
+        abscissa, intensity = cli.ingest(path)
+        assert np.allclose(abscissa, t)
+        assert np.allclose(intensity, y)
 
     def test_comma_and_header(self, tmp_path):
         path = tmp_path / "s.csv"
         write_spectrum(path, [0.0, 1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0, 9.0],
                        sep=",", header="wavenumber,intensity")
-        spec = cli.ingest(path)
-        assert spec.n == 5
-        assert spec.intensity[0] == 5.0
+        abscissa, intensity = cli.ingest(path)
+        assert abscissa.shape == intensity.shape == (5,)
+        assert intensity[0] == 5.0
 
     def test_whitespace(self, tmp_path):
         path = tmp_path / "s.dat"
         write_spectrum(path, [0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0, 5.0], sep="   ")
-        assert cli.ingest(path).n == 5
+        assert cli.ingest(path)[1].shape == (5,)
 
     def test_rows_sorted(self, tmp_path):
         path = tmp_path / "s.txt"
         write_spectrum(path, [4.0, 0.0, 2.0, 1.0, 3.0], [40.0, 0.0, 20.0, 10.0, 30.0])
-        spec = cli.ingest(path)
-        assert np.array_equal(spec.abscissa, [0.0, 1.0, 2.0, 3.0, 4.0])
-        assert np.array_equal(spec.intensity, [0.0, 10.0, 20.0, 30.0, 40.0])
+        abscissa, intensity = cli.ingest(path)
+        assert np.array_equal(abscissa, [0.0, 1.0, 2.0, 3.0, 4.0])
+        assert np.array_equal(intensity, [0.0, 10.0, 20.0, 30.0, 40.0])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(cli.IngestError):
@@ -113,12 +113,12 @@ class TestIngest:
         write_spectrum(path, np.linspace(0.0, 100.0, n), y)
         out = tmp_path / "out"
         assert cli.main(["smooth", str(path), "--method", "ps", "--param", "1", "--out", str(out)]) == 0
-        assert cli.ingest(out / "smoothed.txt").n == n
+        assert cli.ingest(out / "smoothed.txt")[1].shape == (n,)
 
     def test_explicit_delimiter(self, tmp_path):
         path = tmp_path / "s.txt"
         path.write_text("0;1\n1;2\n2;3\n3;4\n4;5\n")
-        assert cli.ingest(path, delimiter=";").n == 5
+        assert cli.ingest(path, delimiter=";")[1].shape == (5,)
 
 
     def test_one_field_first_line(self, tmp_path):
@@ -132,11 +132,11 @@ class TestIngest:
         # Files written by `lsaps smooth` (12 digits) and at full double
         # precision with np.savetxt, as the benchmark writes its inputs,
         # never reach the line parser.
-        path, noisy = noisy_file
+        path, (t, y) = noisy_file
         out = tmp_path / "out"
         assert cli.main(["smooth", str(path), "--method", "ps", "--param", "2", "--out", str(out)]) == 0
         full = tmp_path / "full.txt"
-        np.savetxt(full, np.column_stack([noisy.abscissa, noisy.intensity]), fmt="%.17g", delimiter="\t")
+        np.savetxt(full, np.column_stack([t, y]), fmt="%.17g", delimiter="\t")
         files = [path, full, out / "smoothed.txt", out / "second_derivative.txt"]
         expected = [cli._ingest_lines(f, None) for f in files]
 
@@ -144,10 +144,10 @@ class TestIngest:
             raise AssertionError("the line parser ran")
 
         monkeypatch.setattr(cli, "_ingest_lines", line_parser)
-        for f, spec in zip(files, expected):
-            got = cli.ingest(f)
-            assert got.abscissa.tobytes() == spec.abscissa.tobytes()
-            assert got.intensity.tobytes() == spec.intensity.tobytes()
+        for f, (abscissa, intensity) in zip(files, expected):
+            got_abscissa, got_intensity = cli.ingest(f)
+            assert got_abscissa.tobytes() == abscissa.tobytes()
+            assert got_intensity.tobytes() == intensity.tobytes()
 
 
 ROW_SEPARATORS = (",", "\t", " ", "  ", ", ", " ,", "\t ", ";", "::")
@@ -206,10 +206,10 @@ def spectrum_files(draw):
 
 def _outcome(parse, path, delimiter):
     try:
-        spec = parse(path, delimiter)
+        abscissa, intensity = parse(path, delimiter)
     except cli.IngestError as exc:
         return str(exc)
-    return spec.abscissa.tobytes(), spec.intensity.tobytes()
+    return abscissa.tobytes(), intensity.tobytes()
 
 
 @settings(max_examples=400, deadline=None)
@@ -229,7 +229,7 @@ def test_fast_path_matches_line_parser(case):
         expected = _outcome(cli._ingest_lines, path, delimiter)
         fast = cli._ingest_fast(path, delimiter)
         if fast is not None:
-            assert (fast.abscissa.tobytes(), fast.intensity.tobytes()) == expected
+            assert (fast[0].tobytes(), fast[1].tobytes()) == expected
         assert _outcome(cli.ingest, path, delimiter) == expected
 
 
@@ -252,20 +252,20 @@ def test_writer_matches_per_row_format(tmp_path, rows):
 
 class TestSmoothCommand:
     def test_fixed_parameter_outputs(self, tmp_path, noisy_file):
-        path, noisy = noisy_file
+        path, (_, y) = noisy_file
         out = tmp_path / "out"
         rc = cli.main(["smooth", str(path), "--method", "ps", "--param", "5", "--out", str(out)])
         assert rc == 0
-        smoothed = cli.ingest(out / "smoothed.txt")
+        smoothed = cli.ingest(out / "smoothed.txt")[1]
         from lsaps.smoothers import smooth_ps
 
-        expected = smooth_ps(noisy.intensity, 5.0)
-        assert np.allclose(smoothed.intensity, expected, rtol=1e-11, atol=1e-11)
+        expected = smooth_ps(y, 5.0)
+        assert np.allclose(smoothed, expected, rtol=1e-11, atol=1e-11)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["method"] == "ps"
         assert summary["parameter"] == 5.0
-        d2 = cli.ingest(out / "second_derivative.txt")
-        assert d2.n == noisy.n - 2
+        d2 = cli.ingest(out / "second_derivative.txt")[1]
+        assert d2.shape == (y.shape[0] - 2,)
 
     def test_round_trip_idempotent(self, tmp_path, noisy_file):
         # Re-smoothing an emitted file with lam = 0 reproduces it at 12
@@ -278,7 +278,7 @@ class TestSmoothCommand:
         assert (out1 / "smoothed.txt").read_text() == (out2 / "smoothed.txt").read_text()
 
     def test_auto_selection(self, tmp_path, noisy_file):
-        path, noisy = noisy_file
+        path, _ = noisy_file
         out = tmp_path / "out"
         rc = cli.main(["smooth", str(path), "--method", "lsa-ps", "--auto",
                        "--grid", "0.5,5,50", "--peaks", "15", "--out", str(out)])
@@ -296,7 +296,7 @@ class TestSmoothCommand:
         assert len(peak_lines) == summary["peaks_found"] + 1
 
     def test_sg_and_gaussian(self, tmp_path, noisy_file):
-        path, noisy = noisy_file
+        path, _ = noisy_file
         for extra in (["--method", "sg", "--window", "7", "--order", "2"],
                       ["--method", "gaussian", "--window", "5"]):
             out = tmp_path / f"out-{extra[1]}"
@@ -368,9 +368,9 @@ class TestSmoothCommand:
     def test_summary_is_strict_json_on_overflow_scale_data(self, tmp_path, noisy_file, extra):
         # The effective lambda is in units of y squared and overflows to
         # inf; strict JSON has no Infinity, so it is written as null.
-        _, noisy = noisy_file
+        _, (t, y) = noisy_file
         path = tmp_path / "big.txt"
-        write_spectrum(path, noisy.abscissa, noisy.intensity * 1e200)
+        write_spectrum(path, t, y * 1e200)
         out = tmp_path / "out"
         assert cli.main(["smooth", str(path), *extra, "--out", str(out)]) == 0
 
@@ -379,6 +379,27 @@ class TestSmoothCommand:
 
         summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
         assert summary["effective_lambda"] is None
+
+    def test_near_max_scale_peaks_and_second_difference(self, tmp_path):
+        # Neighbours of opposite sign near 1.7e308: the second difference
+        # exceeds float64. It is written as inf, never nan, the peaks are
+        # ranked as on the same file at unit size, and no warning escapes.
+        t = np.arange(200.0)
+        y = np.sin(t / 10.0) * (-1.0) ** t
+        outs = {}
+        for name, scale in (("big", 1.7e308), ("unit", 1.7e308 * 2.0**-1024)):
+            path = tmp_path / f"{name}.txt"
+            write_spectrum(path, t, y * scale)
+            outs[name] = tmp_path / f"out-{name}"
+            rc = cli.main(["smooth", str(path), "--method", "ps", "--param", "0.001",
+                           "--peaks", "5", "--out", str(outs[name])])
+            assert rc == 0
+        d2 = np.loadtxt(outs["big"] / "second_derivative.txt")[:, 1]
+        assert not np.isnan(d2).any() and np.isinf(d2).any()
+        rows = {name: [line.split("\t") for line in (out / "peaks.txt").read_text().splitlines()[1:]]
+                for name, out in outs.items()}
+        assert [r[0] for r in rows["big"]] == [r[0] for r in rows["unit"]]
+        assert [r[2] for r in rows["big"]] == ["inf"] * 5
 
     def test_failed_cv_candidate_loss_is_inf(self, tmp_path, noisy_file):
         # PS at lambda 0 interpolates: every leverage is 1, so the
@@ -536,6 +557,22 @@ class TestBenchmarkCommand:
         rc = cli.main(["benchmark", str(path), "--out", str(tmp_path / "x")])
         assert rc == 1
         assert json.loads(capsys.readouterr().err.strip())["error"] == "UndefinedMetricError"
+        assert not (tmp_path / "x").exists()
+
+    def test_subnormal_grid_prints_json_line(self, tmp_path, capsys):
+        # linspace repeats values on [0, 1e-321]; the flat clean signal on
+        # that grid leaves the RRSE undefined, and the sweep ends in the
+        # JSON error line, not a traceback.
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "peaks": [{"center": 0, "height": 1, "halfwidth": 1}], "x_range": [0, 1e-321],
+            "resolutions": [1000], "noise_sigmas": [0.1], "methods": {"ps": [1]},
+        }))
+        rc = cli.main(["benchmark", str(path), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "UndefinedMetricError"
         assert not (tmp_path / "x").exists()
 
     def test_invalid_scenario(self, tmp_path, capsys):

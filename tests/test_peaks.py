@@ -4,9 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsaps.errors import InvalidSizeError
-from lsaps.peaks import detect_peaks
+from lsaps.peaks import detect_peaks, second_difference
 from lsaps.sim import SimScenario, LorentzianPeak, generate_clean
 from scoring import match_peaks
+
+
+def indices(peaks):
+    return [p.index for p in peaks]
 
 
 class TestDetect:
@@ -21,20 +25,20 @@ class TestDetect:
     def test_single_triangle_peak(self):
         x = np.array([0.0, 1.0, 2.0, 3.0, 2.0, 1.0, 0.0])
         found = detect_peaks(x, 3)
-        assert found.indices == [3]
-        assert len(detect_peaks(x, len(x)).entries) == 1
+        assert indices(found) == [3]
+        assert len(detect_peaks(x, len(x))) == 1
         # d = diff(x, 2) = (0, 0, -2, 0, 0); sharpness |d[2]| = 2 at index 3.
-        assert found.entries[0].sharpness == 2.0
-        assert found.entries[0].intensity == 3.0
+        assert found[0].sharpness == 2.0
+        assert found[0].intensity == 3.0
 
     def test_monotone_has_no_peaks(self):
-        assert detect_peaks(np.arange(10.0) ** 1.5, 5).indices == []
+        assert indices(detect_peaks(np.arange(10.0) ** 1.5, 5)) == []
 
     def test_positive_curvature_minimum_excluded(self):
         # A valley is a positive local minimum of the second difference
         # only if curvature is negative; a trough has d > 0 and must not count.
         x = np.array([3.0, 2.0, 1.0, 0.0, 1.0, 2.0, 3.0])
-        assert detect_peaks(x, 3).indices == []
+        assert indices(detect_peaks(x, 3)) == []
 
     def test_sharpness_ordering(self):
         # Two Lorentzians, equal height, different widths: the narrower
@@ -45,16 +49,16 @@ class TestDetect:
             x_range=(0.0, 100.0),
         )
         clean = generate_clean(scenario)
-        found = detect_peaks(clean.intensity, 2)
-        assert found.indices == [700, 300]
-        assert found.entries[0].sharpness > found.entries[1].sharpness
+        found = detect_peaks(clean, 2)
+        assert indices(found) == [700, 300]
+        assert found[0].sharpness > found[1].sharpness
 
     def test_k_truncates(self):
         rng = np.random.default_rng(0)
         y = rng.standard_normal(300)
         all_found = detect_peaks(y, 300)
         top3 = detect_peaks(y, 3)
-        assert top3.indices == all_found.indices[:3]
+        assert indices(top3) == indices(all_found)[:3]
 
     def test_plateau_counts_once_leftmost(self):
         # Flat-top peak: second difference has an equal-valued negative
@@ -62,20 +66,43 @@ class TestDetect:
         x = np.array([0.0, 1.0, 3.0, 4.0, 4.0, 3.0, 1.0, 0.0])
         # d = (1, -1, -1, -1, -1, 1): one run of equal negatives.
         found = detect_peaks(x, 5)
-        assert found.indices == [2]
-        assert len(detect_peaks(x, len(x)).entries) == 1
+        assert indices(found) == [2]
+        assert len(detect_peaks(x, len(x))) == 1
 
     def test_abscissa_passthrough(self):
         x = np.array([0.0, 1.0, 2.0, 3.0, 2.0, 1.0, 0.0])
         t = np.linspace(10.0, 16.0, 7)
         found = detect_peaks(x, 1, abscissa=t)
-        assert found.entries[0].abscissa == t[3]
+        assert found[0].abscissa == t[3]
 
     def test_indices_are_signal_frame(self):
         # Candidate j in the second-difference frame maps to j + 1.
         x = np.zeros(20)
         x[10] = 1.0
-        assert detect_peaks(x, 1).indices == [10]
+        assert indices(detect_peaks(x, 1)) == [10]
+
+    def test_near_max_scale_ranks_at_unit_size(self):
+        # Neighbours of opposite sign near 1.7e308: the second difference
+        # overflows in units of x, so the candidates are ranked on x * 2**-1024.
+        t = np.arange(200)
+        x = 1.7e308 * np.sin(t / 10.0) * (-1.0) ** t
+        found = detect_peaks(x, 5)
+        assert indices(found) == indices(detect_peaks(np.ldexp(x, -1024), 5))
+        assert all(p.sharpness == np.inf for p in found)
+
+    def test_second_difference_is_inf_not_nan_beyond_float64(self):
+        t = np.arange(200)
+        x = 1.7e308 * np.sin(t / 10.0) * (-1.0) ** t
+        d = second_difference(x)
+        assert not np.isnan(d).any() and np.isinf(d).any()
+        unit = np.diff(np.ldexp(x, -1024), n=2)
+        fits = np.abs(unit) < 1.0
+        assert np.array_equal(d[fits], np.ldexp(unit[fits], 1024))
+        assert np.array_equal(np.sign(d), np.sign(unit))
+
+    def test_second_difference_in_range_is_numpy_diff(self):
+        x = np.random.default_rng(3).standard_normal(50) * 1e3
+        assert np.array_equal(second_difference(x), np.diff(x, n=2))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -91,10 +118,10 @@ class TestDetect:
         found = detect_peaks(x, k)
         expected = naive_candidates(x)
         d = np.diff(x, n=2)
-        assert len(detect_peaks(x, len(x)).entries) == len(expected)
-        assert found.indices == [j + 1 for j in expected[:k]]
-        assert [e.sharpness for e in found.entries] == [abs(d[j]) for j in expected[:k]]
-        assert [e.intensity for e in found.entries] == [x[j + 1] for j in expected[:k]]
+        assert len(detect_peaks(x, len(x))) == len(expected)
+        assert indices(found) == [j + 1 for j in expected[:k]]
+        assert [e.sharpness for e in found] == [abs(d[j]) for j in expected[:k]]
+        assert [e.intensity for e in found] == [x[j + 1] for j in expected[:k]]
 
 
 def naive_candidates(x):
@@ -124,7 +151,7 @@ class TestMatch:
         x[3] = 2.0
         x[10] = 1.0
         found = detect_peaks(x, 5)
-        assert found.indices == [3, 10]
+        assert indices(found) == [3, 10]
         report = match_peaks(found, [3, 11, 17], tolerance=3)
         assert report.hits == 2
         assert report.misses == 1
@@ -144,7 +171,7 @@ class TestMatch:
         x[10] = 2.0
         x[13] = 1.0
         found = detect_peaks(x, 5)
-        assert found.indices == [10, 13]
+        assert indices(found) == [10, 13]
         report = match_peaks(found, [11], tolerance=3)
         assert report.hits == 1
         assert report.false_positives == 1
@@ -156,7 +183,7 @@ class TestMatch:
         x[10] = 1.0
         x[13] = 2.0
         found = detect_peaks(x, 5)
-        assert found.indices == [13, 10]
+        assert indices(found) == [13, 10]
         report = match_peaks(found, [12], tolerance=3)
         assert report.pairs == ((13, 12),)
 

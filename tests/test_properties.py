@@ -1,8 +1,10 @@
-"""Property tests of the paper's identities for the penalized smoothers.
+"""Property tests of the paper's identities for the smoothers and the
+peak detector.
 
-- Exact power-of-two equivariance: every penalized fit runs on y scaled
-  to unit size, so y * 2**k smooths to exactly x * 2**k, up to the edge
-  of the float64 range.
+- Exact power-of-two equivariance: every penalized and Savitzky-Golay
+  fit runs on y scaled to unit size, so y * 2**k smooths to exactly
+  x * 2**k, up to the edge of the float64 range; peaks are ranked on the
+  second difference at unit size, so x * 2**k has the peaks of x.
 - The closed-form leave-one-out residuals equal brute-force refits with
   the left-out point's weight set to zero.
 """
@@ -12,7 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lsaps import linalg
+from lsaps.peaks import detect_peaks
 from lsaps.select import loo_residuals, select_parameter
+from lsaps.sim import COMPARISON_GRIDS
 from lsaps.smoothers import PENALIZED, penalized_fit, penalized_weights, smooth
 
 TINY = np.finfo(float).tiny
@@ -26,8 +30,17 @@ def unit_signal(n, seed, noise):
 
 
 def exact_scaling(v, k):
-    """Whether v * 2**k is exact: no entry lands in the subnormal range."""
-    return np.array_equal(np.ldexp(np.ldexp(v, k), -k), v)
+    """Whether v * 2**k is exact: no entry lands in the subnormal range
+    or beyond float64."""
+    with np.errstate(over="ignore"):
+        return np.array_equal(np.ldexp(np.ldexp(v, k), -k), v)
+
+
+def alternating(n):
+    """A unit sinusoid with every other sign flipped: its second
+    difference is up to 4 max|x|."""
+    t = np.arange(n)
+    return np.sin(t / 10.0) * (-1.0) ** t
 
 
 signals = st.builds(
@@ -38,17 +51,30 @@ signals = st.builds(
 )
 
 
+@st.composite
+def smoothing_cases(draw):
+    """(y, method, parameter): a penalized method with a float parameter,
+    or sg with a (window, order) pair of the comparison grid that fits y."""
+    y = draw(signals)
+    method = draw(st.sampled_from((*PENALIZED, "sg")))
+    if method == "sg":
+        grid = [p for p in COMPARISON_GRIDS["sg"] if p[0] <= y.shape[0]]
+        return y, method, draw(st.sampled_from(grid))
+    return y, method, draw(st.floats(1e-3, 1e3))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    y=signals,
-    method=st.sampled_from(PENALIZED),
+    case=smoothing_cases(),
     clip=st.booleans(),
-    parameter=st.floats(1e-3, 1e3),
     # max|y| * 2**k reaches up to 2**1023, the top binade of float64.
     k=st.integers(-1000, 1023),
 )
-@example(y=unit_signal(200, 0, 0.3), method="ps", clip=True, parameter=100.0, k=1023)
-def test_smooth_is_exactly_power_of_two_equivariant(y, method, clip, parameter, k):
+@example(case=(unit_signal(200, 0, 0.3), "ps", 100.0), clip=True, k=1023)
+# A signal large at its right edge, where the edge fit sums y itself.
+@example(case=(unit_signal(200, 16, 0.3), "sg", (21, 6)), clip=True, k=1023)
+def test_smooth_is_exactly_power_of_two_equivariant(case, clip, k):
+    y, method, parameter = case
     x, lam = smooth(y, method, parameter, clip)
     if not (exact_scaling(y, k) and exact_scaling(x, k)):
         return  # 2**k y itself rounds: no exact identity to hold
@@ -56,6 +82,8 @@ def test_smooth_is_exactly_power_of_two_equivariant(y, method, clip, parameter, 
     assert np.array_equal(x_k, np.ldexp(x, k))
     if method == "ps":
         assert lam_k == lam == parameter
+    elif method == "sg":
+        assert lam_k is lam is None
     elif TINY <= lam < np.inf and TINY <= lam_k < np.inf:
         # The LSA-PS lambda is in units of y squared.
         assert lam_k == np.ldexp(lam, 2 * k)
@@ -79,6 +107,17 @@ def test_selection_is_exactly_power_of_two_equivariant(y, method, clip, k):
     # The PS loss is in units of y, the LSA-PS loss has none.
     unit = k if method == "ps" else 0
     assert np.array_equal(scaled.curve.losses, np.ldexp(base.curve.losses, unit))
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=signals, k=st.integers(-1000, 1023), k_peaks=st.integers(1, 20))
+@example(x=alternating(200), k=1023, k_peaks=5)
+def test_peaks_are_power_of_two_invariant(x, k, k_peaks):
+    if not exact_scaling(x, k):
+        return
+    found = detect_peaks(x, k_peaks)
+    scaled = detect_peaks(np.ldexp(x, k), k_peaks)
+    assert [p.index for p in scaled] == [p.index for p in found]
 
 
 def dense_refit(a, lam, y):

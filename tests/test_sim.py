@@ -55,19 +55,19 @@ class TestGenerate:
         sc = SimScenario(peaks=(LorentzianPeak(5.0, 2.0, 1.0),), n=11, x_range=(0.0, 10.0))
         clean = generate_clean(sc)
         # Height at the center, half height one halfwidth away.
-        assert clean.intensity[5] == pytest.approx(2.0)
-        assert clean.intensity[4] == pytest.approx(1.0)
-        assert clean.intensity[6] == pytest.approx(1.0)
+        assert clean[5] == pytest.approx(2.0)
+        assert clean[4] == pytest.approx(1.0)
+        assert clean[6] == pytest.approx(1.0)
         # Value at distance d: h / (1 + (d / hw)^2).
-        assert clean.intensity[8] == pytest.approx(2.0 / (1.0 + 9.0), abs=1e-12)
+        assert clean[8] == pytest.approx(2.0 / (1.0 + 9.0), abs=1e-12)
 
     def test_superposition(self):
         p1 = LorentzianPeak(3.0, 1.0, 0.5)
         p2 = LorentzianPeak(7.0, 2.0, 0.8)
         kw = dict(n=51, x_range=(0.0, 10.0))
-        both = generate_clean(SimScenario(peaks=(p1, p2), **kw)).intensity
-        a = generate_clean(SimScenario(peaks=(p1,), **kw)).intensity
-        b = generate_clean(SimScenario(peaks=(p2,), **kw)).intensity
+        both = generate_clean(SimScenario(peaks=(p1, p2), **kw))
+        a = generate_clean(SimScenario(peaks=(p1,), **kw))
+        b = generate_clean(SimScenario(peaks=(p2,), **kw))
         assert np.allclose(both, a + b, atol=1e-12)
 
     def test_background_added(self):
@@ -76,7 +76,7 @@ class TestGenerate:
         plain = generate_clean(SimScenario(peaks=sc.peaks, n=21, x_range=(0.0, 10.0)))
         with_bg = generate_clean(sc)
         t = sc.grid()
-        assert np.allclose(with_bg.intensity - plain.intensity, bg.evaluate(t), atol=1e-12)
+        assert np.allclose(with_bg - plain, bg.evaluate(t), atol=1e-12)
 
 
 class TestNoise:
@@ -84,23 +84,23 @@ class TestNoise:
         clean = generate_clean(SimScenario(n=50))
         noisy, db = add_noise(clean, 0.0, 3)
         assert db == NOISE_FREE_DB
-        assert np.array_equal(noisy.intensity, clean.intensity)
-        assert noisy.intensity is not clean.intensity
+        assert np.array_equal(noisy, clean)
+        assert noisy is not clean
 
     def test_seeded_reproducibility(self):
         clean = generate_clean(SimScenario(n=200))
         a, db_a = add_noise(clean, 0.5, 42)
         b, db_b = add_noise(clean, 0.5, 42)
         c, _ = add_noise(clean, 0.5, 43)
-        assert np.array_equal(a.intensity, b.intensity) and db_a == db_b
-        assert not np.array_equal(a.intensity, c.intensity)
+        assert np.array_equal(a, b) and db_a == db_b
+        assert not np.array_equal(a, c)
 
     def test_realized_snr_matches_naive_oracle(self):
         clean = generate_clean(SimScenario(n=300))
         noisy, db = add_noise(clean, 0.3, 7)
-        eps = noisy.intensity - clean.intensity
+        eps = noisy - clean
         oracle = 10.0 * math.log10(
-            sum(v * v for v in clean.intensity) / sum(e * e for e in eps)
+            sum(v * v for v in clean) / sum(e * e for e in eps)
         )
         assert db == pytest.approx(oracle, abs=1e-9)
 
@@ -135,7 +135,7 @@ class TestMetrics:
 
     def test_sigma_for_target_snr_round_trip(self):
         clean = generate_clean(SimScenario(n=2000))
-        sigma = sigma_for_target_snr(clean.intensity, 25.0)
+        sigma = sigma_for_target_snr(clean, 25.0)
         realized = [add_noise(clean, sigma, s)[1] for s in range(8)]
         assert abs(np.mean(realized) - 25.0) < 0.5
 

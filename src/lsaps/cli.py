@@ -34,7 +34,7 @@ import numpy as np
 from . import select as select_mod
 from . import sim
 from .errors import IngestError, InvalidConfigError, LsapsError
-from .peaks import detect_peaks, second_difference
+from .peaks import PeakEntry, detect_peaks, second_difference
 from .smoothers import METHODS, PENALIZED, smooth
 
 FLOAT_FMT = "%.12g"
@@ -213,13 +213,15 @@ def ingest(path, delimiter=None):
 WRITE_BLOCK_ROWS = 8192
 
 
-def _write_two_column(path, col1, col2):
+def _write_columns(path, columns, header=None):
+    """Write ``columns`` tab-separated in FLOAT_FMT, which prints integers as such."""
+    row = "\t".join([FLOAT_FMT] * len(columns)) + "\n"
     with Path(path).open("w") as fh:
-        for start in range(0, len(col1), WRITE_BLOCK_ROWS):
-            block = np.column_stack(
-                (col1[start : start + WRITE_BLOCK_ROWS], col2[start : start + WRITE_BLOCK_ROWS])
-            )
-            fh.write(f"{FLOAT_FMT}\t{FLOAT_FMT}\n" * len(block) % tuple(block.ravel().tolist()))
+        if header is not None:
+            fh.write("\t".join(header) + "\n")
+        for start in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
+            block = np.column_stack([c[start : start + WRITE_BLOCK_ROWS] for c in columns])
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _run_smooth(args) -> int:
@@ -272,28 +274,19 @@ def _run_smooth(args) -> int:
     # Every check has passed; only now is anything written.
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_two_column(out_dir / "smoothed.txt", abscissa, smoothed)
+    _write_columns(out_dir / "smoothed.txt", (abscissa, smoothed))
     d2 = second_difference(smoothed)
-    _write_two_column(out_dir / "second_derivative.txt", abscissa[1:-1], d2)
+    _write_columns(out_dir / "second_derivative.txt", (abscissa[1:-1], d2))
 
     if peaks is not None:
-        with (out_dir / "peaks.txt").open("w") as fh:
-            fh.write("index\tabscissa\tsharpness\tintensity\n")
-            for entry in peaks:
-                # An overflowing sharpness is inf, not an SNR: no _fmt.
-                fh.write(
-                    f"{entry.index}\t{_fmt(entry.abscissa)}\t"
-                    f"{FLOAT_FMT % entry.sharpness}\t{_fmt(entry.intensity)}\n"
-                )
+        names = [f.name for f in fields(PeakEntry)]
+        _write_columns(out_dir / "peaks.txt",
+                       [[getattr(p, name) for p in peaks] for name in names], names)
         summary["peaks_found"] = len(peaks)
         summary["peaks_requested"] = args.peaks
 
     if curve is not None:
-        with (out_dir / "cv_curve.txt").open("w") as fh:
-            fh.write("parameter\tloss\n")
-            for g, loss in zip(curve.grid, curve.losses):
-                # A failed candidate's loss is inf, not an SNR: no _fmt.
-                fh.write(f"{_fmt(g)}\t{FLOAT_FMT % loss}\n")
+        _write_columns(out_dir / "cv_curve.txt", (curve.grid, curve.losses), ("parameter", "loss"))
         summary["cv_curve"] = {
             "grid": list(curve.grid),
             "losses": [_json_float(v) for v in curve.losses],

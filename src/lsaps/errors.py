@@ -27,6 +27,10 @@ class DegenerateSignalError(LsapsError, ValueError):
     half of its points, or one whose squared curvature underflows."""
 
 
+class ResultOverflowError(LsapsError, OverflowError):
+    """A smoothed signal, scaled back from unit size, exceeds float64."""
+
+
 class LeverageSaturationError(LsapsError, ValueError):
     """A leverage value reached 1; leave-one-out residuals are undefined."""
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidSizeError
-from .smoothers import unit_exponent
+from .smoothers import to_unit
 
 
 @dataclass(frozen=True)
@@ -23,16 +23,11 @@ class PeakEntry:
     intensity: float
 
 
-def _unit_second_difference(x):
-    """(d, e): the second difference d of x * 2**-e, e = ``unit_exponent(x)``."""
-    e = unit_exponent(x)
-    return np.diff(np.ldexp(x, -e), n=2), e
-
-
 def second_difference(x):
     """The second difference of ``x``, in units of x; +-inf where it
     exceeds float64."""
-    d, e = _unit_second_difference(np.asarray(x, dtype=float))
+    x, e = to_unit(x)
+    d = np.diff(x, n=2)
     with np.errstate(over="ignore"):
         return np.ldexp(d, e, out=d)
 
@@ -46,9 +41,11 @@ def detect_peaks(x, k: int, abscissa=None):
     their leftmost index. Fewer than ``k`` candidates gives fewer
     entries, not an error. The index and the ``abscissa`` of an entry
     are those of its apex, and its sharpness is |second difference|
-    there, in units of x.
+    there, in units of x. Raises ValueError for an ``x`` that is not 1-d
+    and finite.
     """
     x = np.asarray(x, dtype=float)
+    x_unit, e = to_unit(x)
     n = x.shape[0]
     if n < 5:
         raise InvalidSizeError(f"peak detection needs n >= 5, got n={n}")
@@ -59,7 +56,7 @@ def detect_peaks(x, k: int, abscissa=None):
     else:
         abscissa = np.asarray(abscissa, dtype=float)
 
-    d, e = _unit_second_difference(x)
+    d = np.diff(x_unit, n=2)
     # Runs of equal values, so that a plateau is one candidate at its
     # leftmost index: an interior run below zero and below both
     # neighbouring runs.

@@ -23,7 +23,7 @@ from .errors import (
     SingularSystemError,
 )
 from .localfit import floor_weights
-from .smoothers import penalized_fit, penalized_weights
+from .smoothers import from_unit, penalized_weights, to_unit
 
 # Default candidate grid, shared by PS and LSA-PS thanks to the
 # median-of-curvature penalty scaling.
@@ -90,11 +90,11 @@ def select_parameter(
     Candidates whose leverage saturates (or whose system is singular)
     get a loss of +inf and are excluded from the argmin; ties break
     toward the larger parameter. Every fit, and so every residual and
-    loss, is taken on y scaled by the power of two of
-    ``penalized_weights``, so none overflows or underflows, and scaled
-    back exactly: the smoothed output and the PS loss are in units of y,
-    the LSA-PS loss has none, and the LSA-PS effective lambda is in units
-    of y squared.
+    loss, is taken on y scaled to unit size by ``to_unit``, so none
+    overflows or underflows, and scaled back exactly: the smoothed output
+    and the PS loss are in units of y, the LSA-PS loss has none, and the
+    LSA-PS effective lambda is in units of y squared. A PS loss or a
+    lambda beyond float64 becomes inf.
 
     Raises
     ------
@@ -102,8 +102,11 @@ def select_parameter(
         If the grid is empty or holds a negative or non-finite candidate.
     SelectionFailedError
         If every candidate on the grid fails.
+    ResultOverflowError
+        If the selected smoothed signal exceeds float64.
+    ValueError
+        If ``y`` is not 1-d or not finite.
     """
-    y = np.asarray(y, dtype=float)
     grid = tuple(float(g) for g in grid)
     if not grid:
         raise InvalidConfigError("candidate grid must be non-empty")
@@ -113,15 +116,17 @@ def select_parameter(
     if any(g < 0 for g in grid):
         raise InvalidConfigError("candidates must be >= 0")
 
-    a, scale, e = penalized_weights(y, method, clip)
+    y_unit, e = to_unit(y)
+    a, scale = penalized_weights(y_unit, method, clip)
     loss_weights = floor_weights(a)
-    y_unit = np.ldexp(y, -e)
+    rhs = a * y_unit
 
     losses = np.empty(len(grid))
     outputs: list[np.ndarray | None] = []
     for j, cand in enumerate(grid):
         try:
-            x, system = penalized_fit(y, a, cand * scale, e)
+            system = linalg.assemble_system(a, cand * scale)
+            x = linalg.solve(system, rhs)
             r = loo_residuals(y_unit, x, linalg.hat_diagonal(system))
         except (LeverageSaturationError, SingularSystemError):
             losses[j] = math.inf
@@ -146,6 +151,6 @@ def select_parameter(
     return SelectionResult(
         curve=CvCurve(grid=grid, losses=losses, best_index=best_index),
         best_parameter=best,
-        smoothed=np.ldexp(outputs[best_index], e),
+        smoothed=from_unit(outputs[best_index], e),
         effective_lambda=effective_lambda,
     )

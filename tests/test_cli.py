@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -245,9 +246,15 @@ def test_writer_matches_per_row_format(tmp_path, rows):
     col1 = rng.standard_normal(rows) * 10.0 ** rng.integers(-320, 300, rows)
     col1 = np.where(rng.random(rows) < 0.3, col2[::-1], col1)
     path = tmp_path / "out.txt"
-    cli._write_two_column(path, col1, col2)
+    cli._write_columns(path, (col1, col2))
     expected = "".join(f"{cli.FLOAT_FMT % a}\t{cli.FLOAT_FMT % b}\n" for a, b in zip(col1, col2))
     assert path.read_text() == expected
+    # Integer columns print as integers; a header line comes first.
+    index = np.arange(rows)
+    cli._write_columns(path, (index, col2, col1), ("index", "b", "a"))
+    expected = "".join(f"{i}\t{cli.FLOAT_FMT % b}\t{cli.FLOAT_FMT % a}\n"
+                       for i, a, b in zip(index, col1, col2))
+    assert path.read_text() == "index\tb\ta\n" + expected
 
 
 class TestSmoothCommand:
@@ -400,6 +407,32 @@ class TestSmoothCommand:
                 for name, out in outs.items()}
         assert [r[0] for r in rows["big"]] == [r[0] for r in rows["unit"]]
         assert [r[2] for r in rows["big"]] == ["inf"] * 5
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--method", "ps", "--param", "1", "--peaks", "3"],
+            ["--method", "ps", "--auto"],
+            ["--method", "sg", "--window", "21", "--order", "6"],
+        ],
+        ids=["ps", "ps-auto", "sg"],
+    )
+    def test_overshoot_beyond_float64_prints_json_line(self, tmp_path, capsys, extra):
+        # A square wave at +-max float64: the smoothed signal overshoots
+        # the edges beyond float64. It used to be written as inf rows, with
+        # nan in the second difference and warnings on stderr.
+        t = np.arange(200.0)
+        path = tmp_path / "square.txt"
+        write_spectrum(path, t, np.where(t // 40 % 2 == 0, 1.0, -1.0) * np.finfo(float).max)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["smooth", str(path), *extra, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "ResultOverflowError"
+        assert not out.exists()
 
     def test_failed_cv_candidate_loss_is_inf(self, tmp_path, noisy_file):
         # PS at lambda 0 interpolates: every leverage is 1, so the

@@ -3,7 +3,7 @@ import pytest
 
 from lsaps.errors import DegenerateSignalError, InvalidSizeError
 from lsaps.localfit import floor_weights, local_quadratic_curvature
-from lsaps.smoothers import penalized_weights
+from lsaps.smoothers import penalized_weights, to_unit
 
 
 def brute_force_quadratic_coeff(window):
@@ -52,13 +52,13 @@ class TestCurvature:
         y = np.random.default_rng(3).standard_normal(50)
         y /= 2 * np.max(np.abs(y))
         w = local_quadratic_curvature(y)
-        _, scale, e = penalized_weights(y, "lsa-ps", clip=True)
-        assert e == 0 and scale == float(np.median(w))
+        _, scale = penalized_weights(y, "lsa-ps", clip=True)
+        assert to_unit(y)[1] == 0 and scale == float(np.median(w))
 
 
 class TestClip:
-    """The clip inside ``penalized_weights``, on y of unit scale (e = 0),
-    where its weights are exactly the curvature of y."""
+    """The clip inside ``penalized_weights``, on y of unit scale, where
+    its weights are exactly the curvature of y."""
 
     @staticmethod
     def unit(y):
@@ -67,25 +67,25 @@ class TestClip:
     def test_matches_sort_and_min_oracle(self):
         y = self.unit(np.random.default_rng(4).standard_normal(80))
         w = local_quadratic_curvature(y)
-        clipped, _, e = penalized_weights(y, "lsa-ps", clip=True)
+        clipped, _ = penalized_weights(y, "lsa-ps", clip=True)
         oracle = np.minimum(w, np.median(w))
-        assert e == 0 and np.array_equal(clipped, oracle)
+        assert to_unit(y)[1] == 0 and np.array_equal(clipped, oracle)
 
     def test_preserves_pre_clip_median(self):
         y = self.unit(np.random.default_rng(5).standard_normal(30))
-        _, scale_on, _ = penalized_weights(y, "lsa-ps", clip=True)
-        _, scale_off, _ = penalized_weights(y, "lsa-ps", clip=False)
+        _, scale_on = penalized_weights(y, "lsa-ps", clip=True)
+        _, scale_off = penalized_weights(y, "lsa-ps", clip=False)
         assert scale_on == scale_off == float(np.median(local_quadratic_curvature(y)))
 
     def test_idempotent(self):
         # A second clip at the same pre-clip median changes nothing.
         y = np.random.default_rng(6).standard_normal(30)
-        once, scale, _ = penalized_weights(y, "lsa-ps", clip=True)
+        once, scale = penalized_weights(y, "lsa-ps", clip=True)
         assert np.array_equal(np.minimum(once, scale), once)
 
     def test_max_is_median(self):
         y = np.random.default_rng(7).standard_normal(101)
-        clipped, scale, _ = penalized_weights(y, "lsa-ps", clip=True)
+        clipped, scale = penalized_weights(y, "lsa-ps", clip=True)
         assert clipped.max() <= scale
 
 

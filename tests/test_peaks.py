@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lsaps.errors import InvalidSizeError
 from lsaps.peaks import detect_peaks, second_difference
+from lsaps.smoothers import to_unit
 from lsaps.sim import SimScenario, LorentzianPeak, generate_clean
 from scoring import match_peaks
 
@@ -100,6 +101,13 @@ class TestDetect:
         assert np.array_equal(d[fits], np.ldexp(unit[fits], 1024))
         assert np.array_equal(np.sign(d), np.sign(unit))
 
+    def test_rejects_non_finite_input(self):
+        x = np.sin(np.arange(60) / 5.0)
+        x[10] = np.nan
+        for find in (lambda x: detect_peaks(x, 3), second_difference):
+            with pytest.raises(ValueError, match="y must be finite, got nan at index 10"):
+                find(x)
+
     def test_second_difference_in_range_is_numpy_diff(self):
         x = np.random.default_rng(3).standard_normal(50) * 1e3
         assert np.array_equal(second_difference(x), np.diff(x, n=2))
@@ -113,15 +121,19 @@ class TestDetect:
         ),
         st.integers(1, 12),
     )
+    # A subnormal blip beside 1: at unit size (x * 2**-1) it rounds to 0.
+    @example([1.0, 0.0, 0.0, 5e-324, 0.0, 0.0, 0.0], 3)
     def test_matches_naive_reference(self, values, k):
         x = np.array(values)
         found = detect_peaks(x, k)
-        expected = naive_candidates(x)
-        d = np.diff(x, n=2)
+        # Peaks are ranked on the second difference of x at unit size.
+        unit, e = to_unit(x)
+        expected = naive_candidates(unit)
+        d = np.diff(unit, n=2)
         assert len(detect_peaks(x, len(x))) == len(expected)
         assert indices(found) == [j + 1 for j in expected[:k]]
-        assert [e.sharpness for e in found] == [abs(d[j]) for j in expected[:k]]
-        assert [e.intensity for e in found] == [x[j + 1] for j in expected[:k]]
+        assert [p.sharpness for p in found] == [np.ldexp(abs(d[j]), e) for j in expected[:k]]
+        assert [p.intensity for p in found] == [x[j + 1] for j in expected[:k]]
 
 
 def naive_candidates(x):

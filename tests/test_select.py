@@ -5,6 +5,7 @@ from lsaps import linalg
 from lsaps.errors import (
     DegenerateSignalError,
     LeverageSaturationError,
+    ResultOverflowError,
     SelectionFailedError,
 )
 from lsaps.localfit import floor_weights, local_quadratic_curvature
@@ -214,3 +215,13 @@ class TestSelectParameter:
         # 1e200 is not a power of two, so y * 1e200 is rounded; the LSA-PS
         # fit amplifies that rounding to about 200 ulps of max|y|.
         assert np.max(np.abs(big.smoothed / 1e200 - base.smoothed)) <= 1e-12 * np.max(np.abs(y))
+
+
+@pytest.mark.parametrize("method", ["ps", "lsa-ps"])
+def test_selected_fit_beyond_float64_raises(method):
+    # A square wave at the float64 limit: every candidate overshoots its
+    # edges, so the selected fit does not fit a float64.
+    t = np.arange(200)
+    y = np.finfo(float).max * (0.97 * np.where(t // 40 % 2 == 0, 1.0, -1.0) + 0.03 * np.sin(1.7 * t))
+    with pytest.raises(ResultOverflowError):
+        select_parameter(y, method=method)

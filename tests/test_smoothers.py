@@ -8,18 +8,22 @@ from lsaps.errors import (
     DegenerateSignalError,
     InvalidConfigError,
     InvalidSizeError,
+    LsapsError,
+    ResultOverflowError,
     SingularSystemError,
 )
 from lsaps.localfit import local_quadratic_curvature
 from lsaps.sim import COMPARISON_GRIDS
 from lsaps.smoothers import (
     METHODS,
+    from_unit,
     penalized_weights,
     smooth,
     smooth_gaussian,
     smooth_lsa_ps,
     smooth_ps,
     smooth_savitzky_golay,
+    to_unit,
 )
 
 
@@ -122,7 +126,7 @@ class TestPs:
         with pytest.raises(ValueError, match="lam must be finite"):
             smooth_ps(y, np.nan)
         y[7] = np.nan
-        with pytest.raises(ValueError, match="rhs must be finite"):
+        with pytest.raises(ValueError, match="y must be finite, got nan at index 7"):
             smooth_ps(y, 1.0)
 
 
@@ -211,7 +215,8 @@ class TestLsaPs:
         y = 1e6 * np.random.default_rng(15).standard_normal(80)
         raw = local_quadratic_curvature(y)
         median = np.median(raw)
-        a, scale, e = penalized_weights(y, "lsa-ps")
+        y_unit, e = to_unit(y)
+        a, scale = penalized_weights(y_unit, "lsa-ps")
         assert np.array_equal(np.ldexp(a, 2 * e), np.minimum(raw, median))
         assert np.ldexp(scale, 2 * e) == median
         assert smooth_lsa_ps(y, 3.0)[1] == 3.0 * median
@@ -387,3 +392,50 @@ class TestSmooth:
             assert np.array_equal(got, x) and got_lam == lam, method
         with pytest.raises(ValueError, match="unknown method"):
             smooth(y, "median", 3)
+
+
+class TestUnitScale:
+    @pytest.mark.parametrize("method, parameter", [("sg", (5, 2)), ("gaussian", 5), ("none", None)])
+    def test_rejects_non_finite_input(self, method, parameter):
+        # These used to return nan; PS and LSA-PS have their own tests.
+        y = np.sin(np.arange(60) / 5.0)
+        for bad in (np.nan, np.inf):
+            y[10] = bad
+            with pytest.raises(ValueError, match=f"y must be finite, got {bad} at index 10"):
+                smooth(y, method, parameter)
+
+    def test_to_unit(self):
+        y = np.array([3.0, -6.0, 0.5])
+        unit, e = to_unit(y)
+        assert e == 3 and np.array_equal(unit, y / 8.0) and to_unit([0.0, 0.0])[1] == 0
+
+    def test_identity_paths_copy_y_exactly(self):
+        # Through the unit scale, 5e-324 beside 1e308 would come back as 0.
+        y = np.array([1e308, 5e-324, -5e-324, 1.0, 2.0, 3.0, 4.0])
+        for x in (
+            smooth(y, "none", None)[0],
+            smooth_savitzky_golay(y, 1, 0),
+            smooth_savitzky_golay(y, 5, 4),
+            smooth_gaussian(y, 1),
+        ):
+            assert np.array_equal(x, y) and x is not y
+
+    def test_from_unit_raises_beyond_float64(self):
+        x = np.array([0.5, -1.5])
+        with pytest.raises(ResultOverflowError, match="exceeds float64"):
+            from_unit(x, 1024)
+        assert issubclass(ResultOverflowError, LsapsError)
+        assert issubclass(ResultOverflowError, OverflowError)
+        assert np.array_equal(from_unit(np.array([0.5, -0.75]), 1024), [2.0**1023, -1.5 * 2.0**1023])
+
+    @pytest.mark.parametrize(
+        "method, parameter", [("ps", 1.0), ("lsa-ps", 1.0), ("sg", (21, 6))]
+    )
+    def test_overshoot_beyond_float64_raises(self, method, parameter):
+        # A square wave at the float64 limit: smoothing overshoots its
+        # edges, so the result does not fit a float64. It used to come
+        # back as inf.
+        t = np.arange(200)
+        y = np.finfo(float).max * (0.97 * np.where(t // 40 % 2 == 0, 1.0, -1.0) + 0.03 * np.sin(1.7 * t))
+        with pytest.raises(ResultOverflowError):
+            smooth(y, method, parameter)

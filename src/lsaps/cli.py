@@ -34,7 +34,7 @@ import numpy as np
 from . import select as select_mod
 from . import sim
 from .errors import IngestError, InvalidConfigError, LsapsError
-from .peaks import PeakEntry, detect_peaks, second_difference
+from .peaks import PeakEntry, detect_peaks, second_difference, unit_second_difference
 from .smoothers import METHODS, PENALIZED, smooth
 
 FLOAT_FMT = "%.12g"
@@ -267,15 +267,17 @@ def _run_smooth(args) -> int:
         if lam is not None:
             summary["effective_lambda"] = _json_float(lam)
     summary["smooth_time_s"] = time.perf_counter() - t0
+    # One second difference, at unit size, for the peaks and the output.
+    unit_d2 = unit_second_difference(smoothed)
     peaks = None
     if args.peaks is not None:
-        peaks = detect_peaks(smoothed, args.peaks, abscissa=abscissa)
+        peaks = detect_peaks(smoothed, args.peaks, abscissa=abscissa, unit_d2=unit_d2)
 
     # Every check has passed; only now is anything written.
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_columns(out_dir / "smoothed.txt", (abscissa, smoothed))
-    d2 = second_difference(smoothed)
+    d2 = second_difference(smoothed, unit_d2)
     _write_columns(out_dir / "second_derivative.txt", (abscissa[1:-1], d2))
 
     if peaks is not None:

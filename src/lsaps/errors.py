@@ -18,7 +18,8 @@ class SingularSystemError(LsapsError, ValueError):
 
 
 class NotPositiveDefiniteError(SingularSystemError):
-    """A non-positive pivot was hit during banded Cholesky factorization."""
+    """Banded Cholesky factorization hit a pivot that is not positive, or
+    one below the conditioning limit ``linalg.PIVOT_RTOL`` sets."""
 
 
 class DegenerateSignalError(LsapsError, ValueError):

@@ -65,20 +65,30 @@ class PentadiagonalSystem:
         Raises
         ------
         NotPositiveDefiniteError
-            If a pivot U[i, i]^2 falls below the positive-definiteness
-            tolerance.
+            If a pivot U[i, i]^2 is not positive, or is positive but
+            below the conditioning limit ``PIVOT_RTOL`` times the largest
+            diagonal entry; the message says which.
         """
         try:
             u = cholesky_banded(self.ab, check_finite=False)
         except LinAlgError as exc:
             raise NotPositiveDefiniteError(f"system is not SPD: {exc}") from None
         pivots = np.square(u[2])
-        # Negated comparison so that a NaN pivot is caught as well.
-        bad = np.flatnonzero(~(pivots > PIVOT_RTOL * float(self.ab[2].max())))
+        # Negated comparisons so that a NaN pivot is caught as well.
+        bad = np.flatnonzero(~(pivots > 0))
         if bad.size:
             i = int(bad[0])
             raise NotPositiveDefiniteError(
-                f"non-positive pivot {pivots[i]:.3e} at row {i}; system is not SPD"
+                f"pivot {pivots[i]:.3e} at row {i} is not positive; system is not SPD"
+            )
+        limit = PIVOT_RTOL * float(self.ab[2].max())
+        low = np.flatnonzero(pivots <= limit)
+        if low.size:
+            i = int(low[0])
+            raise NotPositiveDefiniteError(
+                f"pivot {pivots[i]:.3e} at row {i} is below the conditioning limit "
+                f"{limit:.3e} ({PIVOT_RTOL:g} x the largest diagonal entry); "
+                "the system is too ill-conditioned to solve"
             )
         return u
 

@@ -23,16 +23,24 @@ class PeakEntry:
     intensity: float
 
 
-def second_difference(x):
+def unit_second_difference(x):
+    """(d, e): the second difference of x * 2**-e, of unit size, where it
+    cannot overflow, and the exponent e of ``to_unit``. Raises ValueError
+    for an ``x`` that is not 1-d and finite."""
+    x_unit, e = to_unit(x)
+    return np.diff(x_unit, n=2), e
+
+
+def second_difference(x, unit_d2=None):
     """The second difference of ``x``, in units of x; +-inf where it
-    exceeds float64."""
-    x, e = to_unit(x)
-    d = np.diff(x, n=2)
+    exceeds float64. ``unit_d2`` is ``unit_second_difference(x)`` where
+    the caller has it; its array is then scaled in place."""
+    d, e = unit_second_difference(x) if unit_d2 is None else unit_d2
     with np.errstate(over="ignore"):
         return np.ldexp(d, e, out=d)
 
 
-def detect_peaks(x, k: int, abscissa=None):
+def detect_peaks(x, k: int, abscissa=None, unit_d2=None):
     """Find the k sharpest peaks of ``x``.
 
     Returns a tuple of ``PeakEntry``, sharpest first. Candidates are
@@ -41,11 +49,12 @@ def detect_peaks(x, k: int, abscissa=None):
     their leftmost index. Fewer than ``k`` candidates gives fewer
     entries, not an error. The index and the ``abscissa`` of an entry
     are those of its apex, and its sharpness is |second difference|
-    there, in units of x. Raises ValueError for an ``x`` that is not 1-d
-    and finite.
+    there, in units of x. ``unit_d2`` is ``unit_second_difference(x)``
+    where the caller has it; it is read, not changed. Raises ValueError
+    for an ``x`` that is not 1-d and finite.
     """
     x = np.asarray(x, dtype=float)
-    x_unit, e = to_unit(x)
+    d, e = unit_second_difference(x) if unit_d2 is None else unit_d2
     n = x.shape[0]
     if n < 5:
         raise InvalidSizeError(f"peak detection needs n >= 5, got n={n}")
@@ -56,7 +65,6 @@ def detect_peaks(x, k: int, abscissa=None):
     else:
         abscissa = np.asarray(abscissa, dtype=float)
 
-    d = np.diff(x_unit, n=2)
     # Runs of equal values, so that a plateau is one candidate at its
     # leftmost index: an interior run below zero and below both
     # neighbouring runs.

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidSizeError, UndefinedMetricError
-from .smoothers import smooth
+from .smoothers import smooth_grid
 
 NOISE_FREE_DB = math.inf
 
@@ -173,33 +173,54 @@ def add_noise(clean, sigma: float, seed: int):
 
 def snr(reference, estimate) -> float:
     """10 log10(||reference||^2 / ||estimate - reference||^2) in dB."""
+    return _snr_to(reference)(estimate)
+
+
+def _snr_to(reference):
+    """``snr`` against a fixed reference, as a function of the estimate;
+    the reference's energy is taken once."""
     reference = np.asarray(reference, dtype=float)
-    estimate = np.asarray(estimate, dtype=float)
-    if reference.shape != estimate.shape:
-        raise ValueError("reference and estimate must have equal shapes")
     ref_energy = float(np.dot(reference, reference))
-    if ref_energy == 0:
-        raise UndefinedMetricError("SNR undefined for a zero reference")
-    err = estimate - reference
-    err_energy = float(np.dot(err, err))
-    if err_energy == 0:
-        return NOISE_FREE_DB
-    return 10.0 * math.log10(ref_energy / err_energy)
+
+    def score(estimate) -> float:
+        estimate = np.asarray(estimate, dtype=float)
+        if reference.shape != estimate.shape:
+            raise ValueError("reference and estimate must have equal shapes")
+        if ref_energy == 0:
+            raise UndefinedMetricError("SNR undefined for a zero reference")
+        err = estimate - reference
+        err_energy = float(np.dot(err, err))
+        if err_energy == 0:
+            return NOISE_FREE_DB
+        return 10.0 * math.log10(ref_energy / err_energy)
+
+    return score
 
 
 def rrse_second_derivative(x_star, x_true) -> float:
     """||D x* - D x_true|| / ||D x_true|| over second differences."""
-    x_star = np.asarray(x_star, dtype=float)
+    return _rrse_to(x_true)(x_star)
+
+
+def _rrse_to(x_true):
+    """``rrse_second_derivative`` against a fixed truth, as a function of
+    the estimate; the truth's second difference and its norm are taken
+    once."""
     x_true = np.asarray(x_true, dtype=float)
-    if x_star.shape != x_true.shape:
-        raise ValueError("inputs must have equal shapes")
-    if x_star.shape[0] < 3:
-        raise InvalidSizeError("RRSE needs n >= 3")
     d_true = np.diff(x_true, n=2)
     denom = float(np.linalg.norm(d_true))
-    if denom == 0:
-        raise UndefinedMetricError("RRSE undefined: true signal is affine")
-    return float(np.linalg.norm(np.diff(x_star, n=2) - d_true)) / denom
+
+    def score(x_star) -> float:
+        x_star = np.asarray(x_star, dtype=float)
+        if x_star.shape != x_true.shape:
+            raise ValueError("inputs must have equal shapes")
+        if x_star.shape[0] < 3:
+            raise InvalidSizeError("RRSE needs n >= 3")
+        if denom == 0:
+            raise UndefinedMetricError("RRSE undefined: true signal is affine")
+        return float(np.linalg.norm(np.diff(x_star, n=2) - d_true)) / denom
+
+    return score
 
 
 @dataclass(frozen=True)
@@ -257,6 +278,28 @@ def _mean_std(values):
     return mean, math.sqrt(var)
 
 
+def _score_grid(noisy, method, grid, score_snr, score_rrse):
+    """Smooth ``noisy`` with every parameter of ``grid`` and score each fit.
+
+    Returns the rows (parameter, output SNR, RRSE, error) in grid order,
+    with None for the scores of a failed cell and for the error of a
+    good one, and the seconds spent smoothing, scoring excluded.
+    """
+    rows = []
+    t0 = time.perf_counter()
+    fits = smooth_grid(noisy, method, grid)
+    elapsed = time.perf_counter() - t0
+    for parameter in grid:
+        t0 = time.perf_counter()
+        fit = next(fits)
+        elapsed += time.perf_counter() - t0
+        if isinstance(fit, Exception):
+            rows.append((parameter, None, None, f"{type(fit).__name__}: {fit}"))
+        else:
+            rows.append((parameter, score_snr(fit[0]), score_rrse(fit[0]), None))
+    return rows, elapsed
+
+
 def run_benchmark(
     scenario: SimScenario,
     resolutions,
@@ -266,46 +309,38 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Full sweep over (resolution, sigma, seed, method, parameter).
 
+    Each (signal, method) grid is evaluated by one ``smooth_grid`` call.
     Per-cell smoother errors are recorded in the cell and excluded from
     the aggregates rather than aborting the run. Value columns are
-    deterministic under fixed seeds; only ``time_s`` varies.
+    deterministic under fixed seeds; only ``time_s`` varies. A cell's
+    ``time_s`` is its even share of the wall time spent smoothing its
+    signal with its method's whole grid; scoring is not included.
     """
     cells = []
     for n in resolutions:
         sc = replace(scenario, n=int(n))
         clean = generate_clean(sc)
+        scores = _snr_to(clean), _rrse_to(clean)
         for sigma in sigmas:
             for seed in seeds:
                 noisy, input_snr = add_noise(clean, sigma, seed)
                 for method, grid in method_grids.items():
-                    for parameter in grid:
-                        t0 = time.perf_counter()
-                        try:
-                            smoothed = smooth(noisy, method, parameter)[0]
-                            err = None
-                        except Exception as exc:  # recorded per-cell
-                            smoothed = None
-                            err = f"{type(exc).__name__}: {exc}"
-                        elapsed = time.perf_counter() - t0
-                        if smoothed is None:
-                            out_snr = out_rrse = None
-                        else:
-                            out_snr = snr(clean, smoothed)
-                            out_rrse = rrse_second_derivative(smoothed, clean)
-                        cells.append(
-                            BenchmarkCell(
-                                resolution=int(n),
-                                sigma=float(sigma),
-                                method=method,
-                                parameter=parameter,
-                                seed=int(seed),
-                                input_snr_db=input_snr,
-                                output_snr_db=out_snr,
-                                rrse=out_rrse,
-                                time_s=elapsed,
-                                error=err,
-                            )
+                    rows, elapsed = _score_grid(noisy, method, grid, *scores)
+                    cells.extend(
+                        BenchmarkCell(
+                            resolution=int(n),
+                            sigma=float(sigma),
+                            method=method,
+                            parameter=parameter,
+                            seed=int(seed),
+                            input_snr_db=input_snr,
+                            output_snr_db=out_snr,
+                            rrse=out_rrse,
+                            time_s=elapsed / len(rows),
+                            error=err,
                         )
+                        for parameter, out_snr, out_rrse, err in rows
+                    )
 
     aggregates = []
     groups = {}

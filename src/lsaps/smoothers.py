@@ -14,11 +14,18 @@ Every smoother, the CV selection and the peak detector take y through
 power of two to unit size, so squared curvature and sums of a few
 entries neither overflow nor underflow. A smoothed signal goes back
 through ``from_unit``, which raises ``ResultOverflowError`` where it
-exceeds float64. ``smooth`` calls any smoother by its method name.
+exceeds float64.
 
-The Savitzky-Golay baseline is a local least-squares polynomial fit,
-built per call as an orthogonal projection from the QR factor of a
-small Chebyshev basis, with numpy alone.
+``smooth_grid`` is the one method dispatch: it smooths y with every
+parameter of a grid and does the work that the parameters share once.
+``smooth`` is its one-parameter case, and each named smoother is the
+one-parameter case of ``smooth``, so a fit taken alone and the same fit
+taken in a grid are the same bits.
+
+The Savitzky-Golay baseline is a local least-squares polynomial fit, an
+orthogonal projection built with numpy alone from the QR factor of a
+small Chebyshev basis. One QR per window serves every order of a grid,
+because Gram-Schmidt is nested.
 """
 
 import math
@@ -96,11 +103,10 @@ def penalized_weights(y_unit, method: str, clip: bool = True):
     raise ValueError(f"unknown method {method!r}")
 
 
+
 def smooth_ps(y, lam: float):
     """Penalized smoother: (I + lam * D^T D)^{-1} y."""
-    y, e = to_unit(y)
-    x = linalg.solve(linalg.assemble_system(np.ones(y.shape[0]), lam), y)
-    return from_unit(x, e)
+    return smooth(y, "ps", lam)[0]
 
 
 def smooth_lsa_ps(y, lambda_bar: float, clip: bool = True):
@@ -142,18 +148,7 @@ def smooth_lsa_ps(y, lambda_bar: float, clip: bool = True):
     SingularSystemError
         If ``lambda_bar`` is zero and some curvature weight is zero.
     """
-    if lambda_bar < 0:
-        raise InvalidConfigError(f"lambda_bar must be >= 0, got {lambda_bar}")
-    y, e = to_unit(y)
-    a, scale = penalized_weights(y, "lsa-ps", clip)
-    system = linalg.assemble_system(a, lambda_bar * scale)
-    # The right-hand side a * y in place: a second n-array beside y
-    # raises the peak RSS.
-    y *= a
-    x = linalg.solve(system, y)
-    with np.errstate(over="ignore", under="ignore"):
-        lam = float(np.ldexp(lambda_bar * scale, 2 * e))
-    return from_unit(x, e), lam
+    return smooth(y, "lsa-ps", lambda_bar, clip)
 
 
 def smooth_savitzky_golay(y, window: int, poly_order: int):
@@ -163,34 +158,14 @@ def smooth_savitzky_golay(y, window: int, poly_order: int):
     Interior points take the centre value of the fit around them; the
     first and last ``window // 2`` points take the fit to the first or
     last ``window`` samples (scipy's ``mode="interp"``). The fit is the
-    projection q q^T onto degree-``poly_order`` polynomials, with q the
-    orthonormal QR factor of Chebyshev columns on the window scaled to
-    [-1, 1] (Gorry 1990), so every order up to ``window - 1`` stays
-    accurate. At ``poly_order == window - 1`` the fit interpolates and
-    the output is an exact copy. The fit runs on y * 2**-e, of unit
-    size, and is scaled back by 2**e, so data near the float64 limit
-    does not overflow in it.
+    projection q^T q onto degree-``poly_order`` polynomials, with q the
+    orthonormal basis of ``_sg_basis`` (Gorry 1990), so every order up
+    to ``window - 1`` stays accurate. At ``poly_order == window - 1`` the
+    fit interpolates and the output is an exact copy. The fit runs on
+    y * 2**-e, of unit size, and is scaled back by 2**e, so data near the
+    float64 limit does not overflow in it.
     """
-    y_unit, e = to_unit(y)
-    if window < 1 or window % 2 == 0:
-        raise InvalidConfigError(f"window must be odd and >= 1, got {window}")
-    if window > 1 and not 1 <= poly_order < window:
-        raise InvalidConfigError(
-            f"poly_order must satisfy 1 <= order < window, got order={poly_order}"
-        )
-    n = y_unit.shape[0]
-    if n < window:
-        raise InvalidSizeError(f"signal length {n} < window {window}")
-    if window == 1 or poly_order == window - 1:
-        return np.array(y, dtype=float)
-    h = window // 2
-    t = (np.arange(window) - h) / h
-    q = np.linalg.qr(np.cos(np.arange(poly_order + 1) * np.arccos(t)[:, None]))[0]
-    out = np.empty(n)
-    out[h : n - h] = np.correlate(y_unit, q @ q[h], "valid")
-    out[:h] = q[:h] @ (q.T @ y_unit[:window])
-    out[n - h :] = q[h + 1 :] @ (q.T @ y_unit[n - window :])
-    return from_unit(out, e)
+    return smooth(y, "sg", (window, poly_order))[0]
 
 
 def smooth_gaussian(y, window: int):
@@ -201,29 +176,7 @@ def smooth_gaussian(y, window: int):
     available support instead of padding. It runs on y * 2**-e, like
     the other smoothers.
     """
-    y_unit, e = to_unit(y)
-    if window < 1:
-        raise InvalidConfigError(f"window must be >= 1, got {window}")
-    n = y_unit.shape[0]
-    if window == 1 or n == 1:
-        return np.array(y, dtype=float)
-    sigma = window / 5.0
-    positions = np.arange(window, dtype=float)
-    center = (window - 1) / 2.0
-    kernel = np.exp(-0.5 * ((positions - center) / sigma) ** 2)
-    kernel /= kernel.sum()
-    offsets = np.arange(window) - window // 2
-    out = np.zeros(n)
-    norm = np.zeros(n)
-    for coeff, off in zip(kernel, offsets):
-        lo = max(0, -off)
-        hi = min(n, n - off)
-        if lo >= hi:
-            continue
-        out[lo:hi] += coeff * y_unit[lo + off : hi + off]
-        norm[lo:hi] += coeff
-    out /= norm
-    return from_unit(out, e)
+    return smooth(y, "gaussian", window)[0]
 
 
 def smooth(y, method: str, parameter, clip: bool = True):
@@ -236,15 +189,215 @@ def smooth(y, method: str, parameter, clip: bool = True):
     returns a copy of y. Raises ValueError for an unknown method, and
     for a y that is not 1-d and finite.
     """
+    (result,) = smooth_grid(y, method, (parameter,), clip)
+    return _value(result)
+
+
+def smooth_grid(y, method: str, grid, clip: bool = True):
+    """Smooth ``y`` with every parameter of ``grid``, as ``smooth`` would.
+
+    Returns an iterator that yields, per parameter and in grid order,
+    the (x, effective lambda) that ``smooth`` returns for it, or the
+    exception that ``smooth`` raises for it. Work that does not depend on
+    the parameter is done once per call: the unit scale of y and the
+    LSA-PS weights and right-hand side; for Savitzky-Golay, per run of
+    parameters with one window, one QR and the edge fits of every order.
+    A failure of that work is the result of each parameter that reaches
+    it, after the checks that come first for that parameter, such as a
+    negative ``lambda_bar``. Each x is computed when it is asked for, so
+    one window's block is held at a time.
+    """
+    grid = list(grid)
     if method == "ps":
-        return smooth_ps(y, parameter), parameter
+        return _ps_grid(y, grid)
     if method == "lsa-ps":
-        return smooth_lsa_ps(y, parameter, clip)
+        return _lsa_ps_grid(y, grid, clip)
     if method == "sg":
-        return smooth_savitzky_golay(y, *parameter), None
+        return _sg_grid(y, grid)
     if method == "gaussian":
-        return smooth_gaussian(y, parameter), None
+        return _gaussian_grid(y, grid)
     if method == "none":
-        to_unit(y)  # the checks alone
+        return _none_grid(y, grid)
+    return iter([ValueError(f"unknown method {method!r}")] * len(grid))
+
+
+def _attempt(fit, *args):
+    """fit(*args), or the exception it raises: one cell's result."""
+    try:
+        return fit(*args)
+    except Exception as exc:  # a failed cell yields its exception
+        return exc
+
+
+def _value(result):
+    """A cell's result, raised if it is an exception."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _ps_grid(y, grid):
+    unit = _attempt(to_unit, y)
+
+    def fit(lam):
+        y_unit, e = _value(unit)
+        x = linalg.solve(linalg.assemble_system(np.ones(y_unit.shape[0]), lam), y_unit)
+        return from_unit(x, e), lam
+
+    return (_attempt(fit, lam) for lam in grid)
+
+
+def _lsa_ps_grid(y, grid, clip):
+    def prepare():
+        y_unit, e = to_unit(y)
+        a, scale = penalized_weights(y_unit, "lsa-ps", clip)
+        # The right-hand side a * y in place: a second n-array beside y
+        # raises the peak RSS.
+        y_unit *= a
+        return a, scale, y_unit, e
+
+    shared = _attempt(prepare)
+
+    def fit(lambda_bar):
+        if lambda_bar < 0:
+            raise InvalidConfigError(f"lambda_bar must be >= 0, got {lambda_bar}")
+        a, scale, rhs, e = _value(shared)
+        x = linalg.solve(linalg.assemble_system(a, lambda_bar * scale), rhs)
+        with np.errstate(over="ignore", under="ignore"):
+            lam = float(np.ldexp(lambda_bar * scale, 2 * e))
+        return from_unit(x, e), lam
+
+    return (_attempt(fit, lambda_bar) for lambda_bar in grid)
+
+
+def _sg_order(n: int, parameter):
+    """The (window, poly_order) of a Savitzky-Golay fit to n points, or
+    None where the fit is a copy of y; raises for invalid arguments."""
+    window, poly_order = parameter
+    if window < 1 or window % 2 == 0:
+        raise InvalidConfigError(f"window must be odd and >= 1, got {window}")
+    if window > 1 and not 1 <= poly_order < window:
+        raise InvalidConfigError(
+            f"poly_order must satisfy 1 <= order < window, got order={poly_order}"
+        )
+    if n < window:
+        raise InvalidSizeError(f"signal length {n} < window {window}")
+    return None if window == 1 or poly_order == window - 1 else (window, poly_order)
+
+
+# Savitzky-Golay orders up to this share one basis per window (``_sg_top``).
+SG_SHARED_TOP = 63
+
+
+def _sg_top(window: int, poly_order: int) -> int:
+    """The top order of the basis that an order-``poly_order`` fit on
+    ``window`` points is taken from: min(window - 2, SG_SHARED_TOP) for
+    the orders up to it, which then share one basis, and the order
+    itself above it. The top depends on the fit alone, so a fit taken
+    alone and the same fit taken in a grid are the same bits."""
+    return max(poly_order, min(window - 2, SG_SHARED_TOP))
+
+
+def _sg_basis(window: int, top: int):
+    """Orthonormal basis q of the polynomials of degree <= ``top`` on a
+    ``window``-point grid, row k of degree k, and the interior kernels:
+    row o of ``kernels`` is q[:o+1]^T q[:o+1, h], the weights of the
+    order-o fit at the centre h.
+
+    q is the QR factor of the Chebyshev polynomials on the grid scaled to
+    [-1, 1] (Gorry 1990). Gram-Schmidt is nested, so its first o + 1 rows
+    span the polynomials of degree <= o, and ``kernels`` is a running sum
+    over the rows.
+    """
+    h = window // 2
+    t = (np.arange(window) - h) / h
+    q = np.linalg.qr(np.cos(np.arange(top + 1) * np.arccos(t)[:, None]))[0]
+    q = np.ascontiguousarray(q.T)
+    return q, np.cumsum(q * q[:, h : h + 1], axis=0)
+
+
+def _sg_window(y_unit, window: int, top: int):
+    """The Savitzky-Golay fits of y_unit on one window, as a function of
+    the order, for every order up to ``top``.
+
+    The edge fits of all orders come from one product per edge: the
+    coefficients of the first and last ``window`` samples in the basis,
+    summed over the basis rows as a running sum. Row sums and running
+    sums keep each order's bits independent of the rows above it.
+    """
+    q, kernels = _sg_basis(window, top)
+    h = window // 2
+    n = y_unit.shape[0]
+    head = np.cumsum(q[:, :h] * (q * y_unit[:window]).sum(axis=1)[:, None], axis=0)
+    tail = np.cumsum(q[:, h + 1 :] * (q * y_unit[n - window :]).sum(axis=1)[:, None], axis=0)
+
+    def fit(order):
+        out = np.empty(n)
+        out[:h] = head[order]
+        out[h : n - h] = np.correlate(y_unit, kernels[order], "valid")
+        out[n - h :] = tail[order]
+        return out
+
+    return fit
+
+
+def _sg_grid(y, grid):
+    unit = _attempt(to_unit, y)
+    if isinstance(unit, Exception):
+        yield from [unit] * len(grid)
+        return
+    y_unit, e = unit
+    block = fit = None
+    for parameter in grid:
+        f = _attempt(_sg_order, y_unit.shape[0], parameter)
+        if f is None:
+            yield np.array(y, dtype=float), None
+        elif isinstance(f, Exception):
+            yield f
+        else:
+            window, order = f
+            if block != (window, _sg_top(window, order)):
+                block = window, _sg_top(window, order)
+                fit = _sg_window(y_unit, *block)
+            yield _attempt(lambda: (from_unit(fit(order), e), None))
+
+
+def _gaussian_grid(y, grid):
+    unit = _attempt(to_unit, y)
+
+    def fit(window):
+        y_unit, e = _value(unit)
+        if window < 1:
+            raise InvalidConfigError(f"window must be >= 1, got {window}")
+        n = y_unit.shape[0]
+        if window == 1 or n == 1:
+            return np.array(y, dtype=float), None
+        sigma = window / 5.0
+        positions = np.arange(window, dtype=float)
+        center = (window - 1) / 2.0
+        kernel = np.exp(-0.5 * ((positions - center) / sigma) ** 2)
+        kernel /= kernel.sum()
+        offsets = np.arange(window) - window // 2
+        out = np.zeros(n)
+        norm = np.zeros(n)
+        for coeff, off in zip(kernel, offsets):
+            lo = max(0, -off)
+            hi = min(n, n - off)
+            if lo >= hi:
+                continue
+            out[lo:hi] += coeff * y_unit[lo + off : hi + off]
+            norm[lo:hi] += coeff
+        out /= norm
+        return from_unit(out, e), None
+
+    return (_attempt(fit, window) for window in grid)
+
+
+def _none_grid(y, grid):
+    unit = _attempt(to_unit, y)
+
+    def fit(_):
+        _value(unit)  # the checks alone
         return np.array(y, dtype=float), None
-    raise ValueError(f"unknown method {method!r}")
+
+    return (_attempt(fit, parameter) for parameter in grid)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from lsaps import cli
 from lsaps.sim import SimScenario, add_noise, generate_clean
+from lsaps.smoothers import smooth
 
 
 def write_spectrum(path, abscissa, intensity, sep="\t", header=None):
@@ -520,6 +521,60 @@ class TestBenchmarkCommand:
         assert errors == ["InvalidSizeError: signal length 10 < window 21", "", ""]
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary["single_call_median_time_s"]) == {"sg", "ps"}
+
+    def test_cell_errors_match_per_cell_smooth(self, tmp_path):
+        # Every failing kind of cell, each grid evaluated at once: the
+        # error of every cell is what smooth raises for it alone. At sigma
+        # 0 the signal is (1, 0, 0, ...): its median curvature weight is
+        # zero, which fails every LSA-PS cell but the negative one.
+        data = {
+            "peaks": [{"center": 0, "height": 1, "halfwidth": 1e-200}],
+            "x_range": [0, 100],
+            "resolutions": [50],
+            "noise_sigmas": [0, 0.1],
+            "seeds": [3],
+            "methods": {
+                "ps": [1, -1],
+                "lsa-ps": [1, -1, 0.5],
+                "sg": [[5, 2], [61, 2], [4, 2], [5, 3], [5, 5], [3, 1], [5, 0], [1, 0],
+                       [5, 4], [7, 3], [-1, 2], [5, 1]],
+                "gaussian": [0, 1, 3],
+                "none": [None],
+            },
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "bench"
+        assert cli.main(["benchmark", str(path), "--out", str(out)]) == 0
+        with (out / "cells.csv").open(newline="") as fh:
+            errors = [row["error"] for row in csv.DictReader(fh)]
+
+        scenario, _, sigmas, grids, seeds = cli.load_scenario_file(path)
+        clean = generate_clean(scenario)
+        expected = []
+        for sigma in sigmas:
+            noisy, _ = add_noise(clean, sigma, seeds[0])
+            for method, grid in grids.items():
+                for parameter in grid:
+                    try:
+                        smooth(noisy, method, parameter)
+                        expected.append("")
+                    except Exception as exc:
+                        expected.append(f"{type(exc).__name__}: {exc}")
+        assert errors == expected
+        for message in (
+            "InvalidConfigError: lambda_bar must be >= 0, got -1",
+            "InvalidConfigError: lam must be >= 0, got -1",
+            "DegenerateSignalError: median curvature weight is zero",
+            "InvalidSizeError: signal length 50 < window 61",
+            "InvalidConfigError: window must be odd and >= 1, got 4",
+            "InvalidConfigError: poly_order must satisfy 1 <= order < window, got order=5",
+            "InvalidConfigError: window must be >= 1, got 0",
+        ):
+            assert any(e.startswith(message) for e in errors), message
+        # The negative lambda_bar reports its own error before the shared one.
+        assert errors[2:5] == [errors[2], "InvalidConfigError: lambda_bar must be >= 0, got -1", errors[2]]
+        assert errors[2].startswith("DegenerateSignalError")
 
     def test_value_columns_deterministic(self, tmp_path, scenario_file):
         def strip_times(out_dir):

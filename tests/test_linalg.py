@@ -106,6 +106,24 @@ class TestSolve:
         with pytest.raises(NotPositiveDefiniteError):
             linalg.solve(s, np.ones(10))
 
+    def test_small_positive_pivot_is_not_called_non_positive(self):
+        # I + lam D^T D has every eigenvalue >= 1, but at lam = 1e14 its
+        # last pivot falls below PIVOT_RTOL x the largest diagonal entry,
+        # 6e14. It used to be reported as a non-positive pivot.
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            smoothers.smooth_ps(np.sin(np.arange(20) / 3.0), 1e14)
+        assert str(info.value) == (
+            "pivot 5.457e+00 at row 19 is below the conditioning limit 6.000e+00 "
+            "(1e-14 x the largest diagonal entry); the system is too ill-conditioned to solve"
+        )
+
+    def test_nan_pivot_is_not_positive(self):
+        ab = np.zeros((3, 6))
+        ab[2] = [1.0, np.nan, 1.0, 1.0, 1.0, 1.0]
+        system = linalg.PentadiagonalSystem(ab=ab, weights=np.ones(6))
+        with pytest.raises(NotPositiveDefiniteError, match="pivot nan at row 1 is not positive"):
+            linalg.solve(system, np.ones(6))
+
     def test_rhs_length_check(self):
         s = linalg.assemble_system(np.ones(5), 1.0)
         with pytest.raises(ValueError):

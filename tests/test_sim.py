@@ -219,6 +219,16 @@ class TestBenchmark:
             assert a.output_snr_db == b.output_snr_db
             assert a.rrse == b.rrse
 
+    def test_time_s_is_the_grid_share(self, small_report):
+        # A cell's time_s is its even share of its (signal, method) grid's
+        # wall time: one value per grid, and no cell is timed alone.
+        _, grids, report = small_report
+        shares = {}
+        for c in report.cells:
+            shares.setdefault((c.seed, c.method), set()).add(c.time_s)
+        assert len(shares) == 2 * len(grids)
+        assert all(len(v) == 1 and next(iter(v)) > 0 for v in shares.values())
+
     def test_error_cells_recorded_not_fatal(self):
         sc = SimScenario(peaks=DEFAULT_PEAKS[:2], x_range=(0.0, 15.0))
         # sg window 21 > n = 10: per-cell error, run continues.

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import mpmath
@@ -16,9 +17,11 @@ from lsaps.localfit import local_quadratic_curvature
 from lsaps.sim import COMPARISON_GRIDS
 from lsaps.smoothers import (
     METHODS,
+    SG_SHARED_TOP,
     from_unit,
     penalized_weights,
     smooth,
+    smooth_grid,
     smooth_gaussian,
     smooth_lsa_ps,
     smooth_ps,
@@ -392,6 +395,83 @@ class TestSmooth:
             assert np.array_equal(got, x) and got_lam == lam, method
         with pytest.raises(ValueError, match="unknown method"):
             smooth(y, "median", 3)
+
+
+class TestSmoothGrid:
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["grid-order", "shuffled"])
+    def test_sg_matches_single_calls_bit_for_bit(self, shuffle):
+        # Every (window, order) of the comparison grid, (1, 0) and the
+        # interpolating orders among them; shuffled, the windows interleave
+        # and each run of one window builds its own block.
+        grid = list(COMPARISON_GRIDS["sg"])
+        assert (1, 0) in grid and (35, 34) in grid
+        if shuffle:
+            grid = [grid[i] for i in np.random.default_rng(0).permutation(len(grid))]
+        y = lorentzian_plus_noise(500, 21)
+        for (window, order), fit in zip(grid, smooth_grid(y, "sg", grid), strict=True):
+            x, lam = fit
+            assert lam is None
+            assert np.array_equal(x, smooth_savitzky_golay(y, window, order)), (window, order)
+
+    def test_sg_orders_beyond_the_shared_basis(self):
+        # Above SG_SHARED_TOP an order has a basis of its own; the orders
+        # up to it share one, whatever else the grid holds.
+        window = 2 * SG_SHARED_TOP + 15
+        grid = [(window, o) for o in (2, SG_SHARED_TOP, SG_SHARED_TOP + 1, SG_SHARED_TOP + 9)]
+        y = lorentzian_plus_noise(400, 22)
+        for (w, o), (x, _) in zip(grid, smooth_grid(y, "sg", grid), strict=True):
+            assert np.array_equal(x, smooth_savitzky_golay(y, w, o)), o
+
+    @pytest.mark.parametrize("method", ["ps", "lsa-ps", "gaussian", "none"])
+    def test_matches_smooth_bit_for_bit(self, method):
+        grid = COMPARISON_GRIDS.get(method, [None])
+        y = lorentzian_plus_noise(300, 23)
+        for clip in (True, False):
+            for parameter, (x, lam) in zip(grid, smooth_grid(y, method, grid, clip), strict=True):
+                expected, expected_lam = smooth(y, method, parameter, clip)
+                assert np.array_equal(x, expected) and lam == expected_lam, parameter
+
+    @pytest.mark.parametrize(
+        "y, method, grid",
+        [
+            # Per-parameter checks: even window, order >= window, order 0,
+            # a window wider than the signal and a negative window.
+            (np.sin(np.arange(50) / 4.0), "sg", [(5, 2), (4, 2), (5, 5), (5, 0), (61, 2), (-1, 2), (5, 4)]),
+            (np.sin(np.arange(50) / 4.0), "ps", [1.0, -1.0, math.nan, math.inf]),
+            (np.sin(np.arange(50) / 4.0), "gaussian", [3, 0, 1]),
+            # The median curvature weight is zero: every lambda_bar but the
+            # negative one, whose check comes first, shares the failure.
+            (np.r_[1.0, np.zeros(49)], "lsa-ps", [1.0, -1.0, 0.0]),
+            # Non-finite y: the shared failure of every parameter, again
+            # after the lambda_bar check.
+            (np.r_[np.nan, np.zeros(49)], "lsa-ps", [1.0, -1.0]),
+            (np.r_[np.nan, np.zeros(49)], "sg", [(5, 2), (4, 2)]),
+            (np.r_[np.nan, np.zeros(49)], "none", [None]),
+            (np.zeros(50), "median", [3, 5]),
+        ],
+    )
+    def test_errors_match_smooth(self, y, method, grid):
+        seen = set()
+        for parameter, fit in zip(grid, smooth_grid(y, method, grid), strict=True):
+            try:
+                expected = smooth(y, method, parameter)
+            except Exception as exc:
+                assert isinstance(fit, Exception), parameter
+                assert (type(fit), str(fit)) == (type(exc), str(exc)), parameter
+                seen.add(type(exc))
+            else:
+                assert np.array_equal(fit[0], expected[0]), parameter
+        assert seen
+
+    def test_lsa_ps_weights_are_taken_once(self, monkeypatch):
+        from lsaps import smoothers
+
+        calls = []
+        original = smoothers.penalized_weights
+        monkeypatch.setattr(smoothers, "penalized_weights",
+                            lambda *args: calls.append(1) or original(*args))
+        results = list(smooth_grid(lorentzian_plus_noise(200, 24), "lsa-ps", COMPARISON_GRIDS["lsa-ps"]))
+        assert len(results) == len(COMPARISON_GRIDS["lsa-ps"]) and len(calls) == 1
 
 
 class TestUnitScale:

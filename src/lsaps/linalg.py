@@ -13,7 +13,11 @@ iterative refinement. Solves and the diagonal of M^{-1} reuse the factor
 and run in O(n) time and memory: solves by banded triangular
 substitution, the diagonal of M^{-1} by the band selected-inverse
 recurrence (Hutchinson & de Hoog 1985, "Smoothing noisy data with spline
-functions"; Eilers 2003, which uses it for leave-one-out CV).
+functions"; Eilers 2003, which uses it for leave-one-out CV). That
+recurrence is one unit triangular system in the 3n band entries Z[i, i],
+Z[i, i+1] and Z[i, i+2] of Z = M^{-1}, unknown 3i + k holding Z[i, i+k],
+with bandwidth 4; one LAPACK ``dtbtrs`` call solves it, its transpose
+stored in (5, 3n) lower band storage (see ``hat_diagonal``).
 """
 
 import math
@@ -22,6 +26,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dtbtrs
 
 from .errors import (
     InvalidConfigError,
@@ -103,7 +108,8 @@ def assemble_system(weights, lam: float) -> PentadiagonalSystem:
         >= 0.
     lam : float
         Penalty strength, finite and >= 0. With ``lam == 0`` every weight
-        must be strictly positive, otherwise M is singular.
+        must be strictly positive, otherwise M is singular. A lam so large
+        that an entry of M overflows float64 raises ``InvalidConfigError``.
     """
     weights = np.asarray(weights, dtype=float)
     n = weights.shape[0]
@@ -125,8 +131,15 @@ def assemble_system(weights, lam: float) -> PentadiagonalSystem:
     ones = np.ones(n - 2)
     ab = np.zeros((3, n))
     ab[0, 2:] = lam
-    ab[1, 1:] = lam * np.convolve(ones, [-2.0, -2.0])
-    ab[2] = weights + lam * np.convolve(ones, [1.0, 4.0, 1.0])
+    with np.errstate(over="ignore"):
+        ab[1, 1:] = lam * np.convolve(ones, [-2.0, -2.0])
+        ab[2] = weights + lam * np.convolve(ones, [1.0, 4.0, 1.0])
+    # The main diagonal holds the largest entries of every band.
+    if not np.isfinite(ab[2]).all():
+        raise InvalidConfigError(
+            f"lam = {lam:g} is too large: entries of M = diag(weights) + lam * D^T D "
+            "overflow float64"
+        )
     return PentadiagonalSystem(ab=ab, weights=weights)
 
 
@@ -180,22 +193,39 @@ def hat_diagonal(system: PentadiagonalSystem):
     triangular with diagonal 1 / U[i, i], so on and above the diagonal
 
         Z[i, j] = (delta_ij / U[i, i] - U[i, i+1] Z[i+1, j]
-                   - U[i, i+2] Z[i+2, j]) / U[i, i],
+                   - U[i, i+2] Z[i+2, j]) / U[i, i].
 
-    and a sweep from i = n-1 down to 0 needs only the entries of Z
-    within the band.
+    With c_i = U[i, i+1] / U[i, i] and e_i = U[i, i+2] / U[i, i], zero
+    past the end, the three band entries of row i are
+
+        Z[i, i+2] = -(c_i Z[i+1, i+2] + e_i Z[i+2, i+2]),
+        Z[i, i+1] = -(c_i Z[i+1, i+1] + e_i Z[i+1, i+2]),
+        Z[i, i]   = 1 / U[i, i]^2 - (c_i Z[i, i+1] + e_i Z[i, i+2]).
+
+    In the 3n unknowns v[3i] = Z[i, i], v[3i+1] = Z[i, i+1] and
+    v[3i+2] = Z[i, i+2] this is one system A v = r, unit upper triangular
+    with bandwidth 4, where r[3i] = 1 / U[i, i]^2 and the other entries
+    of r are zero. LAPACK's ``dtbtrs`` solves it by back substitution:
+    A^T is passed in lower band storage of shape (5, 3n), whose column j
+    holds A[j, j+k] in row k, as the transposed, Fortran-contiguous view
+    of a C-ordered (n, 3, 5) buffer, so no copy is made.
     """
     u = system._cholesky
+    n = system.n
     diag = u[2]
-    c = (np.append(u[1, 1:], 0.0) / diag).tolist()
-    e = (np.append(u[0, 2:], [0.0, 0.0]) / diag).tolist()
-    inv_pivot = (1.0 / np.square(diag)).tolist()
-    z = [0.0] * system.n
-    z_11 = z_22 = 0.0  # Z[i+1, i+1], Z[i+2, i+2]
-    z_12 = 0.0  # Z[i+1, i+2]
-    for i in range(system.n - 1, -1, -1):
-        z_02 = -(c[i] * z_12 + e[i] * z_22)
-        z_01 = -(c[i] * z_11 + e[i] * z_12)
-        z[i] = inv_pivot[i] - (c[i] * z_01 + e[i] * z_02)
-        z_11, z_22, z_12 = z[i], z_11, z_01
-    return np.array(z) * system.weights
+    band = np.zeros((n, 3, 5))
+    c, e = band[:, 0, 1], band[:, 0, 2]
+    np.divide(u[1, 1:], diag[:-1], out=c[:-1])
+    np.divide(u[0, 2:], diag[:-2], out=e[:-2])
+    band[:, 1, 2] = band[:, 2, 2] = c
+    band[:, 1, 3] = band[:, 2, 4] = e
+    rhs = np.zeros((n, 3))
+    np.divide(1.0, np.square(diag), out=rhs[:, 0])
+    v, info = dtbtrs(
+        band.reshape(3 * n, 5).T, rhs.reshape(3 * n, 1),
+        uplo="L", trans="T", diag="U", overwrite_b=True,
+    )
+    if info != 0:
+        # A unit diagonal is never singular: only a bad argument sets info.
+        raise LinAlgError(f"dtbtrs returned info = {info}")
+    return v[0::3, 0] * system.weights

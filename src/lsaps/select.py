@@ -99,7 +99,8 @@ def select_parameter(
     Raises
     ------
     InvalidConfigError
-        If the grid is empty or holds a negative or non-finite candidate.
+        If the grid is empty or holds a negative or non-finite candidate,
+        or one whose lambda overflows the system's band.
     SelectionFailedError
         If every candidate on the grid fails.
     ResultOverflowError

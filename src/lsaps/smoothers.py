@@ -237,11 +237,15 @@ def _value(result):
 
 
 def _ps_grid(y, grid):
-    unit = _attempt(to_unit, y)
+    def prepare():
+        y_unit, e = to_unit(y)
+        return np.ones(y_unit.shape[0]), y_unit, e
+
+    shared = _attempt(prepare)
 
     def fit(lam):
-        y_unit, e = _value(unit)
-        x = linalg.solve(linalg.assemble_system(np.ones(y_unit.shape[0]), lam), y_unit)
+        ones, y_unit, e = _value(shared)
+        x = linalg.solve(linalg.assemble_system(ones, lam), y_unit)
         return from_unit(x, e), lam
 
     return (_attempt(fit, lam) for lam in grid)

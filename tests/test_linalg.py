@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from lsaps import linalg, select, smoothers
 from lsaps.errors import (
+    InvalidConfigError,
     InvalidSizeError,
     NotPositiveDefiniteError,
     SingularSystemError,
@@ -19,6 +20,26 @@ def dense_system(weights, lam):
     for r in range(n - 2):
         d[r, r : r + 3] = (1.0, -2.0, 1.0)
     return np.diag(np.asarray(weights, dtype=float)) + lam * d.T @ d
+
+
+def recurrence_hat_diagonal(system):
+    """Oracle: the selected-inverse recurrence of ``linalg.hat_diagonal``
+    as a Python sweep from i = n-1 down to 0, one row of Z = M^{-1} at a
+    time, keeping Z[i+1, i+1], Z[i+1, i+2] and Z[i+2, i+2]."""
+    u = system._cholesky
+    diag = u[2]
+    c = (np.append(u[1, 1:], 0.0) / diag).tolist()
+    e = (np.append(u[0, 2:], [0.0, 0.0]) / diag).tolist()
+    inv_pivot = (1.0 / np.square(diag)).tolist()
+    z = [0.0] * system.n
+    z_11 = z_22 = 0.0  # Z[i+1, i+1], Z[i+2, i+2]
+    z_12 = 0.0  # Z[i+1, i+2]
+    for i in range(system.n - 1, -1, -1):
+        z_02 = -(c[i] * z_12 + e[i] * z_22)
+        z_01 = -(c[i] * z_11 + e[i] * z_12)
+        z[i] = inv_pivot[i] - (c[i] * z_01 + e[i] * z_02)
+        z_11, z_22, z_12 = z[i], z_11, z_01
+    return np.array(z) * system.weights
 
 
 class TestAssemble:
@@ -60,6 +81,17 @@ class TestAssemble:
             linalg.assemble_system(np.ones(5), -1.0)
         with pytest.raises(ValueError):
             linalg.assemble_system([1.0, -1.0, 1.0], 1.0)
+
+    def test_overflowing_band_names_lam(self):
+        # 6 lam overflows on the main diagonal, and no warning escapes.
+        message = r"lam = 1e\+308 is too large: entries of M .* overflow float64"
+        with pytest.raises(InvalidConfigError, match=message):
+            smoothers.smooth_ps(np.sin(np.arange(20) / 3.0), 1e308)
+        # n = 3 has diagonal coefficients (1, 4, 1): 4 lam still fits.
+        lam = np.finfo(float).max / 4.5
+        assert np.isfinite(linalg.assemble_system(np.ones(3), lam).ab).all()
+        with pytest.raises(InvalidConfigError, match="too large"):
+            linalg.assemble_system(np.ones(4), lam)
 
     def test_non_finite_lam(self):
         for lam in (np.nan, np.inf):
@@ -177,6 +209,53 @@ class TestHatDiagonal:
             for lam in (0.1, 1.0, 10.0)
         ]
         assert traces[0] > traces[1] > traces[2]
+
+
+class TestAgainstRecurrence:
+    """``hat_diagonal`` against the recurrence as a Python sweep, on 420
+    systems: n in [3, 60] (n = 3 or 4 for every tenth seed, where the
+    zero padding of c and e is read), weights U(0.1, 2) with the interior
+    ones zero with probability 0.2 when lam > 0. Both read the same
+    factor, so they differ only in rounding. Each bound is about 10x the
+    largest relative difference seen over 2000 seeds."""
+
+    TOLERANCES = {
+        0.0: 1e-15,
+        1e-3: 2e-15,
+        1.0: 1e-14,
+        1e3: 2.5e-13,
+        1e6: 2e-11,
+        1e9: 1e-11,
+        1e13: 1e-11,
+    }
+
+    def test_matches_recurrence(self):
+        compared = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n = int(rng.choice([3, 4])) if seed % 10 == 0 else int(rng.integers(3, 61))
+            positive = rng.uniform(0.1, 2.0, n)
+            for lam, tol in self.TOLERANCES.items():
+                w = positive.copy()
+                if lam > 0:
+                    w[1:-1][rng.random(n - 2) < 0.2] = 0.0
+                s = linalg.assemble_system(w, lam)
+                try:
+                    expected = recurrence_hat_diagonal(s)
+                except NotPositiveDefiniteError:
+                    continue  # below the conditioning limit at lam = 1e13
+                h = linalg.hat_diagonal(s)
+                zero = w == 0
+                assert np.array_equal(h[zero], np.zeros(zero.sum())), (seed, lam)
+                rel = np.abs(h[~zero] - expected[~zero]) / expected[~zero]
+                assert np.max(rel) <= tol, (seed, lam, np.max(rel))
+                compared += 1
+        assert compared >= 400
+
+    def test_bad_lapack_argument_raises(self, monkeypatch):
+        monkeypatch.setattr(linalg, "dtbtrs", lambda ab, b, **kwargs: (b, -1))
+        with pytest.raises(np.linalg.LinAlgError, match="info = -1"):
+            linalg.hat_diagonal(linalg.assemble_system(np.ones(5), 1.0))
 
 
 @st.composite

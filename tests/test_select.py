@@ -4,6 +4,7 @@ import pytest
 from lsaps import linalg
 from lsaps.errors import (
     DegenerateSignalError,
+    InvalidConfigError,
     LeverageSaturationError,
     ResultOverflowError,
     SelectionFailedError,
@@ -190,6 +191,9 @@ class TestSelectParameter:
             select_parameter(y, grid=())
         with pytest.raises(ValueError):
             select_parameter(y, grid=(-1.0, 1.0))
+        # A candidate whose band overflows is a bad grid, not a failed fit.
+        with pytest.raises(InvalidConfigError, match=r"lam = 1e\+308 is too large"):
+            select_parameter(y, method="ps", grid=(1.0, 1e308))
 
     @pytest.mark.parametrize("method", ["ps", "lsa-ps"])
     @pytest.mark.parametrize("factor", [2.0**660, 2.0**-600], ids=["2**660", "2**-600"])

@@ -473,6 +473,17 @@ class TestSmoothGrid:
         results = list(smooth_grid(lorentzian_plus_noise(200, 24), "lsa-ps", COMPARISON_GRIDS["lsa-ps"]))
         assert len(results) == len(COMPARISON_GRIDS["lsa-ps"]) and len(calls) == 1
 
+    def test_ps_unit_weights_are_built_once(self, monkeypatch):
+        from lsaps import linalg
+
+        seen = []
+        original = linalg.assemble_system
+        monkeypatch.setattr(linalg, "assemble_system",
+                            lambda weights, lam: seen.append(weights) or original(weights, lam))
+        results = list(smooth_grid(lorentzian_plus_noise(200, 24), "ps", COMPARISON_GRIDS["ps"]))
+        assert len(results) == len(seen) == len(COMPARISON_GRIDS["ps"])
+        assert all(w is seen[0] for w in seen) and np.array_equal(seen[0], np.ones(200))
+
 
 class TestUnitScale:
     @pytest.mark.parametrize("method, parameter", [("sg", (5, 2)), ("gaussian", 5), ("none", None)])

@@ -6,18 +6,23 @@ second-difference operator with stencil (1, -2, 1) on a unit-spaced grid.
 M is symmetric, so it is stored once, as its upper band in the (3, n)
 layout LAPACK consumes (Eilers 2003, "A Perfect Smoother", Anal. Chem.
 75): row 2 holds the main diagonal, row 1 from column 1 on the first
-superdiagonal and row 0 from column 2 on the second. The same array is
-factorized once, by LAPACK's banded Cholesky M = U^T U, the first time a
-solve or the hat diagonal needs it, and read as-is by the residuals of
-iterative refinement. Solves and the diagonal of M^{-1} reuse the factor
-and run in O(n) time and memory: solves by banded triangular
-substitution, the diagonal of M^{-1} by the band selected-inverse
-recurrence (Hutchinson & de Hoog 1985, "Smoothing noisy data with spline
-functions"; Eilers 2003, which uses it for leave-one-out CV). That
-recurrence is one unit triangular system in the 3n band entries Z[i, i],
-Z[i, i+1] and Z[i, i+2] of Z = M^{-1}, unknown 3i + k holding Z[i, i+k],
-with bandwidth 4; one LAPACK ``dtbtrs`` call solves it, its transpose
-stored in (5, 3n) lower band storage (see ``hat_diagonal``).
+superdiagonal and row 0 from column 2 on the second. ``assembler`` checks
+a weight array once and fills that array for each lam of a grid from
+scalars. The same array is factorized once, by LAPACK's banded Cholesky
+``dpbtrf`` (M = U^T U), the first time a solve or the hat diagonal needs
+it, and read as-is by the residuals of iterative refinement. Solves and
+the diagonal of M^{-1} reuse the factor and run in O(n) time and memory:
+solves by LAPACK's banded substitution ``dpbtrs``, refined with
+long-double residuals until a correction falls below the final float64
+rounding (see ``solve``), the diagonal of M^{-1} by the band
+selected-inverse recurrence (Hutchinson & de Hoog 1985, "Smoothing noisy
+data with spline functions"; Eilers 2003, which uses it for leave-one-out
+CV). That recurrence is one unit triangular system in the 3n band entries
+Z[i, i], Z[i, i+1] and Z[i, i+2] of Z = M^{-1}, unknown 3i + k holding
+Z[i, i+k], with bandwidth 4; one LAPACK ``dtbtrs`` call solves it, its
+transpose stored in (5, 3n) lower band storage (see ``hat_diagonal``).
+The LAPACK routines are called directly, and their ``info`` is mapped to
+this package's errors here.
 """
 
 import math
@@ -25,8 +30,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
-from scipy.linalg.lapack import dtbtrs
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 
 from .errors import (
     InvalidConfigError,
@@ -39,8 +44,13 @@ from .errors import (
 # treated as a loss of positive definiteness.
 PIVOT_RTOL = 1e-14
 
-# Iterative-refinement steps of every solve, with long-double residuals.
+# The most iterative-refinement steps of a solve, with long-double residuals.
 REFINE_STEPS = 2
+
+# Refinement stops after a correction d with max|d| <= REFINE_TOL * max|x0|,
+# x0 the unrefined solution: eps**2 / (8 eps_ld), 5.7e-14 where long
+# double has a 64-bit mantissa, and eps / 8 where it is float64 (``solve``).
+REFINE_TOL = float(np.finfo(float).eps ** 2 / (8 * np.finfo(np.longdouble).eps))
 
 
 @dataclass(frozen=True)
@@ -70,32 +80,104 @@ class PentadiagonalSystem:
         Raises
         ------
         NotPositiveDefiniteError
-            If a pivot U[i, i]^2 is not positive, or is positive but
-            below the conditioning limit ``PIVOT_RTOL`` times the largest
-            diagonal entry; the message says which.
+            If a pivot U[i, i]^2 is NaN, or is at or below the
+            conditioning limit ``PIVOT_RTOL`` times the largest diagonal
+            entry; the message says which. A pivot that LAPACK finds not
+            positive is below that limit: M is positive semidefinite by
+            construction, so it is singular or too ill-conditioned for
+            float64, for instance when lam is so large that the weights
+            round away beside it.
         """
-        try:
-            u = cholesky_banded(self.ab, check_finite=False)
-        except LinAlgError as exc:
-            raise NotPositiveDefiniteError(f"system is not SPD: {exc}") from None
-        pivots = np.square(u[2])
-        # Negated comparisons so that a NaN pivot is caught as well.
-        bad = np.flatnonzero(~(pivots > 0))
-        if bad.size:
-            i = int(bad[0])
-            raise NotPositiveDefiniteError(
-                f"pivot {pivots[i]:.3e} at row {i} is not positive; system is not SPD"
-            )
+        u, info = dpbtrf(self.ab)
+        if info < 0:
+            raise LinAlgError(f"dpbtrf returned info = {info}")
         limit = PIVOT_RTOL * float(self.ab[2].max())
-        low = np.flatnonzero(pivots <= limit)
-        if low.size:
-            i = int(low[0])
-            raise NotPositiveDefiniteError(
-                f"pivot {pivots[i]:.3e} at row {i} is below the conditioning limit "
-                f"{limit:.3e} ({PIVOT_RTOL:g} x the largest diagonal entry); "
-                "the system is too ill-conditioned to solve"
-            )
+        if info > 0:
+            # LAPACK stops at the first pivot that is not positive, in row
+            # info - 1, and leaves it there.
+            raise _pivot_error(info - 1, float(u[2, info - 1]), limit)
+        # Every U[i, i] is a square root, so the least pivot is the square
+        # of the least U[i, i]. Negated, so that a NaN pivot fails as well.
+        least = float(u[2].min())
+        if not least * least > limit:
+            pivots = np.square(u[2])
+            i = int(np.flatnonzero(np.isnan(pivots) | (pivots <= limit))[0])
+            raise _pivot_error(i, float(pivots[i]), limit)
         return u
+
+
+def _pivot_error(i: int, pivot: float, limit: float):
+    """The error for a failed pivot U[i, i]^2 = ``pivot``."""
+    if math.isnan(pivot):
+        return NotPositiveDefiniteError(
+            f"pivot {pivot:.3e} at row {i} is not positive; system is not SPD"
+        )
+    return NotPositiveDefiniteError(
+        f"pivot {pivot:.3e} at row {i} is below the conditioning limit "
+        f"{limit:.3e} ({PIVOT_RTOL:g} x the largest diagonal entry); "
+        "the system is too ill-conditioned to solve"
+    )
+
+
+def assembler(weights):
+    """Check ``weights`` once; return lam -> ``assemble_system(weights, lam)``.
+
+    The returned function checks lam and raises exactly as
+    ``assemble_system`` does, so each lam of a grid keeps its own error,
+    while the weights are checked once per grid.
+
+    Raises
+    ------
+    InvalidSizeError
+        If n < 3.
+    ValueError
+        If a weight is not finite or is negative.
+    """
+    weights = np.asarray(weights, dtype=float)
+    n = weights.shape[0]
+    if n < 3:
+        raise InvalidSizeError(f"system needs n >= 3, got n={n}")
+    bad = np.flatnonzero(~np.isfinite(weights))
+    if bad.size:
+        raise ValueError(f"weights must be finite, got {weights[bad[0]]} at index {bad[0]}")
+    if np.any(weights < 0):
+        raise ValueError("weights must be non-negative")
+    has_zero = not weights.all()
+    # Each row of D adds its stencil's products (1, 4, 1), (-2, -2) and
+    # (1) to the three bands of D^T D: the main diagonal is
+    # (1, 5, 6, ..., 6, 5, 1), or (1, 5, 5, 1) at n = 4 and (1, 4, 1) at
+    # n = 3, the first band (-2, -4, ..., -4, -2) and the second all ones.
+    second = 4.0 if n == 3 else 5.0
+
+    def assemble(lam) -> PentadiagonalSystem:
+        if not math.isfinite(lam):
+            raise InvalidConfigError(f"lam must be finite, got {lam}")
+        if lam < 0:
+            raise InvalidConfigError(f"lam must be >= 0, got {lam}")
+        if lam == 0 and has_zero:
+            raise SingularSystemError("lam = 0 with a zero weight gives a singular system")
+        ab = np.empty((3, n))
+        ab[0, :2] = ab[1, 0] = 0.0
+        ab[0, 2:] = lam
+        diag = ab[2]
+        with np.errstate(over="ignore"):
+            ab[1, 1:] = lam * -4.0
+            ab[1, 1] = ab[1, -1] = lam * -2.0
+            np.add(weights, lam * 6.0, out=diag)
+            diag[1] = weights[1] + lam * second
+            diag[-2] = weights[-2] + lam * second
+            diag[0] = weights[0] + lam
+            diag[-1] = weights[-1] + lam
+        # The main diagonal holds the largest entries of every band; its
+        # entries are sums of non-negative numbers, so never NaN.
+        if not math.isfinite(diag.max()):
+            raise InvalidConfigError(
+                f"lam = {lam:g} is too large: entries of M = diag(weights) + lam * D^T D "
+                "overflow float64"
+            )
+        return PentadiagonalSystem(ab=ab, weights=weights)
+
+    return assemble
 
 
 def assemble_system(weights, lam: float) -> PentadiagonalSystem:
@@ -110,37 +192,11 @@ def assemble_system(weights, lam: float) -> PentadiagonalSystem:
         Penalty strength, finite and >= 0. With ``lam == 0`` every weight
         must be strictly positive, otherwise M is singular. A lam so large
         that an entry of M overflows float64 raises ``InvalidConfigError``.
+
+    ``assembler`` does the same for a grid of lam, checking the weights
+    once.
     """
-    weights = np.asarray(weights, dtype=float)
-    n = weights.shape[0]
-    if n < 3:
-        raise InvalidSizeError(f"system needs n >= 3, got n={n}")
-    bad = np.flatnonzero(~np.isfinite(weights))
-    if bad.size:
-        raise ValueError(f"weights must be finite, got {weights[bad[0]]} at index {bad[0]}")
-    if not math.isfinite(lam):
-        raise InvalidConfigError(f"lam must be finite, got {lam}")
-    if lam < 0:
-        raise InvalidConfigError(f"lam must be >= 0, got {lam}")
-    if np.any(weights < 0):
-        raise ValueError("weights must be non-negative")
-    if lam == 0 and np.any(weights == 0):
-        raise SingularSystemError("lam = 0 with a zero weight gives a singular system")
-    # Diagonals 0, 1, 2 of D^T D: each row of D adds its stencil's
-    # products (1, 4, 1), (-2, -2) and (1) to the three bands.
-    ones = np.ones(n - 2)
-    ab = np.zeros((3, n))
-    ab[0, 2:] = lam
-    with np.errstate(over="ignore"):
-        ab[1, 1:] = lam * np.convolve(ones, [-2.0, -2.0])
-        ab[2] = weights + lam * np.convolve(ones, [1.0, 4.0, 1.0])
-    # The main diagonal holds the largest entries of every band.
-    if not np.isfinite(ab[2]).all():
-        raise InvalidConfigError(
-            f"lam = {lam:g} is too large: entries of M = diag(weights) + lam * D^T D "
-            "overflow float64"
-        )
-    return PentadiagonalSystem(ab=ab, weights=weights)
+    return assembler(weights)(lam)
 
 
 def _band_matvec(ab, x):
@@ -154,12 +210,36 @@ def _band_matvec(ab, x):
     return out
 
 
+def _substitute(u, b, overwrite_b=False):
+    """U^{-1} U^{-T} b by LAPACK's banded substitution."""
+    x, info = dpbtrs(u, b, overwrite_b=overwrite_b)
+    if info != 0:
+        # U comes from dpbtrf, so only a bad argument sets info.
+        raise LinAlgError(f"dpbtrs returned info = {info}")
+    return x
+
+
 def solve(system: PentadiagonalSystem, rhs):
     """Solve M x = rhs for one finite right-hand side of length n.
 
     Iterative refinement with extended-precision residuals keeps the
     forward error small even for extreme penalty values, where the
-    normal-equations matrix has condition number near 1/eps.
+    normal-equations matrix has condition number near 1/eps. Each step
+    solves M d = rhs - M x with the float64 factor, the residual formed
+    in long double, and adds d to x in long double.
+
+    Refinement stops after at most ``REFINE_STEPS`` steps, or as soon as
+    a correction has max|d| <= tau * max|x0|, x0 the unrefined solution
+    and tau = ``REFINE_TOL`` = eps^2 / (8 eps_ld), with eps and eps_ld
+    the unit roundoffs of float64 and long double. The first correction
+    measures the error of x0, which is about cond(M) eps max|x0|. After
+    it, the error left is dominated by that of the long-double residual,
+    about cond(M) eps_ld max|x| = max|d| eps_ld / eps, which for
+    max|d| <= tau is at most eps / 8 of max|x|: below the final rounding
+    to float64, so a further step would not change the result by more
+    than about one ulp. On x86-64 tau is 5.7e-14, and most solves with
+    lam up to about 100 stop after one step; where long double is
+    float64, tau = eps / 8 and every solve takes both steps.
 
     Raises
     ------
@@ -171,16 +251,22 @@ def solve(system: PentadiagonalSystem, rhs):
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (system.n,):
         raise ValueError(f"rhs must have shape ({system.n},), got {rhs.shape}")
-    bad = np.flatnonzero(~np.isfinite(rhs))
-    if bad.size:
-        raise ValueError(f"rhs must be finite, got {rhs[bad[0]]} at index {bad[0]}")
-    factor = (system._cholesky, False)
+    if not np.isfinite(rhs).all():
+        i = int(np.flatnonzero(~np.isfinite(rhs))[0])
+        raise ValueError(f"rhs must be finite, got {rhs[i]} at index {i}")
+    u = system._cholesky
+    x = _substitute(u, rhs)
+    tol = REFINE_TOL * float(np.abs(x).max())
     # Float64 bands and rhs promote exactly against the long-double x, so
     # the residual is formed in extended precision without copying them.
-    x = cho_solve_banded(factor, rhs, check_finite=False).astype(np.longdouble)
+    x = x.astype(np.longdouble)
     for _ in range(REFINE_STEPS):
-        residual = rhs - _band_matvec(system.ab, x)
-        x += cho_solve_banded(factor, residual.astype(float), check_finite=False)
+        residual = _band_matvec(system.ab, x)
+        np.subtract(rhs, residual, out=residual)
+        d = _substitute(u, residual.astype(float), overwrite_b=True)
+        x += d
+        if float(np.abs(d).max()) <= tol:
+            break
     return x.astype(float)
 
 

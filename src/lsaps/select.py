@@ -121,12 +121,13 @@ def select_parameter(
     a, scale = penalized_weights(y_unit, method, clip)
     loss_weights = floor_weights(a)
     rhs = a * y_unit
+    assemble = linalg.assembler(a)
 
     losses = np.empty(len(grid))
     outputs: list[np.ndarray | None] = []
     for j, cand in enumerate(grid):
         try:
-            system = linalg.assemble_system(a, cand * scale)
+            system = assemble(cand * scale)
             x = linalg.solve(system, rhs)
             r = loo_residuals(y_unit, x, linalg.hat_diagonal(system))
         except (LeverageSaturationError, SingularSystemError):

@@ -199,9 +199,10 @@ def smooth_grid(y, method: str, grid, clip: bool = True):
     Returns an iterator that yields, per parameter and in grid order,
     the (x, effective lambda) that ``smooth`` returns for it, or the
     exception that ``smooth`` raises for it. Work that does not depend on
-    the parameter is done once per call: the unit scale of y and the
-    LSA-PS weights and right-hand side; for Savitzky-Golay, per run of
-    parameters with one window, one QR and the edge fits of every order.
+    the parameter is done once per call: the unit scale of y, the PS and
+    LSA-PS weights and their check, and the LSA-PS right-hand side; for
+    Savitzky-Golay, per run of parameters with one window, one QR and the
+    edge fits of every order.
     A failure of that work is the result of each parameter that reaches
     it, after the checks that come first for that parameter, such as a
     negative ``lambda_bar``. Each x is computed when it is asked for, so
@@ -239,13 +240,13 @@ def _value(result):
 def _ps_grid(y, grid):
     def prepare():
         y_unit, e = to_unit(y)
-        return np.ones(y_unit.shape[0]), y_unit, e
+        return linalg.assembler(np.ones(y_unit.shape[0])), y_unit, e
 
     shared = _attempt(prepare)
 
     def fit(lam):
-        ones, y_unit, e = _value(shared)
-        x = linalg.solve(linalg.assemble_system(ones, lam), y_unit)
+        assemble, y_unit, e = _value(shared)
+        x = linalg.solve(assemble(lam), y_unit)
         return from_unit(x, e), lam
 
     return (_attempt(fit, lam) for lam in grid)
@@ -258,15 +259,15 @@ def _lsa_ps_grid(y, grid, clip):
         # The right-hand side a * y in place: a second n-array beside y
         # raises the peak RSS.
         y_unit *= a
-        return a, scale, y_unit, e
+        return linalg.assembler(a), scale, y_unit, e
 
     shared = _attempt(prepare)
 
     def fit(lambda_bar):
         if lambda_bar < 0:
             raise InvalidConfigError(f"lambda_bar must be >= 0, got {lambda_bar}")
-        a, scale, rhs, e = _value(shared)
-        x = linalg.solve(linalg.assemble_system(a, lambda_bar * scale), rhs)
+        assemble, scale, rhs, e = _value(shared)
+        x = linalg.solve(assemble(lambda_bar * scale), rhs)
         with np.errstate(over="ignore", under="ignore"):
             lam = float(np.ldexp(lambda_bar * scale, 2 * e))
         return from_unit(x, e), lam

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from lsaps import linalg, select, smoothers
+from lsaps import linalg, select, sim, smoothers
 from lsaps.errors import (
     InvalidConfigError,
     InvalidSizeError,
@@ -20,6 +23,34 @@ def dense_system(weights, lam):
     for r in range(n - 2):
         d[r, r : r + 3] = (1.0, -2.0, 1.0)
     return np.diag(np.asarray(weights, dtype=float)) + lam * d.T @ d
+
+
+def convolved_bands(weights, lam):
+    """Oracle: the band storage of M built from the stencil convolutions
+    of D^T D, as ``assemble_system`` once built it."""
+    n = len(weights)
+    ones = np.ones(n - 2)
+    ab = np.zeros((3, n))
+    ab[0, 2:] = lam
+    ab[1, 1:] = lam * np.convolve(ones, [-2.0, -2.0])
+    ab[2] = weights + lam * np.convolve(ones, [1.0, 4.0, 1.0])
+    return ab
+
+
+def two_step_solve(ab, rhs):
+    """Oracle: the solve with exactly two refinement steps and scipy's
+    wrappers, in the order of operations of ``linalg.solve``."""
+    factor = (cholesky_banded(ab, check_finite=False), False)
+    x = cho_solve_banded(factor, rhs, check_finite=False).astype(np.longdouble)
+    off1, off2 = ab[1, 1:], ab[0, 2:]
+    for _ in range(2):
+        product = ab[2] * x
+        product[:-1] += off1 * x[1:]
+        product[1:] += off1 * x[:-1]
+        product[:-2] += off2 * x[2:]
+        product[2:] += off2 * x[:-2]
+        x += cho_solve_banded(factor, (rhs - product).astype(float), check_finite=False)
+    return x.astype(float)
 
 
 def recurrence_hat_diagonal(system):
@@ -102,6 +133,32 @@ class TestAssemble:
         with pytest.raises(ValueError, match="got nan at index 2"):
             linalg.assemble_system([1.0, 1.0, np.nan, 1.0], 1.0)
 
+    def test_bands_match_the_convolutions_bit_for_bit(self):
+        # n = 3 and 4 have their own main diagonals, (1, 4, 1) and
+        # (1, 5, 5, 1); lam * 5 and lam * 6 round.
+        rng = np.random.default_rng(12)
+        lams = (0.0, 5e-324, 1e-7, 0.37, 3.0, 7.3e4, 1e13, 1.1e300)
+        for n in (3, 4, 5, 6, 7, 50, 1001):
+            w = rng.uniform(0.05, 5.0, n)
+            w[rng.random(n) < 0.2] = 0.0
+            assemble = linalg.assembler(w)
+            for lam in lams[1:] if (w == 0).any() else lams:
+                expected = convolved_bands(w, lam)
+                assert np.array_equal(assemble(lam).ab, expected), (n, lam)
+                assert np.array_equal(linalg.assemble_system(w, lam).ab, expected), (n, lam)
+
+    def test_assembler_keeps_each_lam_error(self):
+        assemble = linalg.assembler([1.0, 0.0, 1.0, 1.0])
+        for lam, error, message in (
+            (np.nan, InvalidConfigError, "lam must be finite, got nan"),
+            (-1.0, InvalidConfigError, "lam must be >= 0, got -1.0"),
+            (0.0, SingularSystemError, "lam = 0 with a zero weight"),
+            (1e308, InvalidConfigError, r"lam = 1e\+308 is too large"),
+        ):
+            with pytest.raises(error, match=message):
+                assemble(lam)
+        assert np.array_equal(assemble(2.0).ab, convolved_bands(np.array([1.0, 0.0, 1.0, 1.0]), 2.0))
+
 
 class TestSolve:
     def test_identity(self):
@@ -149,12 +206,32 @@ class TestSolve:
             "(1e-14 x the largest diagonal entry); the system is too ill-conditioned to solve"
         )
 
+    @pytest.mark.parametrize("lam, row, limit", [(1e300, 18, "6.000e+286"), (2.9e307, 19, "1.740e+294")])
+    def test_weights_absorbed_by_lam_are_below_the_limit(self, lam, row, limit):
+        # 1 + 6 lam rounds to 6 lam, so the stored M is lam D^T D, which
+        # is singular; at 1e300 LAPACK meets a pivot <= 0 in row 18. M is
+        # SPD, so that is no proof of indefiniteness: the message must not
+        # say "not SPD".
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            smoothers.smooth_ps(np.sin(np.arange(20) / 3.0), lam)
+        assert re.fullmatch(
+            rf"pivot \S+ at row {row} is below the conditioning limit {re.escape(limit)} "
+            r"\(1e-14 x the largest diagonal entry\); the system is too ill-conditioned to solve",
+            str(info.value),
+        ), str(info.value)
+
     def test_nan_pivot_is_not_positive(self):
         ab = np.zeros((3, 6))
         ab[2] = [1.0, np.nan, 1.0, 1.0, 1.0, 1.0]
         system = linalg.PentadiagonalSystem(ab=ab, weights=np.ones(6))
         with pytest.raises(NotPositiveDefiniteError, match="pivot nan at row 1 is not positive"):
             linalg.solve(system, np.ones(6))
+
+    @pytest.mark.parametrize("routine", ["dpbtrf", "dpbtrs"])
+    def test_bad_lapack_argument_raises(self, monkeypatch, routine):
+        monkeypatch.setattr(linalg, routine, lambda ab, *args, **kwargs: ((args or [ab])[0], -1))
+        with pytest.raises(np.linalg.LinAlgError, match=f"{routine} returned info = -1"):
+            linalg.solve(linalg.assemble_system(np.ones(5), 1.0), np.ones(5))
 
     def test_rhs_length_check(self):
         s = linalg.assemble_system(np.ones(5), 1.0)
@@ -170,6 +247,116 @@ class TestSolve:
         s = linalg.assemble_system(np.ones(5), 1.0)
         with pytest.raises(ValueError, match="got inf at index 3"):
             linalg.solve(s, [0.0, 1.0, 2.0, np.inf, 4.0])
+
+
+class TestRefinement:
+    """``solve`` refines until a correction reaches ``REFINE_TOL`` of
+    max|x0|, in at most ``REFINE_STEPS`` steps: one ``dpbtrs`` call for x0
+    and one per step."""
+
+    @pytest.fixture
+    def substitutions(self, monkeypatch):
+        calls = []
+        real = linalg.dpbtrs
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "dpbtrs", counting)
+        return calls
+
+    def systems(self, lam_values):
+        """The sweep's systems: PS and LSA-PS on its Lorentzian spectrum
+        with noise sigma 0.2."""
+        for n in (500, 1000):
+            y = sim.add_noise(sim.generate_clean(sim.SimScenario(n=n)), 0.2, 3)[0]
+            y_unit = smoothers.to_unit(y)[0]
+            for method in smoothers.PENALIZED:
+                a, scale = smoothers.penalized_weights(y_unit, method)
+                assemble = linalg.assembler(a)
+                for lam in lam_values:
+                    yield assemble(lam * scale), a * y_unit
+
+    def test_one_step_up_to_lam_100(self, substitutions):
+        if np.finfo(np.longdouble).eps == np.finfo(float).eps:
+            pytest.skip("long double is float64: every solve takes both steps")
+        for system, rhs in self.systems(sim.COMPARISON_GRIDS["ps"]):
+            substitutions.clear()
+            linalg.solve(system, rhs)
+            assert len(substitutions) == 2
+
+    def test_two_steps_at_lam_1e9(self, substitutions):
+        for system, rhs in self.systems((1e9,)):
+            substitutions.clear()
+            linalg.solve(system, rhs)
+            assert len(substitutions) == 3
+
+    def test_float64_long_double_takes_both_steps(self, substitutions, monkeypatch):
+        # The tolerance where long double is float64: eps**2 / (8 eps).
+        monkeypatch.setattr(linalg, "REFINE_TOL", np.finfo(float).eps / 8)
+        for system, rhs in self.systems((0.1, 100.0)):
+            substitutions.clear()
+            linalg.solve(system, rhs)
+            assert len(substitutions) == 3
+
+    @staticmethod
+    def random_systems(count, n_max):
+        """(seed, system, rhs): n in [3, n_max], lam log-uniform in
+        [1e-6, 1e13], weights U(0.05, 5) with one in ten zero."""
+        for seed in range(count):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(3, n_max + 1))
+            lam = 10.0 ** rng.uniform(-6.0, 13.0)
+            w = rng.uniform(0.05, 5.0, n)
+            w[rng.random(n) < 0.1] = 0.0
+            yield seed, linalg.assemble_system(w, lam), rng.standard_normal(n)
+
+    def solve_counting_steps(self, substitutions, system, rhs):
+        """(x, refinement steps), or None below the conditioning limit."""
+        substitutions.clear()
+        try:
+            x = linalg.solve(system, rhs)
+        except NotPositiveDefiniteError:
+            return None
+        return x, len(substitutions) - 1
+
+    def test_matches_two_step_refinement(self, substitutions):
+        # Bit-identical where both steps run; one step less moves x by
+        # the second correction, under an ulp of max|x|.
+        steps = []
+        for seed, system, rhs in self.random_systems(400, 2000):
+            result = self.solve_counting_steps(substitutions, system, rhs)
+            if result is None:
+                continue
+            x, taken = result
+            steps.append(taken)
+            expected = two_step_solve(system.ab, rhs)
+            if taken == 2:
+                assert np.array_equal(x, expected), seed
+            else:
+                assert np.max(np.abs(x - expected)) <= 2.5e-16 * np.max(np.abs(expected)), seed
+        assert len(steps) >= 380 and steps.count(1) >= 100 and steps.count(2) >= 100
+
+    def test_one_step_is_as_accurate_on_small_systems(self, substitutions):
+        # At n <= 20 and lam around 1e3 to 1e5 a solve can stop after one
+        # step although cond(M) eps_ld exceeds eps: refinement has reached
+        # the rounding floor of its long-double residual, and the second
+        # correction is that rounding. It moved x by up to 1.3e-14 of
+        # max|x| over 6000 seeds, yet the one-step x was never further
+        # from the exact solution than the two-step x, plus eps max|x*|.
+        eps = np.finfo(float).eps
+        stopped = 0
+        for seed, system, rhs in self.random_systems(300, 20):
+            result = self.solve_counting_steps(substitutions, system, rhs)
+            if result is None or result[1] == 2:
+                continue
+            stopped += 1
+            x_star, _ = solve_and_inverse_diagonal(system.ab, rhs)
+            scale = np.max(np.abs(x_star))
+            two_step_error = np.max(np.abs(two_step_solve(system.ab, rhs) - x_star))
+            assert np.max(np.abs(result[0] - x_star)) <= two_step_error + eps * scale, seed
+        assert stopped >= 100
 
 
 class TestHatDiagonal:
@@ -326,13 +513,13 @@ class TestAgainstMpOracle:
 
 def test_select_factors_each_candidate_once(monkeypatch):
     calls = []
-    real = linalg.cholesky_banded
+    real = linalg.dpbtrf
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, "cholesky_banded", counting)
+    monkeypatch.setattr(linalg, "dpbtrf", counting)
     y = np.sin(np.linspace(0, 6, 80)) + 0.1 * np.random.default_rng(4).standard_normal(80)
     for method in smoothers.PENALIZED:
         calls.clear()

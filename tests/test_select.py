@@ -16,7 +16,7 @@ from lsaps.select import (
     loo_residuals,
     select_parameter,
 )
-from lsaps.smoothers import smooth_lsa_ps, smooth_ps
+from lsaps.smoothers import penalized_weights, smooth_lsa_ps, smooth_ps, to_unit
 
 
 def loo_refit_oracle(y, weights, lam, i):
@@ -166,6 +166,20 @@ class TestSelectParameter:
         result = select_parameter(y, method="ps", grid=(0.0, 1.0))
         assert np.isinf(result.curve.losses[0])
         assert result.best_parameter == 1.0
+
+    def test_choice_on_a_grid_past_1e9(self):
+        # A noisy ramp: the LSA-PS penalty scale is 2.1e-5, so lam =
+        # lambda_bar * scale runs from 0.02 to 2.1e11 and crosses 1e9 at
+        # 1e14. Candidates from lam = 1e3 on refine in two steps; the two
+        # largest fall below the conditioning limit and score inf.
+        t = np.arange(200) / 200.0
+        y = 2.0 + 3.0 * t + 0.1 * np.random.default_rng(8).standard_normal(200)
+        grid = (1e3, 1e6, 1e9, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16)
+        _, scale = penalized_weights(to_unit(y)[0], "lsa-ps")
+        assert grid[5] * scale < 1e9 < grid[6] * scale
+        result = select_parameter(y, method="lsa-ps", grid=grid)
+        assert result.best_parameter == 1e9
+        assert np.isfinite(result.curve.losses).tolist() == [True] * 7 + [False] * 2
 
     def test_all_saturated_fails(self):
         y = np.random.default_rng(11).standard_normal(40)

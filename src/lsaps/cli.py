@@ -17,7 +17,6 @@ one machine-parseable JSON line on stderr.
 """
 
 import argparse
-import csv
 import json
 import math
 import statistics
@@ -26,7 +25,7 @@ import time
 import warnings
 from array import array
 from dataclasses import fields
-from operator import attrgetter
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +223,27 @@ def _write_columns(path, columns, header=None):
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
+def _write_signal(out_dir, abscissa, smoothed, d2):
+    """Write smoothed.txt and second_derivative.txt, as ``_write_columns``
+    would, in lockstep, a block of rows at a time. ``d2`` leaves out the
+    first and the last point."""
+    n = len(abscissa)
+    with (out_dir / "smoothed.txt").open("w") as fx, \
+            (out_dir / "second_derivative.txt").open("w") as fd:
+        for start in range(0, n, WRITE_BLOCK_ROWS):
+            stop = min(start + WRITE_BLOCK_ROWS, n)
+            # The abscissa is formatted once, into the rows' template of
+            # both files: "x\t%.12g\n" per row.
+            rows = ((FLOAT_FMT + "\t%" + FLOAT_FMT + "\n") * (stop - start)
+                    % tuple(abscissa[start:stop].tolist()))
+            fx.write(rows % tuple(smoothed[start:stop].tolist()))
+            if start == 0:
+                rows = rows[rows.find("\n") + 1 :]
+            if stop == n:
+                rows = rows[: rows.rfind("\n", 0, -1) + 1]
+            fd.write(rows % tuple(d2[max(start, 1) - 1 : min(stop, n - 1) - 1].tolist()))
+
+
 def _run_smooth(args) -> int:
     abscissa, y = ingest(args.input, delimiter=args.delimiter)
 
@@ -276,9 +296,7 @@ def _run_smooth(args) -> int:
     # Every check has passed; only now is anything written.
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_columns(out_dir / "smoothed.txt", (abscissa, smoothed))
-    d2 = second_difference(smoothed, unit_d2)
-    _write_columns(out_dir / "second_derivative.txt", (abscissa[1:-1], d2))
+    _write_signal(out_dir, abscissa, smoothed, second_difference(smoothed, unit_d2))
 
     if peaks is not None:
         names = [f.name for f in fields(PeakEntry)]
@@ -410,17 +428,49 @@ def _param_str(parameter):
     return _fmt(float(parameter)) if isinstance(parameter, float) else str(parameter)
 
 
-def _write_table(path, row_type, rows):
-    """Write the dataclass ``rows`` as CSV, one column per field of ``row_type``."""
-    # A column at a time, so the loops run in C; csv writes int and str as _fmt would.
-    columns = {f.name: map(attrgetter(f.name), rows) for f in fields(row_type)}
-    for f in fields(row_type):
-        if f.type not in (int, str):
-            columns[f.name] = map(_param_str if f.name == "parameter" else _fmt, columns[f.name])
+def _csv_field(text):
+    """``text`` as csv.writer writes a field: quoted, with its quotes
+    doubled, where it holds a comma, a quote or a line break."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+# Rows per string operation of a table; a row holds up to ten fields, so a
+# block holds about as many values as a block of ``_write_columns``.
+TABLE_BLOCK_ROWS = 1024
+
+
+def _write_table(path, row_type, columns):
+    """Write the table held as ``columns``, one list per field of
+    ``row_type``, byte for byte as csv.writer writes its rows.
+
+    Each block of rows is written with one string operation. An int
+    column is formatted as ``%d``, and a float column as FLOAT_FMT where
+    the block holds only finite floats; any other column goes through
+    ``_fmt`` (``_param_str`` for the parameter), once per distinct object.
+    """
+    names = [f.name for f in fields(row_type)]
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(zip(*columns.values()))
+        fh.write(",".join(names) + "\r\n")
+        for start in range(0, len(columns[names[0]]), TABLE_BLOCK_ROWS):
+            specs, block = [], []
+            for f in fields(row_type):
+                column = columns[f.name][start : start + TABLE_BLOCK_ROWS]
+                if f.type is int:
+                    specs.append("%d")
+                elif f.type in (float, float | None) and np.isfinite(
+                        np.array(column, dtype=float)).all():
+                    specs.append(FLOAT_FMT)
+                else:
+                    fmt = _param_str if f.name == "parameter" else _fmt
+                    distinct = {id(v): v for v in column}
+                    text = {key: _csv_field(fmt(v)) for key, v in distinct.items()}
+                    column = [text[id(v)] for v in column]
+                    specs.append("%s")
+                block.append(column)
+            row = ",".join(specs) + "\r\n"
+            fh.write(row * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
 
 
 def _run_benchmark(args) -> int:
@@ -435,8 +485,8 @@ def _run_benchmark(args) -> int:
     _write_table(out_dir / "best.csv", sim.BestRow, report.best)
 
     times = {}
-    for c in report.cells:
-        times.setdefault(c.method, []).append(c.time_s)
+    for method, time_s in zip(report.cells["method"], report.cells["time_s"]):
+        times.setdefault(method, []).append(time_s)
 
     summary = {
         "scenario": str(args.scenario),
@@ -444,7 +494,7 @@ def _run_benchmark(args) -> int:
         "noise_sigmas": sigmas,
         "seeds": seeds,
         "methods": {m: len(g) for m, g in method_grids.items()},
-        "cells": len(report.cells),
+        "cells": len(report.cells["method"]),
         "single_call_median_time_s": {m: statistics.median(t) for m, t in times.items()},
     }
     with (out_dir / "summary.json").open("w") as fh:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidSizeError, UndefinedMetricError
-from .smoothers import smooth_grid
+from .smoothers import grid_blocks
 
 NOISE_FREE_DB = math.inf
 
@@ -173,52 +173,56 @@ def add_noise(clean, sigma: float, seed: int):
 
 def snr(reference, estimate) -> float:
     """10 log10(||reference||^2 / ||estimate - reference||^2) in dB."""
-    return _snr_to(reference)(estimate)
+    return _snr_to(reference)(np.asarray(estimate, dtype=float)[None])[0]
 
 
 def _snr_to(reference):
-    """``snr`` against a fixed reference, as a function of the estimate;
-    the reference's energy is taken once."""
+    """``snr`` against a fixed reference, as a function of a stack of
+    estimates, one per row, that returns one SNR per row; the
+    reference's energy is taken once."""
     reference = np.asarray(reference, dtype=float)
     ref_energy = float(np.dot(reference, reference))
 
-    def score(estimate) -> float:
-        estimate = np.asarray(estimate, dtype=float)
-        if reference.shape != estimate.shape:
+    def score(stack) -> list:
+        stack = np.asarray(stack, dtype=float)
+        if stack.shape[1:] != reference.shape:
             raise ValueError("reference and estimate must have equal shapes")
         if ref_energy == 0:
             raise UndefinedMetricError("SNR undefined for a zero reference")
-        err = estimate - reference
-        err_energy = float(np.dot(err, err))
-        if err_energy == 0:
-            return NOISE_FREE_DB
-        return 10.0 * math.log10(ref_energy / err_energy)
+        # One dot per row, as for a lone estimate: a reduction over the
+        # whole stack would sum in another order.
+        err_energies = [float(np.dot(err, err)) for err in stack - reference]
+        return [NOISE_FREE_DB if energy == 0 else 10.0 * math.log10(ref_energy / energy)
+                for energy in err_energies]
 
     return score
 
 
 def rrse_second_derivative(x_star, x_true) -> float:
     """||D x* - D x_true|| / ||D x_true|| over second differences."""
-    return _rrse_to(x_true)(x_star)
+    return _rrse_to(x_true)(np.asarray(x_star, dtype=float)[None])[0]
 
 
 def _rrse_to(x_true):
     """``rrse_second_derivative`` against a fixed truth, as a function of
-    the estimate; the truth's second difference and its norm are taken
-    once."""
+    a stack of estimates, one per row, that returns one RRSE per row; the
+    truth's second difference and its norm are taken once."""
     x_true = np.asarray(x_true, dtype=float)
     d_true = np.diff(x_true, n=2)
     denom = float(np.linalg.norm(d_true))
 
-    def score(x_star) -> float:
-        x_star = np.asarray(x_star, dtype=float)
-        if x_star.shape != x_true.shape:
+    def score(stack) -> list:
+        stack = np.asarray(stack, dtype=float)
+        if stack.shape[1:] != x_true.shape:
             raise ValueError("inputs must have equal shapes")
-        if x_star.shape[0] < 3:
+        if x_true.shape[0] < 3:
             raise InvalidSizeError("RRSE needs n >= 3")
         if denom == 0:
             raise UndefinedMetricError("RRSE undefined: true signal is affine")
-        return float(np.linalg.norm(np.diff(x_star, n=2) - d_true)) / denom
+        residuals = np.diff(stack, n=2, axis=1)
+        residuals -= d_true
+        # The norm of each row as np.linalg.norm takes it: sqrt(dot(r, r)).
+        return [math.sqrt(np.dot(r, r)) / denom for r in residuals]
 
     return score
 
@@ -263,9 +267,13 @@ class BestRow:
 
 @dataclass(frozen=True)
 class BenchmarkReport:
-    cells: tuple
-    aggregates: tuple
-    best: tuple
+    """The sweep's three tables as columns: each maps the field names of
+    its row type (``BenchmarkCell``, ``AggregateRow``, ``BestRow``), in
+    order, to one list of values per field."""
+
+    cells: dict
+    aggregates: dict
+    best: dict
 
 
 def _mean_std(values):
@@ -278,26 +286,41 @@ def _mean_std(values):
     return mean, math.sqrt(var)
 
 
-def _score_grid(noisy, method, grid, score_snr, score_rrse):
-    """Smooth ``noisy`` with every parameter of ``grid`` and score each fit.
+def _columns(row_type):
+    return {f.name: [] for f in fields(row_type)}
 
-    Returns the rows (parameter, output SNR, RRSE, error) in grid order,
+
+def _score_grid(noisy, method, grid, score_snr, score_rrse):
+    """Smooth ``noisy`` with every parameter of ``grid`` and score each
+    fit, one block of fits at a time.
+
+    Returns the output SNRs, the RRSEs and the errors in grid order,
     with None for the scores of a failed cell and for the error of a
     good one, and the seconds spent smoothing, scoring excluded.
     """
-    rows = []
+    snrs, rrses, errors = [], [], []
     t0 = time.perf_counter()
-    fits = smooth_grid(noisy, method, grid)
+    blocks = grid_blocks(noisy, method, grid)
     elapsed = time.perf_counter() - t0
-    for parameter in grid:
+    while True:
         t0 = time.perf_counter()
-        fit = next(fits)
+        block = next(blocks, None)
         elapsed += time.perf_counter() - t0
-        if isinstance(fit, Exception):
-            rows.append((parameter, None, None, f"{type(fit).__name__}: {fit}"))
-        else:
-            rows.append((parameter, score_snr(fit[0]), score_rrse(fit[0]), None))
-    return rows, elapsed
+        if block is None:
+            return snrs, rrses, errors, elapsed
+        stack, results = block
+        good = len(stack) > 0
+        block_snr = iter(score_snr(stack) if good else ())
+        block_rrse = iter(score_rrse(stack) if good else ())
+        for result in results:
+            if isinstance(result, Exception):
+                snrs.append(None)
+                rrses.append(None)
+                errors.append(f"{type(result).__name__}: {result}")
+            else:
+                snrs.append(next(block_snr))
+                rrses.append(next(block_rrse))
+                errors.append(None)
 
 
 def run_benchmark(
@@ -309,14 +332,15 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Full sweep over (resolution, sigma, seed, method, parameter).
 
-    Each (signal, method) grid is evaluated by one ``smooth_grid`` call.
+    Each (signal, method) grid is evaluated by one ``grid_blocks`` call,
+    and each block of fits is scored as one stack.
     Per-cell smoother errors are recorded in the cell and excluded from
     the aggregates rather than aborting the run. Value columns are
     deterministic under fixed seeds; only ``time_s`` varies. A cell's
     ``time_s`` is its even share of the wall time spent smoothing its
     signal with its method's whole grid; scoring is not included.
     """
-    cells = []
+    cells = _columns(BenchmarkCell)
     for n in resolutions:
         sc = replace(scenario, n=int(n))
         clean = generate_clean(sc)
@@ -325,62 +349,70 @@ def run_benchmark(
             for seed in seeds:
                 noisy, input_snr = add_noise(clean, sigma, seed)
                 for method, grid in method_grids.items():
-                    rows, elapsed = _score_grid(noisy, method, grid, *scores)
-                    cells.extend(
-                        BenchmarkCell(
-                            resolution=int(n),
-                            sigma=float(sigma),
-                            method=method,
-                            parameter=parameter,
-                            seed=int(seed),
-                            input_snr_db=input_snr,
-                            output_snr_db=out_snr,
-                            rrse=out_rrse,
-                            time_s=elapsed / len(rows),
-                            error=err,
-                        )
-                        for parameter, out_snr, out_rrse, err in rows
-                    )
+                    snrs, rrses, errors, elapsed = _score_grid(noisy, method, grid, *scores)
+                    k = len(errors)
+                    for name, values in (
+                        ("resolution", [int(n)] * k),
+                        ("sigma", [float(sigma)] * k),
+                        ("method", [method] * k),
+                        ("parameter", grid),
+                        ("seed", [int(seed)] * k),
+                        ("input_snr_db", [input_snr] * k),
+                        ("output_snr_db", snrs),
+                        ("rrse", rrses),
+                        ("time_s", [elapsed / k] * k),
+                        ("error", errors),
+                    ):
+                        cells[name].extend(values)
+    aggregates = _aggregate(cells)
+    return BenchmarkReport(cells=cells, aggregates=aggregates, best=_best(aggregates))
 
-    aggregates = []
+
+def _aggregate(cells):
+    """The aggregates table of the cells table: per (resolution, sigma,
+    method, parameter), in order of first appearance, the mean and
+    standard deviation over its good cells."""
     groups = {}
-    for cell in cells:
-        if cell.error is not None:
-            continue
-        groups.setdefault(
-            (cell.resolution, cell.sigma, cell.method, cell.parameter), []
-        ).append(cell)
-    for (n, sigma, method, parameter), members in groups.items():
-        snr_mean, snr_std = _mean_std([c.output_snr_db for c in members])
-        rrse_mean, rrse_std = _mean_std([c.rrse for c in members])
-        in_mean, _ = _mean_std([c.input_snr_db for c in members])
-        aggregates.append(
-            AggregateRow(
-                resolution=n,
-                sigma=sigma,
-                method=method,
-                parameter=parameter,
-                seeds=len(members),
-                input_snr_mean=in_mean,
-                output_snr_mean=snr_mean,
-                output_snr_std=snr_std,
-                rrse_mean=rrse_mean,
-                rrse_std=rrse_std,
-            )
-        )
+    keys = zip(cells["resolution"], cells["sigma"], cells["method"], cells["parameter"])
+    group = np.array([-1 if error is not None else groups.setdefault(key, len(groups))
+                      for key, error in zip(keys, cells["error"])], dtype=np.intp)
+    good = np.flatnonzero(group >= 0)
+    # The good cells ordered by group, each group in cell order.
+    members = good[np.argsort(group[good], kind="stable")]
+    sizes = np.bincount(group[good], minlength=len(groups)).tolist()
+    stops = np.cumsum(sizes, dtype=np.intp).tolist()
+    spans = list(zip([0, *stops[:-1]], stops))
 
-    best = []
+    def by_group(name):
+        values = np.array(cells[name], dtype=float)[members].tolist()
+        return [values[start:stop] for start, stop in spans]
+
+    aggregates = _columns(AggregateRow)
+    for name, values in zip(("resolution", "sigma", "method", "parameter"), zip(*groups)):
+        aggregates[name] = list(values)
+    aggregates["seeds"] = sizes
+    aggregates["input_snr_mean"] = [math.fsum(v) / len(v) for v in by_group("input_snr_db")]
+    for score, column in (("output_snr", "output_snr_db"), ("rrse", "rrse")):
+        stats = [_mean_std(values) for values in by_group(column)]
+        aggregates[f"{score}_mean"] = [mean for mean, _ in stats]
+        aggregates[f"{score}_std"] = [std for _, std in stats]
+    return aggregates
+
+
+def _best(aggregates):
+    """The best table of the aggregates table: per (resolution, sigma,
+    method), the parameter of the highest mean SNR and that of the
+    lowest mean RRSE, the first on ties."""
     by_method = {}
-    for row in aggregates:
-        by_method.setdefault((row.resolution, row.sigma, row.method), []).append(row)
+    keys = zip(aggregates["resolution"], aggregates["sigma"], aggregates["method"])
+    for i, key in enumerate(keys):
+        by_method.setdefault(key, []).append(i)
+    best = _columns(BestRow)
+    snr_mean, rrse_mean = aggregates["output_snr_mean"], aggregates["rrse_mean"]
     for (n, sigma, method), rows in by_method.items():
-        top_snr = max(rows, key=lambda r: r.output_snr_mean)
-        best.append(
-            BestRow(n, sigma, method, "snr", top_snr.parameter, top_snr.output_snr_mean)
-        )
-        top_rrse = min(rows, key=lambda r: r.rrse_mean)
-        best.append(
-            BestRow(n, sigma, method, "rrse", top_rrse.parameter, top_rrse.rrse_mean)
-        )
-
-    return BenchmarkReport(cells=tuple(cells), aggregates=tuple(aggregates), best=tuple(best))
+        for criterion, pick, means in (("snr", max, snr_mean), ("rrse", min, rrse_mean)):
+            top = pick(rows, key=means.__getitem__)
+            for name, value in zip(best, (n, sigma, method, criterion,
+                                          aggregates["parameter"][top], means[top])):
+                best[name].append(value)
+    return best

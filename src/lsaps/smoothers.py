@@ -16,21 +16,30 @@ entries neither overflow nor underflow. A smoothed signal goes back
 through ``from_unit``, which raises ``ResultOverflowError`` where it
 exceeds float64.
 
-``smooth_grid`` is the one method dispatch: it smooths y with every
-parameter of a grid and does the work that the parameters share once.
-``smooth`` is its one-parameter case, and each named smoother is the
-one-parameter case of ``smooth``, so a fit taken alone and the same fit
-taken in a grid are the same bits.
+``grid_blocks`` is the one method dispatch: it smooths y with every
+parameter of a grid, a block of parameters at a time, and does the work
+that the parameters share once. Each block comes with its good fits
+stacked as the rows of one array, so that a caller can score them
+together. ``smooth_grid`` yields the same results one parameter at a
+time, ``smooth`` is its one-parameter case, and each named smoother is
+the one-parameter case of ``smooth``, so a fit taken alone and the same
+fit taken in a grid are the same bits.
 
 The Savitzky-Golay baseline is a local least-squares polynomial fit, an
 orthogonal projection built with numpy alone from the QR factor of a
 small Chebyshev basis. One QR per window serves every order of a grid,
-because Gram-Schmidt is nested.
+because Gram-Schmidt is nested, and the basis is cached per (window, top
+order). The interior fits of every order of a window come from one
+matrix product, the kernels of all orders times the sliding windows of
+y, taken in column chunks at fixed offsets; a fit taken alone takes the
+same product and keeps one row.
 """
 
+import functools
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import linalg
 from .errors import (DegenerateSignalError, InvalidConfigError, InvalidSizeError,
@@ -71,7 +80,11 @@ def from_unit(x, e: int):
         with np.errstate(over="raise"):
             return np.ldexp(x, e, out=x)
     except FloatingPointError:
-        raise ResultOverflowError(f"smoothed signal exceeds float64 at scale 2**{e}") from None
+        raise _overflow(e) from None
+
+
+def _overflow(e: int):
+    return ResultOverflowError(f"smoothed signal exceeds float64 at scale 2**{e}")
 
 
 def penalized_weights(y_unit, method: str, clip: bool = True):
@@ -198,28 +211,60 @@ def smooth_grid(y, method: str, grid, clip: bool = True):
 
     Returns an iterator that yields, per parameter and in grid order,
     the (x, effective lambda) that ``smooth`` returns for it, or the
-    exception that ``smooth`` raises for it. Work that does not depend on
-    the parameter is done once per call: the unit scale of y, the PS and
-    LSA-PS weights and their check, and the LSA-PS right-hand side; for
-    Savitzky-Golay, per run of parameters with one window, one QR and the
-    edge fits of every order.
+    exception that ``smooth`` raises for it: the results of
+    ``grid_blocks``, one at a time.
+    """
+    return (result for _, results in grid_blocks(y, method, grid, clip) for result in results)
+
+
+def grid_blocks(y, method: str, grid, clip: bool = True):
+    """Smooth ``y`` with every parameter of ``grid``, a block of
+    parameters at a time; the one method dispatch.
+
+    Returns an iterator that yields, per block and in grid order,
+    (stack, results): ``results`` holds the block's results as
+    ``smooth_grid`` yields them, and ``stack`` is a 2-d array whose row i
+    is the x of the block's i-th good result (the same memory). A block
+    is the whole grid for PS, LSA-PS, gaussian and none, and for
+    Savitzky-Golay a run of parameters whose fits share one window and
+    basis, with the failures and copies of y among them. Work that does
+    not depend on the parameter is done once per call: the unit scale
+    of y, the PS and LSA-PS weights and their check, and the LSA-PS
+    right-hand side; for Savitzky-Golay, once per block, the edge fits
+    and the interior product of every order.
     A failure of that work is the result of each parameter that reaches
     it, after the checks that come first for that parameter, such as a
-    negative ``lambda_bar``. Each x is computed when it is asked for, so
-    one window's block is held at a time.
+    negative ``lambda_bar``. Each block is computed when it is asked for,
+    so one block is held at a time.
     """
     grid = list(grid)
-    if method == "ps":
-        return _ps_grid(y, grid)
-    if method == "lsa-ps":
-        return _lsa_ps_grid(y, grid, clip)
     if method == "sg":
-        return _sg_grid(y, grid)
-    if method == "gaussian":
-        return _gaussian_grid(y, grid)
-    if method == "none":
-        return _none_grid(y, grid)
-    return iter([ValueError(f"unknown method {method!r}")] * len(grid))
+        return _sg_blocks(y, grid)
+    if method == "ps":
+        results = _ps_grid(y, grid)
+    elif method == "lsa-ps":
+        results = _lsa_ps_grid(y, grid, clip)
+    elif method == "gaussian":
+        results = _gaussian_grid(y, grid)
+    elif method == "none":
+        results = _none_grid(y, grid)
+    else:
+        results = [ValueError(f"unknown method {method!r}")] * len(grid)
+    return _one_block(results)
+
+
+def _one_block(results):
+    yield _stacked(list(results))
+
+
+def _stacked(results):
+    """One block of per-parameter ``results``: their good x's copied into
+    the rows of one stack, and the results holding those rows."""
+    good = [result[0] for result in results if not isinstance(result, Exception)]
+    stack = np.array(good) if good else np.empty((0, 0))
+    rows = iter(stack)
+    return stack, [result if isinstance(result, Exception) else (next(rows), result[1])
+                   for result in results]
 
 
 def _attempt(fit, *args):
@@ -303,11 +348,21 @@ def _sg_top(window: int, poly_order: int) -> int:
     return max(poly_order, min(window - 2, SG_SHARED_TOP))
 
 
+# Distinct (window, top) bases kept by ``_sg_basis``; the comparison grid
+# uses 17, each of at most 34 x 35 entries.
+SG_BASIS_CACHE = 64
+# Output columns per interior product of ``_sg_fill``, at fixed offsets:
+# a fit taken alone holds one (top + 1)-row chunk of them, not a
+# (top + 1)-row copy of y.
+SG_CHUNK = 16384
+
+
+@functools.lru_cache(maxsize=SG_BASIS_CACHE)
 def _sg_basis(window: int, top: int):
     """Orthonormal basis q of the polynomials of degree <= ``top`` on a
     ``window``-point grid, row k of degree k, and the interior kernels:
     row o of ``kernels`` is q[:o+1]^T q[:o+1, h], the weights of the
-    order-o fit at the centre h.
+    order-o fit at the centre h. Both are cached and read-only.
 
     q is the QR factor of the Chebyshev polynomials on the grid scaled to
     [-1, 1] (Gorry 1990). Gram-Schmidt is nested, so its first o + 1 rows
@@ -318,53 +373,85 @@ def _sg_basis(window: int, top: int):
     t = (np.arange(window) - h) / h
     q = np.linalg.qr(np.cos(np.arange(top + 1) * np.arccos(t)[:, None]))[0]
     q = np.ascontiguousarray(q.T)
-    return q, np.cumsum(q * q[:, h : h + 1], axis=0)
+    kernels = np.cumsum(q * q[:, h : h + 1], axis=0)
+    q.flags.writeable = kernels.flags.writeable = False
+    return q, kernels
 
 
-def _sg_window(y_unit, window: int, top: int):
-    """The Savitzky-Golay fits of y_unit on one window, as a function of
-    the order, for every order up to ``top``.
+def _sg_fill(stack, rows, y_unit, window: int, top: int, orders):
+    """Write the Savitzky-Golay fits of y_unit of the given ``orders``,
+    all taken from the basis of degree ``top`` on ``window`` points, into
+    the ``rows`` of ``stack``.
 
     The edge fits of all orders come from one product per edge: the
     coefficients of the first and last ``window`` samples in the basis,
-    summed over the basis rows as a running sum. Row sums and running
-    sums keep each order's bits independent of the rows above it.
+    summed over the basis rows as a running sum. The interior fits of
+    all orders come from one product per chunk of ``SG_CHUNK`` columns,
+    the kernels times the sliding windows of y_unit, whatever the orders
+    asked for. Row sums, running sums and products taken over the same
+    chunks for any orders keep each order's bits independent of the
+    other orders of the grid.
     """
     q, kernels = _sg_basis(window, top)
     h = window // 2
     n = y_unit.shape[0]
     head = np.cumsum(q[:, :h] * (q * y_unit[:window]).sum(axis=1)[:, None], axis=0)
     tail = np.cumsum(q[:, h + 1 :] * (q * y_unit[n - window :]).sum(axis=1)[:, None], axis=0)
-
-    def fit(order):
-        out = np.empty(n)
-        out[:h] = head[order]
-        out[h : n - h] = np.correlate(y_unit, kernels[order], "valid")
-        out[n - h :] = tail[order]
-        return out
-
-    return fit
+    stack[rows, :h] = head[orders]
+    stack[rows, n - h :] = tail[orders]
+    for start in range(h, n - h, SG_CHUNK):
+        stop = min(start + SG_CHUNK, n - h)
+        windows = sliding_window_view(y_unit[start - h : stop + h], window)
+        stack[rows, start:stop] = (kernels @ windows.T)[orders]
 
 
-def _sg_grid(y, grid):
+def _sg_blocks(y, grid):
     unit = _attempt(to_unit, y)
     if isinstance(unit, Exception):
-        yield from [unit] * len(grid)
+        yield _stacked([unit] * len(grid))
         return
     y_unit, e = unit
-    block = fit = None
+    n = y_unit.shape[0]
+    # An item is (window, order) for a fit, None for a copy of y and an
+    # exception for a failure; a block ends where a fit needs another basis.
+    items, basis = [], None
     for parameter in grid:
-        f = _attempt(_sg_order, y_unit.shape[0], parameter)
-        if f is None:
-            yield np.array(y, dtype=float), None
-        elif isinstance(f, Exception):
-            yield f
-        else:
-            window, order = f
-            if block != (window, _sg_top(window, order)):
-                block = window, _sg_top(window, order)
-                fit = _sg_window(y_unit, *block)
-            yield _attempt(lambda: (from_unit(fit(order), e), None))
+        item = _attempt(_sg_order, n, parameter)
+        if isinstance(item, tuple):
+            key = item[0], _sg_top(*item)
+            if basis not in (None, key):
+                yield _sg_block(y, y_unit, e, basis, items)
+                items = []
+            basis = key
+        items.append(item)
+    if items:
+        yield _sg_block(y, y_unit, e, basis, items)
+
+
+def _sg_block(y, y_unit, e: int, basis, items):
+    """The stack and results of one run of Savitzky-Golay ``items`` whose
+    fits share ``basis`` = (window, top)."""
+    good = [item for item in items if not isinstance(item, Exception)]
+    stack = np.zeros((len(good), y_unit.shape[0]))
+    fits = [i for i, item in enumerate(good) if item is not None]
+    if fits:
+        _sg_fill(stack, fits, y_unit, *basis, [good[i][1] for i in fits])
+    try:
+        from_unit(stack, e)
+        over = np.zeros(len(good), dtype=bool)
+    except ResultOverflowError:
+        # ldexp scales every entry before it raises, and only an overflow
+        # turns a finite entry into inf; the copies' rows still hold zeros.
+        over = np.isinf(stack).any(axis=1)
+    stack[[i for i, item in enumerate(good) if item is None]] = y
+    if over.any():
+        stack = stack[~over]
+    results, rows, flags = [], iter(stack), iter(over.tolist())
+    for item in items:
+        if not isinstance(item, Exception):
+            item = _overflow(e) if next(flags) else (next(rows), None)
+        results.append(item)
+    return stack, results
 
 
 def _gaussian_grid(y, grid):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lsaps import cli
+from lsaps import cli, sim
 from lsaps.sim import SimScenario, add_noise, generate_clean
 from lsaps.smoothers import smooth
 
@@ -256,6 +257,24 @@ def test_writer_matches_per_row_format(tmp_path, rows):
     expected = "".join(f"{i}\t{cli.FLOAT_FMT % b}\t{cli.FLOAT_FMT % a}\n"
                        for i, a, b in zip(index, col1, col2))
     assert path.read_text() == "index\tb\ta\n" + expected
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 12, 13])
+def test_signal_files_match_per_row_format(tmp_path, monkeypatch, n):
+    # smoothed.txt and second_derivative.txt written in lockstep, in blocks
+    # of 4 rows: the first and the last point of the second difference's
+    # abscissa fall in blocks of their own or share one.
+    monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 4)
+    rng = np.random.default_rng(n)
+    abscissa = np.cumsum(rng.random(n)) * 10.0 ** rng.integers(-5, 5)
+    smoothed = rng.standard_normal(n)
+    d2 = np.r_[np.inf, -np.inf, rng.standard_normal(n)][:n - 2]
+    cli._write_signal(tmp_path, abscissa, smoothed, d2)
+    fmt = cli.FLOAT_FMT
+    assert (tmp_path / "smoothed.txt").read_text() == "".join(
+        f"{fmt % a}\t{fmt % x}\n" for a, x in zip(abscissa, smoothed))
+    assert (tmp_path / "second_derivative.txt").read_text() == "".join(
+        f"{fmt % a}\t{fmt % x}\n" for a, x in zip(abscissa[1:-1], d2))
 
 
 class TestSmoothCommand:
@@ -575,6 +594,72 @@ class TestBenchmarkCommand:
         # The negative lambda_bar reports its own error before the shared one.
         assert errors[2:5] == [errors[2], "InvalidConfigError: lambda_bar must be >= 0, got -1", errors[2]]
         assert errors[2].startswith("DegenerateSignalError")
+
+    @staticmethod
+    def csv_writer_table(path, row_type, columns):
+        # The oracle: the csv module's writer, each value formatted as the
+        # table writer formats it.
+        names = [f.name for f in fields(row_type)]
+        with path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(names)
+            for values in zip(*(columns[name] for name in names)):
+                writer.writerow([cli._param_str(v) if name == "parameter" else cli._fmt(v)
+                                 for name, v in zip(names, values)])
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("block_rows", [cli.TABLE_BLOCK_ROWS, 3])
+    def test_tables_match_csv_writer(self, tmp_path, monkeypatch, block_rows):
+        # Error cells whose messages hold a comma, "-" parameters, sigma 0
+        # (noise-free SNRs) and a window that fails at n = 40 only; with
+        # 3-row blocks the special values fall in some blocks and not others.
+        monkeypatch.setattr(cli, "TABLE_BLOCK_ROWS", block_rows)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "peaks": [{"center": 3.0, "height": 2.0, "halfwidth": 0.3},
+                      {"center": 7.0, "height": 1.0, "halfwidth": 0.2}],
+            "x_range": [0.0, 10.0], "resolutions": [40, 60], "noise_sigmas": [0, 0.1],
+            "seeds": [0, 1],
+            "methods": {"ps": [1, 2.5, -1], "sg": [[5, 2], [5, 5], [5, 4], [41, 2]],
+                        "gaussian": [3], "none": [None]},
+        }))
+        scenario, resolutions, sigmas, grids, seeds = cli.load_scenario_file(path)
+        report = sim.run_benchmark(scenario, resolutions, sigmas, grids, seeds)
+        for name, row_type in (("cells", sim.BenchmarkCell), ("aggregates", sim.AggregateRow),
+                               ("best", sim.BestRow)):
+            columns = getattr(report, name)
+            cli._write_table(tmp_path / f"{name}.csv", row_type, columns)
+            expected = self.csv_writer_table(tmp_path / f"{name}-oracle.csv", row_type, columns)
+            assert (tmp_path / f"{name}.csv").read_bytes() == expected, name
+        text = (tmp_path / "cells.csv").read_text()
+        assert ',"InvalidConfigError: poly_order must satisfy 1 <= order < window, got order=5"\n' in text
+        assert ",none,-," in text and ",noise-free," in text
+        # The aggregates in order of first appearance among the good cells.
+        keys = zip(*(report.cells[name] for name in ("resolution", "sigma", "method", "parameter")))
+        first = dict.fromkeys(key for key, error in zip(keys, report.cells["error"]) if error is None)
+        aggregates = report.aggregates
+        assert list(zip(aggregates["resolution"], aggregates["sigma"], aggregates["method"],
+                        aggregates["parameter"])) == list(first)
+        assert list(first)[:6] == [(40, 0.0, "ps", 1), (40, 0.0, "ps", 2.5), (40, 0.0, "sg", (5, 2)),
+                                   (40, 0.0, "sg", (5, 4)), (40, 0.0, "gaussian", 3),
+                                   (40, 0.0, "none", None)]
+        assert (60, 0.0, "sg", (41, 2)) in first and (40, 0.0, "sg", (41, 2)) not in first
+
+    def test_writer_quotes_as_csv_writer(self, tmp_path):
+        # Quotes, line breaks and commas in text, and every special float.
+        columns = {
+            "resolution": [1, 2, 3, 4], "sigma": [0.1, 1e-300, 2.0, 0.5],
+            "method": ["a,b", 'q"t', "x\ny", "c\rd"],
+            "parameter": [None, (5, 2), 2.5, 7], "seed": [0, 1, 2, 3],
+            "input_snr_db": [math.inf, 1.0, 2.0, 3.0],
+            "output_snr_db": [None, 1.5, -math.inf, math.nan], "rrse": [0.25, None, 1e300, 0.0],
+            "time_s": [1e-6, 2e-6, 3e-6, 4e-6], "error": ['say "hi", twice', None, "", "plain"],
+        }
+        cli._write_table(tmp_path / "t.csv", sim.BenchmarkCell, columns)
+        expected = self.csv_writer_table(tmp_path / "oracle.csv", sim.BenchmarkCell, columns)
+        assert (tmp_path / "t.csv").read_bytes() == expected
+        with (tmp_path / "t.csv").open(newline="") as fh:
+            assert [row["method"] for row in csv.DictReader(fh)] == columns["method"]
 
     def test_value_columns_deterministic(self, tmp_path, scenario_file):
         def strip_times(out_dir):

@@ -1,9 +1,12 @@
 import math
 import warnings
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from lsaps import smoothers
 from lsaps.errors import InvalidSizeError, UndefinedMetricError
 from lsaps.sim import (
     COMPARISON_GRIDS,
@@ -18,6 +21,7 @@ from lsaps.sim import (
     run_benchmark,
     snr,
 )
+from lsaps.smoothers import smooth
 from scoring import sigma_for_target_snr, true_peak_indices
 
 
@@ -159,6 +163,12 @@ class TestMetrics:
             rrse_second_derivative(np.ones(10), np.arange(10.0))
 
 
+def rows(table):
+    """The rows of a report table held as columns, with the fields as attributes."""
+    assert len({len(column) for column in table.values()}) == 1
+    return [SimpleNamespace(**dict(zip(table, values))) for values in zip(*table.values())]
+
+
 @pytest.fixture(scope="module")
 def small_report():
     sc = SimScenario(peaks=DEFAULT_PEAKS[:4], x_range=(0.0, 30.0))
@@ -175,13 +185,13 @@ class TestBenchmark:
     def test_cell_count(self, small_report):
         _, grids, report = small_report
         per_seed = sum(len(g) for g in grids.values())
-        assert len(report.cells) == 2 * per_seed
+        assert len(rows(report.cells)) == 2 * per_seed
 
     def test_aggregates_match_cells(self, small_report):
         _, _, report = small_report
-        for row in report.aggregates:
+        for row in rows(report.aggregates):
             members = [
-                c for c in report.cells
+                c for c in rows(report.cells)
                 if (c.resolution, c.sigma, c.method, c.parameter)
                 == (row.resolution, row.sigma, row.method, row.parameter)
             ]
@@ -196,22 +206,23 @@ class TestBenchmark:
     def test_best_rows(self, small_report):
         _, grids, report = small_report
         # One snr row and one rrse row per method.
-        assert len(report.best) == 2 * len(grids)
-        for b in report.best:
-            rows = [
-                r for r in report.aggregates
+        assert len(rows(report.best)) == 2 * len(grids)
+        for b in rows(report.best):
+            method_rows = [
+                r for r in rows(report.aggregates)
                 if (r.resolution, r.sigma, r.method) == (b.resolution, b.sigma, b.method)
             ]
             if b.criterion == "snr":
-                assert b.value == max(r.output_snr_mean for r in rows)
+                assert b.value == max(r.output_snr_mean for r in method_rows)
             else:
                 assert b.criterion == "rrse"
-                assert b.value == min(r.rrse_mean for r in rows)
+                assert b.value == min(r.rrse_mean for r in method_rows)
 
     def test_deterministic_rerun(self, small_report):
         sc, grids, report = small_report
         again = run_benchmark(sc, [120], [0.2], grids, [0, 1])
-        for a, b in zip(report.cells, again.cells):
+        assert len(rows(report.cells)) == len(rows(again.cells))
+        for a, b in zip(rows(report.cells), rows(again.cells)):
             assert (a.resolution, a.sigma, a.method, a.parameter, a.seed) == (
                 b.resolution, b.sigma, b.method, b.parameter, b.seed
             )
@@ -224,7 +235,7 @@ class TestBenchmark:
         # wall time: one value per grid, and no cell is timed alone.
         _, grids, report = small_report
         shares = {}
-        for c in report.cells:
+        for c in rows(report.cells):
             shares.setdefault((c.seed, c.method), set()).add(c.time_s)
         assert len(shares) == 2 * len(grids)
         assert all(len(v) == 1 and next(iter(v)) > 0 for v in shares.values())
@@ -233,14 +244,100 @@ class TestBenchmark:
         sc = SimScenario(peaks=DEFAULT_PEAKS[:2], x_range=(0.0, 15.0))
         # sg window 21 > n = 10: per-cell error, run continues.
         report = run_benchmark(sc, [10], [0.1], {"sg": [(21, 2)], "ps": [1.0]}, [0])
-        errs = [c for c in report.cells if c.error is not None]
+        errs = [c for c in rows(report.cells) if c.error is not None]
         assert len(errs) == 1 and errs[0].method == "sg"
         assert "InvalidSizeError" in errs[0].error
-        assert any(r.method == "ps" for r in report.aggregates)
-        assert all(r.method != "sg" for r in report.aggregates)
+        assert any(r.method == "ps" for r in rows(report.aggregates))
+        assert all(r.method != "sg" for r in rows(report.aggregates))
 
     def test_default_sweep_raises_no_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = run_benchmark(SimScenario(n=500), [500], [0.2], COMPARISON_GRIDS, [0])
-        assert all(c.error is None for c in report.cells)
+        assert all(c.error is None for c in rows(report.cells))
+
+
+class TestReportColumns:
+    def test_every_cell_matches_lone_calls(self):
+        # Every cell of a small sweep recomputed alone with smooth, snr and
+        # rrse_second_derivative: the same bits, Savitzky-Golay included,
+        # since a lone fit takes the same interior product as its block.
+        # Sigma 0 makes the none cells noise-free; the sg grid holds
+        # failures and copies between fits of one window.
+        sc = SimScenario(peaks=DEFAULT_PEAKS[:5], x_range=(0.0, 40.0))
+        # n = 50 fails the window 61; n = 1000 is the benchmark's size.
+        grids = {
+            "ps": [0.1, 10.0, -1.0],
+            "lsa-ps": [1.0, 5.0],
+            "sg": [(5, 2), (5, 5), (5, 3), (5, 4), (9, 2), (9, 7), (61, 2), (21, 4), (1, 0)],
+            "gaussian": [1, 3, 7],
+            "none": [None],
+        }
+        report = run_benchmark(sc, [50, 1000], [0.0, 0.1], grids, [0, 1])
+        cells = rows(report.cells)
+        assert len(cells) == 2 * 2 * 2 * sum(map(len, grids.values()))
+        failed = 0
+        for c in cells:
+            clean = generate_clean(replace(sc, n=c.resolution))
+            noisy, input_snr = add_noise(clean, c.sigma, c.seed)
+            assert c.input_snr_db == input_snr
+            try:
+                x, _ = smooth(noisy, c.method, c.parameter)
+            except Exception as exc:
+                assert c.error == f"{type(exc).__name__}: {exc}"
+                assert c.output_snr_db is None and c.rrse is None
+                failed += 1
+                continue
+            assert c.error is None
+            assert c.output_snr_db == snr(clean, x), (c.method, c.parameter)
+            assert c.rrse == rrse_second_derivative(x, clean), (c.method, c.parameter)
+        # ps -1 and sg (5, 5) everywhere, sg (61, 2) where n = 50.
+        assert failed == 2 * 2 * (3 + 2)
+        assert NOISE_FREE_DB in report.cells["output_snr_db"]
+
+    def test_stack_scores_are_the_per_fit_formulas(self):
+        # A stack scored at once against the per-fit formulas, bit for bit:
+        # one np.dot per row, and np.linalg.norm's sqrt(dot(r, r)). A
+        # reduction over the whole stack (einsum, sum(axis=1)) rounds
+        # differently at n = 1001.
+        from lsaps.sim import _rrse_to, _snr_to
+
+        rng = np.random.default_rng(3)
+        clean = np.sin(np.arange(1001) / 7.0)
+        stack = clean + 0.1 * rng.standard_normal((5, 1001))
+        stack[2] = clean
+        snrs, rrses = [], []
+        for x in stack:
+            err = x - clean
+            energy = float(np.dot(err, err))
+            snrs.append(NOISE_FREE_DB if energy == 0
+                        else 10.0 * math.log10(float(np.dot(clean, clean)) / energy))
+            d_true = np.diff(clean, n=2)
+            rrses.append(float(np.linalg.norm(np.diff(x, n=2) - d_true))
+                         / float(np.linalg.norm(d_true)))
+        assert _snr_to(clean)(stack) == snrs and snrs[2] == NOISE_FREE_DB
+        assert _rrse_to(clean)(stack) == rrses and rrses[2] == 0.0
+        assert [snr(clean, x) for x in stack] == snrs
+        assert [rrse_second_derivative(x, clean) for x in stack] == rrses
+
+    def test_sg_basis_is_computed_once_per_window_and_top(self, monkeypatch):
+        # A default-grid sweep over two signals: one QR per (window, top)
+        # of the grid, 17 in all, and none for the second signal.
+        smoothers._sg_basis.cache_clear()
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a: calls.append(a.shape) or qr(a))
+        grid = COMPARISON_GRIDS["sg"]
+        report = run_benchmark(SimScenario(n=200), [200], [0.2], {"sg": grid}, [0, 1])
+        assert len(report.cells["method"]) == 2 * len(grid)
+        bases = {(w, smoothers._sg_top(w, o)) for w, o in grid if 1 < w and o < w - 1}
+        assert len(bases) == 17
+        assert sorted(calls) == sorted((w, top + 1) for w, top in bases)
+
+    def test_cached_basis_is_read_only(self):
+        q, kernels = smoothers._sg_basis(9, 7)
+        assert smoothers._sg_basis(9, 7)[0] is q
+        for array in (q, kernels):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0

@@ -19,6 +19,7 @@ from lsaps.smoothers import (
     METHODS,
     SG_SHARED_TOP,
     from_unit,
+    grid_blocks,
     penalized_weights,
     smooth,
     smooth_grid,
@@ -369,6 +370,12 @@ class TestGaussian:
             smooth_gaussian(np.ones((3, 40)), 5)
 
 
+# A square wave at the float64 limit: smoothing overshoots its edges.
+_t = np.arange(200)
+SQUARE_AT_MAX = np.finfo(float).max * (
+    0.97 * np.where(_t // 40 % 2 == 0, 1.0, -1.0) + 0.03 * np.sin(1.7 * _t))
+
+
 class TestSmooth:
     def test_none_is_identity_copy(self):
         y = np.random.default_rng(2).standard_normal(20)
@@ -448,6 +455,9 @@ class TestSmoothGrid:
             (np.r_[np.nan, np.zeros(49)], "sg", [(5, 2), (4, 2)]),
             (np.r_[np.nan, np.zeros(49)], "none", [None]),
             (np.zeros(50), "median", [3, 5]),
+            # One Savitzky-Golay block whose orders 2 and 6 overshoot
+            # beyond float64 while order 1 and the copy at order 20 fit.
+            (SQUARE_AT_MAX, "sg", [(21, 1), (21, 6), (21, 20), (21, 2), (3, 1)]),
         ],
     )
     def test_errors_match_smooth(self, y, method, grid):
@@ -462,6 +472,70 @@ class TestSmoothGrid:
             else:
                 assert np.array_equal(fit[0], expected[0]), parameter
         assert seen
+
+    @pytest.mark.parametrize("method", ["ps", "lsa-ps", "sg", "gaussian", "none"])
+    def test_blocks_stack_their_good_fits(self, method):
+        # Row i of a block's stack is the x of its i-th good result, the
+        # same memory; the blocks' results are smooth_grid's, in order.
+        grid = list(COMPARISON_GRIDS.get(method, [None]))
+        if method == "sg":
+            grid += [(61, 2), (7, 3), (5, 0)]  # failures among the fits
+        y = lorentzian_plus_noise(60, 25)
+        results = []
+        for stack, block in grid_blocks(y, method, grid):
+            good = [r for r in block if not isinstance(r, Exception)]
+            assert stack.shape == (len(good), 60) if good else stack.size == 0
+            for row, (x, _) in zip(stack, good, strict=True):
+                assert np.shares_memory(row, x) and np.array_equal(row, x)
+            results += block
+        for result, expected in zip(results, smooth_grid(y, method, grid), strict=True):
+            if isinstance(expected, Exception):
+                assert str(result) == str(expected)
+            else:
+                assert np.array_equal(result[0], expected[0])
+
+    def test_sg_blocks_are_window_runs(self):
+        # One block per (window, top) run of the comparison grid, the copy
+        # at order window - 1 in its window's block; (1, 0) joins the last.
+        grid = COMPARISON_GRIDS["sg"]
+        sizes = [len(block) for _, block in grid_blocks(lorentzian_plus_noise(100, 26), "sg", grid)]
+        assert sizes == [w - 1 for w in range(3, 36, 2)][:-1] + [35]
+        assert sum(sizes) == len(grid)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_sg_chunks_change_no_fit(self, monkeypatch, chunk):
+        # The interior product taken in chunks of other sizes: each order's
+        # fit stays within rounding of the default (worst seen 3.9e-16 of
+        # max|x|, at chunk 1), and a grid fit and a lone fit stay the same
+        # bits, since both take the chunks at the same offsets.
+        from lsaps import smoothers
+
+        y = lorentzian_plus_noise(300, 27)
+        grid = [(w, o) for w in (5, 21, 35) for o in (1, 2, w // 2, w - 2)]
+        default = [x for x, _ in smooth_grid(y, "sg", grid)]
+        monkeypatch.setattr(smoothers, "SG_CHUNK", chunk)
+        for (window, order), x, (got, _) in zip(grid, default, smooth_grid(y, "sg", grid), strict=True):
+            assert np.abs(got - x).max() <= 4e-15 * np.abs(x).max(), (window, order)
+            assert np.array_equal(got, smooth_savitzky_golay(y, window, order))
+
+    def test_lone_sg_fit_holds_one_chunk(self, monkeypatch):
+        # A lone fit holds one (top + 1)-row chunk of the interior product,
+        # not a (top + 1)-row copy of y: 34 x 40000 floats would be 10.9 MB.
+        import tracemalloc
+
+        from lsaps import smoothers
+
+        monkeypatch.setattr(smoothers, "SG_CHUNK", 1000)
+        n = 40_000
+        y = lorentzian_plus_noise(n, 28)
+        smooth_savitzky_golay(y, 35, 6)  # the basis is cached before tracing
+        tracemalloc.start()
+        try:
+            smooth_savitzky_golay(y, 35, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * n * 8 + 3 * 34 * 1000 * 8, peak
 
     def test_lsa_ps_weights_are_taken_once(self, monkeypatch):
         from lsaps import smoothers
@@ -526,7 +600,5 @@ class TestUnitScale:
         # A square wave at the float64 limit: smoothing overshoots its
         # edges, so the result does not fit a float64. It used to come
         # back as inf.
-        t = np.arange(200)
-        y = np.finfo(float).max * (0.97 * np.where(t // 40 % 2 == 0, 1.0, -1.0) + 0.03 * np.sin(1.7 * t))
         with pytest.raises(ResultOverflowError):
-            smooth(y, method, parameter)
+            smooth(SQUARE_AT_MAX, method, parameter)

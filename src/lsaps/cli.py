@@ -416,6 +416,12 @@ def _parse_scenario(data):
                 _require(all(map(_is_number, grid)), f"'methods.{method}' values must be numbers")
                 method_grids[method] = grid
 
+    try:
+        sim.check_distinct({"'resolutions'": resolutions, "'noise_sigmas'": sigmas, "'seeds'": seeds,
+                            **{f"'methods.{m}'": grid for m, grid in method_grids.items()}})
+    except InvalidConfigError as exc:
+        raise InvalidConfigError(f"scenario file: {exc}") from None
+
     scenario = sim.SimScenario(peaks=peaks, n=resolutions[0], x_range=x_range, background=background)
     return scenario, resolutions, [float(s) for s in sigmas], method_grids, seeds
 

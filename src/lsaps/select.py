@@ -123,8 +123,10 @@ def select_parameter(
     rhs = a * y_unit
     assemble = linalg.assembler(a)
 
+    # The argmin is tracked as the loop runs, with ties broken toward the
+    # larger parameter, independent of grid ordering; only its x is kept.
     losses = np.empty(len(grid))
-    outputs: list[np.ndarray | None] = []
+    best_index = best_key = best_x = None
     for j, cand in enumerate(grid):
         try:
             system = assemble(cand * scale)
@@ -132,17 +134,16 @@ def select_parameter(
             r = loo_residuals(y_unit, x, linalg.hat_diagonal(system))
         except (LeverageSaturationError, SingularSystemError):
             losses[j] = math.inf
-            outputs.append(None)
-            continue
-        losses[j] = cv_loss_lsa(r, loss_weights)
-        outputs.append(x)
+            x = None
+        else:
+            losses[j] = cv_loss_lsa(r, loss_weights)
+        key = (losses[j], -cand)
+        if best_key is None or key < best_key:
+            best_index, best_key, best_x = j, key, x
 
     if not np.any(np.isfinite(losses)):
         raise SelectionFailedError("every candidate saturated or failed")
 
-    # Argmin with ties broken toward the larger parameter, independent
-    # of grid ordering.
-    best_index = min(range(len(grid)), key=lambda j: (losses[j], -grid[j]))
     best = grid[best_index]
     effective_lambda = best * scale
     with np.errstate(over="ignore", under="ignore"):
@@ -153,6 +154,6 @@ def select_parameter(
     return SelectionResult(
         curve=CvCurve(grid=grid, losses=losses, best_index=best_index),
         best_parameter=best,
-        smoothed=from_unit(outputs[best_index], e),
+        smoothed=from_unit(best_x, e),
         effective_lambda=effective_lambda,
     )

@@ -323,6 +323,22 @@ def _score_grid(noisy, method, grid, score_snr, score_rrse):
                 errors.append(None)
 
 
+def check_distinct(axes):
+    """Raise ``InvalidConfigError`` at the first value of an axis equal to
+    an earlier one; ``axes`` maps each axis name to its values.
+
+    Cells are aggregated by their values, so a repeated value would fold
+    its cells into one row whose ``seeds`` counts cells, not seeds. Values
+    compare as Python numbers do: 1 and 1.0 are a repeat.
+    """
+    for name, values in axes.items():
+        seen = set()
+        for value in values:
+            if value in seen:
+                raise InvalidConfigError(f"{name} repeats the value {value}")
+            seen.add(value)
+
+
 def run_benchmark(
     scenario: SimScenario,
     resolutions,
@@ -339,7 +355,15 @@ def run_benchmark(
     deterministic under fixed seeds; only ``time_s`` varies. A cell's
     ``time_s`` is its even share of the wall time spent smoothing its
     signal with its method's whole grid; scoring is not included.
+
+    Raises
+    ------
+    InvalidConfigError
+        A ``ValueError``, if an axis (the resolutions, the sigmas, the
+        seeds or a method's grid) repeats a value (``check_distinct``).
     """
+    check_distinct({"resolutions": resolutions, "sigmas": sigmas, "seeds": seeds,
+                    **{f"grid of {method}": grid for method, grid in method_grids.items()}})
     cells = _columns(BenchmarkCell)
     for n in resolutions:
         sc = replace(scenario, n=int(n))

@@ -1,9 +1,9 @@
-"""A 60-digit banded Cholesky oracle for M = diag(w) + lam * D^T D.
+"""A high-precision banded Cholesky oracle for M = diag(w) + lam * D^T D.
 
-It reads the exact float64 bands of an assembled system (the layout of
-``linalg.PentadiagonalSystem.ab``), factors M = U^T U in mpmath at
-``DPS`` digits in O(n), and returns the solution of M x = rhs and the
-diagonal of M^{-1}, each rounded once to float64.
+It builds the bands of the exact problem from the float64 weights and lam
+in mpmath, not from the rounded float64 bands of an assembled system,
+factors M = U^T U at ``DPS`` digits in O(n), and returns the solution of
+M x = rhs and the diagonal of M^{-1}, each rounded once to float64.
 """
 
 import mpmath
@@ -12,33 +12,52 @@ import numpy as np
 DPS = 60
 
 
-def _factor(ab):
+def _bands(w, lam):
+    """Exact bands (M[i, i], M[i, i+1], M[i, i+2]) as mpmath numbers."""
+    n = len(w)
+    # D^T D from the stencil (1, -2, 1) of each row of D, in integers.
+    main, first = [0] * n, [0] * n
+    for r in range(n - 2):
+        main[r] += 1
+        main[r + 1] += 4
+        main[r + 2] += 1
+        first[r] -= 2
+        first[r + 1] -= 2
+    lam = mpmath.mpf(float(lam))
+    return (
+        [mpmath.mpf(float(w[i])) + lam * main[i] for i in range(n)],
+        [lam * first[i] for i in range(n)],
+        [lam if i + 2 < n else mpmath.mpf(0) for i in range(n)],
+    )
+
+
+def _factor(m0, m1, m2):
     """Bands (U[i, i], U[i, i+1], U[i, i+2]) of the upper Cholesky factor."""
-    n = ab.shape[1]
+    n = len(m0)
     mpf = mpmath.mpf
     u0, u1, u2 = [mpf(0)] * n, [mpf(0)] * n, [mpf(0)] * n
     for i in range(n):
-        s = mpf(float(ab[2, i]))
+        s = m0[i]
         if i >= 1:
             s -= u1[i - 1] ** 2
         if i >= 2:
             s -= u2[i - 2] ** 2
         u0[i] = mpmath.sqrt(s)
         if i + 1 < n:
-            t = mpf(float(ab[1, i + 1]))
+            t = m1[i]
             if i >= 1:
                 t -= u1[i - 1] * u2[i - 1]
             u1[i] = t / u0[i]
         if i + 2 < n:
-            u2[i] = mpf(float(ab[0, i + 2])) / u0[i]
+            u2[i] = m2[i] / u0[i]
     return u0, u1, u2
 
 
-def solve_and_inverse_diagonal(ab, rhs):
-    """(x, diag(M^{-1})) of the system in upper band storage ``ab``."""
-    n = ab.shape[1]
-    with mpmath.workdps(DPS):
-        u0, u1, u2 = _factor(ab)
+def solve_and_inverse_diagonal(w, lam, rhs, dps=DPS):
+    """(x, diag(M^{-1})) of M = diag(w) + lam * D^T D, at ``dps`` digits."""
+    n = len(w)
+    with mpmath.workdps(dps):
+        u0, u1, u2 = _factor(*_bands(w, lam))
         # U^T z = rhs, then U x = z.
         z = [mpmath.mpf(0)] * n
         for i in range(n):

@@ -748,6 +748,23 @@ class TestBenchmarkCommand:
         assert json.loads(err)["error"] == "UndefinedMetricError"
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("scenario, message", [
+        ({"methods": {"ps": [1, 1.0, 2]}}, "'methods.ps' repeats the value 1.0"),
+        ({"resolutions": [200, 200]}, "'resolutions' repeats the value 200"),
+        ({"noise_sigmas": [0.1, 0.1]}, "'noise_sigmas' repeats the value 0.1"),
+        ({"seeds": [0, 0]}, "'seeds' repeats the value 0"),
+        ({"methods": {"sg": [[5, 2], [5, 2]]}}, "'methods.sg' repeats the value (5, 2)"),
+    ])
+    def test_repeated_axis_value_prints_json_line(self, tmp_path, capsys, scenario, message):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"resolutions": [200], "methods": {"ps": [1.0]}, **scenario}))
+        rc = cli.main(["benchmark", str(path), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "InvalidConfigError", "message": f"scenario file: {message}"}
+        assert not (tmp_path / "x").exists()
+
     def test_invalid_scenario(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"methods": {"median": [3]}}))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpbtrf
 
 from lsaps import linalg, select, sim, smoothers
 from lsaps.errors import (
@@ -26,31 +26,26 @@ def dense_system(weights, lam):
 
 
 def convolved_bands(weights, lam):
-    """Oracle: the band storage of M built from the stencil convolutions
-    of D^T D, as ``assemble_system`` once built it."""
+    """Oracle: the lower band storage of M built from the stencil
+    convolutions of D^T D, as ``assemble_system`` once built it."""
     n = len(weights)
     ones = np.ones(n - 2)
     ab = np.zeros((3, n))
-    ab[0, 2:] = lam
-    ab[1, 1:] = lam * np.convolve(ones, [-2.0, -2.0])
-    ab[2] = weights + lam * np.convolve(ones, [1.0, 4.0, 1.0])
+    ab[0] = weights + lam * np.convolve(ones, [1.0, 4.0, 1.0])
+    ab[1, :-1] = lam * np.convolve(ones, [-2.0, -2.0])
+    ab[2, :-2] = lam
     return ab
 
 
-def two_step_solve(ab, rhs):
-    """Oracle: the solve with exactly two refinement steps and scipy's
-    wrappers, in the order of operations of ``linalg.solve``."""
-    factor = (cholesky_banded(ab, check_finite=False), False)
-    x = cho_solve_banded(factor, rhs, check_finite=False).astype(np.longdouble)
-    off1, off2 = ab[1, 1:], ab[0, 2:]
-    for _ in range(2):
-        product = ab[2] * x
-        product[:-1] += off1 * x[1:]
-        product[1:] += off1 * x[:-1]
-        product[:-2] += off2 * x[2:]
-        product[2:] += off2 * x[:-2]
-        x += cho_solve_banded(factor, (rhs - product).astype(float), check_finite=False)
-    return x.astype(float)
+def upper_bands(ab):
+    """The upper band storage of the same M: row 2 the main diagonal, row
+    1 from column 1 on the first superdiagonal, row 0 from column 2 on the
+    second."""
+    upper = np.zeros_like(ab)
+    upper[2] = ab[0]
+    upper[1, 1:] = ab[1, :-1]
+    upper[0, 2:] = ab[2, :-2]
+    return upper
 
 
 def recurrence_hat_diagonal(system):
@@ -58,9 +53,9 @@ def recurrence_hat_diagonal(system):
     as a Python sweep from i = n-1 down to 0, one row of Z = M^{-1} at a
     time, keeping Z[i+1, i+1], Z[i+1, i+2] and Z[i+2, i+2]."""
     u = system._cholesky
-    diag = u[2]
-    c = (np.append(u[1, 1:], 0.0) / diag).tolist()
-    e = (np.append(u[0, 2:], [0.0, 0.0]) / diag).tolist()
+    diag = u[0]
+    c = (np.append(u[1, :-1], 0.0) / diag).tolist()
+    e = (np.append(u[2, :-2], [0.0, 0.0]) / diag).tolist()
     inv_pivot = (1.0 / np.square(diag)).tolist()
     z = [0.0] * system.n
     z_11 = z_22 = 0.0  # Z[i+1, i+1], Z[i+2, i+2]
@@ -76,19 +71,17 @@ def recurrence_hat_diagonal(system):
 class TestAssemble:
     def test_n3_unit_weights(self):
         s = linalg.assemble_system([1.0, 1.0, 1.0], 1.0)
-        assert np.array_equal(s.ab[2], [2.0, 5.0, 2.0])
-        assert np.array_equal(s.ab[1, 1:], [-2.0, -2.0])
-        assert np.array_equal(s.ab[0, 2:], [1.0])
+        assert np.array_equal(s.ab, [[2.0, 5.0, 2.0], [-2.0, -2.0, 0.0], [1.0, 0.0, 0.0]])
+        assert s.lam == 1.0
 
     def test_lambda_zero_identity(self):
         s = linalg.assemble_system(np.ones(7), 0.0)
-        assert np.array_equal(s.ab[2], np.ones(7))
-        assert np.array_equal(s.ab[1, 1:], np.zeros(6))
-        assert np.array_equal(s.ab[0, 2:], np.zeros(5))
+        assert np.array_equal(s.ab[0], np.ones(7))
+        assert np.array_equal(s.ab[1:], np.zeros((2, 7)))
 
     def test_n3_with_zero_weight(self):
         s = linalg.assemble_system([4.0, 0.0, 4.0], 2.0)
-        assert np.array_equal(s.ab[2], [6.0, 8.0, 6.0])
+        assert np.array_equal(s.ab[0], [6.0, 8.0, 6.0])
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(3)
@@ -99,7 +92,7 @@ class TestAssemble:
             dense = dense_system(w, lam)
             assert s.n == n
             for k in range(3):
-                assert np.allclose(s.ab[2 - k, k:], np.diagonal(dense, k), atol=1e-12)
+                assert np.allclose(s.ab[k, : n - k], np.diagonal(dense, -k), atol=1e-12)
 
     def test_singular_assembly(self):
         with pytest.raises(SingularSystemError):
@@ -222,8 +215,8 @@ class TestSolve:
 
     def test_nan_pivot_is_not_positive(self):
         ab = np.zeros((3, 6))
-        ab[2] = [1.0, np.nan, 1.0, 1.0, 1.0, 1.0]
-        system = linalg.PentadiagonalSystem(ab=ab, weights=np.ones(6))
+        ab[0] = [1.0, np.nan, 1.0, 1.0, 1.0, 1.0]
+        system = linalg.PentadiagonalSystem(ab=ab, weights=np.ones(6), lam=0.0)
         with pytest.raises(NotPositiveDefiniteError, match="pivot nan at row 1 is not positive"):
             linalg.solve(system, np.ones(6))
 
@@ -249,10 +242,57 @@ class TestSolve:
             linalg.solve(s, [0.0, 1.0, 2.0, np.inf, 4.0])
 
 
+class TestFactor:
+    """The lower band factor against LAPACK's upper one, on 450 systems:
+    n in [3, 400], weights U(0.05, 5), with one in ten zero when lam > 0.
+    lam is 0 for one seed in ten, log-uniform in [1e14, 1e300] for
+    another, where the pivots fail, and log-uniform in [1e-4, 1e14]
+    otherwise. Both layouts run the same unblocked recurrence at kd = 2."""
+
+    def test_lower_factor_is_the_upper_factor(self):
+        factors = failures = lapack_failures = 0
+        for seed in range(450):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(3, 401))
+            lam = 10.0 ** rng.uniform(*((14.0, 300.0) if seed % 10 == 1 else (-4.0, 14.0)))
+            lam = 0.0 if seed % 10 == 0 else lam
+            w = rng.uniform(0.05, 5.0, n)
+            if lam > 0:
+                w[rng.random(n) < 0.1] = 0.0
+            system = linalg.assemble_system(w, lam)
+            u, info = dpbtrf(upper_bands(system.ab))
+            assert info >= 0, seed
+            limit = linalg.PIVOT_RTOL * float(system.ab[0].max())
+            if info > 0:
+                # LAPACK left the pivot that is not positive in place.
+                failed = [(info - 1, u[2, info - 1])]
+                lapack_failures += 1
+            else:
+                pivots = np.square(u[2])
+                failed = [(i, pivots[i]) for i in np.flatnonzero(np.isnan(pivots) | (pivots <= limit))]
+            if failed:
+                # The same row and pivot as the upper factor gives.
+                i, pivot = failed[0]
+                with pytest.raises(NotPositiveDefiniteError) as error:
+                    system._cholesky
+                assert str(error.value) == str(linalg._pivot_error(int(i), float(pivot), limit)), seed
+                failures += 1
+                continue
+            lower = system._cholesky
+            assert np.array_equal(lower[0], u[2]), seed
+            assert np.array_equal(lower[1, :-1], u[1, 1:]), seed
+            assert np.array_equal(lower[2, :-2], u[0, 2:]), seed
+            factors += 1
+        # 405 factors and 45 failures, 29 of them found by LAPACK.
+        assert factors >= 400 and failures >= 40 and lapack_failures >= 20
+
+
 class TestRefinement:
-    """``solve`` refines until a correction reaches ``REFINE_TOL`` of
-    max|x0|, in at most ``REFINE_STEPS`` steps: one ``dpbtrs`` call for x0
-    and one per step."""
+    """``solve`` refines with the float64 residual of the exact problem,
+    rhs - w * x - lam * D^T (D x), until the error estimate
+    max|d_k|^2 / max|d_{k-1}| reaches ``REFINE_TOL`` of max|x_k|, or a
+    correction fails to halve: one ``dpbtrs`` call for x0 and one per
+    correction."""
 
     @pytest.fixture
     def substitutions(self, monkeypatch):
@@ -279,8 +319,6 @@ class TestRefinement:
                     yield assemble(lam * scale), a * y_unit
 
     def test_one_step_up_to_lam_100(self, substitutions):
-        if np.finfo(np.longdouble).eps == np.finfo(float).eps:
-            pytest.skip("long double is float64: every solve takes both steps")
         for system, rhs in self.systems(sim.COMPARISON_GRIDS["ps"]):
             substitutions.clear()
             linalg.solve(system, rhs)
@@ -292,71 +330,78 @@ class TestRefinement:
             linalg.solve(system, rhs)
             assert len(substitutions) == 3
 
-    def test_float64_long_double_takes_both_steps(self, substitutions, monkeypatch):
-        # The tolerance where long double is float64: eps**2 / (8 eps).
-        monkeypatch.setattr(linalg, "REFINE_TOL", np.finfo(float).eps / 8)
-        for system, rhs in self.systems((0.1, 100.0)):
+    @pytest.mark.parametrize("lam, fewest, most", [
+        (1e-3, 2, 2), (1.0, 2, 2), (1e3, 2, 2), (1e6, 2, 2), (1e9, 2, 3), (1e13, 4, 5),
+    ])
+    def test_corrections_by_lam(self, substitutions, lam, fewest, most):
+        # The systems of ``TestAgainstMpOracle``: one correction up to
+        # lam = 1e6, at most two at 1e9 and three or four at 1e13.
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            w = rng.uniform(0.05, 5.0, 300)
             substitutions.clear()
-            linalg.solve(system, rhs)
-            assert len(substitutions) == 3
+            linalg.solve(linalg.assemble_system(w, lam), rng.standard_normal(300))
+            assert fewest <= len(substitutions) <= most, seed
 
     @staticmethod
-    def random_systems(count, n_max):
-        """(seed, system, rhs): n in [3, n_max], lam log-uniform in
-        [1e-6, 1e13], weights U(0.05, 5) with one in ten zero."""
-        for seed in range(count):
-            rng = np.random.default_rng(seed)
-            n = int(rng.integers(3, n_max + 1))
-            lam = 10.0 ** rng.uniform(-6.0, 13.0)
-            w = rng.uniform(0.05, 5.0, n)
-            w[rng.random(n) < 0.1] = 0.0
-            yield seed, linalg.assemble_system(w, lam), rng.standard_normal(n)
+    def random_system(seed, n_max):
+        """(system, rhs): n in [3, n_max], lam log-uniform in [1e-6, 1e13],
+        weights U(0.05, 5) with one in ten zero."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, n_max + 1))
+        lam = 10.0 ** rng.uniform(-6.0, 13.0)
+        w = rng.uniform(0.05, 5.0, n)
+        w[rng.random(n) < 0.1] = 0.0
+        return linalg.assemble_system(w, lam), rng.standard_normal(n)
 
-    def solve_counting_steps(self, substitutions, system, rhs):
-        """(x, refinement steps), or None below the conditioning limit."""
-        substitutions.clear()
-        try:
-            x = linalg.solve(system, rhs)
-        except NotPositiveDefiniteError:
-            return None
-        return x, len(substitutions) - 1
+    @staticmethod
+    def exact(system, rhs):
+        return solve_and_inverse_diagonal(system.weights, system.lam, rhs)[0]
 
-    def test_matches_two_step_refinement(self, substitutions):
-        # Bit-identical where both steps run; one step less moves x by
-        # the second correction, under an ulp of max|x|.
-        steps = []
-        for seed, system, rhs in self.random_systems(400, 2000):
-            result = self.solve_counting_steps(substitutions, system, rhs)
-            if result is None:
-                continue
-            x, taken = result
-            steps.append(taken)
-            expected = two_step_solve(system.ab, rhs)
-            if taken == 2:
-                assert np.array_equal(x, expected), seed
-            else:
-                assert np.max(np.abs(x - expected)) <= 2.5e-16 * np.max(np.abs(expected)), seed
-        assert len(steps) >= 380 and steps.count(1) >= 100 and steps.count(2) >= 100
+    def test_matches_the_exact_problem(self, substitutions):
+        # Every solve lands within a few eps of the exact solution,
+        # whatever the number of corrections.
+        corrections = []
+        for seed in range(400):
+            system, rhs = self.random_system(seed, 60)
+            substitutions.clear()
+            try:
+                x = linalg.solve(system, rhs)
+            except NotPositiveDefiniteError:
+                continue  # below the conditioning limit
+            corrections.append(len(substitutions) - 1)
+            x_star = self.exact(system, rhs)
+            assert np.max(np.abs(x - x_star)) <= 2e-14 * np.max(np.abs(x_star)), seed
+        assert len(corrections) >= 380
+        assert corrections.count(1) >= 200 and len(corrections) - corrections.count(1) >= 50
+        assert max(corrections) <= linalg.REFINE_STEPS
 
-    def test_one_step_is_as_accurate_on_small_systems(self, substitutions):
-        # At n <= 20 and lam around 1e3 to 1e5 a solve can stop after one
-        # step although cond(M) eps_ld exceeds eps: refinement has reached
-        # the rounding floor of its long-double residual, and the second
-        # correction is that rounding. It moved x by up to 1.3e-14 of
-        # max|x| over 6000 seeds, yet the one-step x was never further
-        # from the exact solution than the two-step x, plus eps max|x*|.
+    def test_stagnating_correction_is_dropped(self, substitutions, monkeypatch):
+        # Seed 5603: n = 3, lam = 9.6e4, one zero weight. The long-double
+        # refinement took a second step here that moved x from 2.1e-15 to
+        # 1.07e-14 of max|x*| away from the exact solution. One correction
+        # now reaches it.
+        system, rhs = self.random_system(5603, 20)
+        assert system.n == 3 and 9.6e4 < system.lam < 9.7e4
         eps = np.finfo(float).eps
-        stopped = 0
-        for seed, system, rhs in self.random_systems(300, 20):
-            result = self.solve_counting_steps(substitutions, system, rhs)
-            if result is None or result[1] == 2:
-                continue
-            stopped += 1
-            x_star, _ = solve_and_inverse_diagonal(system.ab, rhs)
-            scale = np.max(np.abs(x_star))
-            two_step_error = np.max(np.abs(two_step_solve(system.ab, rhs) - x_star))
-            assert np.max(np.abs(result[0] - x_star)) <= two_step_error + eps * scale, seed
-        assert stopped >= 100
+        x_star = self.exact(system, rhs)
+        scale = np.max(np.abs(x_star))
+        assert np.max(np.abs(linalg.solve(system, rhs) - x_star)) <= eps * scale
+        assert len(substitutions) == 2
+        # Without the error estimate, refinement runs on to the rounding
+        # floor and stops at the first correction that fails to halve,
+        # before the cap. That correction is computed but not added.
+        monkeypatch.setattr(linalg, "REFINE_TOL", 0.0)
+        substitutions.clear()
+        x = linalg.solve(system, rhs)
+        computed = len(substitutions) - 1
+        assert 2 <= computed < linalg.REFINE_STEPS
+        u = system._cholesky
+        replay = linalg._substitute(u, rhs)
+        for _ in range(computed - 1):
+            replay = replay + linalg._substitute(u, linalg._residual(system, rhs, replay))
+        assert np.array_equal(x, replay)
+        assert np.max(np.abs(x - x_star)) <= 2 * eps * scale
 
 
 class TestHatDiagonal:
@@ -471,27 +516,30 @@ class TestAgainstDenseOracle:
 
 
 class TestAgainstMpOracle:
-    """``solve`` and diag(M^{-1}) against a 60-digit Cholesky of the same
-    float64 M, n = 300, weights U(0.05, 5), a standard normal rhs, ten
-    seeds. The solve error is max|x - x*| / max|x*|, the diagonal error
-    the largest relative error of an entry. Each bound is about 10x the
-    worst error seen over 30 seeds at this n. At lam >= 1e9 that is more
-    than 10x the one-seed n = 1000 figures of the ROADMAP: the lam = 1e13
-    solve reached 2.1e-7 here, against 9.9e-9 there."""
+    """``solve`` and diag(M^{-1}) against a 60-digit Cholesky of the exact
+    problem, M built in mpmath from the float64 weights and lam, n = 300,
+    weights U(0.05, 5), a standard normal rhs, ten seeds. The solve error
+    is max|x - x*| / max|x*|, the diagonal error the largest relative
+    error of an entry. Each solve bound is about 10x the worst error seen
+    over 30 seeds: 2.1e-16, 2.0e-16, 3.9e-16, 2.1e-16, 9.1e-16 and
+    1.2e-15 from lam = 1e-3 to 1e13. The leverages come from the factor
+    of the rounded bands, unrefined; their worst errors, 5.4e-16 to
+    4.0e-4, are within the bounds that held against the rounded
+    problem, which stay."""
 
     TOLERANCES = {  # lam: (solve, diag(M^{-1}))
-        1e-3: (1e-16, 5e-15),
-        1.0: (5e-16, 1e-14),
-        1e3: (2e-15, 1.5e-12),
-        1e6: (2e-13, 4e-10),
-        1e9: (1.5e-10, 4e-7),
-        1e13: (2e-6, 3e-3),
+        1e-3: (2e-15, 5e-15),
+        1.0: (2e-15, 1e-14),
+        1e3: (4e-15, 1.5e-12),
+        1e6: (2e-15, 4e-10),
+        1e9: (1e-14, 4e-7),
+        1e13: (1.2e-14, 3e-3),
     }
 
     def test_oracle_matches_dense(self):
         w = np.random.default_rng(0).uniform(0.05, 5.0, 40)
         rhs = np.random.default_rng(1).standard_normal(40)
-        x, z = solve_and_inverse_diagonal(linalg.assemble_system(w, 2.0).ab, rhs)
+        x, z = solve_and_inverse_diagonal(w, 2.0, rhs)
         dense = dense_system(w, 2.0)
         assert np.max(np.abs(x - np.linalg.solve(dense, rhs))) <= 1e-14
         assert np.max(np.abs(z - np.diagonal(np.linalg.inv(dense)))) <= 1e-14
@@ -504,7 +552,7 @@ class TestAgainstMpOracle:
             w = rng.uniform(0.05, 5.0, 300)
             rhs = rng.standard_normal(300)
             s = linalg.assemble_system(w, lam)
-            x_star, z_star = solve_and_inverse_diagonal(s.ab, rhs)
+            x_star, z_star = solve_and_inverse_diagonal(w, lam, rhs)
             x = linalg.solve(s, rhs)
             z = linalg.hat_diagonal(s) / w
             assert np.max(np.abs(x - x_star)) <= solve_tol * np.max(np.abs(x_star)), seed

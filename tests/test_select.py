@@ -17,6 +17,7 @@ from lsaps.select import (
     select_parameter,
 )
 from lsaps.smoothers import penalized_weights, smooth_lsa_ps, smooth_ps, to_unit
+from mp_oracle import solve_and_inverse_diagonal
 
 
 def loo_refit_oracle(y, weights, lam, i):
@@ -170,16 +171,29 @@ class TestSelectParameter:
     def test_choice_on_a_grid_past_1e9(self):
         # A noisy ramp: the LSA-PS penalty scale is 2.1e-5, so lam =
         # lambda_bar * scale runs from 0.02 to 2.1e11 and crosses 1e9 at
-        # 1e14. Candidates from lam = 1e3 on refine in two steps; the two
-        # largest fall below the conditioning limit and score inf.
+        # 1e14. The two largest candidates fall below the conditioning
+        # limit and score inf. The exact losses, from an 80-digit solve of
+        # the same weights and lam, fall monotonically to 8.7792747 at
+        # 1e14; the computed ones are flat to within their error past 1e9,
+        # so the choice must be one whose exact loss is within 1e-6 of the
+        # least (1e11 is 1.1e-7 above it, 1e9 1.1e-5).
         t = np.arange(200) / 200.0
         y = 2.0 + 3.0 * t + 0.1 * np.random.default_rng(8).standard_normal(200)
         grid = (1e3, 1e6, 1e9, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16)
-        _, scale = penalized_weights(to_unit(y)[0], "lsa-ps")
+        y_unit = to_unit(y)[0]
+        a, scale = penalized_weights(y_unit, "lsa-ps")
         assert grid[5] * scale < 1e9 < grid[6] * scale
         result = select_parameter(y, method="lsa-ps", grid=grid)
-        assert result.best_parameter == 1e9
-        assert np.isfinite(result.curve.losses).tolist() == [True] * 7 + [False] * 2
+        finite = np.isfinite(result.curve.losses)
+        assert finite.tolist() == [True] * 7 + [False] * 2
+
+        def exact_loss(lambda_bar):
+            x, z = solve_and_inverse_diagonal(a, lambda_bar * scale, a * y_unit, dps=80)
+            return cv_loss_lsa((y_unit - x) / (1.0 - z * a), floor_weights(a))
+
+        exact = {g: exact_loss(g) for g, ok in zip(grid, finite) if ok}
+        least = min(exact.values())
+        assert exact[result.best_parameter] - least <= 1e-6 * least
 
     def test_all_saturated_fails(self):
         y = np.random.default_rng(11).standard_normal(40)

@@ -250,6 +250,19 @@ class TestBenchmark:
         assert any(r.method == "ps" for r in rows(report.aggregates))
         assert all(r.method != "sg" for r in rows(report.aggregates))
 
+    @pytest.mark.parametrize("resolutions, sigmas, grids, seeds, message", [
+        ([200], [0.1], {"ps": [1, 1.0, 2]}, [0], "grid of ps repeats the value 1.0"),
+        ([200, 200], [0.1], {"ps": [1.0]}, [0], "resolutions repeats the value 200"),
+        ([200], [0.1, 0.1], {"ps": [1.0]}, [0], "sigmas repeats the value 0.1"),
+        ([200], [0.1], {"ps": [1.0]}, [0, 0], "seeds repeats the value 0"),
+        ([200], [0.1], {"sg": [(5, 2), (7, 2), (5, 2)]}, [0], r"grid of sg repeats the value \(5, 2\)"),
+    ])
+    def test_repeated_axis_value_is_rejected(self, resolutions, sigmas, grids, seeds, message):
+        # Cells are aggregated by value, so a repeat would fold two grid
+        # points, or two copies of one cell, into one row.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_benchmark(SimScenario(n=200), resolutions, sigmas, grids, seeds)
+
     def test_default_sweep_raises_no_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -248,7 +248,7 @@ def _run_smooth(args) -> int:
     abscissa, y = ingest(args.input, delimiter=args.delimiter)
 
     grid = select_mod.DEFAULT_GRID
-    if args.grid:
+    if args.grid is not None:
         try:
             grid = tuple(float(g) for g in args.grid.split(","))
         except ValueError:
@@ -546,6 +546,8 @@ def main(argv=None) -> int:
             parser.error("ps / lsa-ps need --param or --auto")
         if args.method not in PENALIZED and args.param is not None:
             parser.error("--param applies to ps / lsa-ps only; sg and gaussian take --window")
+        if args.grid is not None and not args.auto:
+            parser.error("--grid applies to --auto only")
     try:
         return args.func(args)
     except LsapsError as exc:

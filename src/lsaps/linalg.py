@@ -8,10 +8,10 @@ it is stored once, as its lower band in the (3, n) layout LAPACK
 consumes: row 0 holds the main diagonal, row 1 up to column n-2 the first
 subdiagonal and row 2 up to column n-3 the second. LAPACK's banded
 Cholesky gives the same factor from either band, faster from the lower.
-``assembler`` checks a weight array once and fills that array for each
-lam of a grid from scalars. The same array is factorized once, by
-``dpbtrf`` (M = L L^T), the first time a solve or the hat diagonal needs
-it. Solves and the diagonal of M^{-1} reuse the factor and run in O(n)
+``assembler`` checks a weight array once; for each lam of a grid it
+fills the bands from scalars, factorizes them at once by ``dpbtrf``
+(M = L L^T) and returns the factor as a ``Factor``, without the bands.
+Solves and the diagonal of M^{-1} reuse the factor and run in O(n)
 time and memory: solves by LAPACK's banded substitution ``dpbtrs``,
 refined in float64 toward the exact operator diag(weights) + lam D^T D,
 not toward its rounded bands (see ``solve``), the diagonal of M^{-1} by
@@ -26,8 +26,7 @@ and their ``info`` is mapped to this package's errors here.
 """
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -52,60 +51,55 @@ REFINE_STEPS = 6
 REFINE_TOL = float(np.finfo(float).eps / 8)
 
 
-@dataclass(frozen=True)
-class PentadiagonalSystem:
-    """M = diag(weights) + lam * D^T D in LAPACK lower band storage.
+class Factor(NamedTuple):
+    """The lower band Cholesky factor L of M = diag(weights) + lam * D^T D
+    (M = L L^T), with the weights and lam it was made from.
 
-    ``ab`` has shape (3, n): ``ab[0]`` is the main diagonal, ``ab[1, :-1]``
-    the entries (i+1, i) and ``ab[2, :-2]`` the entries (i+2, i); the
-    upper bands are implied by symmetry, and the two unused slots are
-    zero. ``weights`` is the diagonal A of the hat matrix H = M^{-1} A,
-    the caller's own array; with ``lam`` it is the exact operator that
-    ``solve`` refines toward.
+    ``u`` has shape (3, n): row 0 holds L[i, i], row 1 up to column n-2
+    L[i+1, i], and row 2 up to column n-3 L[i+2, i]. ``weights`` is the
+    diagonal A of the hat matrix H = M^{-1} A, the caller's own array;
+    with ``lam`` it is the exact operator that ``solve`` refines toward.
     """
 
-    ab: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
+    u: np.ndarray
+    weights: np.ndarray
     lam: float
 
     @property
     def n(self) -> int:
-        return self.ab.shape[1]
+        return self.u.shape[1]
 
-    @cached_property
-    def _cholesky(self):
-        """Lower band Cholesky factor L (M = L L^T) in the layout of ``ab``.
 
-        Row 0 holds L[i, i], row 1 up to column n-2 L[i+1, i], and row 2
-        up to column n-3 L[i+2, i].
+def _cholesky(ab):
+    """Lower band Cholesky factor of the lower band storage ``ab`` of M,
+    in the same layout.
 
-        Raises
-        ------
-        NotPositiveDefiniteError
-            If a pivot L[i, i]^2 is NaN, or is at or below the
-            conditioning limit ``PIVOT_RTOL`` times the largest diagonal
-            entry; the message says which. A pivot that LAPACK finds not
-            positive is below that limit: M is positive semidefinite by
-            construction, so it is singular or too ill-conditioned for
-            float64, for instance when lam is so large that the weights
-            round away beside it.
-        """
-        u, info = dpbtrf(self.ab, lower=1)
-        if info < 0:
-            raise LinAlgError(f"dpbtrf returned info = {info}")
-        limit = PIVOT_RTOL * float(self.ab[0].max())
-        if info > 0:
-            # LAPACK stops at the first pivot that is not positive, in row
-            # info - 1, and leaves it there.
-            raise _pivot_error(info - 1, float(u[0, info - 1]), limit)
-        # Every L[i, i] is a square root, so the least pivot is the square
-        # of the least L[i, i]. Negated, so that a NaN pivot fails as well.
-        least = float(u[0].min())
-        if not least * least > limit:
-            pivots = np.square(u[0])
-            i = int(np.flatnonzero(np.isnan(pivots) | (pivots <= limit))[0])
-            raise _pivot_error(i, float(pivots[i]), limit)
-        return u
+    Raises
+    ------
+    NotPositiveDefiniteError
+        If a pivot L[i, i]^2 is NaN, or is at or below the conditioning
+        limit ``PIVOT_RTOL`` times the largest diagonal entry; the
+        message says which. A pivot that LAPACK finds not positive is
+        below that limit: M is positive semidefinite by construction, so
+        it is singular or too ill-conditioned for float64, for instance
+        when lam is so large that the weights round away beside it.
+    """
+    u, info = dpbtrf(ab, lower=1)
+    if info < 0:
+        raise LinAlgError(f"dpbtrf returned info = {info}")
+    limit = PIVOT_RTOL * float(ab[0].max())
+    if info > 0:
+        # LAPACK stops at the first pivot that is not positive, in row
+        # info - 1, and leaves it there.
+        raise _pivot_error(info - 1, float(u[0, info - 1]), limit)
+    # Every L[i, i] is a square root, so the least pivot is the square
+    # of the least L[i, i]. Negated, so that a NaN pivot fails as well.
+    least = float(u[0].min())
+    if not least * least > limit:
+        pivots = np.square(u[0])
+        i = int(np.flatnonzero(np.isnan(pivots) | (pivots <= limit))[0])
+        raise _pivot_error(i, float(pivots[i]), limit)
+    return u
 
 
 def _pivot_error(i: int, pivot: float, limit: float):
@@ -122,11 +116,16 @@ def _pivot_error(i: int, pivot: float, limit: float):
 
 
 def assembler(weights):
-    """Check ``weights`` once; return lam -> ``assemble_system(weights, lam)``.
+    """Check ``weights`` once; return lam -> the ``Factor`` of
+    M = diag(weights) + lam * D^T D, factorized as it is assembled.
 
-    The returned function checks lam and raises exactly as
-    ``assemble_system`` does, so each lam of a grid keeps its own error,
-    while the weights are checked once per grid.
+    ``weights`` are the per-point data-fidelity weights, n >= 3 of them,
+    all finite and >= 0. The returned function checks each lam on its
+    own, so each lam of a grid keeps its own error, while the weights are
+    checked once per grid. It raises ``InvalidConfigError`` for a lam
+    that is not finite, is negative, or makes an entry of M overflow
+    float64; ``SingularSystemError`` for lam = 0 with a zero weight; and
+    ``NotPositiveDefiniteError`` for a failed pivot (``_cholesky``).
 
     Raises
     ------
@@ -151,7 +150,7 @@ def assembler(weights):
     # n = 3, the first band (-2, -4, ..., -4, -2) and the second all ones.
     second = 4.0 if n == 3 else 5.0
 
-    def assemble(lam) -> PentadiagonalSystem:
+    def assemble(lam) -> Factor:
         if not math.isfinite(lam):
             raise InvalidConfigError(f"lam must be finite, got {lam}")
         if lam < 0:
@@ -177,28 +176,9 @@ def assembler(weights):
                 f"lam = {lam:g} is too large: entries of M = diag(weights) + lam * D^T D "
                 "overflow float64"
             )
-        return PentadiagonalSystem(ab=ab, weights=weights, lam=lam)
+        return Factor(_cholesky(ab), weights, lam)
 
     return assemble
-
-
-def assemble_system(weights, lam: float) -> PentadiagonalSystem:
-    """Assemble M = diag(weights) + lam * D^T D in lower band storage.
-
-    Parameters
-    ----------
-    weights : array-like
-        Per-point data-fidelity weights, length n >= 3, all finite and
-        >= 0.
-    lam : float
-        Penalty strength, finite and >= 0. With ``lam == 0`` every weight
-        must be strictly positive, otherwise M is singular. A lam so large
-        that an entry of M overflows float64 raises ``InvalidConfigError``.
-
-    ``assembler`` does the same for a grid of lam, checking the weights
-    once.
-    """
-    return assembler(weights)(lam)
 
 
 def _substitute(u, b, overwrite_b=False):
@@ -210,7 +190,7 @@ def _substitute(u, b, overwrite_b=False):
     return x
 
 
-def _residual(system: PentadiagonalSystem, rhs, x):
+def _residual(system: Factor, rhs, x):
     """rhs - (diag(weights) + lam * D^T D) x in float64, from the weights
     and lam themselves rather than from the rounded bands of M.
 
@@ -232,11 +212,11 @@ def _residual(system: PentadiagonalSystem, rhs, x):
     return r
 
 
-def solve(system: PentadiagonalSystem, rhs):
+def solve(system: Factor, rhs):
     """Solve M x = rhs for one finite right-hand side of length n.
 
-    The factor solves the stored bands, and at large lam they are not the
-    problem: fl(w_i + 6 lam) keeps only the bits of w_i above ulp(6 lam),
+    The factor is that of the rounded bands, and at large lam they are not
+    the problem: fl(w_i + 6 lam) keeps only the bits of w_i above ulp(6 lam),
     and x0 carries an error of about cond(M) eps max|x|. Iterative
     refinement (Higham, "Accuracy and Stability of Numerical Algorithms",
     ch. 12) removes both. Each correction d_k solves M d_k = r with the
@@ -257,8 +237,6 @@ def solve(system: PentadiagonalSystem, rhs):
     ------
     ValueError
         If ``rhs`` is not 1-d of length n, or not finite.
-    NotPositiveDefiniteError
-        If a pivot falls below the positive-definiteness tolerance.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (system.n,):
@@ -266,7 +244,7 @@ def solve(system: PentadiagonalSystem, rhs):
     if not np.isfinite(rhs).all():
         i = int(np.flatnonzero(~np.isfinite(rhs))[0])
         raise ValueError(f"rhs must be finite, got {rhs[i]} at index {i}")
-    u = system._cholesky
+    u = system.u
     x = _substitute(u, rhs)
     last = float(np.abs(x).max())
     for _ in range(REFINE_STEPS):
@@ -282,12 +260,12 @@ def solve(system: PentadiagonalSystem, rhs):
     return x
 
 
-def hat_diagonal(system: PentadiagonalSystem):
+def hat_diagonal(system: Factor):
     """Diagonal of the hat matrix H = M^{-1} diag(weights).
 
     Since the weight matrix is diagonal, H_ii = (M^{-1})_ii * w_i, and
     each entry lies in [0, 1]. The diagonal of Z = M^{-1} comes from the
-    system's banded Cholesky factor in O(n). With U = L^T, whose entry
+    banded Cholesky factor ``system.u`` in O(n). With U = L^T, whose entry
     U[i, i+k] = L[i+k, i] is row k, column i of the factor's band storage,
     U Z = U^{-T} is lower triangular with diagonal 1 / U[i, i], so on and
     above the diagonal
@@ -310,7 +288,7 @@ def hat_diagonal(system: PentadiagonalSystem):
     holds A[j, j+k] in row k, as the transposed, Fortran-contiguous view
     of a C-ordered (n, 3, 5) buffer, so no copy is made.
     """
-    u = system._cholesky
+    u = system.u
     n = system.n
     diag = u[0]
     band = np.zeros((n, 3, 5))

@@ -96,6 +96,14 @@ def select_parameter(
     LSA-PS effective lambda is in units of y squared. A PS loss or a
     lambda beyond float64 becomes inf.
 
+    Past lambda of about 1e9 the losses of neighbouring candidates can
+    differ by less than the error of the leverages, which
+    ``linalg.hat_diagonal`` takes from the factor of the rounded bands,
+    unrefined, so the flat tail of the curve is ordered by rounding. On a
+    ramp with lambda = lambda_bar * 2.1e-5, the LSA-PS losses at
+    lambda_bar = 1e13 and 1e14 are 6.7e-6 and 3.6e-5 above the exact
+    ones, which agree to eight digits.
+
     Raises
     ------
     InvalidConfigError

@@ -375,6 +375,8 @@ def run_benchmark(
                 for method, grid in method_grids.items():
                     snrs, rrses, errors, elapsed = _score_grid(noisy, method, grid, *scores)
                     k = len(errors)
+                    if not k:
+                        continue  # an empty grid has no cells to share its time
                     for name, values in (
                         ("resolution", [int(n)] * k),
                         ("sigma", [float(sigma)] * k),

@@ -20,10 +20,9 @@ exceeds float64.
 parameter of a grid, a block of parameters at a time, and does the work
 that the parameters share once. Each block comes with its good fits
 stacked as the rows of one array, so that a caller can score them
-together. ``smooth_grid`` yields the same results one parameter at a
-time, ``smooth`` is its one-parameter case, and each named smoother is
-the one-parameter case of ``smooth``, so a fit taken alone and the same
-fit taken in a grid are the same bits.
+together. ``smooth`` is its one-parameter case, and each named smoother
+is the one-parameter case of ``smooth``, so a fit taken alone and the
+same fit taken in a grid are the same bits.
 
 The Savitzky-Golay baseline is a local least-squares polynomial fit, an
 orthogonal projection built with numpy alone from the QR factor of a
@@ -202,19 +201,9 @@ def smooth(y, method: str, parameter, clip: bool = True):
     returns a copy of y. Raises ValueError for an unknown method, and
     for a y that is not 1-d and finite.
     """
-    (result,) = smooth_grid(y, method, (parameter,), clip)
+    # A one-parameter grid is one block of one result.
+    [(_, [result])] = grid_blocks(y, method, (parameter,), clip)
     return _value(result)
-
-
-def smooth_grid(y, method: str, grid, clip: bool = True):
-    """Smooth ``y`` with every parameter of ``grid``, as ``smooth`` would.
-
-    Returns an iterator that yields, per parameter and in grid order,
-    the (x, effective lambda) that ``smooth`` returns for it, or the
-    exception that ``smooth`` raises for it: the results of
-    ``grid_blocks``, one at a time.
-    """
-    return (result for _, results in grid_blocks(y, method, grid, clip) for result in results)
 
 
 def grid_blocks(y, method: str, grid, clip: bool = True):
@@ -222,9 +211,10 @@ def grid_blocks(y, method: str, grid, clip: bool = True):
     parameters at a time; the one method dispatch.
 
     Returns an iterator that yields, per block and in grid order,
-    (stack, results): ``results`` holds the block's results as
-    ``smooth_grid`` yields them, and ``stack`` is a 2-d array whose row i
-    is the x of the block's i-th good result (the same memory). A block
+    (stack, results): ``results`` holds, per parameter of the block, the
+    (x, effective lambda) that ``smooth`` returns for it or the exception
+    that ``smooth`` raises for it, and ``stack`` is a 2-d array whose row
+    i is the x of the block's i-th good result (the same memory). A block
     is the whole grid for PS, LSA-PS, gaussian and none, and for
     Savitzky-Golay a run of parameters whose fits share one window and
     basis, with the failures and copies of y among them. Work that does

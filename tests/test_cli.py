@@ -354,6 +354,7 @@ class TestSmoothCommand:
             (["--param", "1", "--peaks", "-1"], "k must be >= 1"),
             (["--param", "1", "--peaks", "0"], "k must be >= 1"),
             (["--param", "1", "--delimiter", ""], "delimiter must not be empty"),
+            (["--auto", "--grid", ""], "--grid must be comma-separated numbers"),
         ],
     )
     def test_bad_parameter_prints_json_line(self, tmp_path, noisy_file, capsys, extra, message):
@@ -389,6 +390,20 @@ class TestSmoothCommand:
                       "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
         assert "--param applies to ps / lsa-ps only" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("extra", [
+        ["--param", "1", "--grid", "1,2"],
+        ["--param", "1", "--grid", ""],
+        ["--method", "sg", "--grid", "1,2"],
+    ])
+    def test_grid_rejected_without_auto(self, tmp_path, noisy_file, capsys, extra):
+        # --grid would be ignored: only --auto has a candidate grid.
+        path, _ = noisy_file
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["smooth", str(path), *extra, "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "--grid applies to --auto only" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("extra", [["--param", "1"], ["--auto"]])

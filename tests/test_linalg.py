@@ -27,7 +27,7 @@ def dense_system(weights, lam):
 
 def convolved_bands(weights, lam):
     """Oracle: the lower band storage of M built from the stencil
-    convolutions of D^T D, as ``assemble_system`` once built it."""
+    convolutions of D^T D, as the assembly once built it."""
     n = len(weights)
     ones = np.ones(n - 2)
     ab = np.zeros((3, n))
@@ -35,6 +35,14 @@ def convolved_bands(weights, lam):
     ab[1, :-1] = lam * np.convolve(ones, [-2.0, -2.0])
     ab[2, :-2] = lam
     return ab
+
+
+def lapack_factor(ab):
+    """Oracle: LAPACK's lower band Cholesky factor of ``ab``, which must
+    succeed."""
+    u, info = dpbtrf(ab, lower=1)
+    assert info == 0, info
+    return u
 
 
 def upper_bands(ab):
@@ -52,7 +60,7 @@ def recurrence_hat_diagonal(system):
     """Oracle: the selected-inverse recurrence of ``linalg.hat_diagonal``
     as a Python sweep from i = n-1 down to 0, one row of Z = M^{-1} at a
     time, keeping Z[i+1, i+1], Z[i+1, i+2] and Z[i+2, i+2]."""
-    u = system._cholesky
+    u = system.u
     diag = u[0]
     c = (np.append(u[1, :-1], 0.0) / diag).tolist()
     e = (np.append(u[2, :-2], [0.0, 0.0]) / diag).tolist()
@@ -70,75 +78,95 @@ def recurrence_hat_diagonal(system):
 
 class TestAssemble:
     def test_n3_unit_weights(self):
-        s = linalg.assemble_system([1.0, 1.0, 1.0], 1.0)
-        assert np.array_equal(s.ab, [[2.0, 5.0, 2.0], [-2.0, -2.0, 0.0], [1.0, 0.0, 0.0]])
-        assert s.lam == 1.0
+        ab = [[2.0, 5.0, 2.0], [-2.0, -2.0, 0.0], [1.0, 0.0, 0.0]]
+        assert np.array_equal(convolved_bands(np.ones(3), 1.0), ab)
+        s = linalg.assembler([1.0, 1.0, 1.0])(1.0)
+        assert np.array_equal(s.u, lapack_factor(ab))
+        assert s.lam == 1.0 and s.n == 3
 
     def test_lambda_zero_identity(self):
-        s = linalg.assemble_system(np.ones(7), 0.0)
-        assert np.array_equal(s.ab[0], np.ones(7))
-        assert np.array_equal(s.ab[1:], np.zeros((2, 7)))
+        s = linalg.assembler(np.ones(7))(0.0)
+        assert np.array_equal(s.u, lapack_factor(convolved_bands(np.ones(7), 0.0)))
+        assert np.array_equal(s.u[0], np.ones(7))
+        assert np.array_equal(s.u[1:], np.zeros((2, 7)))
 
     def test_n3_with_zero_weight(self):
-        s = linalg.assemble_system([4.0, 0.0, 4.0], 2.0)
-        assert np.array_equal(s.ab[0], [6.0, 8.0, 6.0])
+        ab = convolved_bands(np.array([4.0, 0.0, 4.0]), 2.0)
+        assert np.array_equal(ab[0], [6.0, 8.0, 6.0])
+        s = linalg.assembler([4.0, 0.0, 4.0])(2.0)
+        assert np.array_equal(s.u, lapack_factor(ab))
 
     def test_matches_dense_oracle(self):
+        # L L^T from the factor's three bands is the dense M.
         rng = np.random.default_rng(3)
         for n in (3, 4, 5, 20):
             w = rng.uniform(0.1, 3.0, n)
             lam = rng.uniform(0.0, 5.0)
-            s = linalg.assemble_system(w, lam)
-            dense = dense_system(w, lam)
+            s = linalg.assembler(w)(lam)
             assert s.n == n
-            for k in range(3):
-                assert np.allclose(s.ab[k, : n - k], np.diagonal(dense, -k), atol=1e-12)
+            low = np.diag(s.u[0]) + np.diag(s.u[1, :-1], -1) + np.diag(s.u[2, :-2], -2)
+            assert np.allclose(low @ low.T, dense_system(w, lam), atol=1e-12)
 
     def test_singular_assembly(self):
         with pytest.raises(SingularSystemError):
-            linalg.assemble_system([1.0, 0.0, 1.0], 0.0)
+            linalg.assembler([1.0, 0.0, 1.0])(0.0)
 
     def test_bad_inputs(self):
         with pytest.raises(InvalidSizeError):
-            linalg.assemble_system([1.0, 1.0], 1.0)
+            linalg.assembler([1.0, 1.0])(1.0)
         with pytest.raises(ValueError):
-            linalg.assemble_system(np.ones(5), -1.0)
+            linalg.assembler(np.ones(5))(-1.0)
         with pytest.raises(ValueError):
-            linalg.assemble_system([1.0, -1.0, 1.0], 1.0)
+            linalg.assembler([1.0, -1.0, 1.0])(1.0)
 
     def test_overflowing_band_names_lam(self):
         # 6 lam overflows on the main diagonal, and no warning escapes.
         message = r"lam = 1e\+308 is too large: entries of M .* overflow float64"
         with pytest.raises(InvalidConfigError, match=message):
             smoothers.smooth_ps(np.sin(np.arange(20) / 3.0), 1e308)
-        # n = 3 has diagonal coefficients (1, 4, 1): 4 lam still fits.
+        # n = 3 has diagonal coefficients (1, 4, 1): 4 lam still fits, so
+        # the bands pass and the factor fails at a pivot instead.
         lam = np.finfo(float).max / 4.5
-        assert np.isfinite(linalg.assemble_system(np.ones(3), lam).ab).all()
+        assert np.isfinite(convolved_bands(np.ones(3), lam)).all()
+        with pytest.raises(NotPositiveDefiniteError, match="below the conditioning limit"):
+            linalg.assembler(np.ones(3))(lam)
         with pytest.raises(InvalidConfigError, match="too large"):
-            linalg.assemble_system(np.ones(4), lam)
+            linalg.assembler(np.ones(4))(lam)
 
     def test_non_finite_lam(self):
         for lam in (np.nan, np.inf):
             with pytest.raises(ValueError, match=f"lam must be finite, got {lam}"):
-                linalg.assemble_system(np.ones(5), lam)
+                linalg.assembler(np.ones(5))(lam)
 
     def test_non_finite_weights(self):
         with pytest.raises(ValueError, match="got nan at index 2"):
-            linalg.assemble_system([1.0, 1.0, np.nan, 1.0], 1.0)
+            linalg.assembler([1.0, 1.0, np.nan, 1.0])(1.0)
 
     def test_bands_match_the_convolutions_bit_for_bit(self):
-        # n = 3 and 4 have their own main diagonals, (1, 4, 1) and
-        # (1, 5, 5, 1); lam * 5 and lam * 6 round.
+        # The factor is LAPACK's factor of the convolved bands, bit for
+        # bit, and fails exactly where that factor has a pivot at or below
+        # the conditioning limit. n = 3 and 4 have their own main
+        # diagonals, (1, 4, 1) and (1, 5, 5, 1); lam * 5 and lam * 6 round.
         rng = np.random.default_rng(12)
         lams = (0.0, 5e-324, 1e-7, 0.37, 3.0, 7.3e4, 1e13, 1.1e300)
+        factors = failures = 0
         for n in (3, 4, 5, 6, 7, 50, 1001):
             w = rng.uniform(0.05, 5.0, n)
             w[rng.random(n) < 0.2] = 0.0
             assemble = linalg.assembler(w)
             for lam in lams[1:] if (w == 0).any() else lams:
-                expected = convolved_bands(w, lam)
-                assert np.array_equal(assemble(lam).ab, expected), (n, lam)
-                assert np.array_equal(linalg.assemble_system(w, lam).ab, expected), (n, lam)
+                ab = convolved_bands(w, lam)
+                u, info = dpbtrf(ab, lower=1)
+                limit = linalg.PIVOT_RTOL * float(ab[0].max())
+                if info > 0 or not np.square(u[0]).min() > limit:
+                    with pytest.raises(NotPositiveDefiniteError):
+                        assemble(lam)
+                    failures += 1
+                else:
+                    assert np.array_equal(assemble(lam).u, u), (n, lam)
+                    factors += 1
+        # 38 factors and 12 failures, at lam = 5e-324 and 1.1e300.
+        assert factors >= 35 and failures >= 10, (factors, failures)
 
     def test_assembler_keeps_each_lam_error(self):
         assemble = linalg.assembler([1.0, 0.0, 1.0, 1.0])
@@ -150,16 +178,16 @@ class TestAssemble:
         ):
             with pytest.raises(error, match=message):
                 assemble(lam)
-        assert np.array_equal(assemble(2.0).ab, convolved_bands(np.array([1.0, 0.0, 1.0, 1.0]), 2.0))
+        assert np.array_equal(assemble(2.0).u, lapack_factor(convolved_bands(np.array([1.0, 0.0, 1.0, 1.0]), 2.0)))
 
 
 class TestSolve:
     def test_identity(self):
-        s = linalg.assemble_system(np.ones(3), 0.0)
+        s = linalg.assembler(np.ones(3))(0.0)
         assert np.allclose(linalg.solve(s, [3.0, 1.0, 4.0]), [3.0, 1.0, 4.0])
 
     def test_spot_check(self):
-        s = linalg.assemble_system(np.ones(3), 1.0)
+        s = linalg.assembler(np.ones(3))(1.0)
         x = linalg.solve(s, [0.0, 1.0, 0.0])
         assert np.allclose(x, [2 / 7, 3 / 7, 2 / 7], atol=1e-14)
 
@@ -167,7 +195,7 @@ class TestSolve:
         rng = np.random.default_rng(7)
         w = rng.uniform(0.2, 2.0, 200)
         lam = 3.0
-        s = linalg.assemble_system(w, lam)
+        s = linalg.assembler(w)(lam)
         b = rng.standard_normal(200)
         x = linalg.solve(s, b)
         x_dense = np.linalg.solve(dense_system(w, lam), b)
@@ -176,17 +204,17 @@ class TestSolve:
     def test_residual_small(self):
         rng = np.random.default_rng(11)
         w = rng.uniform(0.5, 1.5, 120)
-        s = linalg.assemble_system(w, 10.0)
+        s = linalg.assembler(w)(10.0)
         b = rng.standard_normal(120)
         x = linalg.solve(s, b)
         res = dense_system(w, 10.0) @ x - b
         assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(b)
 
     def test_not_positive_definite(self):
-        # all-zero weights with lam > 0 leave the affine null space.
-        s = linalg.assemble_system(np.zeros(10), 1.0)
+        # all-zero weights with lam > 0 leave the affine null space; the
+        # factor fails as the system is assembled.
         with pytest.raises(NotPositiveDefiniteError):
-            linalg.solve(s, np.ones(10))
+            linalg.assembler(np.zeros(10))(1.0)
 
     def test_small_positive_pivot_is_not_called_non_positive(self):
         # I + lam D^T D has every eigenvalue >= 1, but at lam = 1e14 its
@@ -216,28 +244,27 @@ class TestSolve:
     def test_nan_pivot_is_not_positive(self):
         ab = np.zeros((3, 6))
         ab[0] = [1.0, np.nan, 1.0, 1.0, 1.0, 1.0]
-        system = linalg.PentadiagonalSystem(ab=ab, weights=np.ones(6), lam=0.0)
         with pytest.raises(NotPositiveDefiniteError, match="pivot nan at row 1 is not positive"):
-            linalg.solve(system, np.ones(6))
+            linalg._cholesky(ab)
 
     @pytest.mark.parametrize("routine", ["dpbtrf", "dpbtrs"])
     def test_bad_lapack_argument_raises(self, monkeypatch, routine):
         monkeypatch.setattr(linalg, routine, lambda ab, *args, **kwargs: ((args or [ab])[0], -1))
         with pytest.raises(np.linalg.LinAlgError, match=f"{routine} returned info = -1"):
-            linalg.solve(linalg.assemble_system(np.ones(5), 1.0), np.ones(5))
+            linalg.solve(linalg.assembler(np.ones(5))(1.0), np.ones(5))
 
     def test_rhs_length_check(self):
-        s = linalg.assemble_system(np.ones(5), 1.0)
+        s = linalg.assembler(np.ones(5))(1.0)
         with pytest.raises(ValueError):
             linalg.solve(s, np.ones(4))
 
     def test_rhs_must_be_1d(self):
-        s = linalg.assemble_system(np.ones(5), 1.0)
+        s = linalg.assembler(np.ones(5))(1.0)
         with pytest.raises(ValueError, match=r"got \(5, 2\)"):
             linalg.solve(s, np.ones((5, 2)))
 
     def test_rhs_must_be_finite(self):
-        s = linalg.assemble_system(np.ones(5), 1.0)
+        s = linalg.assembler(np.ones(5))(1.0)
         with pytest.raises(ValueError, match="got inf at index 3"):
             linalg.solve(s, [0.0, 1.0, 2.0, np.inf, 4.0])
 
@@ -259,10 +286,10 @@ class TestFactor:
             w = rng.uniform(0.05, 5.0, n)
             if lam > 0:
                 w[rng.random(n) < 0.1] = 0.0
-            system = linalg.assemble_system(w, lam)
-            u, info = dpbtrf(upper_bands(system.ab))
+            ab = convolved_bands(w, lam)
+            u, info = dpbtrf(upper_bands(ab))
             assert info >= 0, seed
-            limit = linalg.PIVOT_RTOL * float(system.ab[0].max())
+            limit = linalg.PIVOT_RTOL * float(ab[0].max())
             if info > 0:
                 # LAPACK left the pivot that is not positive in place.
                 failed = [(info - 1, u[2, info - 1])]
@@ -274,11 +301,11 @@ class TestFactor:
                 # The same row and pivot as the upper factor gives.
                 i, pivot = failed[0]
                 with pytest.raises(NotPositiveDefiniteError) as error:
-                    system._cholesky
+                    linalg.assembler(w)(lam)
                 assert str(error.value) == str(linalg._pivot_error(int(i), float(pivot), limit)), seed
                 failures += 1
                 continue
-            lower = system._cholesky
+            lower = linalg.assembler(w)(lam).u
             assert np.array_equal(lower[0], u[2]), seed
             assert np.array_equal(lower[1, :-1], u[1, 1:]), seed
             assert np.array_equal(lower[2, :-2], u[0, 2:]), seed
@@ -340,19 +367,20 @@ class TestRefinement:
             rng = np.random.default_rng(seed)
             w = rng.uniform(0.05, 5.0, 300)
             substitutions.clear()
-            linalg.solve(linalg.assemble_system(w, lam), rng.standard_normal(300))
+            linalg.solve(linalg.assembler(w)(lam), rng.standard_normal(300))
             assert fewest <= len(substitutions) <= most, seed
 
     @staticmethod
     def random_system(seed, n_max):
         """(system, rhs): n in [3, n_max], lam log-uniform in [1e-6, 1e13],
-        weights U(0.05, 5) with one in ten zero."""
+        weights U(0.05, 5) with one in ten zero. A system below the
+        conditioning limit raises NotPositiveDefiniteError."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, n_max + 1))
         lam = 10.0 ** rng.uniform(-6.0, 13.0)
         w = rng.uniform(0.05, 5.0, n)
         w[rng.random(n) < 0.1] = 0.0
-        return linalg.assemble_system(w, lam), rng.standard_normal(n)
+        return linalg.assembler(w)(lam), rng.standard_normal(n)
 
     @staticmethod
     def exact(system, rhs):
@@ -363,12 +391,12 @@ class TestRefinement:
         # whatever the number of corrections.
         corrections = []
         for seed in range(400):
-            system, rhs = self.random_system(seed, 60)
             substitutions.clear()
             try:
-                x = linalg.solve(system, rhs)
+                system, rhs = self.random_system(seed, 60)
             except NotPositiveDefiniteError:
                 continue  # below the conditioning limit
+            x = linalg.solve(system, rhs)
             corrections.append(len(substitutions) - 1)
             x_star = self.exact(system, rhs)
             assert np.max(np.abs(x - x_star)) <= 2e-14 * np.max(np.abs(x_star)), seed
@@ -396,7 +424,7 @@ class TestRefinement:
         x = linalg.solve(system, rhs)
         computed = len(substitutions) - 1
         assert 2 <= computed < linalg.REFINE_STEPS
-        u = system._cholesky
+        u = system.u
         replay = linalg._substitute(u, rhs)
         for _ in range(computed - 1):
             replay = replay + linalg._substitute(u, linalg._residual(system, rhs, replay))
@@ -406,11 +434,11 @@ class TestRefinement:
 
 class TestHatDiagonal:
     def test_lambda_zero_gives_ones(self):
-        s = linalg.assemble_system(np.full(6, 2.0), 0.0)
+        s = linalg.assembler(np.full(6, 2.0))(0.0)
         assert np.allclose(linalg.hat_diagonal(s), np.ones(6), atol=1e-14)
 
     def test_n3_matches_dense_inverse(self):
-        s = linalg.assemble_system(np.ones(3), 1.0)
+        s = linalg.assembler(np.ones(3))(1.0)
         h = linalg.hat_diagonal(s)
         h_dense = np.diagonal(np.linalg.inv(dense_system(np.ones(3), 1.0)))
         assert np.allclose(h, h_dense, atol=1e-14)
@@ -419,7 +447,7 @@ class TestHatDiagonal:
         rng = np.random.default_rng(5)
         w = rng.uniform(0.1, 4.0, 50)
         lam = 2.5
-        s = linalg.assemble_system(w, lam)
+        s = linalg.assembler(w)(lam)
         h = linalg.hat_diagonal(s)
         h_dense = np.diagonal(np.linalg.inv(dense_system(w, lam)) @ np.diag(w))
         assert np.max(np.abs(h - h_dense)) <= 1e-10
@@ -428,7 +456,7 @@ class TestHatDiagonal:
         rng = np.random.default_rng(9)
         w = rng.uniform(0.3, 2.0, 40)
         lambdas = [0.0, 0.1, 1.0, 10.0, 100.0]
-        diags = [linalg.hat_diagonal(linalg.assemble_system(w, lam)) for lam in lambdas]
+        diags = [linalg.hat_diagonal(linalg.assembler(w)(lam)) for lam in lambdas]
         for h in diags:
             assert np.all(h >= -1e-12) and np.all(h <= 1.0 + 1e-12)
         for lo, hi in zip(diags, diags[1:]):
@@ -437,7 +465,7 @@ class TestHatDiagonal:
     def test_trace_decreases(self):
         w = np.ones(30)
         traces = [
-            float(np.sum(linalg.hat_diagonal(linalg.assemble_system(w, lam))))
+            float(np.sum(linalg.hat_diagonal(linalg.assembler(w)(lam))))
             for lam in (0.1, 1.0, 10.0)
         ]
         assert traces[0] > traces[1] > traces[2]
@@ -471,11 +499,11 @@ class TestAgainstRecurrence:
                 w = positive.copy()
                 if lam > 0:
                     w[1:-1][rng.random(n - 2) < 0.2] = 0.0
-                s = linalg.assemble_system(w, lam)
                 try:
-                    expected = recurrence_hat_diagonal(s)
+                    s = linalg.assembler(w)(lam)
                 except NotPositiveDefiniteError:
                     continue  # below the conditioning limit at lam = 1e13
+                expected = recurrence_hat_diagonal(s)
                 h = linalg.hat_diagonal(s)
                 zero = w == 0
                 assert np.array_equal(h[zero], np.zeros(zero.sum())), (seed, lam)
@@ -487,7 +515,7 @@ class TestAgainstRecurrence:
     def test_bad_lapack_argument_raises(self, monkeypatch):
         monkeypatch.setattr(linalg, "dtbtrs", lambda ab, b, **kwargs: (b, -1))
         with pytest.raises(np.linalg.LinAlgError, match="info = -1"):
-            linalg.hat_diagonal(linalg.assemble_system(np.ones(5), 1.0))
+            linalg.hat_diagonal(linalg.assembler(np.ones(5))(1.0))
 
 
 @st.composite
@@ -505,7 +533,7 @@ class TestAgainstDenseOracle:
     @given(band_systems())
     def test_solve_and_hat_diagonal(self, case):
         w, lam, rhs = case
-        s = linalg.assemble_system(w, lam)
+        s = linalg.assembler(w)(lam)
         dense = dense_system(w, lam)
         x = linalg.solve(s, rhs)
         x_dense = np.linalg.solve(dense, rhs)
@@ -551,7 +579,7 @@ class TestAgainstMpOracle:
             rng = np.random.default_rng(seed)
             w = rng.uniform(0.05, 5.0, 300)
             rhs = rng.standard_normal(300)
-            s = linalg.assemble_system(w, lam)
+            s = linalg.assembler(w)(lam)
             x_star, z_star = solve_and_inverse_diagonal(w, lam, rhs)
             x = linalg.solve(s, rhs)
             z = linalg.hat_diagonal(s) / w

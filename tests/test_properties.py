@@ -147,7 +147,7 @@ def test_loo_closed_form_matches_refits(y, method, clip, parameter):
     # y is of unit size already, as penalized_weights expects.
     a, scale = penalized_weights(y, method, clip)
     lam = parameter * scale
-    system = linalg.assemble_system(a, lam)
+    system = linalg.assembler(a)(lam)
     x = linalg.solve(system, a * y)
     h = linalg.hat_diagonal(system)
     r = loo_residuals(y, x, h)

@@ -28,7 +28,7 @@ def loo_refit_oracle(y, weights, lam, i):
     """
     w = np.array(weights, dtype=float)
     w[i] = 0.0
-    system = linalg.assemble_system(w, lam)
+    system = linalg.assembler(w)(lam)
     x = linalg.solve(system, w * y)
     return x[i]
 
@@ -39,7 +39,7 @@ class TestLooResiduals:
         y = rng.standard_normal(40)
         lam = 2.0
         w = np.ones(40)
-        system = linalg.assemble_system(w, lam)
+        system = linalg.assembler(w)(lam)
         x = linalg.solve(system, y)
         h = linalg.hat_diagonal(system)
         r = loo_residuals(y, x, h)
@@ -53,7 +53,7 @@ class TestLooResiduals:
         raw = local_quadratic_curvature(y)
         w = np.minimum(raw, np.median(raw))
         lam = 1.5 * np.median(raw)
-        system = linalg.assemble_system(w, lam)
+        system = linalg.assembler(w)(lam)
         x = linalg.solve(system, w * y)
         h = linalg.hat_diagonal(system)
         r = loo_residuals(y, x, h)
@@ -108,7 +108,7 @@ class TestSelectParameter:
         # Exact: the loss is taken on residuals scaled by a power of two
         # and scaled back, which in range changes no bit.
         for j, lam in enumerate((0.5, 5.0)):
-            system = linalg.assemble_system(np.ones(60), lam)
+            system = linalg.assembler(np.ones(60))(lam)
             x = linalg.solve(system, y)
             h = linalg.hat_diagonal(system)
             expected = cv_loss_lsa(loo_residuals(y, x, h), np.ones(60))
@@ -123,7 +123,7 @@ class TestSelectParameter:
         result = select_parameter(y, method="lsa-ps", grid=(1.0, 10.0))
         for j, cand in enumerate((1.0, 10.0)):
             lam = cand * median
-            system = linalg.assemble_system(solve_w, lam)
+            system = linalg.assembler(solve_w)(lam)
             x = linalg.solve(system, solve_w * y)
             h = linalg.hat_diagonal(system)
             expected = cv_loss_lsa(loo_residuals(y, x, h), loss_w)

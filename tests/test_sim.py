@@ -1,10 +1,13 @@
 import math
+import statistics
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsaps import smoothers
 from lsaps.errors import InvalidSizeError, UndefinedMetricError
@@ -12,7 +15,10 @@ from lsaps.sim import (
     COMPARISON_GRIDS,
     DEFAULT_PEAKS,
     NOISE_FREE_DB,
+    AggregateRow,
     Background,
+    BenchmarkCell,
+    BestRow,
     LorentzianPeak,
     SimScenario,
     add_noise,
@@ -21,7 +27,7 @@ from lsaps.sim import (
     run_benchmark,
     snr,
 )
-from lsaps.smoothers import smooth
+from lsaps.smoothers import grid_blocks, smooth
 from scoring import sigma_for_target_snr, true_peak_indices
 
 
@@ -263,6 +269,11 @@ class TestBenchmark:
         with pytest.raises(ValueError, match=f"^{message}$"):
             run_benchmark(SimScenario(n=200), resolutions, sigmas, grids, seeds)
 
+    def test_empty_grid_has_no_cells(self):
+        # It used to divide the grid's time by its zero cells.
+        report = run_benchmark(SimScenario(n=50), [50], [0.1], {"gaussian": [], "ps": [1.0]}, [0])
+        assert report.cells["method"] == ["ps"] and report.aggregates["method"] == ["ps"]
+
     def test_default_sweep_raises_no_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -354,3 +365,119 @@ class TestReportColumns:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 0.0
+
+
+def _spread(values):
+    """The sample standard deviation by ``statistics``, 0 for one value;
+    ``statistics`` cannot take inf, whose spread is nan."""
+    if len(values) == 1:
+        return 0.0
+    if not all(map(math.isfinite, values)):
+        return math.nan
+    return statistics.stdev(values)
+
+
+def reference_report(scenario, resolutions, sigmas, grids, seeds):
+    """Oracle: ``run_benchmark``'s three tables, as lists of rows, built
+    naively: each cell from ``smooth``, ``snr`` and
+    ``rrse_second_derivative`` alone, the aggregates with ``statistics``
+    and the best rows with ``max`` and ``min``, time_s left out. Each
+    fit taken alone is also checked against its result in
+    ``grid_blocks``."""
+    cells = []
+    for n in resolutions:
+        clean = generate_clean(replace(scenario, n=n))
+        for sigma in sigmas:
+            for seed in seeds:
+                noisy, input_snr = add_noise(clean, sigma, seed)
+                for method, grid in grids.items():
+                    blocks = [r for _, results in grid_blocks(noisy, method, grid) for r in results]
+                    assert len(blocks) == len(grid)
+                    for parameter, in_grid in zip(grid, blocks):
+                        row = [n, float(sigma), method, parameter, seed, input_snr]
+                        try:
+                            x, lam = smooth(noisy, method, parameter)
+                        except Exception as exc:
+                            assert (type(in_grid), str(in_grid)) == (type(exc), str(exc))
+                            cells.append(row + [None, None, f"{type(exc).__name__}: {exc}"])
+                            continue
+                        assert np.array_equal(in_grid[0], x) and in_grid[1] == lam
+                        cells.append(row + [snr(clean, x), rrse_second_derivative(x, clean), None])
+    groups = {}
+    for cell in cells:
+        if cell[-1] is None:
+            groups.setdefault(tuple(cell[:4]), []).append(cell)
+    aggregates = []
+    for key, members in groups.items():
+        snrs, rrses = [c[6] for c in members], [c[7] for c in members]
+        aggregates.append([*key, len(members), statistics.fmean(c[5] for c in members),
+                           statistics.fmean(snrs), _spread(snrs),
+                           statistics.fmean(rrses), _spread(rrses)])
+    by_method = {}
+    for row in aggregates:
+        by_method.setdefault(tuple(row[:3]), []).append(row)
+    best = []
+    for key, rows_ in by_method.items():
+        top = max(rows_, key=lambda r: r[6])
+        best.append([*key, "snr", top[3], top[6]])
+        top = min(rows_, key=lambda r: r[8])
+        best.append([*key, "rrse", top[3], top[8]])
+    return cells, aggregates, best
+
+
+def _same(a, b):
+    return a == b or (isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b))
+
+
+@st.composite
+def sweeps(draw):
+    """Small sweeps: one to five of the default peaks, one or two
+    resolutions from 5 to 80, up to two sigmas (0 among them), up to
+    three seeds, and grids of every method holding failing cells:
+    negative and overflowing lambdas, even and oversized windows,
+    orders out of range."""
+    k = draw(st.integers(1, 5))
+    x_hi = DEFAULT_PEAKS[k - 1].center + draw(st.floats(1.0, 30.0))
+    scenario = SimScenario(peaks=DEFAULT_PEAKS[:k], x_range=(0.0, x_hi))
+    resolutions = draw(st.lists(st.integers(5, 80), min_size=1, max_size=2, unique=True))
+    sigmas = draw(st.lists(st.sampled_from([0.0, 0.01, 0.2, 1.0]), min_size=1, max_size=2, unique=True))
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=3, unique=True))
+    lams = st.one_of(st.floats(-1.0, 1e4), st.sampled_from([0.0, 1e14, 1e300]))
+    options = {
+        "ps": st.lists(lams, max_size=4, unique=True),
+        "lsa-ps": st.lists(lams, max_size=4, unique=True),
+        "sg": st.lists(st.tuples(st.integers(-1, 25), st.integers(-1, 24)), max_size=6, unique=True),
+        "gaussian": st.lists(st.integers(-1, 15), max_size=3, unique=True),
+        "none": st.just([None]),
+    }
+    grids = {method: draw(grid) for method, grid in options.items() if draw(st.booleans())}
+    return scenario, resolutions, sigmas, grids, seeds
+
+
+class TestAgainstNaiveReport:
+    @settings(max_examples=60, deadline=None)
+    @given(sweeps())
+    def test_tables_match_the_naive_reference(self, sweep):
+        report = run_benchmark(*sweep)
+        cells, aggregates, best = reference_report(*sweep)
+        names = [f.name for f in fields(BenchmarkCell) if f.name != "time_s"]
+        assert len(report.cells["time_s"]) == len(cells)
+        for name, column in zip(names, zip(*cells)):
+            assert report.cells[name] == list(column), name
+        names = [f.name for f in fields(AggregateRow)]
+        assert len(report.aggregates["seeds"]) == len(aggregates)
+        eps = np.finfo(float).eps
+        for name, column in zip(names, zip(*aggregates)):
+            if name.endswith("_std"):
+                # The deviations from the rounded mean against statistics'
+                # exact ones: the std moves by about the mean's rounding.
+                means = report.aggregates[name.replace("_std", "_mean")]
+                for got, want, mean in zip(report.aggregates[name], column, means):
+                    assert _same(got, want) or math.isclose(
+                        got, want, rel_tol=1e-12, abs_tol=4 * eps * abs(mean)), (name, got, want)
+            else:
+                assert all(map(_same, report.aggregates[name], column)), name
+        names = [f.name for f in fields(BestRow)]
+        assert len(report.best["value"]) == len(best)
+        for name, column in zip(names, zip(*best)):
+            assert all(map(_same, report.best[name], column)), name

@@ -22,13 +22,17 @@ from lsaps.smoothers import (
     grid_blocks,
     penalized_weights,
     smooth,
-    smooth_grid,
     smooth_gaussian,
     smooth_lsa_ps,
     smooth_ps,
     smooth_savitzky_golay,
     to_unit,
 )
+
+
+def grid_results(y, method, grid, clip=True):
+    """The results of ``grid_blocks``, one per parameter, in grid order."""
+    return [result for _, results in grid_blocks(y, method, grid, clip) for result in results]
 
 
 def dense_ps_oracle(y, lam):
@@ -415,7 +419,7 @@ class TestSmoothGrid:
         if shuffle:
             grid = [grid[i] for i in np.random.default_rng(0).permutation(len(grid))]
         y = lorentzian_plus_noise(500, 21)
-        for (window, order), fit in zip(grid, smooth_grid(y, "sg", grid), strict=True):
+        for (window, order), fit in zip(grid, grid_results(y, "sg", grid), strict=True):
             x, lam = fit
             assert lam is None
             assert np.array_equal(x, smooth_savitzky_golay(y, window, order)), (window, order)
@@ -426,7 +430,7 @@ class TestSmoothGrid:
         window = 2 * SG_SHARED_TOP + 15
         grid = [(window, o) for o in (2, SG_SHARED_TOP, SG_SHARED_TOP + 1, SG_SHARED_TOP + 9)]
         y = lorentzian_plus_noise(400, 22)
-        for (w, o), (x, _) in zip(grid, smooth_grid(y, "sg", grid), strict=True):
+        for (w, o), (x, _) in zip(grid, grid_results(y, "sg", grid), strict=True):
             assert np.array_equal(x, smooth_savitzky_golay(y, w, o)), o
 
     @pytest.mark.parametrize("method", ["ps", "lsa-ps", "gaussian", "none"])
@@ -434,7 +438,7 @@ class TestSmoothGrid:
         grid = COMPARISON_GRIDS.get(method, [None])
         y = lorentzian_plus_noise(300, 23)
         for clip in (True, False):
-            for parameter, (x, lam) in zip(grid, smooth_grid(y, method, grid, clip), strict=True):
+            for parameter, (x, lam) in zip(grid, grid_results(y, method, grid, clip), strict=True):
                 expected, expected_lam = smooth(y, method, parameter, clip)
                 assert np.array_equal(x, expected) and lam == expected_lam, parameter
 
@@ -462,7 +466,7 @@ class TestSmoothGrid:
     )
     def test_errors_match_smooth(self, y, method, grid):
         seen = set()
-        for parameter, fit in zip(grid, smooth_grid(y, method, grid), strict=True):
+        for parameter, fit in zip(grid, grid_results(y, method, grid), strict=True):
             try:
                 expected = smooth(y, method, parameter)
             except Exception as exc:
@@ -476,7 +480,7 @@ class TestSmoothGrid:
     @pytest.mark.parametrize("method", ["ps", "lsa-ps", "sg", "gaussian", "none"])
     def test_blocks_stack_their_good_fits(self, method):
         # Row i of a block's stack is the x of its i-th good result, the
-        # same memory; the blocks' results are smooth_grid's, in order.
+        # same memory; the blocks' results are smooth's, in grid order.
         grid = list(COMPARISON_GRIDS.get(method, [None]))
         if method == "sg":
             grid += [(61, 2), (7, 3), (5, 0)]  # failures among the fits
@@ -488,11 +492,13 @@ class TestSmoothGrid:
             for row, (x, _) in zip(stack, good, strict=True):
                 assert np.shares_memory(row, x) and np.array_equal(row, x)
             results += block
-        for result, expected in zip(results, smooth_grid(y, method, grid), strict=True):
-            if isinstance(expected, Exception):
-                assert str(result) == str(expected)
+        for parameter, result in zip(grid, results, strict=True):
+            try:
+                expected = smooth(y, method, parameter)
+            except Exception as exc:
+                assert (type(result), str(result)) == (type(exc), str(exc)), parameter
             else:
-                assert np.array_equal(result[0], expected[0])
+                assert np.array_equal(result[0], expected[0]), parameter
 
     def test_sg_blocks_are_window_runs(self):
         # One block per (window, top) run of the comparison grid, the copy
@@ -512,9 +518,9 @@ class TestSmoothGrid:
 
         y = lorentzian_plus_noise(300, 27)
         grid = [(w, o) for w in (5, 21, 35) for o in (1, 2, w // 2, w - 2)]
-        default = [x for x, _ in smooth_grid(y, "sg", grid)]
+        default = [x for x, _ in grid_results(y, "sg", grid)]
         monkeypatch.setattr(smoothers, "SG_CHUNK", chunk)
-        for (window, order), x, (got, _) in zip(grid, default, smooth_grid(y, "sg", grid), strict=True):
+        for (window, order), x, (got, _) in zip(grid, default, grid_results(y, "sg", grid), strict=True):
             assert np.abs(got - x).max() <= 4e-15 * np.abs(x).max(), (window, order)
             assert np.array_equal(got, smooth_savitzky_golay(y, window, order))
 
@@ -544,7 +550,7 @@ class TestSmoothGrid:
         original = smoothers.penalized_weights
         monkeypatch.setattr(smoothers, "penalized_weights",
                             lambda *args: calls.append(1) or original(*args))
-        results = list(smooth_grid(lorentzian_plus_noise(200, 24), "lsa-ps", COMPARISON_GRIDS["lsa-ps"]))
+        results = list(grid_results(lorentzian_plus_noise(200, 24), "lsa-ps", COMPARISON_GRIDS["lsa-ps"]))
         assert len(results) == len(COMPARISON_GRIDS["lsa-ps"]) and len(calls) == 1
 
     def test_ps_unit_weights_are_built_once(self, monkeypatch):
@@ -554,7 +560,7 @@ class TestSmoothGrid:
         original = linalg.assembler
         monkeypatch.setattr(linalg, "assembler",
                             lambda weights: seen.append(weights) or original(weights))
-        results = list(smooth_grid(lorentzian_plus_noise(200, 24), "ps", COMPARISON_GRIDS["ps"]))
+        results = list(grid_results(lorentzian_plus_noise(200, 24), "ps", COMPARISON_GRIDS["ps"]))
         assert len(results) == len(COMPARISON_GRIDS["ps"]) and len(seen) == 1
         assert np.array_equal(seen[0], np.ones(200))
 

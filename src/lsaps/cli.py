@@ -19,7 +19,6 @@ one machine-parseable JSON line on stderr.
 import argparse
 import json
 import math
-import statistics
 import sys
 import time
 import warnings
@@ -501,7 +500,7 @@ def _run_benchmark(args) -> int:
         "seeds": seeds,
         "methods": {m: len(g) for m, g in method_grids.items()},
         "cells": len(report.cells["method"]),
-        "single_call_median_time_s": {m: statistics.median(t) for m, t in times.items()},
+        "single_call_median_time_s": {m: float(np.median(t)) for m, t in times.items()},
     }
     with (out_dir / "summary.json").open("w") as fh:
         json.dump(summary, fh, indent=2)

@@ -23,14 +23,31 @@ unknown 3i + k holding Z[i, i+k], with bandwidth 4; one LAPACK
 ``dtbtrs`` call solves it, its transpose stored in (5, 3n) lower band
 storage (see ``hat_diagonal``). The LAPACK routines are called directly,
 and their ``info`` is mapped to this package's errors here.
+
+Of scipy, only its LAPACK extension ``scipy.linalg._flapack`` is loaded:
+``import scipy`` for scipy's library setup, then the extension from
+scipy's ``linalg`` directory, registered in ``sys.modules`` under its
+own name, so that a later ``import scipy.linalg`` reuses it. Importing
+``scipy.linalg`` itself would run its package init, which through
+scipy's vendored array-api-compat loads numpy's lazy submodules
+(``numpy.f2py``, ``numpy.testing``, ...) and more than doubles the
+import time of ``lsaps.cli``. ``dpbtrf``, ``dpbtrs`` and ``dtbtrs`` are
+the very objects that ``scipy.linalg.lapack`` exports, and
+``LinAlgError`` is numpy's, which scipy.linalg re-exports. Where the
+extension is not found, as on a scipy of another layout, they come
+from ``scipy.linalg.lapack``.
 """
 
 import math
+import os
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
+import scipy
+from numpy.linalg import LinAlgError
 
 from .errors import (
     InvalidConfigError,
@@ -38,6 +55,28 @@ from .errors import (
     NotPositiveDefiniteError,
     SingularSystemError,
 )
+
+
+def _load_lapack():
+    """scipy's LAPACK extension module, loaded without scipy.linalg's
+    package init; ``scipy.linalg.lapack`` where it is not found."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    finder = FileFinder(os.path.join(scipy.__path__[0], "linalg"),
+                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    if spec is None:
+        from scipy.linalg import lapack
+        return lapack
+    module = module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_lapack = _load_lapack()
+dpbtrf, dpbtrs, dtbtrs = _lapack.dpbtrf, _lapack.dpbtrs, _lapack.dtbtrs
 
 # Pivots below this fraction of the largest main-diagonal entry are
 # treated as a loss of positive definiteness.

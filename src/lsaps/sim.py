@@ -277,10 +277,18 @@ class BenchmarkReport:
 
 
 def _mean_std(values):
+    """The mean and the sample standard deviation of ``values``.
+
+    Values that all equal their mean have a spread of 0.0, infinite ones
+    included: the output SNRs of noise-free replicates are all inf, where
+    (inf - inf)**2 would make the spread nan. A mix of infinite and finite
+    values has an infinite mean and a spread of nan, since no finite
+    spread describes it.
+    """
     # fsum keeps the aggregation order-independent.
     n = len(values)
     mean = math.fsum(values) / n
-    if n == 1:
+    if n == 1 or values.count(mean) == n:
         return mean, 0.0
     var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
     return mean, math.sqrt(var)

@@ -789,12 +789,16 @@ class TestBenchmarkCommand:
         assert "median" in record["message"]
 
 
-def test_cli_import_skips_scipy_signal_and_sparse():
+def test_cli_import_skips_unneeded_modules():
     # A fresh interpreter, so modules imported by other tests do not count.
+    # lsaps.linalg loads scipy's LAPACK extension alone: the scipy.linalg
+    # package init would pull in numpy.f2py, numpy.testing and, through it,
+    # unittest.
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import lsaps.cli; "
-        "print(' '.join(m for m in ('scipy.signal', 'scipy.sparse') if m in sys.modules))"
+        "print(' '.join(m for m in ('scipy.signal', 'scipy.sparse', 'scipy.linalg', 'numpy.f2py', "
+        "'numpy.testing', 'unittest', 'statistics') if m in sys.modules))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
@@ -820,22 +824,30 @@ def test_cli_sg_smooth_skips_scipy_signal_and_ndimage(tmp_path, noisy_file):
     assert (tmp_path / "out" / "smoothed.txt").exists()
 
 
-def test_cli_smooth_loads_no_new_module(tmp_path, noisy_file):
-    # A fresh interpreter: a smooth run on the fast ingest path imports no
-    # top-level module that importing lsaps.cli did not (loadtxt given a
-    # path, not an open file, would import gzip).
+@pytest.mark.parametrize("run", [
+    ["smooth", "{spectrum}", "--param", "2.5", "--peaks", "5", "--out", "{out}"],
+    ["smooth", "{spectrum}", "--auto", "--peaks", "5", "--out", "{out}"],
+    ["benchmark", "{scenario}", "--out", "{out}"],
+], ids=["smooth-param", "smooth-auto", "benchmark"])
+def test_cli_run_loads_no_new_module(tmp_path, noisy_file, run):
+    # A fresh interpreter: a run imports no top-level module that importing
+    # lsaps.cli did not. Smooth runs take the fast ingest path (loadtxt
+    # given a path, not an open file, would import gzip).
     path, _ = noisy_file
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"resolutions": [100], "seeds": [0, 1],
+                                    "methods": {"ps": [1.0], "sg": [[5, 2]], "none": [None]}}))
+    argv = [a.format(spectrum=path, scenario=scenario, out=tmp_path / "out") for a in run]
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); from lsaps import cli\n"
         "def line_parser(*args): raise AssertionError('the line parser ran')\n"
         "cli._ingest_lines = line_parser\n"
         "top = lambda: {m.partition('.')[0] for m in sys.modules}; before = top()\n"
-        "rc = cli.main(['smooth', sys.argv[2], '--param', '2.5', '--peaks', '5', '--out', sys.argv[3]])\n"
+        "rc = cli.main(sys.argv[2:])\n"
         "print(rc, *sorted(top() - before))"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code, str(src), str(path), str(tmp_path / "out")],
-        capture_output=True, text=True, check=True,
+        [sys.executable, "-c", code, str(src), *argv], capture_output=True, text=True, check=True,
     )
     assert result.stdout.strip() == "0"

@@ -1,4 +1,7 @@
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -601,3 +604,57 @@ def test_select_factors_each_candidate_once(monkeypatch):
         calls.clear()
         select.select_parameter(y, method=method)
         assert len(calls) == len(select.DEFAULT_GRID)
+
+
+def fresh_interpreter(code):
+    """The printed words of ``code`` run in a fresh interpreter with this
+    checkout's src/ first on its path, so no module of this process counts."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(src)!r})\n{code}"],
+        capture_output=True, text=True, check=True,
+    )
+    return result.stdout.split()
+
+
+# A solve and a hat diagonal through all three routines; the digest of
+# their bytes.
+SOLVE_DIGEST = (
+    "import hashlib, numpy as np\n"
+    "rng = np.random.default_rng(7)\n"
+    "system = linalg.assembler(rng.uniform(0.05, 5.0, 300))(1e3)\n"
+    "x = linalg.solve(system, rng.standard_normal(300))\n"
+    "print(hashlib.sha256(x.tobytes() + linalg.hat_diagonal(system).tobytes()).hexdigest())\n"
+)
+
+
+class TestLapackLoad:
+    @pytest.mark.parametrize("first", ["lsaps.linalg", "scipy.linalg.lapack"])
+    def test_routines_are_scipys(self, first):
+        # Either import order: the three routines are the objects that
+        # scipy.linalg.lapack exports, from one extension module object.
+        code = (
+            f"import {first}\n"
+            "import scipy.linalg\n"
+            "from lsaps import linalg\n"
+            "from scipy.linalg import lapack\n"
+            "print(*(getattr(linalg, f) is getattr(lapack, f) for f in ('dpbtrf', 'dpbtrs', 'dtbtrs')))\n"
+            "print(sys.modules['scipy.linalg._flapack'] is lapack._flapack is linalg._lapack)\n"
+            "print(linalg.LinAlgError is scipy.linalg.LinAlgError)\n"
+        )
+        assert fresh_interpreter(code) == ["True"] * 5
+
+    def test_fallback_without_the_extension(self):
+        # With no extension suffix to search for, the direct load finds
+        # nothing and the routines come from scipy.linalg.lapack; the
+        # interpreter's own import system keeps its suffixes.
+        hidden = fresh_interpreter(
+            "import importlib.machinery\n"
+            "importlib.machinery.EXTENSION_SUFFIXES.clear()\n"
+            "from lsaps import linalg\n"
+            "from scipy.linalg import lapack\n"
+            "print(linalg._lapack is lapack)\n" + SOLVE_DIGEST
+        )
+        direct = fresh_interpreter("from lsaps import linalg\n" + SOLVE_DIGEST)
+        assert hidden[0] == "True"
+        assert hidden[1:] == direct

@@ -319,6 +319,19 @@ class TestReportColumns:
         assert failed == 2 * 2 * (3 + 2)
         assert NOISE_FREE_DB in report.cells["output_snr_db"]
 
+    def test_noise_free_replicates_have_zero_spread(self):
+        # Sigma 0: every seed gives the same noise-free cells, whose output
+        # SNR is inf; (inf - inf)**2 made their spread nan.
+        from lsaps.sim import _mean_std
+
+        report = run_benchmark(SimScenario(n=100), [100], [0.0],
+                               {"none": [None], "gaussian": [1]}, [0, 1])
+        assert report.aggregates["output_snr_mean"] == [NOISE_FREE_DB, NOISE_FREE_DB]
+        assert report.aggregates["output_snr_std"] == [0.0, 0.0]
+        # A mix of infinite and finite replicates has no finite spread.
+        mean, std = _mean_std([NOISE_FREE_DB, 20.0])
+        assert mean == NOISE_FREE_DB and math.isnan(std)
+
     def test_stack_scores_are_the_per_fit_formulas(self):
         # A stack scored at once against the per-fit formulas, bit for bit:
         # one np.dot per row, and np.linalg.norm's sqrt(dot(r, r)). A
@@ -368,9 +381,10 @@ class TestReportColumns:
 
 
 def _spread(values):
-    """The sample standard deviation by ``statistics``, 0 for one value;
-    ``statistics`` cannot take inf, whose spread is nan."""
-    if len(values) == 1:
+    """The sample standard deviation by ``statistics``, 0 for one value
+    and for equal values, infinite ones included; ``statistics`` cannot
+    take inf, and a mix of inf and finite values has spread nan."""
+    if len(set(values)) == 1:
         return 0.0
     if not all(map(math.isfinite, values)):
         return math.nan

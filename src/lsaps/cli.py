@@ -90,7 +90,7 @@ def _ingest_fast(path, delimiter):
     read the file differently or would raise.
     """
     try:
-        with path.open() as fh:
+        with path.open(encoding="utf-8-sig") as fh:
             for skip, line in enumerate(fh):
                 line = line.strip()
                 if line:
@@ -139,7 +139,7 @@ def _ingest_lines(path, delimiter):
     # ingest's peak memory down on large files.
     xs, ys, linenos = array("d"), array("d"), array("q")
     nonblank = 0
-    with path.open() as fh:
+    with path.open(encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -190,8 +190,10 @@ def ingest(path, delimiter=None):
     rejected. A file that numpy's C reader parses with its first line's
     delimiter into a valid grid is read that way, and any other file is
     re-read line by line, which accepts per-line delimiter mixes and
-    names the offending line in every error. A path that cannot be read
-    or decoded as text, such as a directory, raises ``IngestError`` too.
+    names the offending line in every error. The file is read as UTF-8,
+    past a leading byte-order mark if it has one. A path that cannot be
+    read or decoded as text, such as a directory, raises ``IngestError``
+    too.
     """
     if delimiter == "":
         raise InvalidConfigError("delimiter must not be empty")
@@ -343,7 +345,7 @@ def load_scenario_file(path):
         value has the wrong type or range.
     """
     try:
-        with Path(path).open() as fh:
+        with Path(path).open(encoding="utf-8-sig") as fh:
             return _parse_scenario(json.load(fh))
     except LsapsError:
         raise
@@ -446,29 +448,30 @@ def _csv_field(text):
 TABLE_BLOCK_ROWS = 1024
 
 
-def _write_table(path, row_type, columns):
-    """Write the table held as ``columns``, one list per field of
-    ``row_type``, byte for byte as csv.writer writes its rows.
+def _write_table(path, columns):
+    """Write the table held as ``columns``, a dict of one list per column,
+    byte for byte as csv.writer writes its rows. The header is the dict's
+    keys, in their order.
 
-    Each block of rows is written with one string operation. An int
-    column is formatted as ``%d``, and a float column as FLOAT_FMT where
-    the block holds only finite floats; any other column goes through
-    ``_fmt`` (``_param_str`` for the parameter), once per distinct object.
+    Each block of rows is written with one string operation, and each
+    column of a block takes its format from the values it holds: ``%d``
+    if they are all ints, FLOAT_FMT if they are all finite floats, and
+    otherwise ``_fmt`` (``_param_str`` for the parameter), once per
+    distinct object.
     """
-    names = [f.name for f in fields(row_type)]
     with path.open("w", newline="") as fh:
-        fh.write(",".join(names) + "\r\n")
-        for start in range(0, len(columns[names[0]]), TABLE_BLOCK_ROWS):
+        fh.write(",".join(columns) + "\r\n")
+        for start in range(0, len(next(iter(columns.values()))), TABLE_BLOCK_ROWS):
             specs, block = [], []
-            for f in fields(row_type):
-                column = columns[f.name][start : start + TABLE_BLOCK_ROWS]
-                if f.type is int:
+            for name, values in columns.items():
+                column = values[start : start + TABLE_BLOCK_ROWS]
+                kinds = set(map(type, column))
+                if kinds == {int}:
                     specs.append("%d")
-                elif f.type in (float, float | None) and np.isfinite(
-                        np.array(column, dtype=float)).all():
+                elif kinds == {float} and np.isfinite(column).all():
                     specs.append(FLOAT_FMT)
                 else:
-                    fmt = _param_str if f.name == "parameter" else _fmt
+                    fmt = _param_str if name == "parameter" else _fmt
                     distinct = {id(v): v for v in column}
                     text = {key: _csv_field(fmt(v)) for key, v in distinct.items()}
                     column = [text[id(v)] for v in column]
@@ -485,9 +488,9 @@ def _run_benchmark(args) -> int:
     # The sweep has returned; only now is anything written.
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_table(out_dir / "cells.csv", sim.BenchmarkCell, report.cells)
-    _write_table(out_dir / "aggregates.csv", sim.AggregateRow, report.aggregates)
-    _write_table(out_dir / "best.csv", sim.BestRow, report.best)
+    _write_table(out_dir / "cells.csv", report.cells)
+    _write_table(out_dir / "aggregates.csv", report.aggregates)
+    _write_table(out_dir / "best.csv", report.best)
 
     times = {}
     for method, time_s in zip(report.cells["method"], report.cells["time_s"]):

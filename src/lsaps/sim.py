@@ -12,6 +12,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -227,49 +228,17 @@ def _rrse_to(x_true):
     return score
 
 
-@dataclass(frozen=True)
-class BenchmarkCell:
-    resolution: int
-    sigma: float
-    method: str
-    parameter: object
-    seed: int
-    input_snr_db: float
-    output_snr_db: float | None
-    rrse: float | None
-    time_s: float
-    error: str | None = None
+class BenchmarkReport(NamedTuple):
+    """The sweep's three tables as columns. Each maps its column names to
+    one list of values per column. The column order, which is the order
+    of the table's header, is the key order of the dict that
+    ``run_benchmark``, ``_aggregate`` or ``_best`` fills, and every key
+    is there even where the table has no rows.
 
-
-@dataclass(frozen=True)
-class AggregateRow:
-    resolution: int
-    sigma: float
-    method: str
-    parameter: object
-    seeds: int
-    input_snr_mean: float
-    output_snr_mean: float
-    output_snr_std: float
-    rrse_mean: float
-    rrse_std: float
-
-
-@dataclass(frozen=True)
-class BestRow:
-    resolution: int
-    sigma: float
-    method: str
-    criterion: str
-    parameter: object
-    value: float
-
-
-@dataclass(frozen=True)
-class BenchmarkReport:
-    """The sweep's three tables as columns: each maps the field names of
-    its row type (``BenchmarkCell``, ``AggregateRow``, ``BestRow``), in
-    order, to one list of values per field."""
+    The values are plain Python objects, and no type is declared for a
+    column: the CSV writer formats each block of a column by the values
+    it holds (ints as ``%d``, finite floats as ``%.12g``, anything else
+    one value at a time)."""
 
     cells: dict
     aggregates: dict
@@ -292,10 +261,6 @@ def _mean_std(values):
         return mean, 0.0
     var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
     return mean, math.sqrt(var)
-
-
-def _columns(row_type):
-    return {f.name: [] for f in fields(row_type)}
 
 
 def _score_grid(noisy, method, grid, score_snr, score_rrse):
@@ -372,7 +337,8 @@ def run_benchmark(
     """
     check_distinct({"resolutions": resolutions, "sigmas": sigmas, "seeds": seeds,
                     **{f"grid of {method}": grid for method, grid in method_grids.items()}})
-    cells = _columns(BenchmarkCell)
+    cells = {name: [] for name in ("resolution", "sigma", "method", "parameter", "seed",
+                                   "input_snr_db", "output_snr_db", "rrse", "time_s", "error")}
     for n in resolutions:
         sc = replace(scenario, n=int(n))
         clean = generate_clean(sc)
@@ -385,19 +351,11 @@ def run_benchmark(
                     k = len(errors)
                     if not k:
                         continue  # an empty grid has no cells to share its time
-                    for name, values in (
-                        ("resolution", [int(n)] * k),
-                        ("sigma", [float(sigma)] * k),
-                        ("method", [method] * k),
-                        ("parameter", grid),
-                        ("seed", [int(seed)] * k),
-                        ("input_snr_db", [input_snr] * k),
-                        ("output_snr_db", snrs),
-                        ("rrse", rrses),
-                        ("time_s", [elapsed / k] * k),
-                        ("error", errors),
-                    ):
-                        cells[name].extend(values)
+                    for column, values in zip(cells.values(), (
+                        [int(n)] * k, [float(sigma)] * k, [method] * k, grid, [int(seed)] * k,
+                        [input_snr] * k, snrs, rrses, [elapsed / k] * k, errors,
+                    )):
+                        column.extend(values)
     aggregates = _aggregate(cells)
     return BenchmarkReport(cells=cells, aggregates=aggregates, best=_best(aggregates))
 
@@ -421,9 +379,13 @@ def _aggregate(cells):
         values = np.array(cells[name], dtype=float)[members].tolist()
         return [values[start:stop] for start, stop in spans]
 
-    aggregates = _columns(AggregateRow)
-    for name, values in zip(("resolution", "sigma", "method", "parameter"), zip(*groups)):
-        aggregates[name] = list(values)
+    # All ten names from the start, since a sweep with no good cell has no
+    # groups; the first four columns are the groups' keys.
+    aggregates = {name: [] for name in ("resolution", "sigma", "method", "parameter", "seeds",
+                                        "input_snr_mean", "output_snr_mean", "output_snr_std",
+                                        "rrse_mean", "rrse_std")}
+    for column, values in zip(aggregates.values(), zip(*groups)):
+        column.extend(values)
     aggregates["seeds"] = sizes
     aggregates["input_snr_mean"] = [math.fsum(v) / len(v) for v in by_group("input_snr_db")]
     for score, column in (("output_snr", "output_snr_db"), ("rrse", "rrse")):
@@ -441,12 +403,12 @@ def _best(aggregates):
     keys = zip(aggregates["resolution"], aggregates["sigma"], aggregates["method"])
     for i, key in enumerate(keys):
         by_method.setdefault(key, []).append(i)
-    best = _columns(BestRow)
+    best = {name: [] for name in ("resolution", "sigma", "method", "criterion", "parameter", "value")}
     snr_mean, rrse_mean = aggregates["output_snr_mean"], aggregates["rrse_mean"]
     for (n, sigma, method), rows in by_method.items():
         for criterion, pick, means in (("snr", max, snr_mean), ("rrse", min, rrse_mean)):
             top = pick(rows, key=means.__getitem__)
-            for name, value in zip(best, (n, sigma, method, criterion,
-                                          aggregates["parameter"][top], means[top])):
-                best[name].append(value)
+            for column, value in zip(best.values(), (n, sigma, method, criterion,
+                                                     aggregates["parameter"][top], means[top])):
+                column.append(value)
     return best

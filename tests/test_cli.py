@@ -5,7 +5,6 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +150,32 @@ class TestIngest:
             got_abscissa, got_intensity = cli.ingest(f)
             assert got_abscissa.tobytes() == abscissa.tobytes()
             assert got_intensity.tobytes() == intensity.tobytes()
+
+    @pytest.mark.parametrize("header", [None, "wavenumber\tintensity"])
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_byte_order_mark(self, tmp_path, monkeypatch, fast, header):
+        # A UTF-8 byte-order mark is not part of the first line: the file
+        # reads as the same file without it, on either parser, and only
+        # a header line is skipped.
+        rows = [f"{i}.0\t{i * i}.5" for i in range(8)]
+        if not fast:
+            rows[-1] = rows[-1].replace("\t", ",")  # a mixed delimiter: the line parser reads it
+        text = "\n".join([header, *rows] if header else rows) + "\n"
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        assert (cli._ingest_fast(marked, None) is not None) == fast
+        expected = cli.ingest(plain)
+        if fast:
+            def line_parser(*args):
+                raise AssertionError("the line parser ran")
+
+            monkeypatch.setattr(cli, "_ingest_lines", line_parser)
+        abscissa, intensity = cli.ingest(marked)
+        assert abscissa.tobytes() == expected[0].tobytes()
+        assert intensity.tobytes() == expected[1].tobytes()
+        assert abscissa.tolist() == [float(i) for i in range(8)]
 
 
 ROW_SEPARATORS = (",", "\t", " ", "  ", ", ", " ,", "\t ", ";", "::")
@@ -611,14 +636,14 @@ class TestBenchmarkCommand:
         assert errors[2].startswith("DegenerateSignalError")
 
     @staticmethod
-    def csv_writer_table(path, row_type, columns):
+    def csv_writer_table(path, columns):
         # The oracle: the csv module's writer, each value formatted as the
         # table writer formats it.
-        names = [f.name for f in fields(row_type)]
+        names = list(columns)
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(names)
-            for values in zip(*(columns[name] for name in names)):
+            for values in zip(*columns.values()):
                 writer.writerow([cli._param_str(v) if name == "parameter" else cli._fmt(v)
                                  for name, v in zip(names, values)])
         return path.read_bytes()
@@ -640,11 +665,9 @@ class TestBenchmarkCommand:
         }))
         scenario, resolutions, sigmas, grids, seeds = cli.load_scenario_file(path)
         report = sim.run_benchmark(scenario, resolutions, sigmas, grids, seeds)
-        for name, row_type in (("cells", sim.BenchmarkCell), ("aggregates", sim.AggregateRow),
-                               ("best", sim.BestRow)):
-            columns = getattr(report, name)
-            cli._write_table(tmp_path / f"{name}.csv", row_type, columns)
-            expected = self.csv_writer_table(tmp_path / f"{name}-oracle.csv", row_type, columns)
+        for name, columns in report._asdict().items():
+            cli._write_table(tmp_path / f"{name}.csv", columns)
+            expected = self.csv_writer_table(tmp_path / f"{name}-oracle.csv", columns)
             assert (tmp_path / f"{name}.csv").read_bytes() == expected, name
         text = (tmp_path / "cells.csv").read_text()
         assert ',"InvalidConfigError: poly_order must satisfy 1 <= order < window, got order=5"\n' in text
@@ -670,11 +693,53 @@ class TestBenchmarkCommand:
             "output_snr_db": [None, 1.5, -math.inf, math.nan], "rrse": [0.25, None, 1e300, 0.0],
             "time_s": [1e-6, 2e-6, 3e-6, 4e-6], "error": ['say "hi", twice', None, "", "plain"],
         }
-        cli._write_table(tmp_path / "t.csv", sim.BenchmarkCell, columns)
-        expected = self.csv_writer_table(tmp_path / "oracle.csv", sim.BenchmarkCell, columns)
+        cli._write_table(tmp_path / "t.csv", columns)
+        expected = self.csv_writer_table(tmp_path / "oracle.csv", columns)
         assert (tmp_path / "t.csv").read_bytes() == expected
         with (tmp_path / "t.csv").open(newline="") as fh:
             assert [row["method"] for row in csv.DictReader(fh)] == columns["method"]
+
+    def test_block_formats_follow_the_values(self, tmp_path, monkeypatch):
+        # Two-row blocks: a parameter block of ints only, then of floats
+        # only, then of None only; an output SNR block of None only, then
+        # of finite floats, then of a noise-free and a -inf SNR.
+        monkeypatch.setattr(cli, "TABLE_BLOCK_ROWS", 2)
+        columns = {
+            "parameter": [1, 20, 0.5, 2.0, None, None],
+            "output_snr_db": [None, None, 1.25, 3.0, math.inf, -math.inf],
+            "seed": [0, 1, 2, 3, 4, 5],
+        }
+        cli._write_table(tmp_path / "t.csv", columns)
+        expected = self.csv_writer_table(tmp_path / "oracle.csv", columns)
+        assert (tmp_path / "t.csv").read_bytes() == expected
+        assert expected == (b"parameter,output_snr_db,seed\r\n1,,0\r\n20,,1\r\n0.5,1.25,2\r\n"
+                            b"2,3,3\r\n-,noise-free,4\r\n-,-inf,5\r\n")
+
+    @pytest.mark.parametrize("methods", [{"ps": [], "sg": []}, {"ps": [-1], "sg": [[5, 9]]}])
+    def test_sweep_without_good_cells_writes_full_headers(self, tmp_path, methods):
+        # Grids all empty, or all failing: the tables hold their headers and
+        # no cells, aggregates or best rows.
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"resolutions": [50], "methods": methods}))
+        out = tmp_path / "bench"
+        assert cli.main(["benchmark", str(path), "--out", str(out)]) == 0
+        cells = sum(map(len, methods.values()))
+        headers = {
+            "cells.csv": "resolution,sigma,method,parameter,seed,input_snr_db,output_snr_db,"
+                         "rrse,time_s,error",
+            "aggregates.csv": "resolution,sigma,method,parameter,seeds,input_snr_mean,"
+                              "output_snr_mean,output_snr_std,rrse_mean,rrse_std",
+            "best.csv": "resolution,sigma,method,criterion,parameter,value",
+        }
+        for name, header in headers.items():
+            lines = (out / name).read_bytes().split(b"\r\n")
+            assert lines[0] == header.encode() and lines[-1] == b"", name
+            assert len(lines) == 2 + (cells if name == "cells.csv" else 0), name
+        report = sim.run_benchmark(*cli.load_scenario_file(path))
+        for name, columns in report._asdict().items():
+            cli._write_table(tmp_path / f"{name}.csv", columns)
+            expected = self.csv_writer_table(tmp_path / f"{name}-oracle.csv", columns)
+            assert (tmp_path / f"{name}.csv").read_bytes() == expected, name
 
     def test_value_columns_deterministic(self, tmp_path, scenario_file):
         def strip_times(out_dir):
@@ -779,6 +844,13 @@ class TestBenchmarkCommand:
         assert len(err.splitlines()) == 1
         assert json.loads(err) == {"error": "InvalidConfigError", "message": f"scenario file: {message}"}
         assert not (tmp_path / "x").exists()
+
+    def test_scenario_with_byte_order_mark(self, tmp_path):
+        text = json.dumps({"resolutions": [60], "seeds": [2], "methods": {"ps": [1.0]}})
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert cli.load_scenario_file(marked) == cli.load_scenario_file(plain)
 
     def test_invalid_scenario(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

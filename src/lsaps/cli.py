@@ -23,6 +23,7 @@ import sys
 import time
 import warnings
 from array import array
+from contextlib import contextmanager
 from dataclasses import fields
 from itertools import chain
 from pathlib import Path
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import select as select_mod
 from . import sim
-from .errors import IngestError, InvalidConfigError, LsapsError
+from .errors import IngestError, InvalidConfigError, LsapsError, OutputError
 from .peaks import PeakEntry, detect_peaks, second_difference, unit_second_difference
 from .smoothers import METHODS, PENALIZED, smooth
 
@@ -213,6 +214,18 @@ def ingest(path, delimiter=None):
 WRITE_BLOCK_ROWS = 8192
 
 
+@contextmanager
+def _output_dir(path):
+    """The output directory ``path``, made if missing; an OSError while
+    making it or writing into it is an ``OutputError``."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        yield out_dir
+    except OSError as exc:
+        raise OutputError(f"cannot write output to {path}: {exc}") from None
+
+
 def _write_columns(path, columns, header=None):
     """Write ``columns`` tab-separated in FLOAT_FMT, which prints integers as such."""
     row = "\t".join([FLOAT_FMT] * len(columns)) + "\n"
@@ -295,28 +308,28 @@ def _run_smooth(args) -> int:
         peaks = detect_peaks(smoothed, args.peaks, abscissa=abscissa, unit_d2=unit_d2)
 
     # Every check has passed; only now is anything written.
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_signal(out_dir, abscissa, smoothed, second_difference(smoothed, unit_d2))
+    with _output_dir(args.out) as out_dir:
+        _write_signal(out_dir, abscissa, smoothed, second_difference(smoothed, unit_d2))
 
-    if peaks is not None:
-        names = [f.name for f in fields(PeakEntry)]
-        _write_columns(out_dir / "peaks.txt",
-                       [[getattr(p, name) for p in peaks] for name in names], names)
-        summary["peaks_found"] = len(peaks)
-        summary["peaks_requested"] = args.peaks
+        if peaks is not None:
+            names = [f.name for f in fields(PeakEntry)]
+            _write_columns(out_dir / "peaks.txt",
+                           [[getattr(p, name) for p in peaks] for name in names], names)
+            summary["peaks_found"] = len(peaks)
+            summary["peaks_requested"] = args.peaks
 
-    if curve is not None:
-        _write_columns(out_dir / "cv_curve.txt", (curve.grid, curve.losses), ("parameter", "loss"))
-        summary["cv_curve"] = {
-            "grid": list(curve.grid),
-            "losses": [_json_float(v) for v in curve.losses],
-            "best_index": curve.best_index,
-        }
+        if curve is not None:
+            _write_columns(out_dir / "cv_curve.txt", (curve.grid, curve.losses),
+                           ("parameter", "loss"))
+            summary["cv_curve"] = {
+                "grid": list(curve.grid),
+                "losses": [_json_float(v) for v in curve.losses],
+                "best_index": curve.best_index,
+            }
 
-    with (out_dir / "summary.json").open("w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+        with (out_dir / "summary.json").open("w") as fh:
+            json.dump(summary, fh, indent=2)
+            fh.write("\n")
     return 0
 
 
@@ -485,13 +498,6 @@ def _run_benchmark(args) -> int:
     scenario, resolutions, sigmas, method_grids, seeds = load_scenario_file(args.scenario)
     report = sim.run_benchmark(scenario, resolutions, sigmas, method_grids, seeds)
 
-    # The sweep has returned; only now is anything written.
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_table(out_dir / "cells.csv", report.cells)
-    _write_table(out_dir / "aggregates.csv", report.aggregates)
-    _write_table(out_dir / "best.csv", report.best)
-
     times = {}
     for method, time_s in zip(report.cells["method"], report.cells["time_s"]):
         times.setdefault(method, []).append(time_s)
@@ -505,9 +511,14 @@ def _run_benchmark(args) -> int:
         "cells": len(report.cells["method"]),
         "single_call_median_time_s": {m: float(np.median(t)) for m, t in times.items()},
     }
-    with (out_dir / "summary.json").open("w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    # The sweep has returned; only now is anything written.
+    with _output_dir(args.out) as out_dir:
+        _write_table(out_dir / "cells.csv", report.cells)
+        _write_table(out_dir / "aggregates.csv", report.aggregates)
+        _write_table(out_dir / "best.csv", report.best)
+        with (out_dir / "summary.json").open("w") as fh:
+            json.dump(summary, fh, indent=2)
+            fh.write("\n")
     return 0
 
 

@@ -46,3 +46,7 @@ class UndefinedMetricError(LsapsError, ValueError):
 
 class IngestError(LsapsError, ValueError):
     """An input spectrum file could not be parsed."""
+
+
+class OutputError(LsapsError, OSError):
+    """An output directory could not be made or written to."""

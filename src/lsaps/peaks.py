@@ -51,7 +51,8 @@ def detect_peaks(x, k: int, abscissa=None, unit_d2=None):
     are those of its apex, and its sharpness is |second difference|
     there, in units of x. ``unit_d2`` is ``unit_second_difference(x)``
     where the caller has it; it is read, not changed. Raises ValueError
-    for an ``x`` that is not 1-d and finite.
+    for an ``x`` that is not 1-d and finite, and ``InvalidSizeError``
+    for an ``abscissa`` whose shape is not that of ``x``.
     """
     x = np.asarray(x, dtype=float)
     d, e = unit_second_difference(x) if unit_d2 is None else unit_d2
@@ -64,6 +65,8 @@ def detect_peaks(x, k: int, abscissa=None, unit_d2=None):
         abscissa = np.arange(n, dtype=float)
     else:
         abscissa = np.asarray(abscissa, dtype=float)
+        if abscissa.shape != x.shape:
+            raise InvalidSizeError(f"abscissa must have shape {x.shape}, got {abscissa.shape}")
 
     # Runs of equal values, so that a plateau is one candidate at its
     # leftmost index: an interior run below zero and below both

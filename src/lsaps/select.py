@@ -1,12 +1,12 @@
 """Automated smoothness-parameter selection by leave-one-out CV.
 
-For every candidate on a grid, the smoothed output, the hat-matrix
-diagonal, and the closed-form leave-one-out residuals
-r_i = (y_i - x_i) / (1 - H_ii) are computed. Both methods use one loss,
-sqrt(r^T A^{-1} r / N), with A the method's weights raised to a tiny
-floor. PS's unit weights give the standard loss sqrt(r^T r / N); with
-the LSA-PS curvature weights the modified loss discounts residuals at
-high-curvature points, which counters the chronic underestimation of
+Each candidate of a grid is fitted by ``smoothers._penalized``, as by
+``smooth``; its factor gives the hat-matrix diagonal and the closed-form
+leave-one-out residuals r_i = (y_i - x_i) / (1 - H_ii). Both methods use
+one loss, sqrt(r^T A^{-1} r / N), with A the method's weights raised to a
+tiny floor. PS's unit weights give the standard loss sqrt(r^T r / N);
+with the LSA-PS curvature weights the modified loss discounts residuals
+at high-curvature points, which counters the chronic underestimation of
 the smoothness.
 """
 
@@ -23,7 +23,7 @@ from .errors import (
     SingularSystemError,
 )
 from .localfit import floor_weights
-from .smoothers import from_unit, penalized_weights, to_unit
+from .smoothers import _penalized, from_unit
 
 # Default candidate grid, shared by PS and LSA-PS thanks to the
 # median-of-curvature penalty scaling.
@@ -86,7 +86,8 @@ def select_parameter(
 ) -> SelectionResult:
     """Pick the smoothness parameter minimizing the method's CV loss.
 
-    Each candidate is fitted exactly as the method's smoother fits it.
+    Each candidate is fitted exactly as ``smooth`` fits it, with the
+    same x and effective lambda.
     Candidates whose leverage saturates (or whose system is singular)
     get a loss of +inf and are excluded from the argmin; ties break
     toward the larger parameter. Every fit, and so every residual and
@@ -113,6 +114,8 @@ def select_parameter(
         If every candidate on the grid fails.
     ResultOverflowError
         If the selected smoothed signal exceeds float64.
+    InvalidSizeError, DegenerateSignalError
+        As ``smooth`` raises them for the method and y.
     ValueError
         If ``y`` is not 1-d or not finite.
     """
@@ -125,43 +128,34 @@ def select_parameter(
     if any(g < 0 for g in grid):
         raise InvalidConfigError("candidates must be >= 0")
 
-    y_unit, e = to_unit(y)
-    a, scale = penalized_weights(y_unit, method, clip)
-    loss_weights = floor_weights(a)
-    rhs = a * y_unit
-    assemble = linalg.assembler(a)
+    fit, y_unit, e, weights = _penalized(y, method, clip)
+    loss_weights = floor_weights(weights)
 
-    # The argmin is tracked as the loop runs, with ties broken toward the
-    # larger parameter, independent of grid ordering; only its x is kept.
+    # The argmin over the good candidates, ties broken toward the larger
+    # parameter whatever the grid order; only its x and lambda are kept.
     losses = np.empty(len(grid))
-    best_index = best_key = best_x = None
+    best_index = best_key = best_x = best_lam = None
     for j, cand in enumerate(grid):
         try:
-            system = assemble(cand * scale)
-            x = linalg.solve(system, rhs)
-            r = loo_residuals(y_unit, x, linalg.hat_diagonal(system))
+            factor, x, lam = fit(cand)
+            r = loo_residuals(y_unit, x, linalg.hat_diagonal(factor))
         except (LeverageSaturationError, SingularSystemError):
             losses[j] = math.inf
-            x = None
-        else:
-            losses[j] = cv_loss_lsa(r, loss_weights)
+            continue
+        losses[j] = cv_loss_lsa(r, loss_weights)
         key = (losses[j], -cand)
         if best_key is None or key < best_key:
-            best_index, best_key, best_x = j, key, x
+            best_index, best_key, best_x, best_lam = j, key, x, lam
 
     if not np.any(np.isfinite(losses)):
         raise SelectionFailedError("every candidate saturated or failed")
 
-    best = grid[best_index]
-    effective_lambda = best * scale
-    with np.errstate(over="ignore", under="ignore"):
-        if method == "ps":
+    if method == "ps":
+        with np.errstate(over="ignore", under="ignore"):
             losses = np.ldexp(losses, e)
-        else:
-            effective_lambda = float(np.ldexp(effective_lambda, 2 * e))
     return SelectionResult(
         curve=CvCurve(grid=grid, losses=losses, best_index=best_index),
-        best_parameter=best,
+        best_parameter=grid[best_index],
         smoothed=from_unit(best_x, e),
-        effective_lambda=effective_lambda,
+        effective_lambda=best_lam,
     )

@@ -6,8 +6,8 @@ Both penalized smoothers are one formula, x = (A + lam * D^T D)^{-1} A y
 with a diagonal weight matrix A and lam = parameter * scale. PS is the
 case A = I, scale = 1. LSA-PS builds A from local curvature, optionally
 clips it at its median, and takes scale = median(A) with the pre-clip
-median. ``penalized_weights`` turns a method into (A, scale); the
-smoothers and the CV selection in ``select`` share it.
+median. ``_penalized`` is the one fit of both: the smoothers and the CV
+selection in ``select`` take each x and lam from it.
 
 Every smoother, the CV selection and the peak detector take y through
 ``to_unit``, which checks that y is 1-d and finite and scales it by a
@@ -103,7 +103,8 @@ def penalized_weights(y_unit, method: str, clip: bool = True):
         For an unknown method.
     """
     if method == "ps":
-        return np.ones(y_unit.shape[0]), 1.0
+        # An int scale, so that lam * scale is lam itself, of its own type.
+        return np.ones(y_unit.shape[0]), 1
     if method == "lsa-ps":
         raw = local_quadratic_curvature(y_unit)
         median = float(np.median(raw))
@@ -219,9 +220,9 @@ def grid_blocks(y, method: str, grid, clip: bool = True):
     Savitzky-Golay a run of parameters whose fits share one window and
     basis, with the failures and copies of y among them. Work that does
     not depend on the parameter is done once per call: the unit scale
-    of y, the PS and LSA-PS weights and their check, and the LSA-PS
-    right-hand side; for Savitzky-Golay, once per block, the edge fits
-    and the interior product of every order.
+    of y and, for PS and LSA-PS, the setup of ``_penalized``, the weights,
+    their check and the right-hand side; for Savitzky-Golay, once per
+    block, the edge fits and the interior product of every order.
     A failure of that work is the result of each parameter that reaches
     it, after the checks that come first for that parameter, such as a
     negative ``lambda_bar``. Each block is computed when it is asked for,
@@ -230,10 +231,8 @@ def grid_blocks(y, method: str, grid, clip: bool = True):
     grid = list(grid)
     if method == "sg":
         return _sg_blocks(y, grid)
-    if method == "ps":
-        results = _ps_grid(y, grid)
-    elif method == "lsa-ps":
-        results = _lsa_ps_grid(y, grid, clip)
+    if method in PENALIZED:
+        results = _penalized_grid(y, method, grid, clip)
     elif method == "gaussian":
         results = _gaussian_grid(y, grid)
     elif method == "none":
@@ -272,42 +271,38 @@ def _value(result):
     return result
 
 
-def _ps_grid(y, grid):
-    def prepare():
-        y_unit, e = to_unit(y)
-        return linalg.assembler(np.ones(y_unit.shape[0])), y_unit, e
+def _penalized(y, method: str, clip: bool):
+    """(fit, y_unit, e, A): the fit of y set up once for a grid, from
+    ``to_unit`` and ``penalized_weights``. fit(parameter) returns the
+    factor, x at unit size and lam in units of y squared, inf or 0 where
+    that leaves float64."""
+    y_unit, e = to_unit(y)
+    weights, scale = penalized_weights(y_unit, method, clip)
+    assemble = linalg.assembler(weights)
+    rhs = weights * y_unit
 
-    shared = _attempt(prepare)
-
-    def fit(lam):
-        assemble, y_unit, e = _value(shared)
-        x = linalg.solve(assemble(lam), y_unit)
-        return from_unit(x, e), lam
-
-    return (_attempt(fit, lam) for lam in grid)
-
-
-def _lsa_ps_grid(y, grid, clip):
-    def prepare():
-        y_unit, e = to_unit(y)
-        a, scale = penalized_weights(y_unit, "lsa-ps", clip)
-        # The right-hand side a * y in place: a second n-array beside y
-        # raises the peak RSS.
-        y_unit *= a
-        return linalg.assembler(a), scale, y_unit, e
-
-    shared = _attempt(prepare)
-
-    def fit(lambda_bar):
-        if lambda_bar < 0:
-            raise InvalidConfigError(f"lambda_bar must be >= 0, got {lambda_bar}")
-        assemble, scale, rhs, e = _value(shared)
-        x = linalg.solve(assemble(lambda_bar * scale), rhs)
+    def fit(parameter):
+        factor = assemble(parameter * scale)
+        x = linalg.solve(factor, rhs)
+        if method == "ps":
+            return factor, x, parameter
         with np.errstate(over="ignore", under="ignore"):
-            lam = float(np.ldexp(lambda_bar * scale, 2 * e))
+            return factor, x, float(np.ldexp(parameter * scale, 2 * e))
+
+    return fit, y_unit, e, weights
+
+
+def _penalized_grid(y, method, grid, clip):
+    shared = _attempt(_penalized, y, method, clip)
+
+    def fit(parameter):
+        if method == "lsa-ps" and parameter < 0:
+            raise InvalidConfigError(f"lambda_bar must be >= 0, got {parameter}")
+        fit_unit, _, e, _ = _value(shared)
+        _, x, lam = fit_unit(parameter)
         return from_unit(x, e), lam
 
-    return (_attempt(fit, lambda_bar) for lambda_bar in grid)
+    return (_attempt(fit, parameter) for parameter in grid)
 
 
 def _sg_order(n: int, parameter):

@@ -368,6 +368,17 @@ class TestSmoothCommand:
         assert record["error"] == "IngestError"
         assert "missing.txt" in record["message"]
 
+    def test_out_naming_a_file_prints_json_line(self, noisy_file, capsys):
+        path, _ = noisy_file
+        before = path.read_bytes()
+        rc = cli.main(["smooth", str(path), "--param", "1", "--out", str(path)])
+        assert rc == 1
+        [line] = capsys.readouterr().err.splitlines()
+        record = json.loads(line)
+        assert record["error"] == "OutputError"
+        assert record["message"].startswith(f"cannot write output to {path}: ")
+        assert path.read_bytes() == before
+
     @pytest.mark.parametrize(
         "extra, message",
         [
@@ -547,6 +558,16 @@ class TestBenchmarkCommand:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(data))
         return path
+
+    def test_out_naming_a_file_prints_json_line(self, scenario_file, capsys):
+        before = scenario_file.read_bytes()
+        rc = cli.main(["benchmark", str(scenario_file), "--out", str(scenario_file)])
+        assert rc == 1
+        [line] = capsys.readouterr().err.splitlines()
+        record = json.loads(line)
+        assert record["error"] == "OutputError"
+        assert record["message"].startswith(f"cannot write output to {scenario_file}: ")
+        assert scenario_file.read_bytes() == before
 
     def test_outputs(self, tmp_path, scenario_file):
         out = tmp_path / "bench"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -75,6 +77,13 @@ class TestDetect:
         t = np.linspace(10.0, 16.0, 7)
         found = detect_peaks(x, 1, abscissa=t)
         assert found[0].abscissa == t[3]
+
+    @pytest.mark.parametrize("shape", [(50,), (100, 2), (200,)], ids=["short", "2-d", "long"])
+    def test_abscissa_of_another_shape(self, shape):
+        y = np.sin(np.arange(100) / 5.0)
+        message = rf"abscissa must have shape \(100,\), got {re.escape(str(shape))}"
+        with pytest.raises(InvalidSizeError, match=message):
+            detect_peaks(y, 3, abscissa=np.zeros(shape))
 
     def test_indices_are_signal_frame(self):
         # Candidate j in the second-difference frame maps to j + 1.

@@ -5,6 +5,7 @@ from lsaps import linalg
 from lsaps.errors import (
     DegenerateSignalError,
     InvalidConfigError,
+    InvalidSizeError,
     LeverageSaturationError,
     ResultOverflowError,
     SelectionFailedError,
@@ -16,7 +17,7 @@ from lsaps.select import (
     loo_residuals,
     select_parameter,
 )
-from lsaps.smoothers import penalized_weights, smooth_lsa_ps, smooth_ps, to_unit
+from lsaps.smoothers import penalized_weights, smooth, smooth_lsa_ps, smooth_ps, to_unit
 from mp_oracle import solve_and_inverse_diagonal
 
 
@@ -130,12 +131,19 @@ class TestSelectParameter:
             assert result.curve.losses[j] == expected
 
     def test_smoothed_output_matches_best(self):
-        # CV fits each candidate exactly as the smoother does.
-        y = np.random.default_rng(5).standard_normal(80)
-        result = select_parameter(y, method="ps")
-        assert np.array_equal(result.smoothed, smooth_ps(y, result.best_parameter))
-        result = select_parameter(y, method="lsa-ps")
-        assert np.array_equal(result.smoothed, smooth_lsa_ps(y, result.best_parameter)[0])
+        # CV fits each candidate exactly as the smoother does, x and lambda
+        # alike; at 2**300 the unit scale e is not 0, and the LSA-PS lambda
+        # is scaled back by 2**(2e).
+        for scale in (1.0, 2.0**300):
+            y = np.random.default_rng(5).standard_normal(80) * scale
+            result = select_parameter(y, method="ps")
+            assert np.array_equal(result.smoothed, smooth_ps(y, result.best_parameter))
+            assert result.effective_lambda == smooth(y, "ps", result.best_parameter)[1]
+            for clip in (True, False):
+                result = select_parameter(y, method="lsa-ps", clip=clip)
+                x, lam = smooth_lsa_ps(y, result.best_parameter, clip)
+                assert np.array_equal(result.smoothed, x)
+                assert result.effective_lambda == lam
 
     def test_effective_lambda_scaling(self):
         y = np.random.default_rng(6).standard_normal(80)
@@ -222,6 +230,13 @@ class TestSelectParameter:
         # A candidate whose band overflows is a bad grid, not a failed fit.
         with pytest.raises(InvalidConfigError, match=r"lam = 1e\+308 is too large"):
             select_parameter(y, method="ps", grid=(1.0, 1e308))
+        # PS CV of a signal too short for PS fails as smooth_ps does, not
+        # with a curvature diagnosis.
+        with pytest.raises(InvalidSizeError) as cv_error:
+            select_parameter(np.array([]), method="ps")
+        with pytest.raises(InvalidSizeError) as smooth_error:
+            smooth_ps(np.array([]), 1.0)
+        assert str(cv_error.value) == str(smooth_error.value) == "system needs n >= 3, got n=0"
 
     @pytest.mark.parametrize("method", ["ps", "lsa-ps"])
     @pytest.mark.parametrize("factor", [2.0**660, 2.0**-600], ids=["2**660", "2**-600"])

@@ -33,7 +33,7 @@ import numpy as np
 from . import select as select_mod
 from . import sim
 from .errors import IngestError, InvalidConfigError, LsapsError, OutputError
-from .peaks import PeakEntry, detect_peaks, second_difference, unit_second_difference
+from .peaks import PeakEntry, detect_peaks, second_difference
 from .smoothers import METHODS, PENALIZED, smooth
 
 FLOAT_FMT = "%.12g"
@@ -280,8 +280,6 @@ def _run_smooth(args) -> int:
     curve = None
     t0 = time.perf_counter()
     if args.auto:
-        if args.method not in PENALIZED:
-            raise LsapsError("auto-selection supports only ps and lsa-ps")
         result = select_mod.select_parameter(y, method=args.method, grid=grid, clip=clip)
         smoothed = result.smoothed
         curve = result.curve
@@ -301,15 +299,13 @@ def _run_smooth(args) -> int:
         if lam is not None:
             summary["effective_lambda"] = _json_float(lam)
     summary["smooth_time_s"] = time.perf_counter() - t0
-    # One second difference, at unit size, for the peaks and the output.
-    unit_d2 = unit_second_difference(smoothed)
     peaks = None
     if args.peaks is not None:
-        peaks = detect_peaks(smoothed, args.peaks, abscissa=abscissa, unit_d2=unit_d2)
+        peaks = detect_peaks(smoothed, args.peaks, abscissa=abscissa)
 
     # Every check has passed; only now is anything written.
     with _output_dir(args.out) as out_dir:
-        _write_signal(out_dir, abscissa, smoothed, second_difference(smoothed, unit_d2))
+        _write_signal(out_dir, abscissa, smoothed, second_difference(smoothed))
 
         if peaks is not None:
             names = [f.name for f in fields(PeakEntry)]

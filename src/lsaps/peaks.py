@@ -2,9 +2,10 @@
 
 A peak apex shows up as a negative local minimum of the second
 difference; candidates are ranked by the absolute value of that minimum
-(the sharpness) and the top k are kept. The second difference is taken
-on x * 2**-e, of unit size, where it cannot overflow, and scaled back by
-2**e only for output: a value beyond float64 becomes +-inf, never NaN.
+(the sharpness) and the top k are kept. ``detect_peaks`` and
+``second_difference`` each take the second difference of x * 2**-e, of
+unit size from ``to_unit``, where it cannot overflow, and scale it back
+by 2**e only for output: a value beyond float64 becomes +-inf, never NaN.
 """
 
 from dataclasses import dataclass
@@ -23,24 +24,17 @@ class PeakEntry:
     intensity: float
 
 
-def unit_second_difference(x):
-    """(d, e): the second difference of x * 2**-e, of unit size, where it
-    cannot overflow, and the exponent e of ``to_unit``. Raises ValueError
-    for an ``x`` that is not 1-d and finite."""
-    x_unit, e = to_unit(x)
-    return np.diff(x_unit, n=2), e
-
-
-def second_difference(x, unit_d2=None):
+def second_difference(x):
     """The second difference of ``x``, in units of x; +-inf where it
-    exceeds float64. ``unit_d2`` is ``unit_second_difference(x)`` where
-    the caller has it; its array is then scaled in place."""
-    d, e = unit_second_difference(x) if unit_d2 is None else unit_d2
+    exceeds float64. Raises ValueError for an ``x`` that is not 1-d and
+    finite."""
+    x_unit, e = to_unit(x)
+    d = np.diff(x_unit, n=2)
     with np.errstate(over="ignore"):
         return np.ldexp(d, e, out=d)
 
 
-def detect_peaks(x, k: int, abscissa=None, unit_d2=None):
+def detect_peaks(x, k: int, abscissa=None):
     """Find the k sharpest peaks of ``x``.
 
     Returns a tuple of ``PeakEntry``, sharpest first. Candidates are
@@ -49,13 +43,13 @@ def detect_peaks(x, k: int, abscissa=None, unit_d2=None):
     their leftmost index. Fewer than ``k`` candidates gives fewer
     entries, not an error. The index and the ``abscissa`` of an entry
     are those of its apex, and its sharpness is |second difference|
-    there, in units of x. ``unit_d2`` is ``unit_second_difference(x)``
-    where the caller has it; it is read, not changed. Raises ValueError
-    for an ``x`` that is not 1-d and finite, and ``InvalidSizeError``
-    for an ``abscissa`` whose shape is not that of ``x``.
+    there, in units of x, taken at unit size. Raises ValueError for an
+    ``x`` that is not 1-d and finite, and ``InvalidSizeError`` for an
+    ``abscissa`` whose shape is not that of ``x``.
     """
     x = np.asarray(x, dtype=float)
-    d, e = unit_second_difference(x) if unit_d2 is None else unit_d2
+    x_unit, e = to_unit(x)
+    d = np.diff(x_unit, n=2)
     n = x.shape[0]
     if n < 5:
         raise InvalidSizeError(f"peak detection needs n >= 5, got n={n}")

@@ -23,7 +23,7 @@ from .errors import (
     SingularSystemError,
 )
 from .localfit import floor_weights
-from .smoothers import _penalized, from_unit
+from .smoothers import PENALIZED, _penalized, from_unit, to_unit
 
 # Default candidate grid, shared by PS and LSA-PS thanks to the
 # median-of-curvature penalty scaling.
@@ -108,8 +108,10 @@ def select_parameter(
     Raises
     ------
     InvalidConfigError
-        If the grid is empty or holds a negative or non-finite candidate,
-        or one whose lambda overflows the system's band.
+        If the method is not ``ps`` or ``lsa-ps``, which is checked
+        first; if the grid is empty or holds a negative or non-finite
+        candidate, which is checked before y; or if a candidate's lambda
+        overflows the system's band.
     SelectionFailedError
         If every candidate on the grid fails.
     ResultOverflowError
@@ -119,6 +121,8 @@ def select_parameter(
     ValueError
         If ``y`` is not 1-d or not finite.
     """
+    if method not in PENALIZED:
+        raise InvalidConfigError(f"auto-selection supports only ps and lsa-ps, got {method!r}")
     grid = tuple(float(g) for g in grid)
     if not grid:
         raise InvalidConfigError("candidate grid must be non-empty")
@@ -128,7 +132,8 @@ def select_parameter(
     if any(g < 0 for g in grid):
         raise InvalidConfigError("candidates must be >= 0")
 
-    fit, y_unit, e, weights = _penalized(y, method, clip)
+    y_unit, e = to_unit(y)
+    fit, weights = _penalized(y_unit, e, method, clip)
     loss_weights = floor_weights(weights)
 
     # The argmin over the good candidates, ties broken toward the larger

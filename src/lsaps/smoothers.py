@@ -9,12 +9,14 @@ clips it at its median, and takes scale = median(A) with the pre-clip
 median. ``_penalized`` is the one fit of both: the smoothers and the CV
 selection in ``select`` take each x and lam from it.
 
-Every smoother, the CV selection and the peak detector take y through
-``to_unit``, which checks that y is 1-d and finite and scales it by a
-power of two to unit size, so squared curvature and sums of a few
-entries neither overflow nor underflow. A smoothed signal goes back
-through ``from_unit``, which raises ``ResultOverflowError`` where it
-exceeds float64.
+``to_unit`` checks that y is 1-d and finite and scales it by a power
+of two to unit size, so squared curvature and sums of a few entries
+neither overflow nor underflow. It runs once per call of each entry
+point, ``grid_blocks``, ``select.select_parameter``,
+``peaks.detect_peaks`` and ``peaks.second_difference``, and the work
+below them takes the scaled y. A smoothed signal goes back through
+``from_unit``, which raises ``ResultOverflowError`` where it exceeds
+float64.
 
 ``grid_blocks`` is the one method dispatch: it smooths y with every
 parameter of a grid, a block of parameters at a time, and does the work
@@ -36,6 +38,7 @@ same product and keeps one row.
 
 import functools
 import math
+import operator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -99,7 +102,7 @@ def penalized_weights(y_unit, method: str, clip: bool = True):
         For LSA-PS when the median curvature weight is zero, so the
         penalty scale collapses (an affine signal, one straight on at least
         half of its points, or curvature that underflows).
-    ValueError
+    InvalidConfigError
         For an unknown method.
     """
     if method == "ps":
@@ -113,7 +116,7 @@ def penalized_weights(y_unit, method: str, clip: bool = True):
                 "median curvature weight is zero, so the LSA-PS penalty scale collapses"
             )
         return (np.minimum(raw, median) if clip else raw), median
-    raise ValueError(f"unknown method {method!r}")
+    raise InvalidConfigError(f"unknown method {method!r}")
 
 
 
@@ -199,8 +202,9 @@ def smooth(y, method: str, parameter, clip: bool = True):
     (window, poly_order) pair for ``sg`` and a window for ``gaussian``;
     ``clip`` applies to ``lsa-ps`` alone. The lambda is None for ``sg``,
     ``gaussian`` and ``none``, the benchmark's identity control, which
-    returns a copy of y. Raises ValueError for an unknown method, and
-    for a y that is not 1-d and finite.
+    returns a copy of y. Raises ``InvalidConfigError`` for an unknown
+    method, then ValueError for a y that is not 1-d and finite, and only
+    then the error of the parameter, such as a negative ``lambda_bar``.
     """
     # A one-parameter grid is one block of one result.
     [(_, [result])] = grid_blocks(y, method, (parameter,), clip)
@@ -218,27 +222,33 @@ def grid_blocks(y, method: str, grid, clip: bool = True):
     i is the x of the block's i-th good result (the same memory). A block
     is the whole grid for PS, LSA-PS, gaussian and none, and for
     Savitzky-Golay a run of parameters whose fits share one window and
-    basis, with the failures and copies of y among them. Work that does
-    not depend on the parameter is done once per call: the unit scale
-    of y and, for PS and LSA-PS, the setup of ``_penalized``, the weights,
-    their check and the right-hand side; for Savitzky-Golay, once per
-    block, the edge fits and the interior product of every order.
-    A failure of that work is the result of each parameter that reaches
-    it, after the checks that come first for that parameter, such as a
-    negative ``lambda_bar``. Each block is computed when it is asked for,
-    so one block is held at a time.
+    basis, with the failures and copies of y among them. An unknown
+    method, then a y that fails ``to_unit``, is the result of every
+    parameter, in one block; only a valid y reaches the checks of each
+    parameter. Work that does not depend on the parameter is done once
+    per call: the unit scale of y and, for PS and LSA-PS, the setup of
+    ``_penalized``, the weights, their check and the right-hand side;
+    for Savitzky-Golay, once per block, the edge fits and the interior
+    product of every order. A failure of that work is the result of each
+    parameter that reaches it, after the checks that come first for that
+    parameter, such as a negative ``lambda_bar``. Each block is computed
+    when it is asked for, so one block is held at a time.
     """
     grid = list(grid)
+    if method not in (*METHODS, "none"):
+        return _one_block([InvalidConfigError(f"unknown method {method!r}")] * len(grid))
+    unit = _attempt(to_unit, y)
+    if isinstance(unit, Exception):
+        return _one_block([unit] * len(grid))
+    y_unit, e = unit
     if method == "sg":
-        return _sg_blocks(y, grid)
+        return _sg_blocks(y, y_unit, e, grid)
     if method in PENALIZED:
-        results = _penalized_grid(y, method, grid, clip)
+        results = _penalized_grid(y_unit, e, method, grid, clip)
     elif method == "gaussian":
-        results = _gaussian_grid(y, grid)
-    elif method == "none":
-        results = _none_grid(y, grid)
+        results = (_attempt(_gaussian, y, y_unit, e, window) for window in grid)
     else:
-        results = [ValueError(f"unknown method {method!r}")] * len(grid)
+        results = [(np.array(y, dtype=float), None) for _ in grid]
     return _one_block(results)
 
 
@@ -271,12 +281,11 @@ def _value(result):
     return result
 
 
-def _penalized(y, method: str, clip: bool):
-    """(fit, y_unit, e, A): the fit of y set up once for a grid, from
-    ``to_unit`` and ``penalized_weights``. fit(parameter) returns the
-    factor, x at unit size and lam in units of y squared, inf or 0 where
-    that leaves float64."""
-    y_unit, e = to_unit(y)
+def _penalized(y_unit, e: int, method: str, clip: bool):
+    """(fit, A): the fit of y = y_unit * 2**e, with y_unit and e from
+    ``to_unit``, set up once for a grid by ``penalized_weights``.
+    fit(parameter) returns the factor, x at unit size and lam in units of
+    y squared, inf or 0 where that leaves float64."""
     weights, scale = penalized_weights(y_unit, method, clip)
     assemble = linalg.assembler(weights)
     rhs = weights * y_unit
@@ -289,26 +298,35 @@ def _penalized(y, method: str, clip: bool):
         with np.errstate(over="ignore", under="ignore"):
             return factor, x, float(np.ldexp(parameter * scale, 2 * e))
 
-    return fit, y_unit, e, weights
+    return fit, weights
 
 
-def _penalized_grid(y, method, grid, clip):
-    shared = _attempt(_penalized, y, method, clip)
+def _penalized_grid(y_unit, e: int, method, grid, clip):
+    shared = _attempt(_penalized, y_unit, e, method, clip)
 
     def fit(parameter):
         if method == "lsa-ps" and parameter < 0:
             raise InvalidConfigError(f"lambda_bar must be >= 0, got {parameter}")
-        fit_unit, _, e, _ = _value(shared)
-        _, x, lam = fit_unit(parameter)
+        _, x, lam = _value(shared)[0](parameter)
         return from_unit(x, e), lam
 
     return (_attempt(fit, parameter) for parameter in grid)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int, by ``operator.index``; an InvalidConfigError
+    that names it where it is not an integer, such as 5.0."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidConfigError(f"{name} must be an integer, got {value}") from None
 
 
 def _sg_order(n: int, parameter):
     """The (window, poly_order) of a Savitzky-Golay fit to n points, or
     None where the fit is a copy of y; raises for invalid arguments."""
     window, poly_order = parameter
+    window, poly_order = _integer("window", window), _integer("poly_order", poly_order)
     if window < 1 or window % 2 == 0:
         raise InvalidConfigError(f"window must be odd and >= 1, got {window}")
     if window > 1 and not 1 <= poly_order < window:
@@ -390,12 +408,7 @@ def _sg_fill(stack, rows, y_unit, window: int, top: int, orders):
         stack[rows, start:stop] = (kernels @ windows.T)[orders]
 
 
-def _sg_blocks(y, grid):
-    unit = _attempt(to_unit, y)
-    if isinstance(unit, Exception):
-        yield _stacked([unit] * len(grid))
-        return
-    y_unit, e = unit
+def _sg_blocks(y, y_unit, e: int, grid):
     n = y_unit.shape[0]
     # An item is (window, order) for a fit, None for a copy of y and an
     # exception for a failure; a block ends where a fit needs another basis.
@@ -439,42 +452,28 @@ def _sg_block(y, y_unit, e: int, basis, items):
     return stack, results
 
 
-def _gaussian_grid(y, grid):
-    unit = _attempt(to_unit, y)
-
-    def fit(window):
-        y_unit, e = _value(unit)
-        if window < 1:
-            raise InvalidConfigError(f"window must be >= 1, got {window}")
-        n = y_unit.shape[0]
-        if window == 1 or n == 1:
-            return np.array(y, dtype=float), None
-        sigma = window / 5.0
-        positions = np.arange(window, dtype=float)
-        center = (window - 1) / 2.0
-        kernel = np.exp(-0.5 * ((positions - center) / sigma) ** 2)
-        kernel /= kernel.sum()
-        offsets = np.arange(window) - window // 2
-        out = np.zeros(n)
-        norm = np.zeros(n)
-        for coeff, off in zip(kernel, offsets):
-            lo = max(0, -off)
-            hi = min(n, n - off)
-            if lo >= hi:
-                continue
-            out[lo:hi] += coeff * y_unit[lo + off : hi + off]
-            norm[lo:hi] += coeff
-        out /= norm
-        return from_unit(out, e), None
-
-    return (_attempt(fit, window) for window in grid)
-
-
-def _none_grid(y, grid):
-    unit = _attempt(to_unit, y)
-
-    def fit(_):
-        _value(unit)  # the checks alone
+def _gaussian(y, y_unit, e: int, window):
+    """The Gaussian smoothing of y = y_unit * 2**e and its lambda, None."""
+    window = _integer("window", window)
+    if window < 1:
+        raise InvalidConfigError(f"window must be >= 1, got {window}")
+    n = y_unit.shape[0]
+    if window == 1 or n == 1:
         return np.array(y, dtype=float), None
-
-    return (_attempt(fit, parameter) for parameter in grid)
+    sigma = window / 5.0
+    positions = np.arange(window, dtype=float)
+    center = (window - 1) / 2.0
+    kernel = np.exp(-0.5 * ((positions - center) / sigma) ** 2)
+    kernel /= kernel.sum()
+    offsets = np.arange(window) - window // 2
+    out = np.zeros(n)
+    norm = np.zeros(n)
+    for coeff, off in zip(kernel, offsets):
+        lo = max(0, -off)
+        hi = min(n, n - off)
+        if lo >= hi:
+            continue
+        out[lo:hi] += coeff * y_unit[lo + off : hi + off]
+        norm[lo:hi] += coeff
+    out /= norm
+    return from_unit(out, e), None

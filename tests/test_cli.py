@@ -522,8 +522,12 @@ class TestSmoothCommand:
         path, _ = noisy_file
         rc = cli.main(["smooth", str(path), "--method", "sg", "--auto", "--out", str(tmp_path / "x")])
         assert rc == 1
-        record = json.loads(capsys.readouterr().err.strip())
-        assert "auto" in record["message"]
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {
+            "error": "InvalidConfigError",
+            "message": "auto-selection supports only ps and lsa-ps, got 'sg'",
+        }
+        assert not (tmp_path / "x").exists()
 
 
 # Scenarios that parse but whose signal overflows, or whose noise

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lsaps.errors import InvalidSizeError
-from lsaps.peaks import detect_peaks, second_difference, unit_second_difference
+from lsaps.peaks import detect_peaks, second_difference
 from lsaps.smoothers import to_unit
 from lsaps.sim import SimScenario, LorentzianPeak, generate_clean
 from scoring import match_peaks
@@ -116,15 +116,6 @@ class TestDetect:
         for find in (lambda x: detect_peaks(x, 3), second_difference):
             with pytest.raises(ValueError, match="y must be finite, got nan at index 10"):
                 find(x)
-
-    def test_shared_unit_second_difference(self):
-        # One unit second difference serves the peaks and the output alike.
-        x = 1e300 * np.sin(np.arange(120) / 6.0) + 1e299 * np.random.default_rng(4).standard_normal(120)
-        unit_d2 = unit_second_difference(x)
-        d = unit_d2[0].copy()
-        assert detect_peaks(x, 5, unit_d2=unit_d2) == detect_peaks(x, 5)
-        assert np.array_equal(unit_d2[0], d)
-        assert np.array_equal(second_difference(x, unit_d2), second_difference(x))
 
     def test_second_difference_in_range_is_numpy_diff(self):
         x = np.random.default_rng(3).standard_normal(50) * 1e3

@@ -223,6 +223,11 @@ class TestSelectParameter:
         y = np.random.default_rng(12).standard_normal(30)
         with pytest.raises(ValueError):
             select_parameter(y, method="nope")
+        # CV is for the penalized methods; the others are known, not unknown.
+        for method in ("sg", "gaussian"):
+            with pytest.raises(InvalidConfigError,
+                               match=f"auto-selection supports only ps and lsa-ps, got '{method}'"):
+                select_parameter(y, method=method)
         with pytest.raises(ValueError):
             select_parameter(y, grid=())
         with pytest.raises(ValueError):

@@ -404,8 +404,23 @@ class TestSmooth:
         for method, (parameter, x, lam) in expected.items():
             got, got_lam = smooth(y, method, parameter)
             assert np.array_equal(got, x) and got_lam == lam, method
-        with pytest.raises(ValueError, match="unknown method"):
+        with pytest.raises(InvalidConfigError, match="unknown method 'median'"):
             smooth(y, "median", 3)
+
+    @pytest.mark.parametrize("method, parameter, message", [
+        ("sg", (5.0, 2), "window must be an integer, got 5.0"),
+        ("sg", (5, 2.0), "poly_order must be an integer, got 2.0"),
+        ("gaussian", 2.5, "window must be an integer, got 2.5"),
+        ("gaussian", np.float64(5.0), "window must be an integer, got 5.0"),
+    ], ids=["sg-window", "sg-order", "gaussian", "gaussian-numpy-float"])
+    def test_windows_and_orders_are_integers(self, method, parameter, message):
+        # A config error, not a TypeError from slicing; numpy integers are integers.
+        y = np.random.default_rng(4).standard_normal(40)
+        with pytest.raises(InvalidConfigError, match=f"^{message}$"):
+            smooth(y, method, parameter)
+        exact = (5, 2) if method == "sg" else 5
+        numpy_ints = tuple(map(np.int64, exact)) if method == "sg" else np.int64(exact)
+        assert np.array_equal(smooth(y, method, numpy_ints)[0], smooth(y, method, exact)[0])
 
 
 class TestSmoothGrid:
@@ -565,15 +580,26 @@ class TestSmoothGrid:
         assert np.array_equal(seen[0], np.ones(200))
 
 
+# A parameter of each method that fails its own check; none takes any.
+BAD_PARAMETER = {"sg": (4, 2), "gaussian": 0, "none": None, "ps": -1.0, "lsa-ps": -1.0}
+
+
 class TestUnitScale:
-    @pytest.mark.parametrize("method, parameter", [("sg", (5, 2)), ("gaussian", 5), ("none", None)])
+    @pytest.mark.parametrize("method, parameter", [
+        ("sg", (5, 2)), ("gaussian", 5), ("none", None), ("ps", 1.0), ("lsa-ps", 2.5), ("lsa-ps", -1.0),
+    ])
     def test_rejects_non_finite_input(self, method, parameter):
-        # These used to return nan; PS and LSA-PS have their own tests.
+        # sg, gaussian and none used to return nan. y is checked before
+        # any parameter, a negative lambda_bar too.
         y = np.sin(np.arange(60) / 5.0)
         for bad in (np.nan, np.inf):
             y[10] = bad
-            with pytest.raises(ValueError, match=f"y must be finite, got {bad} at index 10"):
+            message = f"y must be finite, got {bad} at index 10"
+            with pytest.raises(ValueError, match=message):
                 smooth(y, method, parameter)
+            # A grid of a good and a bad parameter: every result is y's error.
+            results = grid_results(y, method, (parameter, BAD_PARAMETER[method], parameter))
+            assert all(type(r) is ValueError and str(r) == message for r in results), results
 
     def test_to_unit(self):
         y = np.array([3.0, -6.0, 0.5])

@@ -6,7 +6,7 @@ class LsapsError(Exception):
 
 
 class InvalidSizeError(LsapsError, ValueError):
-    """Input too short for the requested operation."""
+    """Input of the wrong size or shape for the requested operation."""
 
 
 class InvalidConfigError(LsapsError, ValueError):

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidSizeError, UndefinedMetricError
-from .smoothers import grid_blocks
+from .smoothers import _integer, grid_blocks
 
 NOISE_FREE_DB = math.inf
 
@@ -150,12 +150,13 @@ def add_noise(clean, sigma: float, seed: int):
     """Add seeded i.i.d. Gaussian noise to the intensity array ``clean``.
 
     Returns (noisy, realized SNR in dB); for sigma = 0, a copy of
-    ``clean`` and ``NOISE_FREE_DB``. Raises InvalidConfigError, for
-    sigma > 0, unless the sums of squares of the clean signal and of the
-    noise are both positive and finite: the realized SNR is their ratio.
+    ``clean`` and ``NOISE_FREE_DB``. Raises InvalidConfigError for
+    sigma < 0 and, for sigma > 0, unless the sums of squares of the clean
+    signal and of the noise are both positive and finite: the realized
+    SNR is their ratio.
     """
     if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+        raise InvalidConfigError("sigma must be >= 0")
     clean = np.asarray(clean, dtype=float)
     if sigma == 0:
         return clean.copy(), NOISE_FREE_DB
@@ -173,59 +174,55 @@ def add_noise(clean, sigma: float, seed: int):
 
 
 def snr(reference, estimate) -> float:
-    """10 log10(||reference||^2 / ||estimate - reference||^2) in dB."""
-    return _snr_to(reference)(np.asarray(estimate, dtype=float)[None])[0]
+    """10 log10(||reference||^2 / ||estimate - reference||^2) in dB.
+
+    Raises InvalidSizeError if the shapes differ, UndefinedMetricError
+    for a zero reference."""
+    return _snr_rows(reference, np.asarray(estimate, dtype=float)[None])[0]
 
 
-def _snr_to(reference):
-    """``snr`` against a fixed reference, as a function of a stack of
-    estimates, one per row, that returns one SNR per row; the
-    reference's energy is taken once."""
+def _snr_rows(reference, stack) -> list:
+    """``snr`` against ``reference`` of each row of ``stack``, a stack of
+    estimates: one SNR per row."""
     reference = np.asarray(reference, dtype=float)
     ref_energy = float(np.dot(reference, reference))
-
-    def score(stack) -> list:
-        stack = np.asarray(stack, dtype=float)
-        if stack.shape[1:] != reference.shape:
-            raise ValueError("reference and estimate must have equal shapes")
-        if ref_energy == 0:
-            raise UndefinedMetricError("SNR undefined for a zero reference")
-        # One dot per row, as for a lone estimate: a reduction over the
-        # whole stack would sum in another order.
-        err_energies = [float(np.dot(err, err)) for err in stack - reference]
-        return [NOISE_FREE_DB if energy == 0 else 10.0 * math.log10(ref_energy / energy)
-                for energy in err_energies]
-
-    return score
+    stack = np.asarray(stack, dtype=float)
+    if stack.shape[1:] != reference.shape:
+        raise InvalidSizeError("reference and estimate must have equal shapes")
+    if ref_energy == 0:
+        raise UndefinedMetricError("SNR undefined for a zero reference")
+    # One dot per row, as for a lone estimate: a reduction over the
+    # whole stack would sum in another order.
+    err_energies = [float(np.dot(err, err)) for err in stack - reference]
+    return [NOISE_FREE_DB if energy == 0 else 10.0 * math.log10(ref_energy / energy)
+            for energy in err_energies]
 
 
 def rrse_second_derivative(x_star, x_true) -> float:
-    """||D x* - D x_true|| / ||D x_true|| over second differences."""
-    return _rrse_to(x_true)(np.asarray(x_star, dtype=float)[None])[0]
+    """||D x* - D x_true|| / ||D x_true|| over second differences.
+
+    Raises InvalidSizeError if the shapes differ or n < 3,
+    UndefinedMetricError for an affine truth."""
+    return _rrse_rows(x_true, np.asarray(x_star, dtype=float)[None])[0]
 
 
-def _rrse_to(x_true):
-    """``rrse_second_derivative`` against a fixed truth, as a function of
-    a stack of estimates, one per row, that returns one RRSE per row; the
-    truth's second difference and its norm are taken once."""
+def _rrse_rows(x_true, stack) -> list:
+    """``rrse_second_derivative`` against ``x_true`` of each row of
+    ``stack``, a stack of estimates: one RRSE per row."""
     x_true = np.asarray(x_true, dtype=float)
     d_true = np.diff(x_true, n=2)
     denom = float(np.linalg.norm(d_true))
-
-    def score(stack) -> list:
-        stack = np.asarray(stack, dtype=float)
-        if stack.shape[1:] != x_true.shape:
-            raise ValueError("inputs must have equal shapes")
-        if x_true.shape[0] < 3:
-            raise InvalidSizeError("RRSE needs n >= 3")
-        if denom == 0:
-            raise UndefinedMetricError("RRSE undefined: true signal is affine")
-        residuals = np.diff(stack, n=2, axis=1)
-        residuals -= d_true
-        # The norm of each row as np.linalg.norm takes it: sqrt(dot(r, r)).
-        return [math.sqrt(np.dot(r, r)) / denom for r in residuals]
-
-    return score
+    stack = np.asarray(stack, dtype=float)
+    if stack.shape[1:] != x_true.shape:
+        raise InvalidSizeError("inputs must have equal shapes")
+    if x_true.shape[0] < 3:
+        raise InvalidSizeError("RRSE needs n >= 3")
+    if denom == 0:
+        raise UndefinedMetricError("RRSE undefined: true signal is affine")
+    residuals = np.diff(stack, n=2, axis=1)
+    residuals -= d_true
+    # The norm of each row as np.linalg.norm takes it: sqrt(dot(r, r)).
+    return [math.sqrt(np.dot(r, r)) / denom for r in residuals]
 
 
 class BenchmarkReport(NamedTuple):
@@ -263,28 +260,22 @@ def _mean_std(values):
     return mean, math.sqrt(var)
 
 
-def _score_grid(noisy, method, grid, score_snr, score_rrse):
+def _score_grid(noisy, clean, method, grid):
     """Smooth ``noisy`` with every parameter of ``grid`` and score each
-    fit, one block of fits at a time.
+    fit against ``clean``, one block of fits at a time.
 
     Returns the output SNRs, the RRSEs and the errors in grid order,
     with None for the scores of a failed cell and for the error of a
-    good one, and the seconds spent smoothing, scoring excluded.
+    good one, and the seconds spent smoothing: the loop's time less
+    the time spent scoring its blocks.
     """
     snrs, rrses, errors = [], [], []
+    scoring = 0.0
     t0 = time.perf_counter()
-    blocks = grid_blocks(noisy, method, grid)
-    elapsed = time.perf_counter() - t0
-    while True:
-        t0 = time.perf_counter()
-        block = next(blocks, None)
-        elapsed += time.perf_counter() - t0
-        if block is None:
-            return snrs, rrses, errors, elapsed
-        stack, results = block
-        good = len(stack) > 0
-        block_snr = iter(score_snr(stack) if good else ())
-        block_rrse = iter(score_rrse(stack) if good else ())
+    for stack, results in grid_blocks(noisy, method, grid):
+        t1 = time.perf_counter()
+        block_snr = iter(_snr_rows(clean, stack) if len(stack) else ())
+        block_rrse = iter(_rrse_rows(clean, stack) if len(stack) else ())
         for result in results:
             if isinstance(result, Exception):
                 snrs.append(None)
@@ -294,6 +285,8 @@ def _score_grid(noisy, method, grid, score_snr, score_rrse):
                 snrs.append(next(block_snr))
                 rrses.append(next(block_rrse))
                 errors.append(None)
+        scoring += time.perf_counter() - t1
+    return snrs, rrses, errors, time.perf_counter() - t0 - scoring
 
 
 def check_distinct(axes):
@@ -332,27 +325,28 @@ def run_benchmark(
     Raises
     ------
     InvalidConfigError
-        A ``ValueError``, if an axis (the resolutions, the sigmas, the
+        A ``ValueError``, if a resolution or a seed is not an integer,
+        such as 50.5, or if an axis (the resolutions, the sigmas, the
         seeds or a method's grid) repeats a value (``check_distinct``).
     """
+    resolutions = [_integer("resolution", n) for n in resolutions]
+    seeds = [_integer("seed", seed) for seed in seeds]
     check_distinct({"resolutions": resolutions, "sigmas": sigmas, "seeds": seeds,
                     **{f"grid of {method}": grid for method, grid in method_grids.items()}})
     cells = {name: [] for name in ("resolution", "sigma", "method", "parameter", "seed",
                                    "input_snr_db", "output_snr_db", "rrse", "time_s", "error")}
     for n in resolutions:
-        sc = replace(scenario, n=int(n))
-        clean = generate_clean(sc)
-        scores = _snr_to(clean), _rrse_to(clean)
+        clean = generate_clean(replace(scenario, n=n))
         for sigma in sigmas:
             for seed in seeds:
                 noisy, input_snr = add_noise(clean, sigma, seed)
                 for method, grid in method_grids.items():
-                    snrs, rrses, errors, elapsed = _score_grid(noisy, method, grid, *scores)
+                    snrs, rrses, errors, elapsed = _score_grid(noisy, clean, method, grid)
                     k = len(errors)
                     if not k:
                         continue  # an empty grid has no cells to share its time
                     for column, values in zip(cells.values(), (
-                        [int(n)] * k, [float(sigma)] * k, [method] * k, grid, [int(seed)] * k,
+                        [n] * k, [float(sigma)] * k, [method] * k, grid, [seed] * k,
                         [input_snr] * k, snrs, rrses, [elapsed / k] * k, errors,
                     )):
                         column.extend(values)
@@ -366,18 +360,12 @@ def _aggregate(cells):
     standard deviation over its good cells."""
     groups = {}
     keys = zip(cells["resolution"], cells["sigma"], cells["method"], cells["parameter"])
-    group = np.array([-1 if error is not None else groups.setdefault(key, len(groups))
-                      for key, error in zip(keys, cells["error"])], dtype=np.intp)
-    good = np.flatnonzero(group >= 0)
-    # The good cells ordered by group, each group in cell order.
-    members = good[np.argsort(group[good], kind="stable")]
-    sizes = np.bincount(group[good], minlength=len(groups)).tolist()
-    stops = np.cumsum(sizes, dtype=np.intp).tolist()
-    spans = list(zip([0, *stops[:-1]], stops))
+    for i, (key, error) in enumerate(zip(keys, cells["error"])):
+        if error is None:
+            groups.setdefault(key, []).append(i)
 
     def by_group(name):
-        values = np.array(cells[name], dtype=float)[members].tolist()
-        return [values[start:stop] for start, stop in spans]
+        return [[cells[name][i] for i in members] for members in groups.values()]
 
     # All ten names from the start, since a sweep with no good cell has no
     # groups; the first four columns are the groups' keys.
@@ -386,7 +374,7 @@ def _aggregate(cells):
                                         "rrse_mean", "rrse_std")}
     for column, values in zip(aggregates.values(), zip(*groups)):
         column.extend(values)
-    aggregates["seeds"] = sizes
+    aggregates["seeds"] = [len(members) for members in groups.values()]
     aggregates["input_snr_mean"] = [math.fsum(v) / len(v) for v in by_group("input_snr_db")]
     for score, column in (("output_snr", "output_snr_db"), ("rrse", "rrse")):
         stats = [_mean_std(values) for values in by_group(column)]

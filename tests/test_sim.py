@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsaps import smoothers
-from lsaps.errors import InvalidSizeError, UndefinedMetricError
+from lsaps import sim, smoothers
+from lsaps.errors import InvalidConfigError, InvalidSizeError, UndefinedMetricError
 from lsaps.sim import (
     COMPARISON_GRIDS,
     DEFAULT_PEAKS,
@@ -113,7 +113,7 @@ class TestNoise:
 
     def test_negative_sigma(self):
         clean = generate_clean(SimScenario(n=50))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigError):
             add_noise(clean, -0.1, 0)
 
 
@@ -164,6 +164,12 @@ class TestMetrics:
     def test_rrse_affine_truth_undefined(self):
         with pytest.raises(UndefinedMetricError):
             rrse_second_derivative(np.ones(10), np.arange(10.0))
+
+    def test_mismatched_shapes_are_a_size_error(self):
+        with pytest.raises(InvalidSizeError, match="^reference and estimate must have equal shapes$"):
+            snr(np.ones(3), np.ones(4))
+        with pytest.raises(InvalidSizeError, match="^inputs must have equal shapes$"):
+            rrse_second_derivative(np.ones(4), np.ones(3))
 
 
 def rows(table):
@@ -243,6 +249,32 @@ class TestBenchmark:
         assert len(shares) == 2 * len(grids)
         assert all(len(v) == 1 and next(iter(v)) > 0 for v in shares.values())
 
+    def test_time_s_excludes_scoring(self, monkeypatch):
+        # A clock that only the smoothers and the scorer move: each block
+        # yielded takes 1 s and each scoring call 1000 s, so a cell's
+        # share of its grid's time, times the grid's size, is the grid's
+        # number of blocks.
+        clock = [0.0]
+        snr_rows = sim._snr_rows
+
+        def blocks(*args):
+            for block in grid_blocks(*args):
+                clock[0] += 1.0
+                yield block
+
+        def scoring(*args):
+            clock[0] += 1000.0
+            return snr_rows(*args)
+
+        monkeypatch.setattr(sim, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setattr(sim, "grid_blocks", blocks)
+        monkeypatch.setattr(sim, "_snr_rows", scoring)
+        # Two windows, so two Savitzky-Golay blocks; one block for ps.
+        grids = {"ps": [1.0, 10.0, 100.0], "sg": [(5, 2), (5, 3), (9, 2), (9, 3), (9, 4)]}
+        report = run_benchmark(SimScenario(n=100), [100], [0.1], grids, [0, 1])
+        for c in rows(report.cells):
+            assert c.time_s * len(grids[c.method]) == {"ps": 1.0, "sg": 2.0}[c.method]
+
     def test_error_cells_recorded_not_fatal(self):
         sc = SimScenario(peaks=DEFAULT_PEAKS[:2], x_range=(0.0, 15.0))
         # sg window 21 > n = 10: per-cell error, run continues.
@@ -265,6 +297,15 @@ class TestBenchmark:
         # points, or two copies of one cell, into one row.
         with pytest.raises(ValueError, match=f"^{message}$"):
             run_benchmark(SimScenario(n=200), resolutions, sigmas, grids, seeds)
+
+    @pytest.mark.parametrize("resolutions, seeds, message", [
+        ([50, 50.5], [0], "resolution must be an integer, got 50.5"),
+        ([50], [0, 0.5], "seed must be an integer, got 0.5"),
+    ])
+    def test_non_integer_resolution_or_seed_is_rejected(self, resolutions, seeds, message):
+        # int(50.5) would fold the second resolution into the first.
+        with pytest.raises(InvalidConfigError, match=f"^{message}$"):
+            run_benchmark(SimScenario(n=50), resolutions, [0.1], {"ps": [1.0]}, seeds)
 
     def test_empty_grid_has_no_cells(self):
         # It used to divide the grid's time by its zero cells.
@@ -334,7 +375,7 @@ class TestReportColumns:
         # one np.dot per row, and np.linalg.norm's sqrt(dot(r, r)). A
         # reduction over the whole stack (einsum, sum(axis=1)) rounds
         # differently at n = 1001.
-        from lsaps.sim import _rrse_to, _snr_to
+        from lsaps.sim import _rrse_rows, _snr_rows
 
         rng = np.random.default_rng(3)
         clean = np.sin(np.arange(1001) / 7.0)
@@ -349,8 +390,8 @@ class TestReportColumns:
             d_true = np.diff(clean, n=2)
             rrses.append(float(np.linalg.norm(np.diff(x, n=2) - d_true))
                          / float(np.linalg.norm(d_true)))
-        assert _snr_to(clean)(stack) == snrs and snrs[2] == NOISE_FREE_DB
-        assert _rrse_to(clean)(stack) == rrses and rrses[2] == 0.0
+        assert _snr_rows(clean, stack) == snrs and snrs[2] == NOISE_FREE_DB
+        assert _rrse_rows(clean, stack) == rrses and rrses[2] == 0.0
         assert [snr(clean, x) for x in stack] == snrs
         assert [rrse_second_derivative(x, clean) for x in stack] == rrses
 

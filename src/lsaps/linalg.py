@@ -8,8 +8,9 @@ it is stored once, as its lower band in the (3, n) layout LAPACK
 consumes: row 0 holds the main diagonal, row 1 up to column n-2 the first
 subdiagonal and row 2 up to column n-3 the second. LAPACK's banded
 Cholesky gives the same factor from either band, faster from the lower.
-``assembler`` checks a weight array once; for each lam of a grid it
-fills the bands from scalars, factorizes them at once by ``dpbtrf``
+``assembler`` checks a weight array and builds the bands of D^T D once;
+for each lam of a grid it scales that band pattern by lam, adds the
+weights to its main diagonal, factorizes the bands at once by ``dpbtrf``
 (M = L L^T) and returns the factor as a ``Factor``, without the bands.
 Solves and the diagonal of M^{-1} reuse the factor and run in O(n)
 time and memory: solves by LAPACK's banded substitution ``dpbtrs``,
@@ -183,11 +184,18 @@ def assembler(weights):
     if np.any(weights < 0):
         raise ValueError("weights must be non-negative")
     has_zero = not weights.all()
-    # Each row of D adds its stencil's products (1, 4, 1), (-2, -2) and
-    # (1) to the three bands of D^T D: the main diagonal is
-    # (1, 5, 6, ..., 6, 5, 1), or (1, 5, 5, 1) at n = 4 and (1, 4, 1) at
-    # n = 3, the first band (-2, -4, ..., -4, -2) and the second all ones.
-    second = 4.0 if n == 3 else 5.0
+    # The lower bands of D^T D, built once: each row of D adds its
+    # stencil's products (1, 4, 1), (-2, -2) and (1) to them, so the main
+    # diagonal is (1, 5, 6, ..., 6, 5, 1), or (1, 5, 5, 1) at n = 4 and
+    # (1, 4, 1) at n = 3, the first band (-2, -4, ..., -4, -2) and the
+    # second all ones; the entries past each band's end are zeros.
+    pattern = np.zeros((3, n))
+    pattern[0] = 6.0
+    pattern[0, 1] = pattern[0, -2] = 4.0 if n == 3 else 5.0
+    pattern[0, 0] = pattern[0, -1] = 1.0
+    pattern[1, :-1] = -4.0
+    pattern[1, 0] = pattern[1, -2] = -2.0
+    pattern[2, :-2] = 1.0
 
     def assemble(lam) -> Factor:
         if not math.isfinite(lam):
@@ -196,21 +204,12 @@ def assembler(weights):
             raise InvalidConfigError(f"lam must be >= 0, got {lam}")
         if lam == 0 and has_zero:
             raise SingularSystemError("lam = 0 with a zero weight gives a singular system")
-        ab = np.empty((3, n))
-        ab[2, -2:] = ab[1, -1] = 0.0
-        ab[2, :-2] = lam
-        diag = ab[0]
         with np.errstate(over="ignore"):
-            ab[1, :-1] = lam * -4.0
-            ab[1, 0] = ab[1, -2] = lam * -2.0
-            np.add(weights, lam * 6.0, out=diag)
-            diag[1] = weights[1] + lam * second
-            diag[-2] = weights[-2] + lam * second
-            diag[0] = weights[0] + lam
-            diag[-1] = weights[-1] + lam
+            ab = pattern * lam
+            ab[0] += weights
         # The main diagonal holds the largest entries of every band; its
         # entries are sums of non-negative numbers, so never NaN.
-        if not math.isfinite(diag.max()):
+        if not math.isfinite(ab[0].max()):
             raise InvalidConfigError(
                 f"lam = {lam:g} is too large: entries of M = diag(weights) + lam * D^T D "
                 "overflow float64"

@@ -133,7 +133,7 @@ def select_parameter(
         raise InvalidConfigError("candidates must be >= 0")
 
     y_unit, e = to_unit(y)
-    fit, weights = _penalized(y_unit, e, method, clip)
+    fit, weights = _penalized(y_unit, e, method, clip, grid)
     loss_weights = floor_weights(weights)
 
     # The argmin over the good candidates, ties broken toward the larger
@@ -142,7 +142,7 @@ def select_parameter(
     best_index = best_key = best_x = best_lam = None
     for j, cand in enumerate(grid):
         try:
-            factor, x, lam = fit(cand)
+            factor, x, lam = fit(j)
             r = loo_residuals(y_unit, x, linalg.hat_diagonal(factor))
         except (LeverageSaturationError, SingularSystemError):
             losses[j] = math.inf

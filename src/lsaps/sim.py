@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidSizeError, UndefinedMetricError
-from .smoothers import _integer, grid_blocks
+from .smoothers import _integer, grid_plan
 
 NOISE_FREE_DB = math.inf
 
@@ -176,53 +176,97 @@ def add_noise(clean, sigma: float, seed: int):
 def snr(reference, estimate) -> float:
     """10 log10(||reference||^2 / ||estimate - reference||^2) in dB.
 
-    Raises InvalidSizeError if the shapes differ, UndefinedMetricError
-    for a zero reference."""
+    Raises InvalidSizeError if the reference is not 1-d or the shapes
+    differ; UndefinedMetricError for a zero reference, for an input that
+    is not finite, naming its first bad index, and for a sum of squares
+    that overflows float64."""
     return _snr_rows(reference, np.asarray(estimate, dtype=float)[None])[0]
 
 
 def _snr_rows(reference, stack) -> list:
     """``snr`` against ``reference`` of each row of ``stack``, a stack of
     estimates: one SNR per row."""
-    reference = np.asarray(reference, dtype=float)
-    ref_energy = float(np.dot(reference, reference))
+    reference = _one_d("reference", reference)
     stack = np.asarray(stack, dtype=float)
     if stack.shape[1:] != reference.shape:
         raise InvalidSizeError("reference and estimate must have equal shapes")
-    if ref_energy == 0:
-        raise UndefinedMetricError("SNR undefined for a zero reference")
-    # One dot per row, as for a lone estimate: a reduction over the
-    # whole stack would sum in another order.
-    err_energies = [float(np.dot(err, err)) for err in stack - reference]
+    # An input that is not finite, or whose squares overflow, raises below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref_energy = float(np.dot(reference, reference))
+        if not math.isfinite(ref_energy):
+            raise _not_finite("reference", reference, "energy")
+        if ref_energy == 0:
+            raise UndefinedMetricError("SNR undefined for a zero reference")
+        energies = _row_dots(stack - reference)
+    if not np.isfinite(energies).all():
+        raise _not_finite("estimate", stack, "error energy")
     return [NOISE_FREE_DB if energy == 0 else 10.0 * math.log10(ref_energy / energy)
-            for energy in err_energies]
+            for energy in energies.tolist()]
 
 
 def rrse_second_derivative(x_star, x_true) -> float:
     """||D x* - D x_true|| / ||D x_true|| over second differences.
 
-    Raises InvalidSizeError if the shapes differ or n < 3,
-    UndefinedMetricError for an affine truth."""
+    Raises InvalidSizeError if the truth is not 1-d, the shapes differ or
+    n < 3; UndefinedMetricError for an affine truth, for an input that is
+    not finite, naming its first bad index, and for a sum of squares that
+    overflows float64."""
     return _rrse_rows(x_true, np.asarray(x_star, dtype=float)[None])[0]
 
 
 def _rrse_rows(x_true, stack) -> list:
     """``rrse_second_derivative`` against ``x_true`` of each row of
     ``stack``, a stack of estimates: one RRSE per row."""
-    x_true = np.asarray(x_true, dtype=float)
-    d_true = np.diff(x_true, n=2)
-    denom = float(np.linalg.norm(d_true))
+    x_true = _one_d("truth", x_true)
     stack = np.asarray(stack, dtype=float)
     if stack.shape[1:] != x_true.shape:
         raise InvalidSizeError("inputs must have equal shapes")
     if x_true.shape[0] < 3:
         raise InvalidSizeError("RRSE needs n >= 3")
-    if denom == 0:
-        raise UndefinedMetricError("RRSE undefined: true signal is affine")
-    residuals = np.diff(stack, n=2, axis=1)
-    residuals -= d_true
-    # The norm of each row as np.linalg.norm takes it: sqrt(dot(r, r)).
-    return [math.sqrt(np.dot(r, r)) / denom for r in residuals]
+    # An input that is not finite, or whose squares overflow, raises below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_true = np.diff(x_true, n=2)
+        # np.linalg.norm's sqrt(dot(d, d)).
+        denom = math.sqrt(np.dot(d_true, d_true))
+        if not math.isfinite(denom):
+            raise _not_finite("truth", x_true, "second-difference energy")
+        if denom == 0:
+            raise UndefinedMetricError("RRSE undefined: true signal is affine")
+        residuals = np.diff(stack, n=2, axis=1)
+        residuals -= d_true
+        energies = _row_dots(residuals)
+    if not np.isfinite(energies).all():
+        raise _not_finite("estimate", stack, "second-difference error energy")
+    return [math.sqrt(energy) / denom for energy in energies.tolist()]
+
+
+def _one_d(name, values):
+    """``values`` as a float array; InvalidSizeError naming its shape
+    unless it is 1-d."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise InvalidSizeError(f"{name} must be 1-d, got shape {values.shape}")
+    return values
+
+
+def _row_dots(rows):
+    """np.dot(r, r) of each row r of the 2-d array ``rows``, bit for bit,
+    as one product: matmul's vector-by-vector product is np.dot's, where
+    a reduction over the whole stack (einsum, sum(axis=1)) would sum in
+    another order."""
+    return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+
+
+def _not_finite(name, values, energy):
+    """The UndefinedMetricError for a sum of squares taken from
+    ``values``, the input called ``name``, that is not finite: it names
+    the first entry of ``values`` that is not finite, or else says that
+    the ``energy`` overflows float64."""
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        return UndefinedMetricError(
+            f"{name} must be finite, got {values[tuple(bad[0])]} at index {bad[0][-1]}")
+    return UndefinedMetricError(f"the {energy} of the {name} overflows float64")
 
 
 class BenchmarkReport(NamedTuple):
@@ -260,9 +304,9 @@ def _mean_std(values):
     return mean, math.sqrt(var)
 
 
-def _score_grid(noisy, clean, method, grid):
-    """Smooth ``noisy`` with every parameter of ``grid`` and score each
-    fit against ``clean``, one block of fits at a time.
+def _score_grid(noisy, clean, plan):
+    """Smooth ``noisy`` with every parameter of a ``grid_plan`` and score
+    each fit against ``clean``, one block of fits at a time.
 
     Returns the output SNRs, the RRSEs and the errors in grid order,
     with None for the scores of a failed cell and for the error of a
@@ -272,7 +316,7 @@ def _score_grid(noisy, clean, method, grid):
     snrs, rrses, errors = [], [], []
     scoring = 0.0
     t0 = time.perf_counter()
-    for stack, results in grid_blocks(noisy, method, grid):
+    for stack, results in plan(noisy):
         t1 = time.perf_counter()
         block_snr = iter(_snr_rows(clean, stack) if len(stack) else ())
         block_rrse = iter(_rrse_rows(clean, stack) if len(stack) else ())
@@ -314,13 +358,19 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Full sweep over (resolution, sigma, seed, method, parameter).
 
-    Each (signal, method) grid is evaluated by one ``grid_blocks`` call,
-    and each block of fits is scored as one stack.
-    Per-cell smoother errors are recorded in the cell and excluded from
-    the aggregates rather than aborting the run. Value columns are
-    deterministic under fixed seeds; only ``time_s`` varies. A cell's
-    ``time_s`` is its even share of the wall time spent smoothing its
-    signal with its method's whole grid; scoring is not included.
+    Each method's grid is planned once per resolution by ``grid_plan``,
+    whose run on each noisy signal of that resolution is the
+    ``grid_blocks`` call of the signal; each block of fits is scored as
+    one stack. A resolution's plans are dropped before the next
+    resolution's are made. Per-cell smoother errors are recorded in the
+    cell and excluded from the aggregates rather than aborting the run.
+    Value columns are deterministic under fixed seeds; only ``time_s``
+    varies. A cell's ``time_s`` is its even share of the wall time spent
+    smoothing its signal with its method's whole grid; scoring is not
+    included. A PS plan factors each lam for the first signal of a
+    resolution and keeps the factor, so the PS ``time_s`` of that
+    signal includes the factorizations and that of its later signals
+    covers the solves alone.
 
     Raises
     ------
@@ -336,12 +386,13 @@ def run_benchmark(
     cells = {name: [] for name in ("resolution", "sigma", "method", "parameter", "seed",
                                    "input_snr_db", "output_snr_db", "rrse", "time_s", "error")}
     for n in resolutions:
+        plans = {method: grid_plan(n, method, grid) for method, grid in method_grids.items()}
         clean = generate_clean(replace(scenario, n=n))
         for sigma in sigmas:
             for seed in seeds:
                 noisy, input_snr = add_noise(clean, sigma, seed)
                 for method, grid in method_grids.items():
-                    snrs, rrses, errors, elapsed = _score_grid(noisy, clean, method, grid)
+                    snrs, rrses, errors, elapsed = _score_grid(noisy, clean, plans[method])
                     k = len(errors)
                     if not k:
                         continue  # an empty grid has no cells to share its time
@@ -350,6 +401,7 @@ def run_benchmark(
                         [input_snr] * k, snrs, rrses, [elapsed / k] * k, errors,
                     )):
                         column.extend(values)
+        del plans  # and their factors, before the next resolution's are made
     aggregates = _aggregate(cells)
     return BenchmarkReport(cells=cells, aggregates=aggregates, best=_best(aggregates))
 

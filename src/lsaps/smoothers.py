@@ -24,7 +24,9 @@ that the parameters share once. Each block comes with its good fits
 stacked as the rows of one array, so that a caller can score them
 together. ``smooth`` is its one-parameter case, and each named smoother
 is the one-parameter case of ``smooth``, so a fit taken alone and the
-same fit taken in a grid are the same bits.
+same fit taken in a grid are the same bits. ``grid_plan`` does, once for
+many signals of one length, the part of that work that does not depend
+on y: the Savitzky-Golay checks and block runs and the PS factors.
 
 The Savitzky-Golay baseline is a local least-squares polynomial fit, an
 orthogonal projection built with numpy alone from the QR factor of a
@@ -213,7 +215,8 @@ def smooth(y, method: str, parameter, clip: bool = True):
 
 def grid_blocks(y, method: str, grid, clip: bool = True):
     """Smooth ``y`` with every parameter of ``grid``, a block of
-    parameters at a time; the one method dispatch.
+    parameters at a time; the one method dispatch. It checks the method,
+    scales y by ``to_unit`` and runs the ``grid_plan`` for y's length.
 
     Returns an iterator that yields, per block and in grid order,
     (stack, results): ``results`` holds, per parameter of the block, the
@@ -234,22 +237,65 @@ def grid_blocks(y, method: str, grid, clip: bool = True):
     parameter, such as a negative ``lambda_bar``. Each block is computed
     when it is asked for, so one block is held at a time.
     """
+    return _blocks(y, method, list(grid), clip)
+
+
+def grid_plan(n: int, method: str, grid, clip: bool = True):
+    """The work of ``grid_blocks(y, method, grid, clip)`` for n-point
+    signals that does not depend on y, done once: plan(y) returns what
+    that call returns for any y of length n, the same bits and the same
+    errors in the same order (the method, then y, then each parameter).
+
+    For Savitzky-Golay the plan holds each parameter's check and the runs
+    of parameters that share a basis, with the stack rows and orders of
+    each run's fits; for PS, the assembler of the unit
+    weights and, by grid position, the factor of each lam, made when
+    first asked for and kept where it succeeds, so a failing lam fails
+    again, with the same message, for each signal. LSA-PS, whose weights
+    depend on y, Gaussian and none plan nothing. A PS plan holds up to
+    one 24n-byte factor per grid position for as long as its caller
+    holds the plan. A y of another length raises ``InvalidSizeError``,
+    after the checks of the method and of y.
+    """
     grid = list(grid)
+    planned = (n, _plan(n, method, grid, clip)) if method in (*METHODS, "none") else None
+    return functools.partial(_blocks, method=method, grid=grid, clip=clip, planned=planned)
+
+
+def _blocks(y, method, grid, clip, planned=None):
+    """``grid_blocks``: the checks of the method and of y, then the run
+    of ``planned``, the (n, run) of a plan, or of a plan made for y."""
     if method not in (*METHODS, "none"):
         return _one_block([InvalidConfigError(f"unknown method {method!r}")] * len(grid))
     unit = _attempt(to_unit, y)
     if isinstance(unit, Exception):
         return _one_block([unit] * len(grid))
     y_unit, e = unit
+    n = y_unit.shape[0]
+    if planned is None:
+        planned = n, _plan(n, method, grid, clip)
+    if planned[0] != n:
+        raise InvalidSizeError(f"the plan smooths signals of length {planned[0]}, got {n}")
+    return planned[1](y, y_unit, e)
+
+
+def _plan(n: int, method: str, grid, clip: bool):
+    """run(y, y_unit, e) -> the blocks of ``grid_blocks`` for a y of
+    length n, with y_unit and e from ``to_unit``, and with the work that
+    does not depend on y done here, once."""
     if method == "sg":
-        return _sg_blocks(y, y_unit, e, grid)
+        runs = list(_sg_runs(n, grid))
+        return lambda y, y_unit, e: (_sg_block(y, y_unit, e, *run) for run in runs)
     if method in PENALIZED:
-        results = _penalized_grid(y_unit, e, method, grid, clip)
-    elif method == "gaussian":
-        results = (_attempt(_gaussian, y, y_unit, e, window) for window in grid)
-    else:
-        results = [(np.array(y, dtype=float), None) for _ in grid]
-    return _one_block(results)
+        # PS's weights depend on n alone, so zeros of length n stand for y.
+        system = (_attempt(_system, *penalized_weights(np.zeros(n), "ps"), grid, True)
+                  if method == "ps" else None)
+        return lambda y, y_unit, e: _one_block(
+            _penalized_grid(y_unit, e, method, grid, clip, system))
+    if method == "gaussian":
+        return lambda y, y_unit, e: _one_block(
+            _attempt(_gaussian, y, y_unit, e, window) for window in grid)
+    return lambda y, y_unit, e: _one_block((np.array(y, dtype=float), None) for _ in grid)
 
 
 def _one_block(results):
@@ -281,36 +327,58 @@ def _value(result):
     return result
 
 
-def _penalized(y_unit, e: int, method: str, clip: bool):
-    """(fit, A): the fit of y = y_unit * 2**e, with y_unit and e from
-    ``to_unit``, set up once for a grid by ``penalized_weights``.
-    fit(parameter) returns the factor, x at unit size and lam in units of
-    y squared, inf or 0 where that leaves float64."""
-    weights, scale = penalized_weights(y_unit, method, clip)
+def _system(weights, scale, grid, keep: bool = False):
+    """(A, scale, factor) of a penalized fit over ``grid``: factor(i) is
+    the ``linalg.assembler`` factor of lam = grid[i] * scale. With
+    ``keep``, each factor that succeeds is kept, by grid position, and
+    returned again; a failure is raised again on each call."""
     assemble = linalg.assembler(weights)
+    if not keep:
+        return weights, scale, lambda i: assemble(grid[i] * scale)
+    kept = [None] * len(grid)
+
+    def factor(i):
+        if kept[i] is None:
+            kept[i] = assemble(grid[i] * scale)
+        return kept[i]
+
+    return weights, scale, factor
+
+
+def _penalized(y_unit, e: int, method: str, clip: bool, grid, system=None):
+    """(fit, A): the fit of y = y_unit * 2**e, with y_unit and e from
+    ``to_unit``, over ``grid``, set up once for it: by
+    ``penalized_weights`` and ``_system``, or by ``system``, a PS plan's
+    ``_system``, which does not depend on y. fit(i) returns the factor of
+    grid[i], x at unit size and lam in units of y squared, inf or 0 where
+    that leaves float64."""
+    weights, scale, factor = system or _system(*penalized_weights(y_unit, method, clip), grid)
     rhs = weights * y_unit
 
-    def fit(parameter):
-        factor = assemble(parameter * scale)
-        x = linalg.solve(factor, rhs)
+    def fit(i):
+        f = factor(i)
+        x = linalg.solve(f, rhs)
         if method == "ps":
-            return factor, x, parameter
+            return f, x, grid[i]
         with np.errstate(over="ignore", under="ignore"):
-            return factor, x, float(np.ldexp(parameter * scale, 2 * e))
+            return f, x, float(np.ldexp(grid[i] * scale, 2 * e))
 
     return fit, weights
 
 
-def _penalized_grid(y_unit, e: int, method, grid, clip):
-    shared = _attempt(_penalized, y_unit, e, method, clip)
+def _penalized_grid(y_unit, e: int, method, grid, clip, system=None):
+    """The results of ``grid`` for PS or LSA-PS; ``system``, a PS plan's
+    ``_system`` or the exception that making it raised, where given."""
+    shared = (system if isinstance(system, Exception)
+              else _attempt(_penalized, y_unit, e, method, clip, grid, system))
 
-    def fit(parameter):
+    def fit(i, parameter):
         if method == "lsa-ps" and parameter < 0:
             raise InvalidConfigError(f"lambda_bar must be >= 0, got {parameter}")
-        _, x, lam = _value(shared)[0](parameter)
+        _, x, lam = _value(shared)[0](i)
         return from_unit(x, e), lam
 
-    return (_attempt(fit, parameter) for parameter in grid)
+    return (_attempt(fit, i, parameter) for i, parameter in enumerate(grid))
 
 
 def _integer(name: str, value) -> int:
@@ -384,7 +452,7 @@ def _sg_basis(window: int, top: int):
 def _sg_fill(stack, rows, y_unit, window: int, top: int, orders):
     """Write the Savitzky-Golay fits of y_unit of the given ``orders``,
     all taken from the basis of degree ``top`` on ``window`` points, into
-    the ``rows`` of ``stack``.
+    the ``rows`` of ``stack``; both are indices of ``_index``.
 
     The edge fits of all orders come from one product per edge: the
     coefficients of the first and last ``window`` samples in the basis,
@@ -408,40 +476,64 @@ def _sg_fill(stack, rows, y_unit, window: int, top: int, orders):
         stack[rows, start:stop] = (kernels @ windows.T)[orders]
 
 
-def _sg_blocks(y, y_unit, e: int, grid):
-    n = y_unit.shape[0]
-    # An item is (window, order) for a fit, None for a copy of y and an
-    # exception for a failure; a block ends where a fit needs another basis.
+def _sg_runs(n: int, grid):
+    """The Savitzky-Golay ``grid`` on n points as runs of items, each
+    planned by ``_sg_run``. An item is (window, order) for a fit, None for
+    a copy of y and an exception for a failure; a run ends where a fit
+    needs another basis, (window, top)."""
     items, basis = [], None
     for parameter in grid:
         item = _attempt(_sg_order, n, parameter)
         if isinstance(item, tuple):
             key = item[0], _sg_top(*item)
             if basis not in (None, key):
-                yield _sg_block(y, y_unit, e, basis, items)
+                yield _sg_run(basis, items)
                 items = []
             basis = key
         items.append(item)
     if items:
-        yield _sg_block(y, y_unit, e, basis, items)
+        yield _sg_run(basis, items)
 
 
-def _sg_block(y, y_unit, e: int, basis, items):
-    """The stack and results of one run of Savitzky-Golay ``items`` whose
-    fits share ``basis`` = (window, top)."""
+def _sg_run(basis, items):
+    """A run of Savitzky-Golay ``items`` whose fits share ``basis``,
+    planned: (basis, items, k, fits, orders, copies), where k is the
+    number of good items, the rows of the run's stack, ``fits`` and
+    ``copies`` index the rows that hold a fit and a copy of y, and
+    ``orders`` the order of each fit, each as ``_index`` makes it."""
     good = [item for item in items if not isinstance(item, Exception)]
-    stack = np.zeros((len(good), y_unit.shape[0]))
     fits = [i for i, item in enumerate(good) if item is not None]
-    if fits:
-        _sg_fill(stack, fits, y_unit, *basis, [good[i][1] for i in fits])
+    copies = [i for i, item in enumerate(good) if item is None]
+    return (basis, items, len(good), _index(fits), _index([good[i][1] for i in fits]),
+            _index(copies))
+
+
+def _index(values):
+    """The int list ``values`` as an index: a slice where they rise in
+    steps of one, which numpy takes faster than an array, an array
+    otherwise, and None where there are none."""
+    if not values:
+        return None
+    if values == list(range(values[0], values[-1] + 1)):
+        return slice(values[0], values[-1] + 1)
+    return np.array(values, dtype=np.intp)
+
+
+def _sg_block(y, y_unit, e: int, basis, items, k: int, fits, orders, copies):
+    """The stack and results of one run of Savitzky-Golay ``items``,
+    planned by ``_sg_run``."""
+    stack = np.zeros((k, y_unit.shape[0]))
+    if fits is not None:
+        _sg_fill(stack, fits, y_unit, *basis, orders)
     try:
         from_unit(stack, e)
-        over = np.zeros(len(good), dtype=bool)
+        over = np.zeros(k, dtype=bool)
     except ResultOverflowError:
         # ldexp scales every entry before it raises, and only an overflow
         # turns a finite entry into inf; the copies' rows still hold zeros.
         over = np.isinf(stack).any(axis=1)
-    stack[[i for i, item in enumerate(good) if item is None]] = y
+    if copies is not None:
+        stack[copies] = y
     if over.any():
         stack = stack[~over]
     results, rows, flags = [], iter(stack), iter(over.tolist())

@@ -24,7 +24,7 @@ from lsaps.sim import (
     run_benchmark,
     snr,
 )
-from lsaps.smoothers import grid_blocks, smooth
+from lsaps.smoothers import grid_blocks, grid_plan, smooth
 from scoring import sigma_for_target_snr, true_peak_indices
 
 
@@ -165,6 +165,69 @@ class TestMetrics:
         with pytest.raises(UndefinedMetricError):
             rrse_second_derivative(np.ones(10), np.arange(10.0))
 
+    def test_two_d_reference_or_truth_is_a_size_error(self):
+        # A square pair made snr raise TypeError from float() of a matrix.
+        with pytest.raises(InvalidSizeError, match=r"^reference must be 1-d, got shape \(3, 3\)$"):
+            snr(np.eye(3), np.ones((3, 3)))
+
+    def test_constant_two_d_pair_is_not_called_affine(self):
+        # np.diff took the last axis of each row, all zeros: "true signal is affine".
+        with pytest.raises(InvalidSizeError, match=r"^truth must be 1-d, got shape \(3, 4\)$"):
+            rrse_second_derivative(np.ones((3, 4)), np.ones((3, 4)))
+
+    def test_infinite_estimate_names_its_index(self):
+        # It raised ValueError: math domain error, from log10(ref / inf).
+        est = np.ones(10)
+        est[6] = -np.inf
+        with pytest.raises(UndefinedMetricError, match="^estimate must be finite, got -inf at index 6$"):
+            snr(np.arange(10.0), est)
+
+    def test_nan_estimate_is_not_scored(self):
+        # Both scores used to come back as nan, silently.
+        x = np.sin(np.arange(20) / 3.0)
+        est = x.copy()
+        est[4] = np.nan
+        for score in (lambda: snr(x, est), lambda: rrse_second_derivative(est, x)):
+            with pytest.raises(UndefinedMetricError, match="^estimate must be finite, got nan at index 4$"):
+                score()
+
+    def test_overflowing_error_energy_says_so(self):
+        # A finite 1e200 squares past float64: it warned about overflow and
+        # then raised ValueError: math domain error.
+        est = np.ones(10)
+        est[3] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UndefinedMetricError,
+                               match="^the error energy of the estimate overflows float64$"):
+                snr(np.ones(10), est)
+            with pytest.raises(UndefinedMetricError, match="^the second-difference error energy "
+                                                           "of the estimate overflows float64$"):
+                rrse_second_derivative(est, np.arange(10.0) ** 2)
+
+    def test_reference_or_truth_that_is_not_finite_is_named(self):
+        x = np.sin(np.arange(20) / 3.0)
+        bad = x.copy()
+        bad[2] = np.inf
+        with pytest.raises(UndefinedMetricError, match="^reference must be finite, got inf at index 2$"):
+            snr(bad, x)
+        with pytest.raises(UndefinedMetricError, match="^truth must be finite, got inf at index 2$"):
+            rrse_second_derivative(x, bad)
+        with pytest.raises(InvalidSizeError, match=r"^truth must be 1-d, got shape \(4, 4\)$"):
+            rrse_second_derivative(np.eye(4), np.eye(4))
+
+    @given(st.lists(st.none() | st.floats(-150, 150), min_size=1, max_size=40),
+           st.integers(1, 3000), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_row_dots_are_per_row_np_dot(self, exponents, n, seed):
+        # The batched product against one np.dot per row, bit for bit: one
+        # row per exponent, scaled by 10**exponent, or of zeros for None.
+        from lsaps.sim import _row_dots
+
+        scales = [[0.0 if x is None else 10.0 ** x] for x in exponents]
+        rows = np.random.default_rng(seed).standard_normal((len(exponents), n)) * scales
+        assert np.array_equal(_row_dots(rows), np.array([np.dot(r, r) for r in rows]))
+
     def test_mismatched_shapes_are_a_size_error(self):
         with pytest.raises(InvalidSizeError, match="^reference and estimate must have equal shapes$"):
             snr(np.ones(3), np.ones(4))
@@ -257,23 +320,45 @@ class TestBenchmark:
         clock = [0.0]
         snr_rows = sim._snr_rows
 
-        def blocks(*args):
-            for block in grid_blocks(*args):
-                clock[0] += 1.0
-                yield block
+        def plan(*args):
+            run = grid_plan(*args)
+
+            def blocks(y):
+                for block in run(y):
+                    clock[0] += 1.0
+                    yield block
+
+            return blocks
 
         def scoring(*args):
             clock[0] += 1000.0
             return snr_rows(*args)
 
         monkeypatch.setattr(sim, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
-        monkeypatch.setattr(sim, "grid_blocks", blocks)
+        monkeypatch.setattr(sim, "grid_plan", plan)
         monkeypatch.setattr(sim, "_snr_rows", scoring)
         # Two windows, so two Savitzky-Golay blocks; one block for ps.
         grids = {"ps": [1.0, 10.0, 100.0], "sg": [(5, 2), (5, 3), (9, 2), (9, 3), (9, 4)]}
         report = run_benchmark(SimScenario(n=100), [100], [0.1], grids, [0, 1])
         for c in rows(report.cells):
             assert c.time_s * len(grids[c.method]) == {"ps": 1.0, "sg": 2.0}[c.method]
+
+    def test_ps_factors_once_per_resolution(self, monkeypatch):
+        # 2 resolutions x 2 sigmas x 3 seeds on the 18-lambda grid: PS's
+        # factors depend on the resolution alone, 36 of them, while LSA-PS
+        # factors its own weights for each of the 12 signals. A second
+        # sweep factors again: no plan outlives its run_benchmark.
+        from lsaps import linalg
+
+        calls = []
+        cholesky = linalg._cholesky
+        monkeypatch.setattr(linalg, "_cholesky", lambda ab: calls.append(1) or cholesky(ab))
+        for method, factors in (("ps", 36), ("lsa-ps", 216), ("ps", 36)):
+            calls.clear()
+            grids = {method: COMPARISON_GRIDS[method]}
+            report = run_benchmark(SimScenario(n=100), [100, 150], [0.05, 0.2], grids, [0, 1, 2])
+            assert len(report.cells["method"]) == 12 * 18 and set(report.cells["error"]) == {None}
+            assert len(calls) == factors, method
 
     def test_error_cells_recorded_not_fatal(self):
         sc = SimScenario(peaks=DEFAULT_PEAKS[:2], x_range=(0.0, 15.0))

@@ -20,6 +20,7 @@ from lsaps.smoothers import (
     SG_SHARED_TOP,
     from_unit,
     grid_blocks,
+    grid_plan,
     penalized_weights,
     smooth,
     smooth_gaussian,
@@ -578,6 +579,57 @@ class TestSmoothGrid:
         results = list(grid_results(lorentzian_plus_noise(200, 24), "ps", COMPARISON_GRIDS["ps"]))
         assert len(results) == len(COMPARISON_GRIDS["ps"]) and len(seen) == 1
         assert np.array_equal(seen[0], np.ones(200))
+
+
+def assert_same_blocks(got, expected):
+    """Two runs of ``grid_blocks`` yield the same blocks: the same stack
+    bits and, per parameter, the same x bits and lambda, or an exception
+    of the same type and message."""
+    got, expected = list(got), list(expected)
+    assert len(got) == len(expected)
+    for (stack, results), (stack_0, results_0) in zip(got, expected):
+        assert stack.shape == stack_0.shape and stack.tobytes() == stack_0.tobytes()
+        for result, result_0 in zip(results, results_0, strict=True):
+            if isinstance(result_0, Exception):
+                assert (type(result), str(result)) == (type(result_0), str(result_0))
+            else:
+                assert result[0].tobytes() == result_0[0].tobytes() and result[1] == result_0[1]
+
+
+class TestGridPlan:
+    # Parameters that fail among each method's grid: a window wider than
+    # n, an even window, a negative and a NaN lambda, a zero window.
+    FAILING = {"sg": [(61, 2), (4, 2)], "ps": [-1.0, math.nan], "lsa-ps": [-1.0, math.nan],
+               "gaussian": [0], "none": [], "median": []}
+
+    @pytest.mark.parametrize("method", [*COMPARISON_GRIDS, "none", "median"])
+    def test_plan_is_grid_blocks(self, method):
+        # One plan run on three signals of one length and on a y holding
+        # a NaN: each run is grid_blocks on the same y, bit for bit, with
+        # its errors. PS's kept factors and failing lambdas, Savitzky-
+        # Golay's checks and runs serve every signal alike.
+        grid = [*COMPARISON_GRIDS.get(method, [None]), *self.FAILING[method]]
+        plan = grid_plan(60, method, grid)
+        nan = lorentzian_plus_noise(60, 30)
+        nan[7] = np.nan
+        for y in (lorentzian_plus_noise(60, 27), lorentzian_plus_noise(60, 28),
+                  lorentzian_plus_noise(60, 29), nan):
+            assert_same_blocks(plan(y), grid_blocks(y, method, grid))
+
+    def test_plan_keys_parameters_by_position(self):
+        # (5, 2) == (5.0, 2) as values; the second is no window.
+        grid = [(5, 2), (5.0, 2)]
+        y = lorentzian_plus_noise(40, 31)
+        for blocks in (grid_plan(40, "sg", grid)(y), grid_blocks(y, "sg", grid)):
+            [(_, [(x, _), error])] = blocks
+            assert np.array_equal(x, smooth_savitzky_golay(y, 5, 2))
+            assert type(error) is InvalidConfigError
+            assert str(error) == "window must be an integer, got 5.0"
+
+    def test_plan_takes_signals_of_its_length(self):
+        plan = grid_plan(40, "ps", [1.0])
+        with pytest.raises(InvalidSizeError, match="^the plan smooths signals of length 40, got 41$"):
+            plan(lorentzian_plus_noise(41, 32))
 
 
 # A parameter of each method that fails its own check; none takes any.

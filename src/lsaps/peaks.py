@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidSizeError
-from .smoothers import to_unit
+from .smoothers import _integer, to_unit
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,18 @@ def detect_peaks(x, k: int, abscissa=None):
     their leftmost index. Fewer than ``k`` candidates gives fewer
     entries, not an error. The index and the ``abscissa`` of an entry
     are those of its apex, and its sharpness is |second difference|
-    there, in units of x, taken at unit size. Raises ValueError for an
-    ``x`` that is not 1-d and finite, and ``InvalidSizeError`` for an
-    ``abscissa`` whose shape is not that of ``x``.
+    there, in units of x, taken at unit size.
+
+    Raises
+    ------
+    ValueError
+        For an ``x`` that is not 1-d and finite.
+    InvalidSizeError
+        For an ``x`` of fewer than 5 points, and for an ``abscissa`` whose
+        shape is not that of ``x``.
+    InvalidConfigError
+        A ``ValueError``, for a ``k`` that is not an integer, such as 2.5,
+        or is below 1.
     """
     x = np.asarray(x, dtype=float)
     x_unit, e = to_unit(x)
@@ -53,6 +62,7 @@ def detect_peaks(x, k: int, abscissa=None):
     n = x.shape[0]
     if n < 5:
         raise InvalidSizeError(f"peak detection needs n >= 5, got n={n}")
+    k = _integer("k", k)
     if k < 1:
         raise InvalidConfigError(f"k must be >= 1, got {k}")
     if abscissa is None:

@@ -8,6 +8,7 @@ of the second differences. Noise comes from numpy's PCG64 generator via
 are reproducible across platforms.
 """
 
+import functools
 import math
 import numbers
 import time
@@ -180,24 +181,58 @@ def snr(reference, estimate) -> float:
     differ; UndefinedMetricError for a zero reference, for an input that
     is not finite, naming its first bad index, and for a sum of squares
     that overflows float64."""
-    return _snr_rows(reference, np.asarray(estimate, dtype=float)[None])[0]
+    stack = np.asarray(estimate, dtype=float)[None]
+    return _snr_rows(_Reference(_one_d("reference", reference)), stack)[0]
+
+
+class _Reference:
+    """A clean 1-d signal that stacks of estimates are scored against.
+
+    Its energy, for the SNR, and its second difference and that
+    difference's norm, for the RRSE, are computed and checked when a
+    score first asks for them and then kept: a sweep takes them once per
+    resolution, and raises their errors where it scores its first block.
+    """
+
+    def __init__(self, values):
+        self.values = values
+
+    @functools.cached_property
+    def energy(self) -> float:
+        """||values||^2; UndefinedMetricError where it is zero or not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy = float(np.dot(self.values, self.values))
+        if not math.isfinite(energy):
+            raise _not_finite("reference", self.values, "energy")
+        if energy == 0:
+            raise UndefinedMetricError("SNR undefined for a zero reference")
+        return energy
+
+    @functools.cached_property
+    def second_difference(self):
+        """(d, ||d||) of the second difference d of ``values``, the norm
+        as np.linalg.norm's sqrt(dot(d, d)); UndefinedMetricError where
+        the norm is zero or not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = np.diff(self.values, n=2)
+            norm = math.sqrt(np.dot(d, d))
+        if not math.isfinite(norm):
+            raise _not_finite("truth", self.values, "second-difference energy")
+        if norm == 0:
+            raise UndefinedMetricError("RRSE undefined: true signal is affine")
+        return d, norm
 
 
 def _snr_rows(reference, stack) -> list:
-    """``snr`` against ``reference`` of each row of ``stack``, a stack of
-    estimates: one SNR per row."""
-    reference = _one_d("reference", reference)
+    """``snr`` against the ``_Reference`` ``reference`` of each row of
+    ``stack``, a stack of estimates: one SNR per row."""
     stack = np.asarray(stack, dtype=float)
-    if stack.shape[1:] != reference.shape:
+    if stack.shape[1:] != reference.values.shape:
         raise InvalidSizeError("reference and estimate must have equal shapes")
-    # An input that is not finite, or whose squares overflow, raises below.
+    ref_energy = reference.energy
+    # An estimate that is not finite, or whose squares overflow, raises below.
     with np.errstate(over="ignore", invalid="ignore"):
-        ref_energy = float(np.dot(reference, reference))
-        if not math.isfinite(ref_energy):
-            raise _not_finite("reference", reference, "energy")
-        if ref_energy == 0:
-            raise UndefinedMetricError("SNR undefined for a zero reference")
-        energies = _row_dots(stack - reference)
+        energies = _row_dots(stack - reference.values)
     if not np.isfinite(energies).all():
         raise _not_finite("estimate", stack, "error energy")
     return [NOISE_FREE_DB if energy == 0 else 10.0 * math.log10(ref_energy / energy)
@@ -211,28 +246,30 @@ def rrse_second_derivative(x_star, x_true) -> float:
     n < 3; UndefinedMetricError for an affine truth, for an input that is
     not finite, naming its first bad index, and for a sum of squares that
     overflows float64."""
-    return _rrse_rows(x_true, np.asarray(x_star, dtype=float)[None])[0]
+    stack = np.asarray(x_star, dtype=float)[None]
+    return _rrse_rows(_Reference(_one_d("truth", x_true)), stack)[0]
 
 
-def _rrse_rows(x_true, stack) -> list:
-    """``rrse_second_derivative`` against ``x_true`` of each row of
-    ``stack``, a stack of estimates: one RRSE per row."""
-    x_true = _one_d("truth", x_true)
+def _rrse_rows(reference, stack) -> list:
+    """``rrse_second_derivative`` against the ``_Reference`` ``reference``
+    of each row of ``stack``, a stack of estimates: one RRSE per row."""
     stack = np.asarray(stack, dtype=float)
-    if stack.shape[1:] != x_true.shape:
+    if stack.shape[1:] != reference.values.shape:
         raise InvalidSizeError("inputs must have equal shapes")
-    if x_true.shape[0] < 3:
+    if stack.shape[1] < 3:
         raise InvalidSizeError("RRSE needs n >= 3")
-    # An input that is not finite, or whose squares overflow, raises below.
+    d_true, denom = reference.second_difference
+    # An estimate that is not finite, or whose squares overflow, raises below.
     with np.errstate(over="ignore", invalid="ignore"):
-        d_true = np.diff(x_true, n=2)
-        # np.linalg.norm's sqrt(dot(d, d)).
-        denom = math.sqrt(np.dot(d_true, d_true))
-        if not math.isfinite(denom):
-            raise _not_finite("truth", x_true, "second-difference energy")
-        if denom == 0:
-            raise UndefinedMetricError("RRSE undefined: true signal is affine")
-        residuals = np.diff(stack, n=2, axis=1)
+        # np.diff(stack, n=2, axis=1), entry for entry, as two contiguous
+        # subtractions over the raveled stack: row i's second difference
+        # starts at i * n, and the two entries after it, which mix rows,
+        # are not read.
+        flat = stack.ravel()
+        first = flat[1:] - flat[:-1]
+        second = np.empty(flat.shape)
+        np.subtract(first[1:], first[:-1], out=second[:-2])
+        residuals = second.reshape(stack.shape)[:, :-2]
         residuals -= d_true
         energies = _row_dots(residuals)
     if not np.isfinite(energies).all():
@@ -304,31 +341,35 @@ def _mean_std(values):
     return mean, math.sqrt(var)
 
 
-def _score_grid(noisy, clean, plan):
+def _score_grid(noisy, reference, plan):
     """Smooth ``noisy`` with every parameter of a ``grid_plan`` and score
-    each fit against ``clean``, one block of fits at a time.
+    each fit against ``reference``, the ``_Reference`` of the clean
+    signal, one block of fits at a time.
 
     Returns the output SNRs, the RRSEs and the errors in grid order,
     with None for the scores of a failed cell and for the error of a
     good one, and the seconds spent smoothing: the loop's time less
-    the time spent scoring its blocks.
+    the time spent scoring its blocks. A block's scores come as lists
+    for its good fits, and each failure is put back, in rising order, at
+    its position in the block.
     """
     snrs, rrses, errors = [], [], []
     scoring = 0.0
     t0 = time.perf_counter()
     for stack, results in plan(noisy):
         t1 = time.perf_counter()
-        block_snr = iter(_snr_rows(clean, stack) if len(stack) else ())
-        block_rrse = iter(_rrse_rows(clean, stack) if len(stack) else ())
-        for result in results:
-            if isinstance(result, Exception):
-                snrs.append(None)
-                rrses.append(None)
-                errors.append(f"{type(result).__name__}: {result}")
-            else:
-                snrs.append(next(block_snr))
-                rrses.append(next(block_rrse))
-                errors.append(None)
+        failures = [(i, f"{type(result).__name__}: {result}")
+                    for i, result in enumerate(results) if isinstance(result, Exception)]
+        block_snrs = _snr_rows(reference, stack) if len(stack) else []
+        block_rrses = _rrse_rows(reference, stack) if len(stack) else []
+        block_errors = [None] * len(block_snrs)
+        for i, error in failures:
+            block_snrs.insert(i, None)
+            block_rrses.insert(i, None)
+            block_errors.insert(i, error)
+        snrs += block_snrs
+        rrses += block_rrses
+        errors += block_errors
         scoring += time.perf_counter() - t1
     return snrs, rrses, errors, time.perf_counter() - t0 - scoring
 
@@ -361,7 +402,11 @@ def run_benchmark(
     Each method's grid is planned once per resolution by ``grid_plan``,
     whose run on each noisy signal of that resolution is the
     ``grid_blocks`` call of the signal; each block of fits is scored as
-    one stack. A resolution's plans are dropped before the next
+    one stack against the resolution's clean signal, a ``_Reference``
+    whose energy and second difference are computed and checked once, at
+    the first block scored: a clean signal that cannot be scored ends the
+    sweep there, and a sweep whose every cell fails scores no block and
+    does not check it. A resolution's plans are dropped before the next
     resolution's are made. Per-cell smoother errors are recorded in the
     cell and excluded from the aggregates rather than aborting the run.
     Value columns are deterministic under fixed seeds; only ``time_s``
@@ -388,11 +433,12 @@ def run_benchmark(
     for n in resolutions:
         plans = {method: grid_plan(n, method, grid) for method, grid in method_grids.items()}
         clean = generate_clean(replace(scenario, n=n))
+        reference = _Reference(clean)
         for sigma in sigmas:
             for seed in seeds:
                 noisy, input_snr = add_noise(clean, sigma, seed)
                 for method, grid in method_grids.items():
-                    snrs, rrses, errors, elapsed = _score_grid(noisy, clean, plans[method])
+                    snrs, rrses, errors, elapsed = _score_grid(noisy, reference, plans[method])
                     k = len(errors)
                     if not k:
                         continue  # an empty grid has no cells to share its time

@@ -26,16 +26,21 @@ together. ``smooth`` is its one-parameter case, and each named smoother
 is the one-parameter case of ``smooth``, so a fit taken alone and the
 same fit taken in a grid are the same bits. ``grid_plan`` does, once for
 many signals of one length, the part of that work that does not depend
-on y: the Savitzky-Golay checks and block runs and the PS factors.
+on y: the Savitzky-Golay checks and block runs, the Gaussian kernels,
+offsets and edge normalisations, and the PS factors.
 
 The Savitzky-Golay baseline is a local least-squares polynomial fit, an
 orthogonal projection built with numpy alone from the QR factor of a
 small Chebyshev basis. One QR per window serves every order of a grid,
 because Gram-Schmidt is nested, and the basis is cached per (window, top
 order). The interior fits of every order of a window come from one
-matrix product, the kernels of all orders times the sliding windows of
-y, taken in column chunks at fixed offsets; a fit taken alone takes the
-same product and keeps one row.
+matrix product, the kernels of all orders times the windows of y, taken
+in column chunks at fixed offsets. The windows are the first rows of
+one C-contiguous Hankel matrix of y per signal, with one row per sample
+of the widest window of the grid, which BLAS reads as it is: a signal
+one chunk wide makes it once for all its windows, and a wider one makes
+it per chunk. A fit taken alone takes the same product and keeps one
+row.
 """
 
 import functools
@@ -43,7 +48,7 @@ import math
 import operator
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from . import linalg
 from .errors import (DegenerateSignalError, InvalidConfigError, InvalidSizeError,
@@ -232,7 +237,9 @@ def grid_blocks(y, method: str, grid, clip: bool = True):
     per call: the unit scale of y and, for PS and LSA-PS, the setup of
     ``_penalized``, the weights, their check and the right-hand side;
     for Savitzky-Golay, once per block, the edge fits and the interior
-    product of every order. A failure of that work is the result of each
+    product of every order, and once per signal, or per chunk of a
+    signal wider than ``SG_CHUNK``, the window matrix that those
+    products read. A failure of that work is the result of each
     parameter that reaches it, after the checks that come first for that
     parameter, such as a negative ``lambda_bar``. Each block is computed
     when it is asked for, so one block is held at a time.
@@ -246,16 +253,18 @@ def grid_plan(n: int, method: str, grid, clip: bool = True):
     that call returns for any y of length n, the same bits and the same
     errors in the same order (the method, then y, then each parameter).
 
-    For Savitzky-Golay the plan holds each parameter's check and the runs
-    of parameters that share a basis, with the stack rows and orders of
-    each run's fits; for PS, the assembler of the unit
-    weights and, by grid position, the factor of each lam, made when
-    first asked for and kept where it succeeds, so a failing lam fails
-    again, with the same message, for each signal. LSA-PS, whose weights
-    depend on y, Gaussian and none plan nothing. A PS plan holds up to
-    one 24n-byte factor per grid position for as long as its caller
-    holds the plan. A y of another length raises ``InvalidSizeError``,
-    after the checks of the method and of y.
+    For Savitzky-Golay the plan holds each parameter's check and the
+    runs of parameters that share a basis, with the stack rows and
+    orders of each run's fits; for Gaussian, each window's check, or its
+    kernel, offsets and edge normalisation; for PS, the assembler of the
+    unit weights and, by grid position, the factor of each lam, made
+    when first asked for and kept where it succeeds, so a failing lam
+    fails again, with the same message, for each signal. LSA-PS, whose
+    weights depend on y, and none plan nothing. A PS plan holds up to
+    one 24n-byte factor per grid position, and a Gaussian plan one
+    n-point normalisation per window, for as long as its caller holds
+    the plan. A y of another length raises ``InvalidSizeError``, after
+    the checks of the method and of y.
     """
     grid = list(grid)
     planned = (n, _plan(n, method, grid, clip)) if method in (*METHODS, "none") else None
@@ -285,7 +294,9 @@ def _plan(n: int, method: str, grid, clip: bool):
     does not depend on y done here, once."""
     if method == "sg":
         runs = list(_sg_runs(n, grid))
-        return lambda y, y_unit, e: (_sg_block(y, y_unit, e, *run) for run in runs)
+        # The rows of the window matrix: the widest window that fits.
+        width = max((run[0][0] for run in runs if run[0] is not None), default=1)
+        return lambda y, y_unit, e: _sg_blocks(y, y_unit, e, width, runs)
     if method in PENALIZED:
         # PS's weights depend on n alone, so zeros of length n stand for y.
         system = (_attempt(_system, *penalized_weights(np.zeros(n), "ps"), grid, True)
@@ -293,8 +304,10 @@ def _plan(n: int, method: str, grid, clip: bool):
         return lambda y, y_unit, e: _one_block(
             _penalized_grid(y_unit, e, method, grid, clip, system))
     if method == "gaussian":
+        kernels = [_attempt(_gaussian_kernel, n, window) for window in grid]
         return lambda y, y_unit, e: _one_block(
-            _attempt(_gaussian, y, y_unit, e, window) for window in grid)
+            kernel if isinstance(kernel, Exception) else _attempt(_gaussian, y, y_unit, e, kernel)
+            for kernel in kernels)
     return lambda y, y_unit, e: _one_block((np.array(y, dtype=float), None) for _ in grid)
 
 
@@ -423,8 +436,8 @@ def _sg_top(window: int, poly_order: int) -> int:
 # uses 17, each of at most 34 x 35 entries.
 SG_BASIS_CACHE = 64
 # Output columns per interior product of ``_sg_fill``, at fixed offsets:
-# a fit taken alone holds one (top + 1)-row chunk of them, not a
-# (top + 1)-row copy of y.
+# a fit taken alone holds one (top + 1)-row chunk of them and one
+# window-row chunk of the window matrix, not rows as long as y.
 SG_CHUNK = 16384
 
 
@@ -449,7 +462,30 @@ def _sg_basis(window: int, top: int):
     return q, kernels
 
 
-def _sg_fill(stack, rows, y_unit, window: int, top: int, orders):
+def _sg_windows(y_unit, width: int):
+    """chunk(j) -> the window matrix of chunk j of y_unit: the C-contiguous
+    Hankel matrix H of ``width`` rows and up to ``SG_CHUNK`` columns with
+    H[r, c] = y_unit[j * SG_CHUNK + c + r], zero past the end of y_unit.
+    Column c holds the window of y_unit that starts at j * SG_CHUNK + c,
+    and its first w rows serve a window of any w <= ``width``. The chunk
+    asked for last is kept: a signal one chunk wide makes H once for all
+    its windows, and a wider one holds one chunk at a time."""
+    n = y_unit.shape[0]
+    padded = np.concatenate((y_unit, np.zeros(width - 1)))
+    kept = {}
+
+    def chunk(j):
+        if j not in kept:
+            kept.clear()
+            start = j * SG_CHUNK
+            shape = width, min(SG_CHUNK, n - start)
+            kept[j] = as_strided(padded[start:], shape, 2 * padded.strides).copy()
+        return kept[j]
+
+    return chunk
+
+
+def _sg_fill(stack, rows, y_unit, windows, window: int, top: int, orders):
     """Write the Savitzky-Golay fits of y_unit of the given ``orders``,
     all taken from the basis of degree ``top`` on ``window`` points, into
     the ``rows`` of ``stack``; both are indices of ``_index``.
@@ -458,10 +494,12 @@ def _sg_fill(stack, rows, y_unit, window: int, top: int, orders):
     coefficients of the first and last ``window`` samples in the basis,
     summed over the basis rows as a running sum. The interior fits of
     all orders come from one product per chunk of ``SG_CHUNK`` columns,
-    the kernels times the sliding windows of y_unit, whatever the orders
-    asked for. Row sums, running sums and products taken over the same
-    chunks for any orders keep each order's bits independent of the
-    other orders of the grid.
+    the kernels times the first ``window`` rows of ``windows(j)``, the
+    window matrix of ``_sg_windows`` for chunk j, a view that BLAS takes
+    as it is, whatever the orders asked for. Row sums, running sums and
+    products taken over the same chunks for any orders and any width of
+    the window matrix keep each order's bits independent of the other
+    orders and windows of the grid.
     """
     q, kernels = _sg_basis(window, top)
     h = window // 2
@@ -470,10 +508,9 @@ def _sg_fill(stack, rows, y_unit, window: int, top: int, orders):
     tail = np.cumsum(q[:, h + 1 :] * (q * y_unit[n - window :]).sum(axis=1)[:, None], axis=0)
     stack[rows, :h] = head[orders]
     stack[rows, n - h :] = tail[orders]
-    for start in range(h, n - h, SG_CHUNK):
+    for j, start in enumerate(range(h, n - h, SG_CHUNK)):
         stop = min(start + SG_CHUNK, n - h)
-        windows = sliding_window_view(y_unit[start - h : stop + h], window)
-        stack[rows, start:stop] = (kernels @ windows.T)[orders]
+        stack[rows, start:stop] = (kernels @ windows(j)[:window, : stop - start])[orders]
 
 
 def _sg_runs(n: int, grid):
@@ -497,14 +534,16 @@ def _sg_runs(n: int, grid):
 
 def _sg_run(basis, items):
     """A run of Savitzky-Golay ``items`` whose fits share ``basis``,
-    planned: (basis, items, k, fits, orders, copies), where k is the
-    number of good items, the rows of the run's stack, ``fits`` and
-    ``copies`` index the rows that hold a fit and a copy of y, and
-    ``orders`` the order of each fit, each as ``_index`` makes it."""
+    planned: (basis, errors, k, fits, orders, copies), where ``errors``
+    holds the (position, exception) of each failed item, k is the number
+    of good items, the rows of the run's stack, ``fits`` and ``copies``
+    index the rows that hold a fit and a copy of y, and ``orders`` the
+    order of each fit, each as ``_index`` makes it."""
+    errors = [(i, item) for i, item in enumerate(items) if isinstance(item, Exception)]
     good = [item for item in items if not isinstance(item, Exception)]
     fits = [i for i, item in enumerate(good) if item is not None]
     copies = [i for i, item in enumerate(good) if item is None]
-    return (basis, items, len(good), _index(fits), _index([good[i][1] for i in fits]),
+    return (basis, errors, len(good), _index(fits), _index([good[i][1] for i in fits]),
             _index(copies))
 
 
@@ -519,53 +558,81 @@ def _index(values):
     return np.array(values, dtype=np.intp)
 
 
-def _sg_block(y, y_unit, e: int, basis, items, k: int, fits, orders, copies):
-    """The stack and results of one run of Savitzky-Golay ``items``,
-    planned by ``_sg_run``."""
+def _sg_blocks(y, y_unit, e: int, width: int, runs):
+    """The blocks of the Savitzky-Golay ``runs`` of a plan for one signal,
+    whose fits all take their windows from one ``_sg_windows`` of y_unit
+    with ``width`` rows, the plan's widest window."""
+    windows = _sg_windows(y_unit, width)
+    for run in runs:
+        yield _sg_block(y, y_unit, e, windows, *run)
+
+
+def _sg_block(y, y_unit, e: int, windows, basis, errors, k: int, fits, orders, copies):
+    """The stack and results of one run of Savitzky-Golay items, planned
+    by ``_sg_run``, with its fits taken from ``windows``."""
     stack = np.zeros((k, y_unit.shape[0]))
     if fits is not None:
-        _sg_fill(stack, fits, y_unit, *basis, orders)
+        _sg_fill(stack, fits, y_unit, windows, *basis, orders)
     try:
         from_unit(stack, e)
-        over = np.zeros(k, dtype=bool)
+        over = []
     except ResultOverflowError:
         # ldexp scales every entry before it raises, and only an overflow
         # turns a finite entry into inf; the copies' rows still hold zeros.
-        over = np.isinf(stack).any(axis=1)
+        over = np.flatnonzero(np.isinf(stack).any(axis=1)).tolist()
     if copies is not None:
         stack[copies] = y
-    if over.any():
-        stack = stack[~over]
-    results, rows, flags = [], iter(stack), iter(over.tolist())
-    for item in items:
-        if not isinstance(item, Exception):
-            item = _overflow(e) if next(flags) else (next(rows), None)
-        results.append(item)
+    if over:
+        stack = np.delete(stack, over, axis=0)
+    # The good results in row order, then each failure put back, in rising
+    # order, at its position among the good items and among all items.
+    results = [(row, None) for row in stack]
+    for i in over:
+        results.insert(i, _overflow(e))
+    for i, error in errors:
+        results.insert(i, error)
     return stack, results
 
 
-def _gaussian(y, y_unit, e: int, window):
-    """The Gaussian smoothing of y = y_unit * 2**e and its lambda, None."""
+def _gaussian_kernel(n: int, window):
+    """The Gaussian smoothing of ``window`` for n-point signals, planned:
+    None where it is a copy of y, else (terms, norm), where each term
+    (coeff, lo, hi, off) adds coeff * y[lo + off : hi + off] to the
+    output's [lo, hi), and ``norm``, read-only, is the kernel weight that
+    each output point receives, its edge normalisation. Each depends on
+    (window, n) alone. Raises for an invalid window."""
     window = _integer("window", window)
     if window < 1:
         raise InvalidConfigError(f"window must be >= 1, got {window}")
-    n = y_unit.shape[0]
     if window == 1 or n == 1:
-        return np.array(y, dtype=float), None
+        return None
     sigma = window / 5.0
     positions = np.arange(window, dtype=float)
     center = (window - 1) / 2.0
     kernel = np.exp(-0.5 * ((positions - center) / sigma) ** 2)
     kernel /= kernel.sum()
     offsets = np.arange(window) - window // 2
-    out = np.zeros(n)
+    terms = []
     norm = np.zeros(n)
     for coeff, off in zip(kernel, offsets):
         lo = max(0, -off)
         hi = min(n, n - off)
         if lo >= hi:
             continue
-        out[lo:hi] += coeff * y_unit[lo + off : hi + off]
+        terms.append((coeff, lo, hi, off))
         norm[lo:hi] += coeff
+    norm.flags.writeable = False
+    return terms, norm
+
+
+def _gaussian(y, y_unit, e: int, kernel):
+    """The Gaussian smoothing of y = y_unit * 2**e and its lambda, None,
+    with ``kernel`` from ``_gaussian_kernel``."""
+    if kernel is None:
+        return np.array(y, dtype=float), None
+    terms, norm = kernel
+    out = np.zeros(y_unit.shape[0])
+    for coeff, lo, hi, off in terms:
+        out[lo:hi] += coeff * y_unit[lo + off : hi + off]
     out /= norm
     return from_unit(out, e), None

@@ -837,21 +837,38 @@ class TestBenchmarkCommand:
         assert json.loads(capsys.readouterr().err.strip())["error"] == "UndefinedMetricError"
         assert not (tmp_path / "x").exists()
 
+    # linspace repeats values on [0, 1e-321]: the clean signal on that grid
+    # is flat, and its RRSE undefined.
+    SUBNORMAL = {"peaks": [{"center": 0, "height": 1, "halfwidth": 1}], "x_range": [0, 1e-321],
+                 "noise_sigmas": [0.1]}
+
     def test_subnormal_grid_prints_json_line(self, tmp_path, capsys):
-        # linspace repeats values on [0, 1e-321]; the flat clean signal on
-        # that grid leaves the RRSE undefined, and the sweep ends in the
-        # JSON error line, not a traceback.
+        # The first block scored against the flat clean signal ends the
+        # sweep in the JSON error line, not a traceback.
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps({
-            "peaks": [{"center": 0, "height": 1, "halfwidth": 1}], "x_range": [0, 1e-321],
-            "resolutions": [1000], "noise_sigmas": [0.1], "methods": {"ps": [1]},
-        }))
+        path.write_text(json.dumps({**self.SUBNORMAL, "resolutions": [1000],
+                                    "methods": {"ps": [1]}}))
         rc = cli.main(["benchmark", str(path), "--out", str(tmp_path / "x")])
         assert rc == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert json.loads(err)["error"] == "UndefinedMetricError"
+        assert json.loads(err) == {"error": "UndefinedMetricError",
+                                   "message": "RRSE undefined: true signal is affine"}
         assert not (tmp_path / "x").exists()
+
+    def test_unscorable_clean_signal_without_fits_writes_tables(self, tmp_path, capsys):
+        # Every cell fails before it is scored, so the flat clean signal is
+        # never scored: the sweep exits 0 and writes its tables.
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**self.SUBNORMAL, "resolutions": [50],
+                                    "methods": {"sg": [[61, 2]]}}))
+        out = tmp_path / "x"
+        assert cli.main(["benchmark", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        [cell] = csv.DictReader((out / "cells.csv").read_text().splitlines())
+        assert cell["error"] == "InvalidSizeError: signal length 50 < window 61"
+        for name in ("aggregates.csv", "best.csv"):
+            assert len((out / name).read_text().splitlines()) == 1, name
 
     @pytest.mark.parametrize("scenario, message", [
         ({"methods": {"ps": [1, 1.0, 2]}}, "'methods.ps' repeats the value 1.0"),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lsaps.errors import InvalidSizeError
+from lsaps.errors import InvalidConfigError, InvalidSizeError
 from lsaps.peaks import detect_peaks, second_difference
 from lsaps.smoothers import to_unit
 from lsaps.sim import SimScenario, LorentzianPeak, generate_clean
@@ -24,6 +24,12 @@ class TestDetect:
     def test_bad_k(self):
         with pytest.raises(ValueError):
             detect_peaks(np.ones(10), 0)
+
+    def test_non_integer_k(self):
+        # It used to raise TypeError from slicing with 2.5.
+        with pytest.raises(InvalidConfigError, match=r"^k must be an integer, got 2\.5$"):
+            detect_peaks(np.sin(np.arange(20.0)), 2.5)
+        assert issubclass(InvalidConfigError, ValueError)
 
     def test_single_triangle_peak(self):
         x = np.array([0.0, 1.0, 2.0, 3.0, 2.0, 1.0, 0.0])

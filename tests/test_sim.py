@@ -460,7 +460,7 @@ class TestReportColumns:
         # one np.dot per row, and np.linalg.norm's sqrt(dot(r, r)). A
         # reduction over the whole stack (einsum, sum(axis=1)) rounds
         # differently at n = 1001.
-        from lsaps.sim import _rrse_rows, _snr_rows
+        from lsaps.sim import _Reference, _rrse_rows, _snr_rows
 
         rng = np.random.default_rng(3)
         clean = np.sin(np.arange(1001) / 7.0)
@@ -475,8 +475,8 @@ class TestReportColumns:
             d_true = np.diff(clean, n=2)
             rrses.append(float(np.linalg.norm(np.diff(x, n=2) - d_true))
                          / float(np.linalg.norm(d_true)))
-        assert _snr_rows(clean, stack) == snrs and snrs[2] == NOISE_FREE_DB
-        assert _rrse_rows(clean, stack) == rrses and rrses[2] == 0.0
+        assert _snr_rows(_Reference(clean), stack) == snrs and snrs[2] == NOISE_FREE_DB
+        assert _rrse_rows(_Reference(clean), stack) == rrses and rrses[2] == 0.0
         assert [snr(clean, x) for x in stack] == snrs
         assert [rrse_second_derivative(x, clean) for x in stack] == rrses
 

@@ -370,6 +370,38 @@ class TestGaussian:
         with pytest.raises(InvalidConfigError):
             smooth_gaussian(np.ones(10), 0)
 
+    @pytest.mark.parametrize("n", [1, 5, 60])
+    def test_plan_is_the_per_signal_convolution(self, n):
+        # A plan's kernels, offsets and edge normalisations, made once per
+        # length, give the bits of the convolution built for each signal,
+        # and each bad window its own error, in grid order.
+        def convolve(y, window):
+            if window == 1 or n == 1:
+                return y
+            positions = np.arange(window) - (window - 1) / 2.0
+            kernel = np.exp(-0.5 * (positions / (window / 5.0)) ** 2)
+            kernel /= kernel.sum()
+            out, norm = np.zeros(n), np.zeros(n)
+            for coeff, off in zip(kernel, np.arange(window) - window // 2):
+                lo, hi = max(0, -off), min(n, n - off)
+                if lo < hi:
+                    out[lo:hi] += coeff * y[lo + off : hi + off]
+                    norm[lo:hi] += coeff
+            return out / norm
+
+        grid = [*COMPARISON_GRIDS["gaussian"], 2.5, 0, -3, 5.0, 61]
+        failures = {10: "window must be an integer, got 2.5", 11: "window must be >= 1, got 0",
+                    12: "window must be >= 1, got -3", 13: "window must be an integer, got 5.0"}
+        plan = grid_plan(n, "gaussian", grid)
+        for seed in (34, 35):
+            y = np.random.default_rng(seed).standard_normal(n)
+            [(_, results)] = plan(y)
+            for i, (window, result) in enumerate(zip(grid, results, strict=True)):
+                if i in failures:
+                    assert type(result) is InvalidConfigError and str(result) == failures[i]
+                else:
+                    assert result[0].tobytes() == convolve(y, window).tobytes(), window
+
     def test_rejects_2d_input(self):
         with pytest.raises(ValueError, match="y must be 1-d"):
             smooth_gaussian(np.ones((3, 40)), 5)
@@ -539,6 +571,32 @@ class TestSmoothGrid:
         for (window, order), x, (got, _) in zip(grid, default, grid_results(y, "sg", grid), strict=True):
             assert np.abs(got - x).max() <= 4e-15 * np.abs(x).max(), (window, order)
             assert np.array_equal(got, smooth_savitzky_golay(y, window, order))
+
+    @pytest.mark.parametrize("n, chunk", [(40, None), (500, None), (1000, None),
+                                          (300, 1), (300, 7), (300, 64)])
+    def test_window_matrix_product_is_the_sliding_window_product(self, monkeypatch, n, chunk):
+        # Every comparison-grid window's interior product, all orders, read
+        # from one window matrix as wide as the grid's widest window: the
+        # bits of the kernels times the transposed sliding windows of the
+        # same chunk, which this window matrix replaced.
+        from numpy.lib.stride_tricks import sliding_window_view
+
+        from lsaps import smoothers
+
+        if chunk is not None:
+            monkeypatch.setattr(smoothers, "SG_CHUNK", chunk)
+        y_unit = to_unit(lorentzian_plus_noise(n, 33))[0]
+        windows = smoothers._sg_windows(y_unit, 35)
+        for window in sorted({w for w, _ in COMPARISON_GRIDS["sg"] if w > 1}):
+            top = smoothers._sg_top(window, 1)
+            kernels = smoothers._sg_basis(window, top)[1]
+            h = window // 2
+            stack = np.zeros((top + 1, n))
+            smoothers._sg_fill(stack, slice(None), y_unit, windows, window, top, slice(None))
+            for start in range(h, n - h, smoothers.SG_CHUNK):
+                stop = min(start + smoothers.SG_CHUNK, n - h)
+                expected = kernels @ sliding_window_view(y_unit[start - h : stop + h], window).T
+                assert stack[:, start:stop].tobytes() == expected.tobytes(), (window, start)
 
     def test_lone_sg_fit_holds_one_chunk(self, monkeypatch):
         # A lone fit holds one (top + 1)-row chunk of the interior product,

@@ -493,11 +493,6 @@ def _write_table(path, columns):
 def _run_benchmark(args) -> int:
     scenario, resolutions, sigmas, method_grids, seeds = load_scenario_file(args.scenario)
     report = sim.run_benchmark(scenario, resolutions, sigmas, method_grids, seeds)
-
-    times = {}
-    for method, time_s in zip(report.cells["method"], report.cells["time_s"]):
-        times.setdefault(method, []).append(time_s)
-
     summary = {
         "scenario": str(args.scenario),
         "resolutions": resolutions,
@@ -505,7 +500,6 @@ def _run_benchmark(args) -> int:
         "seeds": seeds,
         "methods": {m: len(g) for m, g in method_grids.items()},
         "cells": len(report.cells["method"]),
-        "single_call_median_time_s": {m: float(np.median(t)) for m, t in times.items()},
     }
     # The sweep has returned; only now is anything written.
     with _output_dir(args.out) as out_dir:

@@ -9,6 +9,11 @@ class InvalidSizeError(LsapsError, ValueError):
     """Input of the wrong size or shape for the requested operation."""
 
 
+class InvalidInputError(LsapsError, ValueError):
+    """An input array holds a value the operation cannot take, such as a
+    NaN or an inf."""
+
+
 class InvalidConfigError(LsapsError, ValueError):
     """Smoother or run configuration violates its constraints."""
 

@@ -16,7 +16,7 @@ median.
 
 import numpy as np
 
-from .errors import DegenerateSignalError, InvalidSizeError
+from .errors import DegenerateSignalError, InvalidInputError, InvalidSizeError
 
 # Closed-form kernel for the quadratic coefficient; symmetric, so
 # convolution and correlation coincide. The division by 14 happens after
@@ -33,18 +33,21 @@ def local_quadratic_curvature(y) -> np.ndarray:
     Raises
     ------
     InvalidSizeError
-        If fewer than five points are given.
-    ValueError
-        If ``y`` is not finite; a NaN would spread through the weights
-        into a wrong diagnosis downstream.
+        If ``y`` is not 1-d, naming its shape, or if fewer than five
+        points are given.
+    InvalidInputError
+        A ``ValueError``, if ``y`` is not finite; a NaN would spread
+        through the weights into a wrong diagnosis downstream.
     """
     y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise InvalidSizeError(f"y must be 1-d, got shape {y.shape}")
     n = y.shape[0]
     if n < 5:
         raise InvalidSizeError(f"five-point regression needs n >= 5, got n={n}")
     bad = np.flatnonzero(~np.isfinite(y))
     if bad.size:
-        raise ValueError(f"y must be finite, got {y[bad[0]]} at index {bad[0]}")
+        raise InvalidInputError(f"y must be finite, got {y[bad[0]]} at index {bad[0]}")
     a = np.convolve(y, _QUAD_KERNEL, mode="valid") / 14.0
     w = np.empty(n)
     w[2 : n - 2] = np.square(2.0 * a)

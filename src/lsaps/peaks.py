@@ -26,8 +26,8 @@ class PeakEntry:
 
 def second_difference(x):
     """The second difference of ``x``, in units of x; +-inf where it
-    exceeds float64. Raises ValueError for an ``x`` that is not 1-d and
-    finite."""
+    exceeds float64. Raises InvalidSizeError for an ``x`` that is not
+    1-d and InvalidInputError for one that is not finite."""
     x_unit, e = to_unit(x)
     d = np.diff(x_unit, n=2)
     with np.errstate(over="ignore"):
@@ -47,11 +47,11 @@ def detect_peaks(x, k: int, abscissa=None):
 
     Raises
     ------
-    ValueError
-        For an ``x`` that is not 1-d and finite.
     InvalidSizeError
-        For an ``x`` of fewer than 5 points, and for an ``abscissa`` whose
-        shape is not that of ``x``.
+        For an ``x`` that is not 1-d or has fewer than 5 points, and for
+        an ``abscissa`` whose shape is not that of ``x``.
+    InvalidInputError
+        A ``ValueError``, for an ``x`` that is not finite.
     InvalidConfigError
         A ``ValueError``, for a ``k`` that is not an integer, such as 2.5,
         or is below 1.

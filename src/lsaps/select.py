@@ -18,6 +18,8 @@ import numpy as np
 from . import linalg
 from .errors import (
     InvalidConfigError,
+    InvalidInputError,
+    InvalidSizeError,
     LeverageSaturationError,
     SelectionFailedError,
     SingularSystemError,
@@ -54,6 +56,8 @@ def loo_residuals(y, smoothed, hat_diag):
 
     Raises
     ------
+    InvalidSizeError
+        If ``y``, ``smoothed`` and ``hat_diag`` differ in shape.
     LeverageSaturationError
         If any leverage is within ``LEVERAGE_TOL`` of 1 (the smoother
         interpolates that point and cannot be cross-validated there).
@@ -62,7 +66,7 @@ def loo_residuals(y, smoothed, hat_diag):
     smoothed = np.asarray(smoothed, dtype=float)
     hat_diag = np.asarray(hat_diag, dtype=float)
     if not (y.shape == smoothed.shape == hat_diag.shape):
-        raise ValueError("y, smoothed, and hat_diag must have equal shapes")
+        raise InvalidSizeError("y, smoothed, and hat_diag must have equal shapes")
     if np.any(hat_diag >= 1.0 - LEVERAGE_TOL):
         raise LeverageSaturationError("a leverage value saturated at 1")
     return (y - smoothed) / (1.0 - hat_diag)
@@ -70,11 +74,12 @@ def loo_residuals(y, smoothed, hat_diag):
 
 def cv_loss_lsa(r, weights) -> float:
     """CV loss sqrt(r^T A^{-1} r / N) with diagonal A = weights; unit
-    weights give the standard PS loss sqrt(r^T r / N)."""
+    weights give the standard PS loss sqrt(r^T r / N). Raises
+    InvalidInputError for a weight <= 0."""
     r = np.asarray(r, dtype=float)
     w = np.asarray(weights, dtype=float)
     if np.any(w <= 0):
-        raise ValueError("loss weights must be strictly positive; floor them first")
+        raise InvalidInputError("loss weights must be strictly positive; floor them first")
     return float(np.sqrt(np.mean(np.square(r) / w)))
 
 
@@ -117,9 +122,10 @@ def select_parameter(
     ResultOverflowError
         If the selected smoothed signal exceeds float64.
     InvalidSizeError, DegenerateSignalError
-        As ``smooth`` raises them for the method and y.
-    ValueError
-        If ``y`` is not 1-d or not finite.
+        As ``smooth`` raises them for the method and y, such as a y
+        that is not 1-d.
+    InvalidInputError
+        A ``ValueError``, if ``y`` is not finite.
     """
     if method not in PENALIZED:
         raise InvalidConfigError(f"auto-selection supports only ps and lsa-ps, got {method!r}")

@@ -11,7 +11,6 @@ are reproducible across platforms.
 import functools
 import math
 import numbers
-import time
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
@@ -348,16 +347,11 @@ def _score_grid(noisy, reference, plan):
 
     Returns the output SNRs, the RRSEs and the errors in grid order,
     with None for the scores of a failed cell and for the error of a
-    good one, and the seconds spent smoothing: the loop's time less
-    the time spent scoring its blocks. A block's scores come as lists
-    for its good fits, and each failure is put back, in rising order, at
-    its position in the block.
+    good one. A block's scores come as lists for its good fits, and each
+    failure is put back, in rising order, at its position in the block.
     """
     snrs, rrses, errors = [], [], []
-    scoring = 0.0
-    t0 = time.perf_counter()
     for stack, results in plan(noisy):
-        t1 = time.perf_counter()
         failures = [(i, f"{type(result).__name__}: {result}")
                     for i, result in enumerate(results) if isinstance(result, Exception)]
         block_snrs = _snr_rows(reference, stack) if len(stack) else []
@@ -370,8 +364,7 @@ def _score_grid(noisy, reference, plan):
         snrs += block_snrs
         rrses += block_rrses
         errors += block_errors
-        scoring += time.perf_counter() - t1
-    return snrs, rrses, errors, time.perf_counter() - t0 - scoring
+    return snrs, rrses, errors
 
 
 def check_distinct(axes):
@@ -409,13 +402,8 @@ def run_benchmark(
     does not check it. A resolution's plans are dropped before the next
     resolution's are made. Per-cell smoother errors are recorded in the
     cell and excluded from the aggregates rather than aborting the run.
-    Value columns are deterministic under fixed seeds; only ``time_s``
-    varies. A cell's ``time_s`` is its even share of the wall time spent
-    smoothing its signal with its method's whole grid; scoring is not
-    included. A PS plan factors each lam for the first signal of a
-    resolution and keeps the factor, so the PS ``time_s`` of that
-    signal includes the factorizations and that of its later signals
-    covers the solves alone.
+    Every column is deterministic under fixed seeds: a rerun returns the
+    same tables.
 
     Raises
     ------
@@ -429,7 +417,7 @@ def run_benchmark(
     check_distinct({"resolutions": resolutions, "sigmas": sigmas, "seeds": seeds,
                     **{f"grid of {method}": grid for method, grid in method_grids.items()}})
     cells = {name: [] for name in ("resolution", "sigma", "method", "parameter", "seed",
-                                   "input_snr_db", "output_snr_db", "rrse", "time_s", "error")}
+                                   "input_snr_db", "output_snr_db", "rrse", "error")}
     for n in resolutions:
         plans = {method: grid_plan(n, method, grid) for method, grid in method_grids.items()}
         clean = generate_clean(replace(scenario, n=n))
@@ -438,13 +426,11 @@ def run_benchmark(
             for seed in seeds:
                 noisy, input_snr = add_noise(clean, sigma, seed)
                 for method, grid in method_grids.items():
-                    snrs, rrses, errors, elapsed = _score_grid(noisy, reference, plans[method])
+                    snrs, rrses, errors = _score_grid(noisy, reference, plans[method])
                     k = len(errors)
-                    if not k:
-                        continue  # an empty grid has no cells to share its time
                     for column, values in zip(cells.values(), (
                         [n] * k, [float(sigma)] * k, [method] * k, grid, [seed] * k,
-                        [input_snr] * k, snrs, rrses, [elapsed / k] * k, errors,
+                        [input_snr] * k, snrs, rrses, errors,
                     )):
                         column.extend(values)
         del plans  # and their factors, before the next resolution's are made

@@ -51,8 +51,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import linalg
-from .errors import (DegenerateSignalError, InvalidConfigError, InvalidSizeError,
-                     ResultOverflowError)
+from .errors import (DegenerateSignalError, InvalidConfigError, InvalidInputError,
+                     InvalidSizeError, ResultOverflowError)
 from .localfit import local_quadratic_curvature
 
 
@@ -63,8 +63,8 @@ METHODS = PENALIZED + ("sg", "gaussian")
 
 def to_unit(y):
     """(y * 2**-e, e) with max|y| = m * 2**e, m in [0.5, 1), or e = 0 for
-    y = 0; the scaled array is a fresh copy. Raises ValueError for a y
-    that is not 1-d or not finite.
+    y = 0; the scaled array is a fresh copy. Raises InvalidSizeError for
+    a y that is not 1-d and InvalidInputError for one that is not finite.
 
     Sums and differences of a few entries of y * 2**-e, which is of unit
     size, cannot overflow. Scaling by a power of two is exact while
@@ -73,11 +73,11 @@ def to_unit(y):
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
-        raise ValueError(f"y must be 1-d, got shape {y.shape}")
+        raise InvalidSizeError(f"y must be 1-d, got shape {y.shape}")
     peak = float(np.abs(y).max(initial=0.0))
     if not math.isfinite(peak):  # max|y| is NaN or inf exactly when y is not finite
         i = int(np.flatnonzero(~np.isfinite(y))[0])
-        raise ValueError(f"y must be finite, got {y[i]} at index {i}")
+        raise InvalidInputError(f"y must be finite, got {y[i]} at index {i}")
     e = math.frexp(peak)[1]
     return np.ldexp(y, -e), e
 
@@ -159,8 +159,8 @@ def smooth_lsa_ps(y, lambda_bar: float, clip: bool = True):
     InvalidConfigError
         If ``lambda_bar`` is negative or the effective penalty is not
         finite.
-    ValueError
-        If ``y`` is not 1-d or not finite.
+    InvalidSizeError, InvalidInputError
+        If ``y`` is not 1-d, or not finite, respectively.
     ResultOverflowError
         If the smoothed signal exceeds float64.
     DegenerateSignalError
@@ -210,8 +210,9 @@ def smooth(y, method: str, parameter, clip: bool = True):
     ``clip`` applies to ``lsa-ps`` alone. The lambda is None for ``sg``,
     ``gaussian`` and ``none``, the benchmark's identity control, which
     returns a copy of y. Raises ``InvalidConfigError`` for an unknown
-    method, then ValueError for a y that is not 1-d and finite, and only
-    then the error of the parameter, such as a negative ``lambda_bar``.
+    method, then ``InvalidSizeError`` for a y that is not 1-d and
+    ``InvalidInputError`` for one that is not finite, and only then the
+    error of the parameter, such as a negative ``lambda_bar``.
     """
     # A one-parameter grid is one block of one result.
     [(_, [result])] = grid_blocks(y, method, (parameter,), clip)

@@ -24,7 +24,7 @@ from lsaps.sim import (
     run_benchmark,
     snr,
 )
-from lsaps.smoothers import grid_blocks, grid_plan, smooth
+from lsaps.smoothers import grid_blocks, smooth
 from scoring import sigma_for_target_snr, true_peak_indices
 
 
@@ -302,47 +302,6 @@ class TestBenchmark:
             assert a.output_snr_db == b.output_snr_db
             assert a.rrse == b.rrse
 
-    def test_time_s_is_the_grid_share(self, small_report):
-        # A cell's time_s is its even share of its (signal, method) grid's
-        # wall time: one value per grid, and no cell is timed alone.
-        _, grids, report = small_report
-        shares = {}
-        for c in rows(report.cells):
-            shares.setdefault((c.seed, c.method), set()).add(c.time_s)
-        assert len(shares) == 2 * len(grids)
-        assert all(len(v) == 1 and next(iter(v)) > 0 for v in shares.values())
-
-    def test_time_s_excludes_scoring(self, monkeypatch):
-        # A clock that only the smoothers and the scorer move: each block
-        # yielded takes 1 s and each scoring call 1000 s, so a cell's
-        # share of its grid's time, times the grid's size, is the grid's
-        # number of blocks.
-        clock = [0.0]
-        snr_rows = sim._snr_rows
-
-        def plan(*args):
-            run = grid_plan(*args)
-
-            def blocks(y):
-                for block in run(y):
-                    clock[0] += 1.0
-                    yield block
-
-            return blocks
-
-        def scoring(*args):
-            clock[0] += 1000.0
-            return snr_rows(*args)
-
-        monkeypatch.setattr(sim, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
-        monkeypatch.setattr(sim, "grid_plan", plan)
-        monkeypatch.setattr(sim, "_snr_rows", scoring)
-        # Two windows, so two Savitzky-Golay blocks; one block for ps.
-        grids = {"ps": [1.0, 10.0, 100.0], "sg": [(5, 2), (5, 3), (9, 2), (9, 3), (9, 4)]}
-        report = run_benchmark(SimScenario(n=100), [100], [0.1], grids, [0, 1])
-        for c in rows(report.cells):
-            assert c.time_s * len(grids[c.method]) == {"ps": 1.0, "sg": 2.0}[c.method]
-
     def test_ps_factors_once_per_resolution(self, monkeypatch):
         # 2 resolutions x 2 sigmas x 3 seeds on the 18-lambda grid: PS's
         # factors depend on the resolution alone, 36 of them, while LSA-PS
@@ -518,9 +477,8 @@ def reference_report(scenario, resolutions, sigmas, grids, seeds):
     """Oracle: ``run_benchmark``'s three tables, as lists of rows, built
     naively: each cell from ``smooth``, ``snr`` and
     ``rrse_second_derivative`` alone, the aggregates with ``statistics``
-    and the best rows with ``max`` and ``min``, time_s left out. Each
-    fit taken alone is also checked against its result in
-    ``grid_blocks``."""
+    and the best rows with ``max`` and ``min``. Each fit taken alone is
+    also checked against its result in ``grid_blocks``."""
     cells = []
     for n in resolutions:
         clean = generate_clean(replace(scenario, n=n))
@@ -597,9 +555,8 @@ class TestAgainstNaiveReport:
     def test_tables_match_the_naive_reference(self, sweep):
         report = run_benchmark(*sweep)
         cells, aggregates, best = reference_report(*sweep)
-        names = [name for name in report.cells if name != "time_s"]
-        assert len(report.cells["time_s"]) == len(cells)
-        for name, column in zip(names, zip(*cells)):
+        assert len(report.cells["error"]) == len(cells)
+        for name, column in zip(report.cells, zip(*cells)):
             assert report.cells[name] == list(column), name
         names = list(report.aggregates)
         assert len(report.aggregates["seeds"]) == len(aggregates)

@@ -8,6 +8,7 @@ import pytest
 from lsaps.errors import (
     DegenerateSignalError,
     InvalidConfigError,
+    InvalidInputError,
     InvalidSizeError,
     LsapsError,
     ResultOverflowError,
@@ -709,7 +710,7 @@ class TestUnitScale:
                 smooth(y, method, parameter)
             # A grid of a good and a bad parameter: every result is y's error.
             results = grid_results(y, method, (parameter, BAD_PARAMETER[method], parameter))
-            assert all(type(r) is ValueError and str(r) == message for r in results), results
+            assert all(type(r) is InvalidInputError and str(r) == message for r in results), results
 
     def test_to_unit(self):
         y = np.array([3.0, -6.0, 0.5])

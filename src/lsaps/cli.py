@@ -32,7 +32,7 @@ import numpy as np
 
 from . import select as select_mod
 from . import sim
-from .errors import IngestError, InvalidConfigError, LsapsError, OutputError
+from .errors import IngestError, InvalidConfigError, InvalidInputError, LsapsError, OutputError
 from .peaks import PeakEntry, detect_peaks, second_difference
 from .smoothers import METHODS, PENALIZED, smooth
 
@@ -356,9 +356,11 @@ def load_scenario_file(path):
     try:
         with Path(path).open(encoding="utf-8-sig") as fh:
             return _parse_scenario(json.load(fh))
+    except (InvalidInputError, OSError, TypeError) as exc:  # InvalidInputError: sim's checks
+        raise LsapsError(f"scenario file: {exc}") from None
     except LsapsError:
         raise
-    except (OSError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise LsapsError(f"scenario file: {exc}") from None
 
 

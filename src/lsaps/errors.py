@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one input array check."""
+
+import numpy as np
 
 
 class LsapsError(Exception):
@@ -34,7 +36,8 @@ class DegenerateSignalError(LsapsError, ValueError):
 
 
 class ResultOverflowError(LsapsError, OverflowError):
-    """A smoothed signal, scaled back from unit size, exceeds float64."""
+    """A result exceeds float64: a smoothed signal scaled back from unit
+    size, a solve, curvature weights, leave-one-out residuals or a CV loss."""
 
 
 class LeverageSaturationError(LsapsError, ValueError):
@@ -55,3 +58,18 @@ class IngestError(LsapsError, ValueError):
 
 class OutputError(LsapsError, OSError):
     """An output directory could not be made or written to."""
+
+
+def checked(name: str, values, shape=None):
+    """``values``, the input called ``name``, as a float array; an
+    InvalidSizeError unless it is 1-d, or of ``shape``, a 1-d shape, where
+    given, and an InvalidInputError naming its first entry that is not finite."""
+    values = np.asarray(values, dtype=float)
+    if shape is None and values.ndim != 1:
+        raise InvalidSizeError(f"{name} must be 1-d, got shape {values.shape}")
+    if shape is not None and values.shape != shape:
+        raise InvalidSizeError(f"{name} must have shape {shape}, got {values.shape}")
+    if not np.isfinite(values).all():
+        i = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise InvalidInputError(f"{name} must be finite, got {values[i]} at index {i}")
+    return values

@@ -52,9 +52,12 @@ from numpy.linalg import LinAlgError
 
 from .errors import (
     InvalidConfigError,
+    InvalidInputError,
     InvalidSizeError,
     NotPositiveDefiniteError,
+    ResultOverflowError,
     SingularSystemError,
+    checked,
 )
 
 
@@ -170,19 +173,16 @@ def assembler(weights):
     Raises
     ------
     InvalidSizeError
-        If n < 3.
-    ValueError
+        If ``weights`` is not 1-d or n < 3.
+    InvalidInputError
         If a weight is not finite or is negative.
     """
-    weights = np.asarray(weights, dtype=float)
+    weights = checked("weights", weights)
     n = weights.shape[0]
     if n < 3:
         raise InvalidSizeError(f"system needs n >= 3, got n={n}")
-    bad = np.flatnonzero(~np.isfinite(weights))
-    if bad.size:
-        raise ValueError(f"weights must be finite, got {weights[bad[0]]} at index {bad[0]}")
     if np.any(weights < 0):
-        raise ValueError("weights must be non-negative")
+        raise InvalidInputError("weights must be non-negative")
     has_zero = not weights.all()
     # The lower bands of D^T D, built once: each row of D adds its
     # stencil's products (1, 4, 1), (-2, -2) and (1) to them, so the main
@@ -273,28 +273,30 @@ def solve(system: Factor, rhs):
 
     Raises
     ------
-    ValueError
-        If ``rhs`` is not 1-d of length n, or not finite.
+    InvalidSizeError, InvalidInputError
+        If ``rhs`` is not 1-d of length n, or not finite, respectively.
+    ResultOverflowError
+        If x exceeds float64, as for a large rhs beside small weights.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (system.n,):
-        raise ValueError(f"rhs must have shape ({system.n},), got {rhs.shape}")
-    if not np.isfinite(rhs).all():
-        i = int(np.flatnonzero(~np.isfinite(rhs))[0])
-        raise ValueError(f"rhs must be finite, got {rhs[i]} at index {i}")
+    rhs = checked("rhs", rhs, shape=(system.n,))
     u = system.u
     x = _substitute(u, rhs)
-    last = float(np.abs(x).max())
-    for _ in range(REFINE_STEPS):
-        d = _substitute(u, _residual(system, rhs, x), overwrite_b=True)
-        size = float(np.abs(d).max())
-        if not 0.0 < size <= last / 2:
-            break
-        x += d
-        # The estimate size**2 / last, formed so that it cannot overflow.
-        if size * (size / last) <= REFINE_TOL * float(np.abs(x).max()):
-            break
-        last = size
+    last = top = float(np.abs(x).max())
+    # An x beyond float64 makes the residual NaN, which ends the loop.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(REFINE_STEPS):
+            d = _substitute(u, _residual(system, rhs, x), overwrite_b=True)
+            size = float(np.abs(d).max())
+            if not 0.0 < size <= last / 2:
+                break
+            x += d
+            top = float(np.abs(x).max())
+            # The estimate size**2 / last, formed so that it cannot overflow.
+            if size * (size / last) <= REFINE_TOL * top:
+                break
+            last = size
+    if not math.isfinite(top):
+        raise ResultOverflowError("the solution exceeds float64")
     return x
 
 
@@ -325,23 +327,30 @@ def hat_diagonal(system: Factor):
     A^T is passed in lower band storage of shape (5, 3n), whose column j
     holds A[j, j+k] in row k, as the transposed, Fortran-contiguous view
     of a C-ordered (n, 3, 5) buffer, so no copy is made.
+
+    Raises ``SingularSystemError`` where an entry of the diagonal of
+    M^{-1} exceeds float64, as for subnormal weights and lam.
     """
     u = system.u
     n = system.n
     diag = u[0]
     band = np.zeros((n, 3, 5))
     c, e = band[:, 0, 1], band[:, 0, 2]
-    np.divide(u[1, :-1], diag[:-1], out=c[:-1])
-    np.divide(u[2, :-2], diag[:-2], out=e[:-2])
-    band[:, 1, 2] = band[:, 2, 2] = c
-    band[:, 1, 3] = band[:, 2, 4] = e
     rhs = np.zeros((n, 3))
-    np.divide(1.0, np.square(diag), out=rhs[:, 0])
-    v, info = dtbtrs(
-        band.reshape(3 * n, 5).T, rhs.reshape(3 * n, 1),
-        uplo="L", trans="T", diag="U", overwrite_b=True,
-    )
-    if info != 0:
-        # A unit diagonal is never singular: only a bad argument sets info.
-        raise LinAlgError(f"dtbtrs returned info = {info}")
-    return v[0::3, 0] * system.weights
+    with np.errstate(all="ignore"):
+        np.divide(u[1, :-1], diag[:-1], out=c[:-1])
+        np.divide(u[2, :-2], diag[:-2], out=e[:-2])
+        band[:, 1, 2] = band[:, 2, 2] = c
+        band[:, 1, 3] = band[:, 2, 4] = e
+        np.divide(1.0, np.square(diag), out=rhs[:, 0])
+        v, info = dtbtrs(
+            band.reshape(3 * n, 5).T, rhs.reshape(3 * n, 1),
+            uplo="L", trans="T", diag="U", overwrite_b=True,
+        )
+        if info != 0:
+            # A unit diagonal is never singular: only a bad argument sets info.
+            raise LinAlgError(f"dtbtrs returned info = {info}")
+        leverages = v[0::3, 0] * system.weights
+    if not np.isfinite(leverages).all():
+        raise SingularSystemError("the diagonal of M^{-1} exceeds float64: M is too small in scale")
+    return leverages

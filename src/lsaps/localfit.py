@@ -16,7 +16,7 @@ median.
 
 import numpy as np
 
-from .errors import DegenerateSignalError, InvalidInputError, InvalidSizeError
+from .errors import DegenerateSignalError, InvalidSizeError, ResultOverflowError, checked
 
 # Closed-form kernel for the quadratic coefficient; symmetric, so
 # convolution and correlation coincide. The division by 14 happens after
@@ -38,19 +38,21 @@ def local_quadratic_curvature(y) -> np.ndarray:
     InvalidInputError
         A ``ValueError``, if ``y`` is not finite; a NaN would spread
         through the weights into a wrong diagnosis downstream.
+    ResultOverflowError
+        If a weight exceeds float64, as for a curved y of about 1e154;
+        ``smoothers.penalized_weights`` takes them of y at unit size.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise InvalidSizeError(f"y must be 1-d, got shape {y.shape}")
+    y = checked("y", y)
     n = y.shape[0]
     if n < 5:
         raise InvalidSizeError(f"five-point regression needs n >= 5, got n={n}")
-    bad = np.flatnonzero(~np.isfinite(y))
-    if bad.size:
-        raise InvalidInputError(f"y must be finite, got {y[bad[0]]} at index {bad[0]}")
-    a = np.convolve(y, _QUAD_KERNEL, mode="valid") / 14.0
     w = np.empty(n)
-    w[2 : n - 2] = np.square(2.0 * a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.convolve(y, _QUAD_KERNEL, mode="valid") / 14.0
+        w[2 : n - 2] = np.square(2.0 * a)
+    # y is finite, so a weight that is not comes from an overflow.
+    if not np.isfinite(w[2 : n - 2].max()):
+        raise ResultOverflowError("curvature weights exceed float64; scale y to unit size first")
     w[:2] = w[2]
     w[n - 2 :] = w[n - 3]
     return w
@@ -65,10 +67,13 @@ def floor_weights(weights: np.ndarray) -> np.ndarray:
 
     Raises
     ------
+    InvalidSizeError, InvalidInputError
+        If ``weights`` is not 1-d, or not finite, respectively.
     DegenerateSignalError
         If every weight is zero (an affine input, or curvature that
         underflows).
     """
+    weights = checked("weights", weights)
     positive = weights[weights > 0]
     if positive.size == 0:
         raise DegenerateSignalError(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidSizeError
+from .errors import InvalidConfigError, InvalidSizeError, checked
 from .smoothers import _integer, to_unit
 
 
@@ -51,7 +51,7 @@ def detect_peaks(x, k: int, abscissa=None):
         For an ``x`` that is not 1-d or has fewer than 5 points, and for
         an ``abscissa`` whose shape is not that of ``x``.
     InvalidInputError
-        A ``ValueError``, for an ``x`` that is not finite.
+        A ``ValueError``, for an ``x`` or an ``abscissa`` that is not finite.
     InvalidConfigError
         A ``ValueError``, for a ``k`` that is not an integer, such as 2.5,
         or is below 1.
@@ -68,9 +68,7 @@ def detect_peaks(x, k: int, abscissa=None):
     if abscissa is None:
         abscissa = np.arange(n, dtype=float)
     else:
-        abscissa = np.asarray(abscissa, dtype=float)
-        if abscissa.shape != x.shape:
-            raise InvalidSizeError(f"abscissa must have shape {x.shape}, got {abscissa.shape}")
+        abscissa = checked("abscissa", abscissa, shape=x.shape)
 
     # Runs of equal values, so that a plateau is one candidate at its
     # leftmost index: an interior run below zero and below both

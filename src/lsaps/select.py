@@ -21,8 +21,10 @@ from .errors import (
     InvalidInputError,
     InvalidSizeError,
     LeverageSaturationError,
+    ResultOverflowError,
     SelectionFailedError,
     SingularSystemError,
+    checked,
 )
 from .localfit import floor_weights
 from .smoothers import PENALIZED, _penalized, from_unit, to_unit
@@ -56,31 +58,45 @@ def loo_residuals(y, smoothed, hat_diag):
 
     Raises
     ------
-    InvalidSizeError
-        If ``y``, ``smoothed`` and ``hat_diag`` differ in shape.
+    InvalidSizeError, InvalidInputError
+        If ``y`` is not 1-d, ``smoothed`` or ``hat_diag`` is not of its
+        shape, or one of them is not finite.
     LeverageSaturationError
         If any leverage is within ``LEVERAGE_TOL`` of 1 (the smoother
         interpolates that point and cannot be cross-validated there).
+    ResultOverflowError
+        If a residual exceeds float64.
     """
-    y = np.asarray(y, dtype=float)
-    smoothed = np.asarray(smoothed, dtype=float)
-    hat_diag = np.asarray(hat_diag, dtype=float)
-    if not (y.shape == smoothed.shape == hat_diag.shape):
-        raise InvalidSizeError("y, smoothed, and hat_diag must have equal shapes")
+    y = checked("y", y)
+    smoothed = checked("smoothed", smoothed, shape=y.shape)
+    hat_diag = checked("hat_diag", hat_diag, shape=y.shape)
     if np.any(hat_diag >= 1.0 - LEVERAGE_TOL):
         raise LeverageSaturationError("a leverage value saturated at 1")
-    return (y - smoothed) / (1.0 - hat_diag)
+    with np.errstate(over="ignore"):
+        r = (y - smoothed) / (1.0 - hat_diag)
+    if not np.isfinite(r).all():
+        raise ResultOverflowError("leave-one-out residuals exceed float64")
+    return r
 
 
 def cv_loss_lsa(r, weights) -> float:
     """CV loss sqrt(r^T A^{-1} r / N) with diagonal A = weights; unit
     weights give the standard PS loss sqrt(r^T r / N). Raises
-    InvalidInputError for a weight <= 0."""
-    r = np.asarray(r, dtype=float)
-    w = np.asarray(weights, dtype=float)
+    InvalidSizeError for an ``r`` that is empty or not 1-d and for
+    ``weights`` not of its shape, InvalidInputError for either not finite
+    and for a weight <= 0, and ResultOverflowError for a loss beyond
+    float64."""
+    r = checked("r", r)
+    w = checked("weights", weights, shape=r.shape)
+    if r.size == 0:
+        raise InvalidSizeError("r must not be empty")
     if np.any(w <= 0):
         raise InvalidInputError("loss weights must be strictly positive; floor them first")
-    return float(np.sqrt(np.mean(np.square(r) / w)))
+    with np.errstate(over="ignore"):
+        loss = float(np.sqrt(np.mean(np.square(r) / w)))
+    if not math.isfinite(loss):
+        raise ResultOverflowError("the CV loss exceeds float64")
+    return loss
 
 
 def select_parameter(
@@ -93,13 +109,13 @@ def select_parameter(
 
     Each candidate is fitted exactly as ``smooth`` fits it, with the
     same x and effective lambda.
-    Candidates whose leverage saturates (or whose system is singular)
-    get a loss of +inf and are excluded from the argmin; ties break
-    toward the larger parameter. Every fit, and so every residual and
-    loss, is taken on y scaled to unit size by ``to_unit``, so none
-    overflows or underflows, and scaled back exactly: the smoothed output
-    and the PS loss are in units of y, the LSA-PS loss has none, and the
-    LSA-PS effective lambda is in units of y squared. A PS loss or a
+    Candidates whose leverage saturates, whose system is singular or whose
+    loss overflows get a loss of +inf and are excluded from the argmin;
+    ties break toward the larger parameter. Every fit, and so every
+    residual and loss, is taken on y scaled to unit size by ``to_unit``,
+    so no fit overflows or underflows, and scaled back exactly: the
+    smoothed output and the PS loss are in units of y, the LSA-PS loss has
+    none, and the LSA-PS effective lambda is in units of y squared. A PS loss or a
     lambda beyond float64 becomes inf.
 
     Past lambda of about 1e9 the losses of neighbouring candidates can
@@ -150,10 +166,10 @@ def select_parameter(
         try:
             factor, x, lam = fit(j)
             r = loo_residuals(y_unit, x, linalg.hat_diagonal(factor))
-        except (LeverageSaturationError, SingularSystemError):
+            losses[j] = cv_loss_lsa(r, loss_weights)
+        except (LeverageSaturationError, SingularSystemError, ResultOverflowError):
             losses[j] = math.inf
             continue
-        losses[j] = cv_loss_lsa(r, loss_weights)
         key = (losses[j], -cand)
         if best_key is None or key < best_key:
             best_index, best_key, best_x, best_lam = j, key, x, lam

@@ -16,7 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidSizeError, UndefinedMetricError
+from .errors import (InvalidConfigError, InvalidInputError, InvalidSizeError,
+                     UndefinedMetricError, checked)
 from .smoothers import _integer, grid_plan
 
 NOISE_FREE_DB = math.inf
@@ -28,20 +29,25 @@ def _is_finite_number(value):
 
 @dataclass(frozen=True)
 class LorentzianPeak:
+    """height / (1 + ((t - center) / halfwidth)**2); InvalidInputError
+    unless all three are finite numbers and height and halfwidth > 0."""
+
     center: float
     height: float
     halfwidth: float
 
     def __post_init__(self):
         if not all(map(_is_finite_number, (self.center, self.height, self.halfwidth))):
-            raise ValueError("peak center, height and halfwidth must be finite numbers")
+            raise InvalidInputError("peak center, height and halfwidth must be finite numbers")
         if self.height <= 0 or self.halfwidth <= 0:
-            raise ValueError("height and halfwidth must be > 0")
+            raise InvalidInputError("height and halfwidth must be > 0")
 
 
 @dataclass(frozen=True)
 class Background:
-    """Optional additive baseline: one broad Gaussian hump plus a ramp."""
+    """Optional additive baseline: one broad Gaussian hump plus a ramp;
+    InvalidInputError unless every value is a finite number and
+    hump_width > 0."""
 
     hump_amplitude: float = 0.0
     hump_center: float = 0.0
@@ -51,9 +57,9 @@ class Background:
 
     def __post_init__(self):
         if not all(_is_finite_number(getattr(self, f.name)) for f in fields(self)):
-            raise ValueError("background values must be finite numbers")
+            raise InvalidInputError("background values must be finite numbers")
         if self.hump_width <= 0:
-            raise ValueError("background hump_width must be > 0")
+            raise InvalidInputError("background hump_width must be > 0")
 
     def evaluate(self, t):
         t = np.asarray(t, dtype=float)
@@ -104,6 +110,10 @@ COMPARISON_GRIDS = {
 
 @dataclass(frozen=True)
 class SimScenario:
+    """Peaks on ``n`` points of ``x_range``; InvalidInputError without a
+    peak, for an x_range that is not two increasing finite numbers or a
+    peak center outside it, and InvalidSizeError for n < 5."""
+
     peaks: tuple = DEFAULT_PEAKS
     n: int = 1000
     x_range: tuple = DEFAULT_RANGE
@@ -111,15 +121,15 @@ class SimScenario:
 
     def __post_init__(self):
         if len(self.peaks) < 1:
-            raise ValueError("scenario needs at least one peak")
+            raise InvalidInputError("scenario needs at least one peak")
         if self.n < 5:
             raise InvalidSizeError(f"scenario needs n >= 5, got n={self.n}")
         lo, hi = self.x_range
         if not (_is_finite_number(lo) and _is_finite_number(hi) and lo < hi):
-            raise ValueError("x_range must be two increasing finite numbers")
+            raise InvalidInputError("x_range must be two increasing finite numbers")
         for p in self.peaks:
             if not lo <= p.center <= hi:
-                raise ValueError(f"peak center {p.center} outside x_range")
+                raise InvalidInputError(f"peak center {p.center} outside x_range")
 
     def grid(self):
         lo, hi = self.x_range
@@ -151,13 +161,16 @@ def add_noise(clean, sigma: float, seed: int):
 
     Returns (noisy, realized SNR in dB); for sigma = 0, a copy of
     ``clean`` and ``NOISE_FREE_DB``. Raises InvalidConfigError for
-    sigma < 0 and, for sigma > 0, unless the sums of squares of the clean
-    signal and of the noise are both positive and finite: the realized
-    SNR is their ratio.
+    sigma < 0, for a seed that is not an integer >= 0 and, for sigma > 0,
+    unless the sums of squares of the clean signal and of the noise are
+    both positive and finite: the realized SNR is their ratio. Raises
+    InvalidSizeError for a ``clean`` that is not 1-d and InvalidInputError
+    for one that is not finite.
     """
     if sigma < 0:
         raise InvalidConfigError("sigma must be >= 0")
-    clean = np.asarray(clean, dtype=float)
+    seed = _seed(seed)
+    clean = checked("clean", clean)
     if sigma == 0:
         return clean.copy(), NOISE_FREE_DB
     rng = np.random.default_rng(seed)
@@ -170,7 +183,15 @@ def add_noise(clean, sigma: float, seed: int):
             f"noise sigma {sigma:g}: the sum of squares of the clean signal or of the "
             "noise is not a positive finite number"
         )
-    return clean + eps, 10.0 * math.log10(signal / noise)
+    return clean + eps, _db(signal, noise)
+
+
+def _seed(seed) -> int:
+    """``seed`` as an int; an InvalidConfigError unless it is an integer >= 0."""
+    seed = _integer("seed", seed)
+    if seed < 0:
+        raise InvalidConfigError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def snr(reference, estimate) -> float:
@@ -178,8 +199,10 @@ def snr(reference, estimate) -> float:
 
     Raises InvalidSizeError if the reference is not 1-d or the shapes
     differ; UndefinedMetricError for a zero reference, for an input that
-    is not finite, naming its first bad index, and for a sum of squares
-    that overflows float64."""
+    is not finite, naming its first bad index, for a sum of squares that
+    overflows float64, and for an error energy that underflows to zero
+    where the estimate is not the reference. An exact estimate scores
+    ``NOISE_FREE_DB``; a ratio beyond float64 is taken from the logs."""
     stack = np.asarray(estimate, dtype=float)[None]
     return _snr_rows(_Reference(_one_d("reference", reference)), stack)[0]
 
@@ -234,8 +257,21 @@ def _snr_rows(reference, stack) -> list:
         energies = _row_dots(stack - reference.values)
     if not np.isfinite(energies).all():
         raise _not_finite("estimate", stack, "error energy")
-    return [NOISE_FREE_DB if energy == 0 else 10.0 * math.log10(ref_energy / energy)
+    # Only an exact estimate scores NOISE_FREE_DB; another zero is an underflow.
+    exact = energies == 0
+    if exact.any() and (stack[exact] != reference.values).any():
+        raise UndefinedMetricError("the error energy of the estimate underflows float64")
+    return [NOISE_FREE_DB if energy == 0 else _db(ref_energy, energy)
             for energy in energies.tolist()]
+
+
+def _db(signal: float, noise: float) -> float:
+    """10 log10(signal / noise) for two positive finite sums of squares,
+    from their logs where the ratio leaves float64."""
+    ratio = signal / noise
+    if 0 < ratio < math.inf:
+        return 10.0 * math.log10(ratio)
+    return 10.0 * (math.log10(signal) - math.log10(noise))
 
 
 def rrse_second_derivative(x_star, x_true) -> float:
@@ -243,8 +279,8 @@ def rrse_second_derivative(x_star, x_true) -> float:
 
     Raises InvalidSizeError if the truth is not 1-d, the shapes differ or
     n < 3; UndefinedMetricError for an affine truth, for an input that is
-    not finite, naming its first bad index, and for a sum of squares that
-    overflows float64."""
+    not finite, naming its first bad index, and for a sum of squares or
+    an RRSE that overflows float64."""
     stack = np.asarray(x_star, dtype=float)[None]
     return _rrse_rows(_Reference(_one_d("truth", x_true)), stack)[0]
 
@@ -273,6 +309,8 @@ def _rrse_rows(reference, stack) -> list:
         energies = _row_dots(residuals)
     if not np.isfinite(energies).all():
         raise _not_finite("estimate", stack, "second-difference error energy")
+    if math.sqrt(energies.max(initial=0.0)) / denom == math.inf:
+        raise _not_finite("estimate", stack, "RRSE")
     return [math.sqrt(energy) / denom for energy in energies.tolist()]
 
 
@@ -409,11 +447,12 @@ def run_benchmark(
     ------
     InvalidConfigError
         A ``ValueError``, if a resolution or a seed is not an integer,
-        such as 50.5, or if an axis (the resolutions, the sigmas, the
-        seeds or a method's grid) repeats a value (``check_distinct``).
+        such as 50.5, if a seed is negative, or if an axis (the
+        resolutions, the sigmas, the seeds or a method's grid) repeats a
+        value (``check_distinct``).
     """
     resolutions = [_integer("resolution", n) for n in resolutions]
-    seeds = [_integer("seed", seed) for seed in seeds]
+    seeds = [_seed(seed) for seed in seeds]
     check_distinct({"resolutions": resolutions, "sigmas": sigmas, "seeds": seeds,
                     **{f"grid of {method}": grid for method, grid in method_grids.items()}})
     cells = {name: [] for name in ("resolution", "sigma", "method", "parameter", "seed",

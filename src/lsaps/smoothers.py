@@ -51,8 +51,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import linalg
-from .errors import (DegenerateSignalError, InvalidConfigError, InvalidInputError,
-                     InvalidSizeError, ResultOverflowError)
+from .errors import (DegenerateSignalError, InvalidConfigError, InvalidSizeError,
+                     ResultOverflowError, checked)
 from .localfit import local_quadratic_curvature
 
 
@@ -71,14 +71,8 @@ def to_unit(y):
     values stay in the normal range, so there a result computed on
     y * 2**-e and scaled back by 2**e is the one computed on y.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise InvalidSizeError(f"y must be 1-d, got shape {y.shape}")
-    peak = float(np.abs(y).max(initial=0.0))
-    if not math.isfinite(peak):  # max|y| is NaN or inf exactly when y is not finite
-        i = int(np.flatnonzero(~np.isfinite(y))[0])
-        raise InvalidInputError(f"y must be finite, got {y[i]} at index {i}")
-    e = math.frexp(peak)[1]
+    y = checked("y", y)
+    e = math.frexp(float(np.abs(y).max(initial=0.0)))[1]
     return np.ldexp(y, -e), e
 
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the one input array check."""
+"""Exception types shared across the package, the one input array check and
+the checks of integer and real-number parameters."""
+
+import operator
 
 import numpy as np
 
@@ -62,9 +65,21 @@ class OutputError(LsapsError, OSError):
 
 def checked(name: str, values, shape=None):
     """``values``, the input called ``name``, as a float array; an
-    InvalidSizeError unless it is 1-d, or of ``shape``, a 1-d shape, where
-    given, and an InvalidInputError naming its first entry that is not finite."""
-    values = np.asarray(values, dtype=float)
+    InvalidInputError unless it is an array of real numbers (of bool,
+    integer or float dtype: not ragged, of strings, of objects or complex),
+    an InvalidSizeError unless it is 1-d, or of ``shape``, a 1-d shape,
+    where given, and an InvalidInputError naming its first entry that is
+    not finite."""
+    try:
+        values = np.asarray(values)
+    except ValueError:  # a ragged sequence
+        raise InvalidInputError(f"{name} must be an array of real numbers, "
+                                "got a ragged sequence") from None
+    if values.dtype != float:
+        if values.dtype.kind not in "biuf":
+            raise InvalidInputError(f"{name} must be an array of real numbers, "
+                                    f"got dtype {values.dtype}")
+        values = values.astype(float)
     if shape is None and values.ndim != 1:
         raise InvalidSizeError(f"{name} must be 1-d, got shape {values.shape}")
     if shape is not None and values.shape != shape:
@@ -73,3 +88,23 @@ def checked(name: str, values, shape=None):
         i = int(np.flatnonzero(~np.isfinite(values))[0])
         raise InvalidInputError(f"{name} must be finite, got {values[i]} at index {i}")
     return values
+
+
+def integer(name: str, value) -> int:
+    """``value`` as an int, by ``operator.index``; an InvalidConfigError
+    that names it where it is not an integer, such as 5.0, or is a bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidConfigError(f"{name} must be an integer, got {value}")
+
+
+def real(name: str, value):
+    """``value`` itself; an InvalidConfigError that names it unless it is
+    a real number: an int or a float, of Python or numpy, and not a bool.
+    Whether it is finite, or in range, is for the caller to check."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InvalidConfigError(f"{name} must be a real number, got {value!r}")
+    return value

@@ -8,10 +8,11 @@ it is stored once, as its lower band in the (3, n) layout LAPACK
 consumes: row 0 holds the main diagonal, row 1 up to column n-2 the first
 subdiagonal and row 2 up to column n-3 the second. LAPACK's banded
 Cholesky gives the same factor from either band, faster from the lower.
-``assembler`` checks a weight array and builds the bands of D^T D once;
-for each lam of a grid it scales that band pattern by lam, adds the
-weights to its main diagonal, factorizes the bands at once by ``dpbtrf``
-(M = L L^T) and returns the factor as a ``Factor``, without the bands.
+``assembler`` checks a weight array and builds the five distinct columns
+of the bands of D^T D once; for each lam of a grid it scales them by lam,
+repeats them into the bands, adds the weights to the main diagonal,
+factorizes the bands at once by ``dpbtrf`` (M = L L^T) and returns the
+factor as a ``Factor``, without the bands.
 Solves and the diagonal of M^{-1} reuse the factor and run in O(n)
 time and memory: solves by LAPACK's banded substitution ``dpbtrs``,
 refined in float64 toward the exact operator diag(weights) + lam D^T D,
@@ -58,6 +59,7 @@ from .errors import (
     ResultOverflowError,
     SingularSystemError,
     checked,
+    real,
 )
 
 
@@ -166,8 +168,9 @@ def assembler(weights):
     all finite and >= 0. The returned function checks each lam on its
     own, so each lam of a grid keeps its own error, while the weights are
     checked once per grid. It raises ``InvalidConfigError`` for a lam
-    that is not finite, is negative, or makes an entry of M overflow
-    float64; ``SingularSystemError`` for lam = 0 with a zero weight; and
+    that is not a real number (``errors.real``), is not finite, is
+    negative, or makes an entry of M overflow float64;
+    ``SingularSystemError`` for lam = 0 with a zero weight; and
     ``NotPositiveDefiniteError`` for a failed pivot (``_cholesky``).
 
     Raises
@@ -175,7 +178,8 @@ def assembler(weights):
     InvalidSizeError
         If ``weights`` is not 1-d or n < 3.
     InvalidInputError
-        If a weight is not finite or is negative.
+        If ``weights`` is not an array of real numbers, or a weight is not
+        finite or is negative.
     """
     weights = checked("weights", weights)
     n = weights.shape[0]
@@ -184,28 +188,30 @@ def assembler(weights):
     if np.any(weights < 0):
         raise InvalidInputError("weights must be non-negative")
     has_zero = not weights.all()
-    # The lower bands of D^T D, built once: each row of D adds its
-    # stencil's products (1, 4, 1), (-2, -2) and (1) to them, so the main
-    # diagonal is (1, 5, 6, ..., 6, 5, 1), or (1, 5, 5, 1) at n = 4 and
-    # (1, 4, 1) at n = 3, the first band (-2, -4, ..., -4, -2) and the
-    # second all ones; the entries past each band's end are zeros.
-    pattern = np.zeros((3, n))
-    pattern[0] = 6.0
-    pattern[0, 1] = pattern[0, -2] = 4.0 if n == 3 else 5.0
-    pattern[0, 0] = pattern[0, -1] = 1.0
-    pattern[1, :-1] = -4.0
-    pattern[1, 0] = pattern[1, -2] = -2.0
-    pattern[2, :-2] = 1.0
+    # The lower bands of D^T D: each row of D adds its stencil's products
+    # (1, 4, 1), (-2, -2) and (1) to them, so the main diagonal is
+    # (1, 5, 6, ..., 6, 5, 1), or (1, 5, 5, 1) at n = 4 and (1, 4, 1) at
+    # n = 3, the first band (-2, -4, ..., -4, -2) and the second all ones;
+    # the entries past each band's end are zeros. The bands' columns are
+    # the five of ``ends``, the k-th repeated counts[k] times. Scaling the
+    # five by lam gives every entry the product that scaling the whole
+    # bands would, and holds no n-column pattern between calls.
+    ends = np.array([[1.0, 5.0, 6.0, 5.0, 1.0],
+                     [-2.0, -4.0, -4.0, -2.0, 0.0],
+                     [1.0, 1.0, 1.0, 0.0, 0.0]])
+    counts = (1, 1, n - 4, 1, 1)
+    if n == 3:
+        ends[0, 3], counts = 4.0, (1, 0, 0, 1, 1)
 
     def assemble(lam) -> Factor:
-        if not math.isfinite(lam):
+        if not math.isfinite(real("lam", lam)):
             raise InvalidConfigError(f"lam must be finite, got {lam}")
         if lam < 0:
             raise InvalidConfigError(f"lam must be >= 0, got {lam}")
         if lam == 0 and has_zero:
             raise SingularSystemError("lam = 0 with a zero weight gives a singular system")
         with np.errstate(over="ignore"):
-            ab = pattern * lam
+            ab = np.repeat(ends * lam, counts, axis=1)
             ab[0] += weights
         # The main diagonal holds the largest entries of every band; its
         # entries are sums of non-negative numbers, so never NaN.
@@ -274,7 +280,8 @@ def solve(system: Factor, rhs):
     Raises
     ------
     InvalidSizeError, InvalidInputError
-        If ``rhs`` is not 1-d of length n, or not finite, respectively.
+        If ``rhs`` is not 1-d of length n, or not an array of real
+        numbers or not finite, respectively.
     ResultOverflowError
         If x exceeds float64, as for a large rhs beside small weights.
     """

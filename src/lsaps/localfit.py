@@ -36,8 +36,9 @@ def local_quadratic_curvature(y) -> np.ndarray:
         If ``y`` is not 1-d, naming its shape, or if fewer than five
         points are given.
     InvalidInputError
-        A ``ValueError``, if ``y`` is not finite; a NaN would spread
-        through the weights into a wrong diagnosis downstream.
+        A ``ValueError``, if ``y`` is not an array of real numbers or not
+        finite; a NaN would spread through the weights into a wrong
+        diagnosis downstream.
     ResultOverflowError
         If a weight exceeds float64, as for a curved y of about 1e154;
         ``smoothers.penalized_weights`` takes them of y at unit size.
@@ -68,7 +69,8 @@ def floor_weights(weights: np.ndarray) -> np.ndarray:
     Raises
     ------
     InvalidSizeError, InvalidInputError
-        If ``weights`` is not 1-d, or not finite, respectively.
+        If ``weights`` is not 1-d, or not an array of real numbers or
+        not finite, respectively.
     DegenerateSignalError
         If every weight is zero (an affine input, or curvature that
         underflows).

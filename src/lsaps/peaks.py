@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidSizeError, checked
-from .smoothers import _integer, to_unit
+from .errors import InvalidConfigError, InvalidSizeError, checked, integer
+from .smoothers import to_unit
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,8 @@ class PeakEntry:
 def second_difference(x):
     """The second difference of ``x``, in units of x; +-inf where it
     exceeds float64. Raises InvalidSizeError for an ``x`` that is not
-    1-d and InvalidInputError for one that is not finite."""
+    1-d and InvalidInputError for one that is not an array of real
+    numbers or not finite."""
     x_unit, e = to_unit(x)
     d = np.diff(x_unit, n=2)
     with np.errstate(over="ignore"):
@@ -51,18 +52,19 @@ def detect_peaks(x, k: int, abscissa=None):
         For an ``x`` that is not 1-d or has fewer than 5 points, and for
         an ``abscissa`` whose shape is not that of ``x``.
     InvalidInputError
-        A ``ValueError``, for an ``x`` or an ``abscissa`` that is not finite.
+        A ``ValueError``, for an ``x`` or an ``abscissa`` that is not an
+        array of real numbers or not finite.
     InvalidConfigError
-        A ``ValueError``, for a ``k`` that is not an integer, such as 2.5,
-        or is below 1.
+        A ``ValueError``, for a ``k`` that is not an integer, such as 2.5
+        or True, or is below 1.
     """
-    x = np.asarray(x, dtype=float)
     x_unit, e = to_unit(x)
+    x = np.asarray(x, dtype=float)
     d = np.diff(x_unit, n=2)
     n = x.shape[0]
     if n < 5:
         raise InvalidSizeError(f"peak detection needs n >= 5, got n={n}")
-    k = _integer("k", k)
+    k = integer("k", k)
     if k < 1:
         raise InvalidConfigError(f"k must be >= 1, got {k}")
     if abscissa is None:

@@ -25,6 +25,7 @@ from .errors import (
     SelectionFailedError,
     SingularSystemError,
     checked,
+    real,
 )
 from .localfit import floor_weights
 from .smoothers import PENALIZED, _penalized, from_unit, to_unit
@@ -60,7 +61,8 @@ def loo_residuals(y, smoothed, hat_diag):
     ------
     InvalidSizeError, InvalidInputError
         If ``y`` is not 1-d, ``smoothed`` or ``hat_diag`` is not of its
-        shape, or one of them is not finite.
+        shape, or one of them is not an array of real numbers or not
+        finite.
     LeverageSaturationError
         If any leverage is within ``LEVERAGE_TOL`` of 1 (the smoother
         interpolates that point and cannot be cross-validated there).
@@ -83,9 +85,9 @@ def cv_loss_lsa(r, weights) -> float:
     """CV loss sqrt(r^T A^{-1} r / N) with diagonal A = weights; unit
     weights give the standard PS loss sqrt(r^T r / N). Raises
     InvalidSizeError for an ``r`` that is empty or not 1-d and for
-    ``weights`` not of its shape, InvalidInputError for either not finite
-    and for a weight <= 0, and ResultOverflowError for a loss beyond
-    float64."""
+    ``weights`` not of its shape, InvalidInputError for either not an
+    array of real numbers or not finite and for a weight <= 0, and
+    ResultOverflowError for a loss beyond float64."""
     r = checked("r", r)
     w = checked("weights", weights, shape=r.shape)
     if r.size == 0:
@@ -130,7 +132,8 @@ def select_parameter(
     ------
     InvalidConfigError
         If the method is not ``ps`` or ``lsa-ps``, which is checked
-        first; if the grid is empty or holds a negative or non-finite
+        first; if the grid is not a sequence of real numbers
+        (``errors.real``), is empty or holds a negative or non-finite
         candidate, which is checked before y; or if a candidate's lambda
         overflows the system's band.
     SelectionFailedError
@@ -141,11 +144,16 @@ def select_parameter(
         As ``smooth`` raises them for the method and y, such as a y
         that is not 1-d.
     InvalidInputError
-        A ``ValueError``, if ``y`` is not finite.
+        A ``ValueError``, if ``y`` is not an array of real numbers or not
+        finite.
     """
     if method not in PENALIZED:
         raise InvalidConfigError(f"auto-selection supports only ps and lsa-ps, got {method!r}")
-    grid = tuple(float(g) for g in grid)
+    try:
+        grid = tuple(float(real("candidate", g)) for g in grid)
+    except TypeError:  # not iterable
+        raise InvalidConfigError(
+            f"candidate grid must be a sequence of numbers, got {grid!r}") from None
     if not grid:
         raise InvalidConfigError("candidate grid must be non-empty")
     bad = [g for g in grid if not math.isfinite(g)]

@@ -17,8 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (InvalidConfigError, InvalidInputError, InvalidSizeError,
-                     UndefinedMetricError, checked)
-from .smoothers import _integer, grid_plan
+                     UndefinedMetricError, checked, integer, real)
+from .smoothers import grid_plan
 
 NOISE_FREE_DB = math.inf
 
@@ -112,7 +112,8 @@ COMPARISON_GRIDS = {
 class SimScenario:
     """Peaks on ``n`` points of ``x_range``; InvalidInputError without a
     peak, for an x_range that is not two increasing finite numbers or a
-    peak center outside it, and InvalidSizeError for n < 5."""
+    peak center outside it, InvalidConfigError for an n that is not an
+    integer and InvalidSizeError for n < 5."""
 
     peaks: tuple = DEFAULT_PEAKS
     n: int = 1000
@@ -122,7 +123,7 @@ class SimScenario:
     def __post_init__(self):
         if len(self.peaks) < 1:
             raise InvalidInputError("scenario needs at least one peak")
-        if self.n < 5:
+        if integer("n", self.n) < 5:
             raise InvalidSizeError(f"scenario needs n >= 5, got n={self.n}")
         lo, hi = self.x_range
         if not (_is_finite_number(lo) and _is_finite_number(hi) and lo < hi):
@@ -160,14 +161,15 @@ def add_noise(clean, sigma: float, seed: int):
     """Add seeded i.i.d. Gaussian noise to the intensity array ``clean``.
 
     Returns (noisy, realized SNR in dB); for sigma = 0, a copy of
-    ``clean`` and ``NOISE_FREE_DB``. Raises InvalidConfigError for
-    sigma < 0, for a seed that is not an integer >= 0 and, for sigma > 0,
+    ``clean`` and ``NOISE_FREE_DB``. Raises InvalidConfigError for a
+    sigma that is not a real number or is < 0, for a seed that is not an
+    integer >= 0 (a bool is not an integer) and, for sigma > 0,
     unless the sums of squares of the clean signal and of the noise are
     both positive and finite: the realized SNR is their ratio. Raises
     InvalidSizeError for a ``clean`` that is not 1-d and InvalidInputError
-    for one that is not finite.
+    for one that is not an array of real numbers or not finite.
     """
-    if sigma < 0:
+    if real("sigma", sigma) < 0:
         raise InvalidConfigError("sigma must be >= 0")
     seed = _seed(seed)
     clean = checked("clean", clean)
@@ -188,7 +190,7 @@ def add_noise(clean, sigma: float, seed: int):
 
 def _seed(seed) -> int:
     """``seed`` as an int; an InvalidConfigError unless it is an integer >= 0."""
-    seed = _integer("seed", seed)
+    seed = integer("seed", seed)
     if seed < 0:
         raise InvalidConfigError(f"seed must be >= 0, got {seed}")
     return seed
@@ -197,18 +199,21 @@ def _seed(seed) -> int:
 def snr(reference, estimate) -> float:
     """10 log10(||reference||^2 / ||estimate - reference||^2) in dB.
 
-    Raises InvalidSizeError if the reference is not 1-d or the shapes
-    differ; UndefinedMetricError for a zero reference, for an input that
-    is not finite, naming its first bad index, for a sum of squares that
-    overflows float64, and for an error energy that underflows to zero
-    where the estimate is not the reference. An exact estimate scores
-    ``NOISE_FREE_DB``; a ratio beyond float64 is taken from the logs."""
-    stack = np.asarray(estimate, dtype=float)[None]
-    return _snr_rows(_Reference(_one_d("reference", reference)), stack)[0]
+    Raises InvalidSizeError if the reference is not 1-d or the estimate
+    is not of its shape, and InvalidInputError if either is not an array
+    of real numbers or is not finite, naming its first bad index
+    (``errors.checked``); UndefinedMetricError for a zero reference, for
+    a sum of squares that overflows float64, and for an error energy that
+    underflows to zero where the estimate is not the reference. An exact
+    estimate scores ``NOISE_FREE_DB``; a ratio beyond float64 is taken
+    from the logs."""
+    reference = checked("reference", reference)
+    estimate = checked("estimate", estimate, shape=reference.shape)
+    return _snr_rows(_Reference(reference), estimate[None])[0]
 
 
 class _Reference:
-    """A clean 1-d signal that stacks of estimates are scored against.
+    """A clean, finite 1-d signal that stacks of estimates are scored against.
 
     Its energy, for the SNR, and its second difference and that
     difference's norm, for the RRSE, are computed and checked when a
@@ -225,7 +230,7 @@ class _Reference:
         with np.errstate(over="ignore", invalid="ignore"):
             energy = float(np.dot(self.values, self.values))
         if not math.isfinite(energy):
-            raise _not_finite("reference", self.values, "energy")
+            raise _overflow("reference", "energy")
         if energy == 0:
             raise UndefinedMetricError("SNR undefined for a zero reference")
         return energy
@@ -239,7 +244,7 @@ class _Reference:
             d = np.diff(self.values, n=2)
             norm = math.sqrt(np.dot(d, d))
         if not math.isfinite(norm):
-            raise _not_finite("truth", self.values, "second-difference energy")
+            raise _overflow("truth", "second-difference energy")
         if norm == 0:
             raise UndefinedMetricError("RRSE undefined: true signal is affine")
         return d, norm
@@ -247,16 +252,14 @@ class _Reference:
 
 def _snr_rows(reference, stack) -> list:
     """``snr`` against the ``_Reference`` ``reference`` of each row of
-    ``stack``, a stack of estimates: one SNR per row."""
-    stack = np.asarray(stack, dtype=float)
-    if stack.shape[1:] != reference.values.shape:
-        raise InvalidSizeError("reference and estimate must have equal shapes")
+    ``stack``, a (k, n) float array of finite estimates of its length:
+    one SNR per row."""
     ref_energy = reference.energy
-    # An estimate that is not finite, or whose squares overflow, raises below.
+    # An estimate whose squares overflow raises below.
     with np.errstate(over="ignore", invalid="ignore"):
         energies = _row_dots(stack - reference.values)
     if not np.isfinite(energies).all():
-        raise _not_finite("estimate", stack, "error energy")
+        raise _overflow("estimate", "error energy")
     # Only an exact estimate scores NOISE_FREE_DB; another zero is an underflow.
     exact = energies == 0
     if exact.any() and (stack[exact] != reference.values).any():
@@ -277,24 +280,25 @@ def _db(signal: float, noise: float) -> float:
 def rrse_second_derivative(x_star, x_true) -> float:
     """||D x* - D x_true|| / ||D x_true|| over second differences.
 
-    Raises InvalidSizeError if the truth is not 1-d, the shapes differ or
-    n < 3; UndefinedMetricError for an affine truth, for an input that is
-    not finite, naming its first bad index, and for a sum of squares or
-    an RRSE that overflows float64."""
-    stack = np.asarray(x_star, dtype=float)[None]
-    return _rrse_rows(_Reference(_one_d("truth", x_true)), stack)[0]
+    Raises InvalidSizeError if the truth is not 1-d, the estimate
+    ``x_star`` is not of its shape or n < 3, and InvalidInputError if
+    either is not an array of real numbers or is not finite, naming its
+    first bad index (``errors.checked``); UndefinedMetricError for an
+    affine truth and for a sum of squares or an RRSE that overflows
+    float64."""
+    x_true = checked("truth", x_true)
+    x_star = checked("estimate", x_star, shape=x_true.shape)
+    if x_true.shape[0] < 3:
+        raise InvalidSizeError("RRSE needs n >= 3")
+    return _rrse_rows(_Reference(x_true), x_star[None])[0]
 
 
 def _rrse_rows(reference, stack) -> list:
-    """``rrse_second_derivative`` against the ``_Reference`` ``reference``
-    of each row of ``stack``, a stack of estimates: one RRSE per row."""
-    stack = np.asarray(stack, dtype=float)
-    if stack.shape[1:] != reference.values.shape:
-        raise InvalidSizeError("inputs must have equal shapes")
-    if stack.shape[1] < 3:
-        raise InvalidSizeError("RRSE needs n >= 3")
+    """``rrse_second_derivative`` against the ``_Reference`` ``reference``,
+    of n >= 3 points, of each row of ``stack``, a (k, n) float array of
+    finite estimates: one RRSE per row."""
     d_true, denom = reference.second_difference
-    # An estimate that is not finite, or whose squares overflow, raises below.
+    # An estimate whose squares overflow raises below.
     with np.errstate(over="ignore", invalid="ignore"):
         # np.diff(stack, n=2, axis=1), entry for entry, as two contiguous
         # subtractions over the raveled stack: row i's second difference
@@ -308,19 +312,10 @@ def _rrse_rows(reference, stack) -> list:
         residuals -= d_true
         energies = _row_dots(residuals)
     if not np.isfinite(energies).all():
-        raise _not_finite("estimate", stack, "second-difference error energy")
+        raise _overflow("estimate", "second-difference error energy")
     if math.sqrt(energies.max(initial=0.0)) / denom == math.inf:
-        raise _not_finite("estimate", stack, "RRSE")
+        raise _overflow("estimate", "RRSE")
     return [math.sqrt(energy) / denom for energy in energies.tolist()]
-
-
-def _one_d(name, values):
-    """``values`` as a float array; InvalidSizeError naming its shape
-    unless it is 1-d."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise InvalidSizeError(f"{name} must be 1-d, got shape {values.shape}")
-    return values
 
 
 def _row_dots(rows):
@@ -331,15 +326,9 @@ def _row_dots(rows):
     return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
 
 
-def _not_finite(name, values, energy):
-    """The UndefinedMetricError for a sum of squares taken from
-    ``values``, the input called ``name``, that is not finite: it names
-    the first entry of ``values`` that is not finite, or else says that
-    the ``energy`` overflows float64."""
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        return UndefinedMetricError(
-            f"{name} must be finite, got {values[tuple(bad[0])]} at index {bad[0][-1]}")
+def _overflow(name, energy):
+    """The UndefinedMetricError for the ``energy`` of ``name``, a sum of
+    squares taken from finite values, that overflows float64."""
     return UndefinedMetricError(f"the {energy} of the {name} overflows float64")
 
 
@@ -447,11 +436,13 @@ def run_benchmark(
     ------
     InvalidConfigError
         A ``ValueError``, if a resolution or a seed is not an integer,
-        such as 50.5, if a seed is negative, or if an axis (the
+        such as 50.5 or True, if a sigma is not a real number, if a seed
+        or, at its first use, a sigma is negative, or if an axis (the
         resolutions, the sigmas, the seeds or a method's grid) repeats a
         value (``check_distinct``).
     """
-    resolutions = [_integer("resolution", n) for n in resolutions]
+    resolutions = [integer("resolution", n) for n in resolutions]
+    sigmas = [real("sigma", sigma) for sigma in sigmas]
     seeds = [_seed(seed) for seed in seeds]
     check_distinct({"resolutions": resolutions, "sigmas": sigmas, "seeds": seeds,
                     **{f"grid of {method}": grid for method, grid in method_grids.items()}})

@@ -45,14 +45,13 @@ row.
 
 import functools
 import math
-import operator
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import linalg
 from .errors import (DegenerateSignalError, InvalidConfigError, InvalidSizeError,
-                     ResultOverflowError, checked)
+                     ResultOverflowError, checked, integer, real)
 from .localfit import local_quadratic_curvature
 
 
@@ -64,7 +63,8 @@ METHODS = PENALIZED + ("sg", "gaussian")
 def to_unit(y):
     """(y * 2**-e, e) with max|y| = m * 2**e, m in [0.5, 1), or e = 0 for
     y = 0; the scaled array is a fresh copy. Raises InvalidSizeError for
-    a y that is not 1-d and InvalidInputError for one that is not finite.
+    a y that is not 1-d and InvalidInputError for one that is not an
+    array of real numbers or not finite (``errors.checked``).
 
     Sums and differences of a few entries of y * 2**-e, which is of unit
     size, cannot overflow. Scaling by a power of two is exact while
@@ -151,10 +151,11 @@ def smooth_lsa_ps(y, lambda_bar: float, clip: bool = True):
     Raises
     ------
     InvalidConfigError
-        If ``lambda_bar`` is negative or the effective penalty is not
-        finite.
+        If ``lambda_bar`` is not a real number (``errors.real``), is
+        negative, or the effective penalty is not finite.
     InvalidSizeError, InvalidInputError
-        If ``y`` is not 1-d, or not finite, respectively.
+        If ``y`` is not 1-d, or not an array of real numbers or not
+        finite, respectively.
     ResultOverflowError
         If the smoothed signal exceeds float64.
     DegenerateSignalError
@@ -205,8 +206,11 @@ def smooth(y, method: str, parameter, clip: bool = True):
     ``gaussian`` and ``none``, the benchmark's identity control, which
     returns a copy of y. Raises ``InvalidConfigError`` for an unknown
     method, then ``InvalidSizeError`` for a y that is not 1-d and
-    ``InvalidInputError`` for one that is not finite, and only then the
-    error of the parameter, such as a negative ``lambda_bar``.
+    ``InvalidInputError`` for one that is not an array of real numbers or
+    not finite, and only then the ``InvalidConfigError`` of the parameter,
+    such as a negative ``lambda_bar``, a lam or lambda_bar that is not a
+    real number, a window or order that is not an integer, or an ``sg``
+    parameter that is not a (window, poly_order) pair.
     """
     # A one-parameter grid is one block of one result.
     [(_, [result])] = grid_blocks(y, method, (parameter,), clip)
@@ -380,8 +384,10 @@ def _penalized_grid(y_unit, e: int, method, grid, clip, system=None):
     shared = (system if isinstance(system, Exception)
               else _attempt(_penalized, y_unit, e, method, clip, grid, system))
 
+    name = "lam" if method == "ps" else "lambda_bar"
+
     def fit(i, parameter):
-        if method == "lsa-ps" and parameter < 0:
+        if real(name, parameter) < 0 and method == "lsa-ps":
             raise InvalidConfigError(f"lambda_bar must be >= 0, got {parameter}")
         _, x, lam = _value(shared)[0](i)
         return from_unit(x, e), lam
@@ -389,20 +395,16 @@ def _penalized_grid(y_unit, e: int, method, grid, clip, system=None):
     return (_attempt(fit, i, parameter) for i, parameter in enumerate(grid))
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int, by ``operator.index``; an InvalidConfigError
-    that names it where it is not an integer, such as 5.0."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidConfigError(f"{name} must be an integer, got {value}") from None
-
-
 def _sg_order(n: int, parameter):
     """The (window, poly_order) of a Savitzky-Golay fit to n points, or
     None where the fit is a copy of y; raises for invalid arguments."""
-    window, poly_order = parameter
-    window, poly_order = _integer("window", window), _integer("poly_order", poly_order)
+    try:
+        window, poly_order = parameter
+    except (TypeError, ValueError):
+        raise InvalidConfigError(
+            f"a Savitzky-Golay parameter is a (window, poly_order) pair, got {parameter!r}"
+        ) from None
+    window, poly_order = integer("window", window), integer("poly_order", poly_order)
     if window < 1 or window % 2 == 0:
         raise InvalidConfigError(f"window must be odd and >= 1, got {window}")
     if window > 1 and not 1 <= poly_order < window:
@@ -596,7 +598,7 @@ def _gaussian_kernel(n: int, window):
     output's [lo, hi), and ``norm``, read-only, is the kernel weight that
     each output point receives, its edge normalisation. Each depends on
     (window, n) alone. Raises for an invalid window."""
-    window = _integer("window", window)
+    window = integer("window", window)
     if window < 1:
         raise InvalidConfigError(f"window must be >= 1, got {window}")
     if window == 1 or n == 1:

@@ -1,8 +1,9 @@
 """Bad input to the public API raises an LsapsError: exact messages for
-a bad y, and a property test over every array argument."""
+a bad y, and a property test over every array argument and scalar parameter."""
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from hypothesis import strategies as st
 
 from lsaps import linalg
 from lsaps.errors import (InvalidConfigError, InvalidInputError, InvalidSizeError, LsapsError,
-                          ResultOverflowError, SingularSystemError, UndefinedMetricError)
+                          ResultOverflowError, SingularSystemError, UndefinedMetricError, checked)
 from lsaps.localfit import floor_weights, local_quadratic_curvature
 from lsaps.peaks import detect_peaks, second_difference
-from lsaps.select import cv_loss_lsa, loo_residuals, select_parameter
+from lsaps.select import DEFAULT_GRID, cv_loss_lsa, loo_residuals, select_parameter
 from lsaps.sim import (NOISE_FREE_DB, Background, LorentzianPeak, SimScenario, add_noise,
                        rrse_second_derivative, run_benchmark, snr)
 from lsaps.smoothers import (smooth, smooth_gaussian, smooth_lsa_ps, smooth_ps,
@@ -100,6 +101,58 @@ CASES = [
                  "background hump_width must be > 0", id="Background"),
     pytest.param(lambda x_range: SimScenario(x_range=x_range), (1.0, 0.0), InvalidInputError,
                  "x_range must be two increasing finite numbers", id="SimScenario"),
+    # Arrays that are not of real numbers, which raised numpy's bare
+    # ValueError or TypeError or, complex, lost their imaginary part.
+    *(pytest.param(call, values, InvalidInputError, f"{name} must be an array of real numbers, "
+                   f"got {got}", id=case)
+      for case, call, name, values, got in (
+          ("smooth_ps-strings", lambda y: smooth_ps(y, 1.0), "y", ["a"] * 5, "dtype <U1"),
+          ("snr-strings", lambda y: snr(y, np.ones(5)), "reference", ["a"] * 5, "dtype <U1"),
+          ("floor_weights-strings", floor_weights, "weights", ["x"], "dtype <U1"),
+          ("smooth_ps-ragged", lambda y: smooth_ps(y, 1.0), "y", [[1, 2], [3]],
+           "a ragged sequence"),
+          ("smooth_ps-dict", lambda y: smooth_ps(y, 1.0), "y", {"a": 1}, "dtype object"),
+          ("smooth_ps-complex", lambda y: smooth_ps(y, 1.0), "y", np.ones(6) + 1j,
+           "dtype complex128"),
+      )),
+    # Scalar parameters that raised a bare TypeError or ValueError, or, as
+    # bools, ran as integers.
+    *(pytest.param(call, value, InvalidConfigError, message, id=case)
+      for case, call, value, message in (
+          ("smooth_ps-str", lambda lam: smooth_ps(np.ones(6), lam), "1",
+           "lam must be a real number, got '1'"),
+          ("smooth_ps-complex", lambda lam: smooth_ps(np.ones(6), lam), 1j,
+           "lam must be a real number, got 1j"),
+          ("smooth_ps-None", lambda lam: smooth_ps(np.ones(6), lam), None,
+           "lam must be a real number, got None"),
+          ("assembler-str", lambda lam: linalg.assembler(np.ones(5))(lam), "1",
+           "lam must be a real number, got '1'"),
+          ("smooth_lsa_ps-str", lambda lambda_bar: smooth_lsa_ps(_with(0.0, 0), lambda_bar), "2",
+           "lambda_bar must be a real number, got '2'"),
+          ("add_noise-str", lambda sigma: add_noise(np.ones(5), sigma, 0), "0.1",
+           "sigma must be a real number, got '0.1'"),
+          ("run_benchmark-sigma", lambda sigma: run_benchmark(SimScenario(), [50], [sigma],
+                                                              {"ps": [1.0]}, [0]),
+           "x", "sigma must be a real number, got 'x'"),
+          ("select_parameter-str", lambda grid: select_parameter(np.ones(6), grid=grid), ["a"],
+           "candidate must be a real number, got 'a'"),
+          ("select_parameter-complex", lambda grid: select_parameter(np.ones(6), grid=grid), [1j],
+           "candidate must be a real number, got 1j"),
+          ("select_parameter-None", lambda grid: select_parameter(np.ones(6), grid=grid), None,
+           "candidate grid must be a sequence of numbers, got None"),
+          ("detect_peaks-bool", lambda k: detect_peaks(np.ones(6), k), True,
+           "k must be an integer, got True"),
+          ("smooth_gaussian-bool", lambda window: smooth_gaussian(np.ones(6), window), True,
+           "window must be an integer, got True"),
+          ("smooth_savitzky_golay-bool",
+           lambda window: smooth_savitzky_golay(np.ones(6), window, 0), True,
+           "window must be an integer, got True"),
+          ("add_noise-bool-seed", lambda seed: add_noise(np.ones(5), 0.1, seed), True,
+           "seed must be an integer, got True"),
+          ("SimScenario-float-n", lambda n: SimScenario(n=n), 5.5, "n must be an integer, got 5.5"),
+          ("smooth-sg-not-a-pair", lambda parameter: smooth(np.ones(6), "sg", parameter), 5,
+           "a Savitzky-Golay parameter is a (window, poly_order) pair, got 5"),
+      )),
 ]
 
 
@@ -170,36 +223,64 @@ def arrays(draw, shape=None):
     return values
 
 
+# What np.asarray(..., dtype=float) refused with a bare ValueError or
+# TypeError, or took with a ComplexWarning and the imaginary part dropped:
+# strings, numeric ones too; nested lists, mostly ragged; dicts; complex arrays.
+NOT_REAL_ARRAYS = st.one_of(
+    st.lists(st.text(max_size=3), max_size=6),
+    st.lists(st.lists(st.floats(-1e3, 1e3), max_size=3), min_size=2, max_size=4),
+    st.dictionaries(st.text(max_size=2), st.floats(-1e3, 1e3), max_size=3),
+    arrays().map(lambda values: values + 1j),
+)
+
+# Bad scalar parameters: strings, None and complex numbers raised a bare
+# TypeError or ValueError, bools ran as the integers 1 and 0, and NaN and
+# +-inf are not finite.
+BAD_SCALARS = ["1", None, 1j, True, False, np.True_, math.nan, math.inf, -math.inf]
+
+
 def _snr(reference, estimate):
     """``snr``, which scores an exact estimate NOISE_FREE_DB, inf, by design."""
     score = snr(reference, estimate)
     return [] if score == NOISE_FREE_DB and np.array_equal(reference, estimate) else [score]
 
 
-# Each call takes its array arguments and returns the values that must be
-# finite. Left out are values that the docs let leave float64: the LSA-PS
-# lambda, in units of y squared, and the CV losses, inf for a failed
-# candidate and in units of y for PS.
+def _sweep(resolution, sigma):
+    """The scores of a one-cell sweep."""
+    cells = run_benchmark(SimScenario(), [resolution], [sigma], {"ps": [1.0]}, [0]).cells
+    return cells["output_snr_db"] + cells["rrse"]
+
+
+# Each call takes its array arguments, then its scalar parameters by name,
+# and returns the values that must be finite; beside it, each scalar
+# parameter's good value. Left out are values that the docs let leave
+# float64: the LSA-PS lambda, in units of y squared, and the CV losses, inf
+# for a failed candidate and in units of y for PS.
 API = {
-    "smooth_ps": lambda y: smooth_ps(y, 1.0),
-    "smooth_lsa_ps": lambda y: smooth_lsa_ps(y, 1.0)[0],
-    "smooth_savitzky_golay": lambda y: smooth_savitzky_golay(y, 5, 2),
-    "smooth_gaussian": lambda y: smooth_gaussian(y, 3),
-    "smooth": lambda y: smooth(y, "ps", 100.0)[0],
-    "select_parameter-lsa-ps": lambda y: select_parameter(y).smoothed,
-    "select_parameter-ps": lambda y: select_parameter(y, "ps").smoothed,
-    "detect_peaks": lambda x, abscissa: [
-        (p.abscissa, p.sharpness, p.intensity) for p in detect_peaks(x, 3, abscissa)],
-    "second_difference": second_difference,
-    "local_quadratic_curvature": local_quadratic_curvature,
-    "floor_weights": floor_weights,
-    "add_noise": lambda clean: add_noise(clean, 0.1, 0),
-    "snr": _snr,
-    "rrse_second_derivative": rrse_second_derivative,
-    "assembler": lambda weights: linalg.assembler(weights)(1.0).u,
-    "solve": lambda weights, rhs: linalg.solve(linalg.assembler(np.abs(weights))(1.0), rhs),
-    "loo_residuals": loo_residuals,
-    "cv_loss_lsa": cv_loss_lsa,
+    "smooth_ps": (smooth_ps, {"lam": 1.0}),
+    "smooth_lsa_ps": (lambda y, lambda_bar: smooth_lsa_ps(y, lambda_bar)[0], {"lambda_bar": 1.0}),
+    "smooth_savitzky_golay": (smooth_savitzky_golay, {"window": 5, "poly_order": 2}),
+    "smooth_gaussian": (smooth_gaussian, {"window": 3}),
+    "smooth": (lambda y, parameter: smooth(y, "ps", parameter)[0], {"parameter": 100.0}),
+    "select_parameter-lsa-ps": (
+        lambda y, candidate: select_parameter(y, grid=(*DEFAULT_GRID[:-1], candidate)).smoothed,
+        {"candidate": DEFAULT_GRID[-1]}),
+    "select_parameter-ps": (lambda y, grid: select_parameter(y, "ps", grid).smoothed,
+                            {"grid": DEFAULT_GRID}),
+    "detect_peaks": (lambda x, abscissa, k: [
+        (p.abscissa, p.sharpness, p.intensity) for p in detect_peaks(x, k, abscissa)], {"k": 3}),
+    "second_difference": (second_difference, {}),
+    "local_quadratic_curvature": (local_quadratic_curvature, {}),
+    "floor_weights": (floor_weights, {}),
+    "add_noise": (add_noise, {"sigma": 0.1, "seed": 0}),
+    "snr": (_snr, {}),
+    "rrse_second_derivative": (rrse_second_derivative, {}),
+    "assembler": (lambda weights, lam: linalg.assembler(weights)(lam).u, {"lam": 1.0}),
+    "solve": (lambda weights, rhs: linalg.solve(
+        linalg.assembler(np.abs(checked("weights", weights)))(1.0), rhs), {}),
+    "loo_residuals": (loo_residuals, {}),
+    "cv_loss_lsa": (cv_loss_lsa, {}),
+    "run_benchmark": (_sweep, {"resolution": 50, "sigma": 0.1}),
 }
 
 
@@ -207,13 +288,22 @@ API = {
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_bad_arrays_raise_lsaps_errors_or_give_finite_output(name, data):
-    call = API[name]
-    first = data.draw(arrays())
-    # Each further argument has the first one's shape or its own.
-    rest = [data.draw(arrays(data.draw(st.sampled_from([first.shape, None]))))
-            for _ in range(call.__code__.co_argcount - 1)]
+    # Every array argument is a float array, maybe with a NaN or an inf, or
+    # is not an array of real numbers; every scalar parameter is its good
+    # value or is not a real number, or not an integer, or not finite.
+    call, scalars = API[name]
+    arguments = []
+    for _ in range(call.__code__.co_argcount - len(scalars)):
+        # Each further argument has the first one's shape or its own.
+        shape = (data.draw(st.sampled_from([arguments[0].shape, None]))
+                 if arguments and isinstance(arguments[0], np.ndarray) else None)
+        arguments.append(data.draw(st.one_of(arrays(shape), NOT_REAL_ARRAYS)))
+    parameters = {parameter: data.draw(st.one_of(st.just(good), st.sampled_from(BAD_SCALARS)))
+                  for parameter, good in scalars.items()}
     try:
-        out = call(first, *rest)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = call(*arguments, **parameters)
     except LsapsError:
         return
     out = out if isinstance(out, (list, tuple)) else [out]

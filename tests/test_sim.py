@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsaps import sim, smoothers
-from lsaps.errors import InvalidConfigError, InvalidSizeError, UndefinedMetricError
+from lsaps.errors import (InvalidConfigError, InvalidInputError, InvalidSizeError,
+                          UndefinedMetricError)
 from lsaps.sim import (
     COMPARISON_GRIDS,
     DEFAULT_PEAKS,
@@ -179,7 +180,7 @@ class TestMetrics:
         # It raised ValueError: math domain error, from log10(ref / inf).
         est = np.ones(10)
         est[6] = -np.inf
-        with pytest.raises(UndefinedMetricError, match="^estimate must be finite, got -inf at index 6$"):
+        with pytest.raises(InvalidInputError, match="^estimate must be finite, got -inf at index 6$"):
             snr(np.arange(10.0), est)
 
     def test_nan_estimate_is_not_scored(self):
@@ -188,7 +189,7 @@ class TestMetrics:
         est = x.copy()
         est[4] = np.nan
         for score in (lambda: snr(x, est), lambda: rrse_second_derivative(est, x)):
-            with pytest.raises(UndefinedMetricError, match="^estimate must be finite, got nan at index 4$"):
+            with pytest.raises(InvalidInputError, match="^estimate must be finite, got nan at index 4$"):
                 score()
 
     def test_overflowing_error_energy_says_so(self):
@@ -209,9 +210,9 @@ class TestMetrics:
         x = np.sin(np.arange(20) / 3.0)
         bad = x.copy()
         bad[2] = np.inf
-        with pytest.raises(UndefinedMetricError, match="^reference must be finite, got inf at index 2$"):
+        with pytest.raises(InvalidInputError, match="^reference must be finite, got inf at index 2$"):
             snr(bad, x)
-        with pytest.raises(UndefinedMetricError, match="^truth must be finite, got inf at index 2$"):
+        with pytest.raises(InvalidInputError, match="^truth must be finite, got inf at index 2$"):
             rrse_second_derivative(x, bad)
         with pytest.raises(InvalidSizeError, match=r"^truth must be 1-d, got shape \(4, 4\)$"):
             rrse_second_derivative(np.eye(4), np.eye(4))
@@ -229,9 +230,9 @@ class TestMetrics:
         assert np.array_equal(_row_dots(rows), np.array([np.dot(r, r) for r in rows]))
 
     def test_mismatched_shapes_are_a_size_error(self):
-        with pytest.raises(InvalidSizeError, match="^reference and estimate must have equal shapes$"):
+        with pytest.raises(InvalidSizeError, match=r"^estimate must have shape \(3,\), got \(4,\)$"):
             snr(np.ones(3), np.ones(4))
-        with pytest.raises(InvalidSizeError, match="^inputs must have equal shapes$"):
+        with pytest.raises(InvalidSizeError, match=r"^estimate must have shape \(3,\), got \(4,\)$"):
             rrse_second_derivative(np.ones(4), np.ones(3))
 
 

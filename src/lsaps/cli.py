@@ -32,7 +32,7 @@ import numpy as np
 
 from . import select as select_mod
 from . import sim
-from .errors import IngestError, InvalidConfigError, InvalidInputError, LsapsError, OutputError
+from .errors import IngestError, InvalidConfigError, LsapsError, OutputError
 from .peaks import PeakEntry, detect_peaks, second_difference
 from .smoothers import METHODS, PENALIZED, smooth
 
@@ -331,119 +331,71 @@ def _run_smooth(args) -> int:
 
 def _require(cond, message):
     if not cond:
-        raise LsapsError(f"scenario file: {message}")
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value):
-    return _is_int(value) or isinstance(value, float)
+        raise InvalidConfigError(message)
 
 
 def load_scenario_file(path):
     """Parse and validate a benchmark scenario JSON file.
 
-    Returns (scenario, resolutions, sigmas, method_grids, seeds).
+    Returns (scenario, resolutions, sigmas, method_grids, seeds), the
+    last four as ``sim.check_sweep`` returns them.
 
     Raises
     ------
     LsapsError
-        If the file cannot be read, is not a valid JSON object, or a
-        value has the wrong type or range.
+        With a message that starts "scenario file: ": an ``LsapsError``
+        if the file cannot be read or is not JSON, an InvalidConfigError
+        if the JSON is not of the scenario's shape or ``check_sweep``
+        rejects a value, and the error of ``sim.LorentzianPeak``,
+        ``Background`` or ``SimScenario`` for a value they reject.
     """
     try:
         with Path(path).open(encoding="utf-8-sig") as fh:
             return _parse_scenario(json.load(fh))
-    except (InvalidInputError, OSError, TypeError) as exc:  # InvalidInputError: sim's checks
-        raise LsapsError(f"scenario file: {exc}") from None
-    except LsapsError:
-        raise
-    except ValueError as exc:
+    except LsapsError as exc:
+        raise type(exc)(f"scenario file: {exc}") from None
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise LsapsError(f"scenario file: {exc}") from None
 
 
 def _parse_scenario(data):
+    """The scenario of the JSON value ``data``. Its shape (objects, lists
+    and keys) is checked here; its values by the sim dataclasses and
+    ``sim.check_sweep``."""
     _require(isinstance(data, dict), "top level must be a JSON object")
+    peaks = sim.DEFAULT_PEAKS
     if "peaks" in data:
-        _require(isinstance(data["peaks"], list) and data["peaks"], "'peaks' must be a non-empty list")
-        peaks = []
+        _require(isinstance(data["peaks"], list), "'peaks' must be a list")
         for i, p in enumerate(data["peaks"]):
+            _require(isinstance(p, dict), f"peaks[{i}] must be an object")
             for key in ("center", "height", "halfwidth"):
                 _require(key in p, f"peaks[{i}] missing '{key}'")
-            peaks.append(sim.LorentzianPeak(p["center"], p["height"], p["halfwidth"]))
-        peaks = tuple(peaks)
-    else:
-        peaks = sim.DEFAULT_PEAKS
+        peaks = tuple(sim.LorentzianPeak(p["center"], p["height"], p["halfwidth"])
+                      for p in data["peaks"])
 
-    x_range = tuple(data.get("x_range", sim.DEFAULT_RANGE))
-    _require(len(x_range) == 2, "'x_range' must have two entries")
+    x_range = data.get("x_range", list(sim.DEFAULT_RANGE))
+    _require(isinstance(x_range, list) and len(x_range) == 2, "'x_range' must be a list of two numbers")
 
-    background = None
-    if data.get("background"):
-        background = sim.Background(**data["background"])
+    background = data.get("background", {})
+    _require(isinstance(background, dict), "'background' must be an object")
+    for key in background:
+        _require(key in {f.name for f in fields(sim.Background)}, f"unknown 'background' key {key!r}")
+    background = sim.Background(**background) if background else None
 
-    resolutions = data.get("resolutions", [1000])
-    _require(
-        isinstance(resolutions, list) and resolutions
-        and all(_is_int(n) and n >= 5 for n in resolutions),
-        "'resolutions' must be a non-empty list of integers >= 5",
-    )
-    sigmas = data.get("noise_sigmas", [0.0])
-    _require(
-        isinstance(sigmas, list) and all(_is_number(s) and 0 <= s < math.inf for s in sigmas),
-        "'noise_sigmas' must be a list of finite numbers >= 0",
-    )
-    seeds = data.get("seeds", [0])
-    _require(
-        isinstance(seeds, list) and seeds and all(_is_int(s) and s >= 0 for s in seeds),
-        "'seeds' must be a non-empty list of integers >= 0",
-    )
-
-    raw_methods = data.get("methods")
-    if raw_methods is None:
-        method_grids = dict(sim.COMPARISON_GRIDS)
-    else:
-        _require(isinstance(raw_methods, dict), "'methods' must be an object")
-        method_grids = {}
-        for method, grid in raw_methods.items():
-            _require(method in (*METHODS, "none"), f"unknown method {method!r}")
-            if method == "none":
-                method_grids[method] = [None]
-                continue
-            # Types are checked here; a value out of range, such as a window
-            # wider than the signal, fails only its own cells.
-            _require(isinstance(grid, list), f"'methods.{method}' must be a list")
-            if method == "sg":
-                _require(
-                    all(isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)) for p in grid),
-                    "'methods.sg' entries must be [window, order] pairs of integers",
-                )
-                method_grids[method] = [tuple(p) for p in grid]
-            elif method == "gaussian":
-                _require(all(map(_is_int, grid)), "'methods.gaussian' values must be integers")
-                method_grids[method] = grid
-            else:
-                _require(all(map(_is_number, grid)), f"'methods.{method}' values must be numbers")
-                method_grids[method] = grid
-
-    try:
-        sim.check_distinct({"'resolutions'": resolutions, "'noise_sigmas'": sigmas, "'seeds'": seeds,
-                            **{f"'methods.{m}'": grid for m, grid in method_grids.items()}})
-    except InvalidConfigError as exc:
-        raise InvalidConfigError(f"scenario file: {exc}") from None
-
-    scenario = sim.SimScenario(peaks=peaks, n=resolutions[0], x_range=x_range, background=background)
-    return scenario, resolutions, [float(s) for s in sigmas], method_grids, seeds
+    methods = data.get("methods", sim.COMPARISON_GRIDS)
+    _require(isinstance(methods, dict), "'methods' must be an object")
+    resolutions, sigmas, method_grids, seeds = sim.check_sweep(
+        data.get("resolutions", [1000]), data.get("noise_sigmas", [0.0]), methods,
+        data.get("seeds", [0]))
+    scenario = sim.SimScenario(peaks=peaks, n=resolutions[0], x_range=tuple(x_range),
+                               background=background)
+    return scenario, resolutions, sigmas, method_grids, seeds
 
 
 def _param_str(parameter):
-    if parameter is None:
-        return "-"
     if isinstance(parameter, tuple):
         return "/".join(str(p) for p in parameter)
-    return _fmt(float(parameter)) if isinstance(parameter, float) else str(parameter)
+    return _fmt(parameter)
 
 
 def _csv_field(text):

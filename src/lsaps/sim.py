@@ -10,7 +10,7 @@ are reproducible across platforms.
 
 import functools
 import math
-import numbers
+import sys
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
@@ -18,26 +18,29 @@ import numpy as np
 
 from .errors import (InvalidConfigError, InvalidInputError, InvalidSizeError,
                      UndefinedMetricError, checked, integer, real)
-from .smoothers import grid_plan
+from .smoothers import METHODS, grid_plan
 
 NOISE_FREE_DB = math.inf
 
 
-def _is_finite_number(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+def _finite(name, value) -> bool:
+    """Whether ``value`` is finite in float64, where an int beyond it is
+    not; an InvalidConfigError unless it is a real number (``errors.real``)."""
+    return abs(real(name, value)) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
 class LorentzianPeak:
-    """height / (1 + ((t - center) / halfwidth)**2); InvalidInputError
-    unless all three are finite numbers and height and halfwidth > 0."""
+    """height / (1 + ((t - center) / halfwidth)**2); InvalidConfigError
+    unless all three are real numbers, and InvalidInputError unless they
+    are finite and height and halfwidth > 0."""
 
     center: float
     height: float
     halfwidth: float
 
     def __post_init__(self):
-        if not all(map(_is_finite_number, (self.center, self.height, self.halfwidth))):
+        if not all(_finite(f.name, getattr(self, f.name)) for f in fields(self)):
             raise InvalidInputError("peak center, height and halfwidth must be finite numbers")
         if self.height <= 0 or self.halfwidth <= 0:
             raise InvalidInputError("height and halfwidth must be > 0")
@@ -46,8 +49,8 @@ class LorentzianPeak:
 @dataclass(frozen=True)
 class Background:
     """Optional additive baseline: one broad Gaussian hump plus a ramp;
-    InvalidInputError unless every value is a finite number and
-    hump_width > 0."""
+    InvalidConfigError unless every value is a real number, and
+    InvalidInputError unless each is finite and hump_width > 0."""
 
     hump_amplitude: float = 0.0
     hump_center: float = 0.0
@@ -56,16 +59,15 @@ class Background:
     offset: float = 0.0
 
     def __post_init__(self):
-        if not all(_is_finite_number(getattr(self, f.name)) for f in fields(self)):
+        if not all(_finite(f.name, getattr(self, f.name)) for f in fields(self)):
             raise InvalidInputError("background values must be finite numbers")
         if self.hump_width <= 0:
             raise InvalidInputError("background hump_width must be > 0")
 
     def evaluate(self, t):
-        t = np.asarray(t, dtype=float)
-        hump = self.hump_amplitude * np.exp(
-            -0.5 * ((t - self.hump_center) / self.hump_width) ** 2
-        )
+        t = checked("t", t)
+        with np.errstate(over="ignore"):  # far from its center the hump is 0
+            hump = self.hump_amplitude * np.exp(-0.5 * ((t - self.hump_center) / self.hump_width) ** 2)
         return hump + self.slope * t + self.offset
 
 
@@ -113,7 +115,8 @@ class SimScenario:
     """Peaks on ``n`` points of ``x_range``; InvalidInputError without a
     peak, for an x_range that is not two increasing finite numbers or a
     peak center outside it, InvalidConfigError for an n that is not an
-    integer and InvalidSizeError for n < 5."""
+    integer or an x_range value that is not a real number and
+    InvalidSizeError for n < 5."""
 
     peaks: tuple = DEFAULT_PEAKS
     n: int = 1000
@@ -126,7 +129,7 @@ class SimScenario:
         if integer("n", self.n) < 5:
             raise InvalidSizeError(f"scenario needs n >= 5, got n={self.n}")
         lo, hi = self.x_range
-        if not (_is_finite_number(lo) and _is_finite_number(hi) and lo < hi):
+        if not (_finite("x_range", lo) and _finite("x_range", hi) and lo < hi):
             raise InvalidInputError("x_range must be two increasing finite numbers")
         for p in self.peaks:
             if not lo <= p.center <= hi:
@@ -171,7 +174,7 @@ def add_noise(clean, sigma: float, seed: int):
     """
     if real("sigma", sigma) < 0:
         raise InvalidConfigError("sigma must be >= 0")
-    seed = _seed(seed)
+    seed = _at_least(0, "seed", seed)
     clean = checked("clean", clean)
     if sigma == 0:
         return clean.copy(), NOISE_FREE_DB
@@ -188,12 +191,13 @@ def add_noise(clean, sigma: float, seed: int):
     return clean + eps, _db(signal, noise)
 
 
-def _seed(seed) -> int:
-    """``seed`` as an int; an InvalidConfigError unless it is an integer >= 0."""
-    seed = integer("seed", seed)
-    if seed < 0:
-        raise InvalidConfigError(f"seed must be >= 0, got {seed}")
-    return seed
+def _at_least(low: int, name, value) -> int:
+    """``value`` as an int; an InvalidConfigError that names it unless it
+    is an integer >= low."""
+    value = integer(name, value)
+    if value < low:
+        raise InvalidConfigError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 def snr(reference, estimate) -> float:
@@ -394,20 +398,69 @@ def _score_grid(noisy, reference, plan):
     return snrs, rrses, errors
 
 
-def check_distinct(axes):
-    """Raise ``InvalidConfigError`` at the first value of an axis equal to
-    an earlier one; ``axes`` maps each axis name to its values.
+def check_sweep(resolutions, sigmas, method_grids, seeds):
+    """The axes of a sweep, checked before any work and returned as
+    (resolutions, sigmas, method_grids, seeds): ints for the resolutions
+    and seeds, floats for the sigmas, (window, poly_order) tuples of ints
+    for ``sg`` and ints for ``gaussian``; ``ps`` and ``lsa-ps`` values
+    are kept as they are.
 
-    Cells are aggregated by their values, so a repeated value would fold
-    its cells into one row whose ``seeds`` counts cells, not seeds. Values
-    compare as Python numbers do: 1 and 1.0 are a repeat.
+    Raises InvalidConfigError, naming the axis by its scenario key
+    (``resolutions``, ``noise_sigmas``, ``seeds`` or ``methods.<name>``)
+    and the value, for an empty axis, one that is not a sequence or one
+    that repeats a value (1 and 1.0 are a repeat: cells are aggregated
+    by value), a resolution that is not an integer >= 5, a seed that is
+    not an integer >= 0 (a bool is not), a sigma that is not a finite
+    number >= 0, a method not in ``smoothers.METHODS`` and a grid value
+    not of its method's type: a pair of integers for ``sg``, an integer
+    for ``gaussian``, a real number otherwise. A value out of range, such
+    as a window wider than n or a negative lambda_bar, fails its own cells.
     """
-    for name, values in axes.items():
-        seen = set()
-        for value in values:
-            if value in seen:
-                raise InvalidConfigError(f"{name} repeats the value {value}")
-            seen.add(value)
+    if not method_grids:
+        raise InvalidConfigError("'methods' must not be empty")
+    for method in method_grids:
+        if method not in METHODS:
+            raise InvalidConfigError(f"unknown method {method!r} in 'methods'")
+    return (_axis("resolutions", resolutions, functools.partial(_at_least, 5)),
+            _axis("noise_sigmas", sigmas, _sigma),
+            {method: _axis(f"methods.{method}", grid,
+                           {"sg": _sg_pair, "gaussian": integer}.get(method, real))
+             for method, grid in method_grids.items()},
+            _axis("seeds", seeds, functools.partial(_at_least, 0)))
+
+
+def _axis(key, values, check) -> list:
+    """The values of the axis ``key``, each as check(name, value) returns
+    it; an InvalidConfigError for an empty axis, one that is not a
+    sequence or one that repeats a value."""
+    try:
+        items = list(enumerate(values))
+    except TypeError:
+        raise InvalidConfigError(f"'{key}' must be a list, got {values!r}") from None
+    values = [check(f"{key}[{i}]", value) for i, value in items]
+    if not values:
+        raise InvalidConfigError(f"'{key}' must not be empty")
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise InvalidConfigError(f"'{key}' repeats the value {value}")
+        seen.add(value)
+    return values
+
+
+def _sigma(name, value) -> float:
+    if not (_finite(name, value) and value >= 0):
+        raise InvalidConfigError(f"{name} must be a finite number >= 0, got {value}")
+    return float(value)
+
+
+def _sg_pair(name, value) -> tuple:
+    try:
+        window, poly_order = value
+    except (TypeError, ValueError):
+        raise InvalidConfigError(f"{name} must be a [window, poly_order] pair, "
+                                 f"got {value!r}") from None
+    return integer(f"{name}[0]", window), integer(f"{name}[1]", poly_order)
 
 
 def run_benchmark(
@@ -419,7 +472,9 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Full sweep over (resolution, sigma, seed, method, parameter).
 
-    Each method's grid is planned once per resolution by ``grid_plan``,
+    The axes are checked first, by ``check_sweep``, whose
+    ``InvalidConfigError`` fails the whole run before any cell. Each
+    method's grid is planned once per resolution by ``grid_plan``,
     whose run on each noisy signal of that resolution is the
     ``grid_blocks`` call of the signal; each block of fits is scored as
     one stack against the resolution's clean signal, a ``_Reference``
@@ -427,25 +482,13 @@ def run_benchmark(
     the first block scored: a clean signal that cannot be scored ends the
     sweep there, and a sweep whose every cell fails scores no block and
     does not check it. A resolution's plans are dropped before the next
-    resolution's are made. Per-cell smoother errors are recorded in the
-    cell and excluded from the aggregates rather than aborting the run.
+    resolution's are made. Per-cell smoother errors, such as those of a
+    window wider than n or a negative lambda, are recorded in the cell
+    and excluded from the aggregates rather than aborting the run.
     Every column is deterministic under fixed seeds: a rerun returns the
     same tables.
-
-    Raises
-    ------
-    InvalidConfigError
-        A ``ValueError``, if a resolution or a seed is not an integer,
-        such as 50.5 or True, if a sigma is not a real number, if a seed
-        or, at its first use, a sigma is negative, or if an axis (the
-        resolutions, the sigmas, the seeds or a method's grid) repeats a
-        value (``check_distinct``).
     """
-    resolutions = [integer("resolution", n) for n in resolutions]
-    sigmas = [real("sigma", sigma) for sigma in sigmas]
-    seeds = [_seed(seed) for seed in seeds]
-    check_distinct({"resolutions": resolutions, "sigmas": sigmas, "seeds": seeds,
-                    **{f"grid of {method}": grid for method, grid in method_grids.items()}})
+    resolutions, sigmas, method_grids, seeds = check_sweep(resolutions, sigmas, method_grids, seeds)
     cells = {name: [] for name in ("resolution", "sigma", "method", "parameter", "seed",
                                    "input_snr_db", "output_snr_db", "rrse", "error")}
     for n in resolutions:
@@ -459,7 +502,7 @@ def run_benchmark(
                     snrs, rrses, errors = _score_grid(noisy, reference, plans[method])
                     k = len(errors)
                     for column, values in zip(cells.values(), (
-                        [n] * k, [float(sigma)] * k, [method] * k, grid, [seed] * k,
+                        [n] * k, [sigma] * k, [method] * k, grid, [seed] * k,
                         [input_snr] * k, snrs, rrses, errors,
                     )):
                         column.extend(values)

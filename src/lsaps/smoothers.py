@@ -202,9 +202,8 @@ def smooth(y, method: str, parameter, clip: bool = True):
 
     ``parameter`` is lam for ``ps``, lambda_bar for ``lsa-ps``, a
     (window, poly_order) pair for ``sg`` and a window for ``gaussian``;
-    ``clip`` applies to ``lsa-ps`` alone. The lambda is None for ``sg``,
-    ``gaussian`` and ``none``, the benchmark's identity control, which
-    returns a copy of y. Raises ``InvalidConfigError`` for an unknown
+    ``clip`` applies to ``lsa-ps`` alone. The lambda is None for ``sg``
+    and ``gaussian``. Raises ``InvalidConfigError`` for an unknown
     method, then ``InvalidSizeError`` for a y that is not 1-d and
     ``InvalidInputError`` for one that is not an array of real numbers or
     not finite, and only then the ``InvalidConfigError`` of the parameter,
@@ -227,7 +226,7 @@ def grid_blocks(y, method: str, grid, clip: bool = True):
     (x, effective lambda) that ``smooth`` returns for it or the exception
     that ``smooth`` raises for it, and ``stack`` is a 2-d array whose row
     i is the x of the block's i-th good result (the same memory). A block
-    is the whole grid for PS, LSA-PS, gaussian and none, and for
+    is the whole grid for PS, LSA-PS and gaussian, and for
     Savitzky-Golay a run of parameters whose fits share one window and
     basis, with the failures and copies of y among them. An unknown
     method, then a y that fails ``to_unit``, is the result of every
@@ -259,21 +258,21 @@ def grid_plan(n: int, method: str, grid, clip: bool = True):
     unit weights and, by grid position, the factor of each lam, made
     when first asked for and kept where it succeeds, so a failing lam
     fails again, with the same message, for each signal. LSA-PS, whose
-    weights depend on y, and none plan nothing. A PS plan holds up to
+    weights depend on y, plans nothing. A PS plan holds up to
     one 24n-byte factor per grid position, and a Gaussian plan one
     n-point normalisation per window, for as long as its caller holds
     the plan. A y of another length raises ``InvalidSizeError``, after
     the checks of the method and of y.
     """
     grid = list(grid)
-    planned = (n, _plan(n, method, grid, clip)) if method in (*METHODS, "none") else None
+    planned = (n, _plan(n, method, grid, clip)) if method in METHODS else None
     return functools.partial(_blocks, method=method, grid=grid, clip=clip, planned=planned)
 
 
 def _blocks(y, method, grid, clip, planned=None):
     """``grid_blocks``: the checks of the method and of y, then the run
     of ``planned``, the (n, run) of a plan, or of a plan made for y."""
-    if method not in (*METHODS, "none"):
+    if method not in METHODS:
         return _one_block([InvalidConfigError(f"unknown method {method!r}")] * len(grid))
     unit = _attempt(to_unit, y)
     if isinstance(unit, Exception):
@@ -302,12 +301,11 @@ def _plan(n: int, method: str, grid, clip: bool):
                   if method == "ps" else None)
         return lambda y, y_unit, e: _one_block(
             _penalized_grid(y_unit, e, method, grid, clip, system))
-    if method == "gaussian":
-        kernels = [_attempt(_gaussian_kernel, n, window) for window in grid]
-        return lambda y, y_unit, e: _one_block(
-            kernel if isinstance(kernel, Exception) else _attempt(_gaussian, y, y_unit, e, kernel)
-            for kernel in kernels)
-    return lambda y, y_unit, e: _one_block((np.array(y, dtype=float), None) for _ in grid)
+    # Gaussian: each window's check, or its kernel.
+    kernels = [_attempt(_gaussian_kernel, n, window) for window in grid]
+    return lambda y, y_unit, e: _one_block(
+        kernel if isinstance(kernel, Exception) else _attempt(_gaussian, y, y_unit, e, kernel)
+        for kernel in kernels)
 
 
 def _one_block(results):

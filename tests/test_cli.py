@@ -545,6 +545,56 @@ OVERFLOWING_SCENARIOS = {
 }
 
 
+# Scenario files refused before the sweep, each mapped to its error class
+# and the start of its message after "scenario file: ": an LsapsError for a
+# file that cannot be read or is not JSON, an InvalidConfigError for JSON
+# not of the scenario's shape or a sweep value of the wrong type, range or
+# count, and an InvalidInputError for a peak, background or x_range value.
+MALFORMED_SCENARIOS = {
+    json.dumps({"methods": {"sg": [5]}}):
+        ("InvalidConfigError", "methods.sg[0] must be a [window, poly_order] pair, got 5"),
+    json.dumps({"seeds": ["x"]}): ("InvalidConfigError", "seeds[0] must be an integer, got x"),
+    json.dumps({"background": {"foo": 1}}): ("InvalidConfigError", "unknown 'background' key 'foo'"),
+    '{"seeds": [0': ("LsapsError", "Expecting"),
+    "[1]": ("InvalidConfigError", "top level must be a JSON object"),
+    None: ("LsapsError", "[Errno 2]"),
+    json.dumps({"methods": [1]}): ("InvalidConfigError", "'methods' must be an object"),
+    json.dumps({"methods": {"sg": [[5]]}}):
+        ("InvalidConfigError", "methods.sg[0] must be a [window, poly_order] pair, got [5]"),
+    json.dumps({"methods": {"ps": ["a"]}}):
+        ("InvalidConfigError", "methods.ps[0] must be a real number, got 'a'"),
+    json.dumps({"methods": {"gaussian": [2.5]}}):
+        ("InvalidConfigError", "methods.gaussian[0] must be an integer, got 2.5"),
+    # Bools and non-integers, negative seeds, non-finite and zero-width values.
+    json.dumps({"seeds": [-1], "noise_sigmas": [0.1], "methods": {"ps": [1.0]}}):
+        ("InvalidConfigError", "seeds[0] must be >= 0, got -1"),
+    json.dumps({"noise_sigmas": [math.inf], "methods": {"ps": [1.0]}}):
+        ("InvalidConfigError", "noise_sigmas[0] must be a finite number >= 0, got inf"),
+    json.dumps({"background": {"slope": "x"}, "methods": {"ps": [1.0]}}):
+        ("InvalidConfigError", "slope must be a real number, got 'x'"),
+    json.dumps({"background": {"hump_width": 0}, "methods": {"ps": [1.0]}}):
+        ("InvalidInputError", "background hump_width must be > 0"),
+    json.dumps({"resolutions": [20.7], "methods": {"ps": [1.0]}}):
+        ("InvalidConfigError", "resolutions[0] must be an integer, got 20.7"),
+    json.dumps({"seeds": [1.5, True], "resolutions": [20], "methods": {"ps": [1.0]}}):
+        ("InvalidConfigError", "seeds[0] must be an integer, got 1.5"),
+    json.dumps({"resolutions": []}): ("InvalidConfigError", "'resolutions' must not be empty"),
+    json.dumps({"peaks": [{"center": 5, "height": math.inf, "halfwidth": 1}],
+                "x_range": [0, 10], "methods": {"ps": [1.0]}}):
+        ("InvalidInputError", "peak center, height and halfwidth must be finite numbers"),
+    json.dumps({"peaks": [{"center": 5, "height": 1, "halfwidth": 1}],
+                "x_range": [0, math.inf], "methods": {"ps": [1.0]}}):
+        ("InvalidInputError", "x_range must be two increasing finite numbers"),
+    # Shapes that raised Python's own messages, and empty axes, which ran
+    # and wrote tables of headers only.
+    json.dumps({"peaks": [5]}): ("InvalidConfigError", "peaks[0] must be an object"),
+    json.dumps({"background": [1, 2]}): ("InvalidConfigError", "'background' must be an object"),
+    json.dumps({"noise_sigmas": []}): ("InvalidConfigError", "'noise_sigmas' must not be empty"),
+    json.dumps({"methods": {}}): ("InvalidConfigError", "'methods' must not be empty"),
+    json.dumps({"methods": {"ps": []}}): ("InvalidConfigError", "'methods.ps' must not be empty"),
+}
+
+
 class TestBenchmarkCommand:
     @pytest.fixture()
     def scenario_file(self, tmp_path):
@@ -557,7 +607,7 @@ class TestBenchmarkCommand:
             "resolutions": [150],
             "noise_sigmas": [0.1],
             "seeds": [0, 1],
-            "methods": {"ps": [1.0, 10.0], "none": [None]},
+            "methods": {"ps": [1.0, 10.0], "gaussian": [1]},
         }
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(data))
@@ -579,14 +629,14 @@ class TestBenchmarkCommand:
         assert rc == 0
         cells = (out / "cells.csv").read_text().strip().splitlines()
         assert cells[0].startswith("resolution,sigma,method,parameter,seed")
-        assert len(cells) == 1 + 2 * 3  # 2 seeds x (2 ps + 1 none)
+        assert len(cells) == 1 + 2 * 3  # 2 seeds x (2 ps + 1 gaussian)
         aggregates = (out / "aggregates.csv").read_text().strip().splitlines()
         assert len(aggregates) == 1 + 3
         best = (out / "best.csv").read_text().strip().splitlines()
         assert len(best) == 1 + 2 * 2  # snr + rrse per method
         summary = json.loads((out / "summary.json").read_text())
         assert summary["cells"] == 6
-        assert summary["methods"] == {"ps": 2, "none": 1}
+        assert summary["methods"] == {"ps": 2, "gaussian": 1}
 
     def test_failed_cell_is_recorded_not_fatal(self, tmp_path):
         # The window is wider than the signal: that cell fails, is recorded,
@@ -623,7 +673,6 @@ class TestBenchmarkCommand:
                 "sg": [[5, 2], [61, 2], [4, 2], [5, 3], [5, 5], [3, 1], [5, 0], [1, 0],
                        [5, 4], [7, 3], [-1, 2], [5, 1]],
                 "gaussian": [0, 1, 3],
-                "none": [None],
             },
         }
         path = tmp_path / "scenario.json"
@@ -675,7 +724,7 @@ class TestBenchmarkCommand:
 
     @pytest.mark.parametrize("block_rows", [cli.TABLE_BLOCK_ROWS, 3])
     def test_tables_match_csv_writer(self, tmp_path, monkeypatch, block_rows):
-        # Error cells whose messages hold a comma, "-" parameters, sigma 0
+        # Error cells whose messages hold a comma, "5/2" parameters, sigma 0
         # (noise-free SNRs) and a window that fails at n = 40 only; with
         # 3-row blocks the special values fall in some blocks and not others.
         monkeypatch.setattr(cli, "TABLE_BLOCK_ROWS", block_rows)
@@ -686,7 +735,7 @@ class TestBenchmarkCommand:
             "x_range": [0.0, 10.0], "resolutions": [40, 60], "noise_sigmas": [0, 0.1],
             "seeds": [0, 1],
             "methods": {"ps": [1, 2.5, -1], "sg": [[5, 2], [5, 5], [5, 4], [41, 2]],
-                        "gaussian": [3], "none": [None]},
+                        "gaussian": [3, 1]},
         }))
         scenario, resolutions, sigmas, grids, seeds = cli.load_scenario_file(path)
         report = sim.run_benchmark(scenario, resolutions, sigmas, grids, seeds)
@@ -696,7 +745,7 @@ class TestBenchmarkCommand:
             assert (tmp_path / f"{name}.csv").read_bytes() == expected, name
         text = (tmp_path / "cells.csv").read_text()
         assert ',"InvalidConfigError: poly_order must satisfy 1 <= order < window, got order=5"\n' in text
-        assert ",none,-," in text and ",noise-free," in text
+        assert ",sg,5/2," in text and ",gaussian,1,0,noise-free,noise-free," in text
         # The aggregates in order of first appearance among the good cells.
         keys = zip(*(report.cells[name] for name in ("resolution", "sigma", "method", "parameter")))
         first = dict.fromkeys(key for key, error in zip(keys, report.cells["error"]) if error is None)
@@ -705,7 +754,7 @@ class TestBenchmarkCommand:
                         aggregates["parameter"])) == list(first)
         assert list(first)[:6] == [(40, 0.0, "ps", 1), (40, 0.0, "ps", 2.5), (40, 0.0, "sg", (5, 2)),
                                    (40, 0.0, "sg", (5, 4)), (40, 0.0, "gaussian", 3),
-                                   (40, 0.0, "none", None)]
+                                   (40, 0.0, "gaussian", 1)]
         assert (60, 0.0, "sg", (41, 2)) in first and (40, 0.0, "sg", (41, 2)) not in first
 
     def test_writer_quotes_as_csv_writer(self, tmp_path):
@@ -713,7 +762,7 @@ class TestBenchmarkCommand:
         columns = {
             "resolution": [1, 2, 3, 4], "sigma": [0.1, 1e-300, 2.0, 0.5],
             "method": ["a,b", 'q"t', "x\ny", "c\rd"],
-            "parameter": [None, (5, 2), 2.5, 7], "seed": [0, 1, 2, 3],
+            "parameter": [(1, 0), (5, 2), 2.5, 7], "seed": [0, 1, 2, 3],
             "input_snr_db": [math.inf, 1.0, 2.0, 3.0],
             "output_snr_db": [None, 1.5, -math.inf, math.nan], "rrse": [0.25, None, 1e300, 0.0],
             "value": [1e-6, 2e-6, 3e-6, 4e-6], "error": ['say "hi", twice', None, "", "plain"],
@@ -726,11 +775,11 @@ class TestBenchmarkCommand:
 
     def test_block_formats_follow_the_values(self, tmp_path, monkeypatch):
         # Two-row blocks: a parameter block of ints only, then of floats
-        # only, then of None only; an output SNR block of None only, then
+        # only, then of pairs only; an output SNR block of None only, then
         # of finite floats, then of a noise-free and a -inf SNR.
         monkeypatch.setattr(cli, "TABLE_BLOCK_ROWS", 2)
         columns = {
-            "parameter": [1, 20, 0.5, 2.0, None, None],
+            "parameter": [1, 20, 0.5, 2.0, (5, 2), (1, 0)],
             "output_snr_db": [None, None, 1.25, 3.0, math.inf, -math.inf],
             "seed": [0, 1, 2, 3, 4, 5],
         }
@@ -738,12 +787,13 @@ class TestBenchmarkCommand:
         expected = self.csv_writer_table(tmp_path / "oracle.csv", columns)
         assert (tmp_path / "t.csv").read_bytes() == expected
         assert expected == (b"parameter,output_snr_db,seed\r\n1,,0\r\n20,,1\r\n0.5,1.25,2\r\n"
-                            b"2,3,3\r\n-,noise-free,4\r\n-,-inf,5\r\n")
+                            b"2,3,3\r\n5/2,noise-free,4\r\n1/0,-inf,5\r\n")
 
-    @pytest.mark.parametrize("methods", [{"ps": [], "sg": []}, {"ps": [-1], "sg": [[5, 9]]}])
+    @pytest.mark.parametrize("methods", [{"gaussian": [0], "lsa-ps": [-1]},
+                                         {"ps": [-1], "sg": [[5, 9]]}])
     def test_sweep_without_good_cells_writes_full_headers(self, tmp_path, methods):
-        # Grids all empty, or all failing: the tables hold their headers and
-        # no cells, aggregates or best rows.
+        # Grids whose every cell fails: the tables hold their headers and
+        # no aggregates or best rows.
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({"resolutions": [50], "methods": methods}))
         out = tmp_path / "bench"
@@ -774,34 +824,7 @@ class TestBenchmarkCommand:
         for name in ("cells.csv", "aggregates.csv", "best.csv", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            *OVERFLOWING_SCENARIOS,
-            json.dumps({"methods": {"sg": [5]}}),
-            json.dumps({"seeds": ["x"]}),
-            json.dumps({"background": {"foo": 1}}),
-            '{"seeds": [0',
-            "[1]",
-            None,
-            json.dumps({"methods": [1]}),
-            json.dumps({"methods": {"sg": [[5]]}}),
-            json.dumps({"methods": {"ps": ["a"]}}),
-            json.dumps({"methods": {"gaussian": [2.5]}}),
-            # Bools and non-integers, negative seeds, non-finite and zero-width values.
-            json.dumps({"seeds": [-1], "noise_sigmas": [0.1], "methods": {"ps": [1.0]}}),
-            json.dumps({"noise_sigmas": [math.inf], "methods": {"ps": [1.0]}}),
-            json.dumps({"background": {"slope": "x"}, "methods": {"ps": [1.0]}}),
-            json.dumps({"background": {"hump_width": 0}, "methods": {"ps": [1.0]}}),
-            json.dumps({"resolutions": [20.7], "methods": {"ps": [1.0]}}),
-            json.dumps({"seeds": [1.5, True], "resolutions": [20], "methods": {"ps": [1.0]}}),
-            json.dumps({"resolutions": []}),
-            json.dumps({"peaks": [{"center": 5, "height": math.inf, "halfwidth": 1}],
-                        "x_range": [0, 10], "methods": {"ps": [1.0]}}),
-            json.dumps({"peaks": [{"center": 5, "height": 1, "halfwidth": 1}],
-                        "x_range": [0, math.inf], "methods": {"ps": [1.0]}}),
-        ],
-    )
+    @pytest.mark.parametrize("text", [*OVERFLOWING_SCENARIOS, *MALFORMED_SCENARIOS])
     def test_malformed_scenario_prints_json_line(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
         if text is not None:  # None: the file does not exist
@@ -813,8 +836,9 @@ class TestBenchmarkCommand:
             assert record["error"] == "InvalidConfigError"
             assert OVERFLOWING_SCENARIOS[text] in record["message"]
         else:
-            assert record["error"] == "LsapsError"
-            assert record["message"].startswith("scenario file: ")
+            error, message = MALFORMED_SCENARIOS[text]
+            assert record["error"] == error
+            assert record["message"].startswith(f"scenario file: {message}")
         assert not (tmp_path / "x").exists()
 
     def test_failed_sweep_writes_nothing(self, tmp_path, capsys):
@@ -942,7 +966,7 @@ def test_cli_run_loads_no_new_module(tmp_path, noisy_file, run):
     path, _ = noisy_file
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({"resolutions": [100], "seeds": [0, 1],
-                                    "methods": {"ps": [1.0], "sg": [[5, 2]], "none": [None]}}))
+                                    "methods": {"ps": [1.0], "sg": [[5, 2]], "gaussian": [1]}}))
     argv = [a.format(spectrum=path, scenario=scenario, out=tmp_path / "out") for a in run]
     src = Path(__file__).resolve().parents[1] / "src"
     code = (

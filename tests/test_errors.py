@@ -78,7 +78,7 @@ CASES = [
     pytest.param(lambda seed: add_noise(np.ones(50), 0.1, seed), 1.5, InvalidConfigError,
                  "seed must be an integer, got 1.5", id="add_noise-float-seed"),
     pytest.param(lambda seed: run_benchmark(SimScenario(), [50], [0.0], {"ps": [1.0]}, [seed]), -1,
-                 InvalidConfigError, "seed must be >= 0, got -1", id="run_benchmark-negative-seed"),
+                 InvalidConfigError, "seeds[0] must be >= 0, got -1", id="run_benchmark-negative-seed"),
     pytest.param(linalg.assembler, np.float64(1.0), InvalidSizeError,
                  "weights must be 1-d, got shape ()", id="assembler-0d"),
     pytest.param(linalg.assembler, np.ones((6, 50)), InvalidSizeError,
@@ -112,6 +112,7 @@ CASES = [
           ("smooth_ps-ragged", lambda y: smooth_ps(y, 1.0), "y", [[1, 2], [3]],
            "a ragged sequence"),
           ("smooth_ps-dict", lambda y: smooth_ps(y, 1.0), "y", {"a": 1}, "dtype object"),
+          ("Background.evaluate-str", Background().evaluate, "t", ["a"], "dtype <U1"),
           ("smooth_ps-complex", lambda y: smooth_ps(y, 1.0), "y", np.ones(6) + 1j,
            "dtype complex128"),
       )),
@@ -133,7 +134,14 @@ CASES = [
            "sigma must be a real number, got '0.1'"),
           ("run_benchmark-sigma", lambda sigma: run_benchmark(SimScenario(), [50], [sigma],
                                                               {"ps": [1.0]}, [0]),
-           "x", "sigma must be a real number, got 'x'"),
+           "x", "noise_sigmas[0] must be a real number, got 'x'"),
+          # A Savitzky-Golay pair holding a list raised a bare TypeError
+          # from the check of repeats.
+          ("run_benchmark-sg-unhashable",
+           lambda grid: run_benchmark(SimScenario(), [50], [0.1], {"sg": grid}, [0]), [[[5], 2]],
+           "methods.sg[0][0] must be an integer, got [5]"),
+          ("smooth-none", lambda method: smooth(np.ones(6), method, None), "none",
+           "unknown method 'none'"),
           ("select_parameter-str", lambda grid: select_parameter(np.ones(6), grid=grid), ["a"],
            "candidate must be a real number, got 'a'"),
           ("select_parameter-complex", lambda grid: select_parameter(np.ones(6), grid=grid), [1j],
@@ -308,3 +316,31 @@ def test_bad_arrays_raise_lsaps_errors_or_give_finite_output(name, data):
         return
     out = out if isinstance(out, (list, tuple)) else [out]
     assert all(np.isfinite(np.asarray(v, dtype=float)).all() for v in out), out
+
+
+# Sweep grid values of each type that JSON or a Python caller can give:
+# integers, floats where a window is an integer, bools, None, strings, and
+# lists, nested or not, among them Savitzky-Golay pairs given as lists.
+GRID_VALUES = st.one_of(
+    st.integers(-3, 40), st.floats(), st.booleans(), st.none(), st.text(max_size=2),
+    st.lists(st.one_of(st.integers(-3, 40), st.floats(-40.0, 40.0)), max_size=3),
+    st.tuples(st.integers(-3, 40), st.integers(-3, 40)),
+    st.lists(st.lists(st.integers(0, 9), max_size=2), max_size=2),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grids=st.dictionaries(st.sampled_from(["ps", "lsa-ps", "sg", "gaussian", "none"]),
+                             st.lists(GRID_VALUES, max_size=3), max_size=3),
+       t=st.one_of(arrays(), NOT_REAL_ARRAYS))
+def test_bad_sweep_values_raise_lsaps_errors(grids, t):
+    # run_benchmark's grid values and Background.evaluate's t: each call
+    # returns or raises an LsapsError. A Savitzky-Golay pair given as a
+    # list raised a bare TypeError from the check of repeats, and a t of
+    # strings numpy's ValueError.
+    for call in (lambda: run_benchmark(SimScenario(), [20], [0.1], grids, [0]),
+                 lambda: Background().evaluate(t)):
+        try:
+            call()
+        except LsapsError:
+            pass

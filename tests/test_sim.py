@@ -245,7 +245,7 @@ def rows(table):
 @pytest.fixture(scope="module")
 def small_report():
     sc = SimScenario(peaks=DEFAULT_PEAKS[:4], x_range=(0.0, 30.0))
-    grids = {"ps": [1.0, 10.0], "gaussian": [3], "none": [None]}
+    grids = {"ps": [1.0, 10.0], "gaussian": [3], "sg": [(1, 0)]}
     return sc, grids, run_benchmark(sc, [120], [0.2], grids, [0, 1])
 
 
@@ -331,11 +331,12 @@ class TestBenchmark:
         assert all(r.method != "sg" for r in rows(report.aggregates))
 
     @pytest.mark.parametrize("resolutions, sigmas, grids, seeds, message", [
-        ([200], [0.1], {"ps": [1, 1.0, 2]}, [0], "grid of ps repeats the value 1.0"),
-        ([200, 200], [0.1], {"ps": [1.0]}, [0], "resolutions repeats the value 200"),
-        ([200], [0.1, 0.1], {"ps": [1.0]}, [0], "sigmas repeats the value 0.1"),
-        ([200], [0.1], {"ps": [1.0]}, [0, 0], "seeds repeats the value 0"),
-        ([200], [0.1], {"sg": [(5, 2), (7, 2), (5, 2)]}, [0], r"grid of sg repeats the value \(5, 2\)"),
+        ([200], [0.1], {"ps": [1, 1.0, 2]}, [0], "'methods.ps' repeats the value 1.0"),
+        ([200, 200], [0.1], {"ps": [1.0]}, [0], "'resolutions' repeats the value 200"),
+        ([200], [0.1, 0.1], {"ps": [1.0]}, [0], "'noise_sigmas' repeats the value 0.1"),
+        ([200], [0.1], {"ps": [1.0]}, [0, 0], "'seeds' repeats the value 0"),
+        ([200], [0.1], {"sg": [(5, 2), (7, 2), [5, 2]]}, [0],
+         r"'methods.sg' repeats the value \(5, 2\)"),
     ])
     def test_repeated_axis_value_is_rejected(self, resolutions, sigmas, grids, seeds, message):
         # Cells are aggregated by value, so a repeat would fold two grid
@@ -344,18 +345,44 @@ class TestBenchmark:
             run_benchmark(SimScenario(n=200), resolutions, sigmas, grids, seeds)
 
     @pytest.mark.parametrize("resolutions, seeds, message", [
-        ([50, 50.5], [0], "resolution must be an integer, got 50.5"),
-        ([50], [0, 0.5], "seed must be an integer, got 0.5"),
+        ([50, 50.5], [0], r"resolutions\[1\] must be an integer, got 50.5"),
+        ([50], [0, 0.5], r"seeds\[1\] must be an integer, got 0.5"),
     ])
     def test_non_integer_resolution_or_seed_is_rejected(self, resolutions, seeds, message):
         # int(50.5) would fold the second resolution into the first.
         with pytest.raises(InvalidConfigError, match=f"^{message}$"):
             run_benchmark(SimScenario(n=50), resolutions, [0.1], {"ps": [1.0]}, seeds)
 
-    def test_empty_grid_has_no_cells(self):
-        # It used to divide the grid's time by its zero cells.
-        report = run_benchmark(SimScenario(n=50), [50], [0.1], {"gaussian": [], "ps": [1.0]}, [0])
-        assert report.cells["method"] == ["ps"] and report.aggregates["method"] == ["ps"]
+    @pytest.mark.parametrize("resolutions, sigmas, grids, seeds, key", [
+        ([], [0.1], {"ps": [1.0]}, [0], "resolutions"),
+        ([50], [], {"ps": [1.0]}, [0], "noise_sigmas"),
+        ([50], [0.1], {}, [0], "methods"),
+        ([50], [0.1], {"gaussian": [], "ps": [1.0]}, [0], "methods.gaussian"),
+        ([50], [0.1], {"ps": [1.0]}, [], "seeds"),
+    ], ids=["resolutions", "noise_sigmas", "methods", "methods.gaussian", "seeds"])
+    def test_empty_axis_is_rejected(self, resolutions, sigmas, grids, seeds, key):
+        # An empty axis or grid would make a sweep of no cells, whose
+        # tables hold their headers only.
+        with pytest.raises(InvalidConfigError, match=f"^'{key}' must not be empty$"):
+            run_benchmark(SimScenario(n=50), resolutions, sigmas, grids, seeds)
+
+    def test_type_errors_fail_before_any_cell(self, monkeypatch):
+        # A grid value of the wrong type or an unknown method fails the
+        # sweep before a signal is made; a value of the right type but out
+        # of range fails its own cells. An sg pair may be any 2-sequence.
+        monkeypatch.setattr(sim, "generate_clean", lambda scenario: pytest.fail("a cell ran"))
+        for grids, message in (
+            ({"gaussian": ["a", 3]}, r"methods.gaussian\[0\] must be an integer, got a"),
+            ({"median": [1]}, "unknown method 'median' in 'methods'"),
+            ({"none": [None]}, "unknown method 'none' in 'methods'"),
+            ({"sg": [(5, 2.0)]}, r"methods.sg\[0\]\[1\] must be an integer, got 2.0"),
+        ):
+            with pytest.raises(InvalidConfigError, match=f"^{message}$"):
+                run_benchmark(SimScenario(n=50), [50], [0.1], grids, [0])
+        monkeypatch.undo()
+        report = run_benchmark(SimScenario(n=50), [50], [0.1], {"sg": [[5, 2], [61, 2]]}, [0])
+        assert report.cells["parameter"] == [(5, 2), (61, 2)]
+        assert report.cells["error"] == [None, "InvalidSizeError: signal length 50 < window 61"]
 
     def test_default_sweep_raises_no_warning(self):
         with warnings.catch_warnings():
@@ -369,8 +396,9 @@ class TestReportColumns:
         # Every cell of a small sweep recomputed alone with smooth, snr and
         # rrse_second_derivative: the same bits, Savitzky-Golay included,
         # since a lone fit takes the same interior product as its block.
-        # Sigma 0 makes the none cells noise-free; the sg grid holds
-        # failures and copies between fits of one window.
+        # Sigma 0 makes the identity cells, sg (1, 0) and gaussian 1,
+        # noise-free; the sg grid holds failures and copies between fits of
+        # one window.
         sc = SimScenario(peaks=DEFAULT_PEAKS[:5], x_range=(0.0, 40.0))
         # n = 50 fails the window 61; n = 1000 is the benchmark's size.
         grids = {
@@ -378,7 +406,6 @@ class TestReportColumns:
             "lsa-ps": [1.0, 5.0],
             "sg": [(5, 2), (5, 5), (5, 3), (5, 4), (9, 2), (9, 7), (61, 2), (21, 4), (1, 0)],
             "gaussian": [1, 3, 7],
-            "none": [None],
         }
         report = run_benchmark(sc, [50, 1000], [0.0, 0.1], grids, [0, 1])
         cells = rows(report.cells)
@@ -408,7 +435,7 @@ class TestReportColumns:
         from lsaps.sim import _mean_std
 
         report = run_benchmark(SimScenario(n=100), [100], [0.0],
-                               {"none": [None], "gaussian": [1]}, [0, 1])
+                               {"sg": [(1, 0)], "gaussian": [1]}, [0, 1])
         assert report.aggregates["output_snr_mean"] == [NOISE_FREE_DB, NOISE_FREE_DB]
         assert report.aggregates["output_snr_std"] == [0.0, 0.0]
         # A mix of infinite and finite replicates has no finite spread.
@@ -529,9 +556,9 @@ def _same(a, b):
 def sweeps(draw):
     """Small sweeps: one to five of the default peaks, one or two
     resolutions from 5 to 80, up to two sigmas (0 among them), up to
-    three seeds, and grids of every method holding failing cells:
-    negative and overflowing lambdas, even and oversized windows,
-    orders out of range."""
+    three seeds, and non-empty grids of one to four methods holding
+    failing cells: negative and overflowing lambdas, even and oversized
+    windows, orders out of range."""
     k = draw(st.integers(1, 5))
     x_hi = DEFAULT_PEAKS[k - 1].center + draw(st.floats(1.0, 30.0))
     scenario = SimScenario(peaks=DEFAULT_PEAKS[:k], x_range=(0.0, x_hi))
@@ -540,13 +567,14 @@ def sweeps(draw):
     seeds = draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=3, unique=True))
     lams = st.one_of(st.floats(-1.0, 1e4), st.sampled_from([0.0, 1e14, 1e300]))
     options = {
-        "ps": st.lists(lams, max_size=4, unique=True),
-        "lsa-ps": st.lists(lams, max_size=4, unique=True),
-        "sg": st.lists(st.tuples(st.integers(-1, 25), st.integers(-1, 24)), max_size=6, unique=True),
-        "gaussian": st.lists(st.integers(-1, 15), max_size=3, unique=True),
-        "none": st.just([None]),
+        "ps": st.lists(lams, min_size=1, max_size=4, unique=True),
+        "lsa-ps": st.lists(lams, min_size=1, max_size=4, unique=True),
+        "sg": st.lists(st.tuples(st.integers(-1, 25), st.integers(-1, 24)), min_size=1, max_size=6,
+                       unique=True),
+        "gaussian": st.lists(st.integers(-1, 15), min_size=1, max_size=3, unique=True),
     }
-    grids = {method: draw(grid) for method, grid in options.items() if draw(st.booleans())}
+    methods = draw(st.lists(st.sampled_from(list(options)), min_size=1, max_size=4, unique=True))
+    grids = {method: draw(options[method]) for method in methods}
     return scenario, resolutions, sigmas, grids, seeds
 
 

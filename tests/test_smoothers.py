@@ -415,10 +415,15 @@ SQUARE_AT_MAX = np.finfo(float).max * (
 
 
 class TestSmooth:
-    def test_none_is_identity_copy(self):
+    def test_identity_controls_copy_y(self):
+        # sg (1, 0) and gaussian 1, the comparison grids' identity controls,
+        # return a copy of y; "none" is not a method.
         y = np.random.default_rng(2).standard_normal(20)
-        out, lam = smooth(y, "none", None)
-        assert np.array_equal(out, y) and out is not y and lam is None
+        for method, parameter in (("sg", (1, 0)), ("gaussian", 1)):
+            out, lam = smooth(y, method, parameter)
+            assert np.array_equal(out, y) and out is not y and lam is None
+        with pytest.raises(InvalidConfigError, match="^unknown method 'none'$"):
+            smooth(y, "none", None)
 
     def test_dispatch(self):
         # Each method against its direct smoother call, bit for bit, with
@@ -432,9 +437,8 @@ class TestSmooth:
             "ps": (2.0, smooth_ps(y, 2.0), 2.0),
             "sg": ((5, 2), smooth_savitzky_golay(y, 5, 2), None),
             "gaussian": (5, smooth_gaussian(y, 5), None),
-            "none": (None, y, None),
         }
-        assert {*expected, "lsa-ps"} == {*METHODS, "none"}
+        assert {*expected, "lsa-ps"} == set(METHODS)
         for method, (parameter, x, lam) in expected.items():
             got, got_lam = smooth(y, method, parameter)
             assert np.array_equal(got, x) and got_lam == lam, method
@@ -482,9 +486,9 @@ class TestSmoothGrid:
         for (w, o), (x, _) in zip(grid, grid_results(y, "sg", grid), strict=True):
             assert np.array_equal(x, smooth_savitzky_golay(y, w, o)), o
 
-    @pytest.mark.parametrize("method", ["ps", "lsa-ps", "gaussian", "none"])
+    @pytest.mark.parametrize("method", ["ps", "lsa-ps", "gaussian"])
     def test_matches_smooth_bit_for_bit(self, method):
-        grid = COMPARISON_GRIDS.get(method, [None])
+        grid = COMPARISON_GRIDS[method]
         y = lorentzian_plus_noise(300, 23)
         for clip in (True, False):
             for parameter, (x, lam) in zip(grid, grid_results(y, method, grid, clip), strict=True):
@@ -506,6 +510,7 @@ class TestSmoothGrid:
             # after the lambda_bar check.
             (np.r_[np.nan, np.zeros(49)], "lsa-ps", [1.0, -1.0]),
             (np.r_[np.nan, np.zeros(49)], "sg", [(5, 2), (4, 2)]),
+            # An unknown method, checked before y.
             (np.r_[np.nan, np.zeros(49)], "none", [None]),
             (np.zeros(50), "median", [3, 5]),
             # One Savitzky-Golay block whose orders 2 and 6 overshoot
@@ -530,6 +535,7 @@ class TestSmoothGrid:
     def test_blocks_stack_their_good_fits(self, method):
         # Row i of a block's stack is the x of its i-th good result, the
         # same memory; the blocks' results are smooth's, in grid order.
+        # "none" is not a method: one block of its errors, no rows.
         grid = list(COMPARISON_GRIDS.get(method, [None]))
         if method == "sg":
             grid += [(61, 2), (7, 3), (5, 0)]  # failures among the fits
@@ -657,7 +663,8 @@ def assert_same_blocks(got, expected):
 
 class TestGridPlan:
     # Parameters that fail among each method's grid: a window wider than
-    # n, an even window, a negative and a NaN lambda, a zero window.
+    # n, an even window, a negative and a NaN lambda, a zero window; "none"
+    # and "median" are unknown methods.
     FAILING = {"sg": [(61, 2), (4, 2)], "ps": [-1.0, math.nan], "lsa-ps": [-1.0, math.nan],
                "gaussian": [0], "none": [], "median": []}
 
@@ -691,17 +698,18 @@ class TestGridPlan:
             plan(lorentzian_plus_noise(41, 32))
 
 
-# A parameter of each method that fails its own check; none takes any.
-BAD_PARAMETER = {"sg": (4, 2), "gaussian": 0, "none": None, "ps": -1.0, "lsa-ps": -1.0}
+# A parameter of each method that fails its own check.
+BAD_PARAMETER = {"sg": (4, 2), "gaussian": 0, "ps": -1.0, "lsa-ps": -1.0}
 
 
 class TestUnitScale:
     @pytest.mark.parametrize("method, parameter", [
-        ("sg", (5, 2)), ("gaussian", 5), ("none", None), ("ps", 1.0), ("lsa-ps", 2.5), ("lsa-ps", -1.0),
+        ("sg", (5, 2)), ("gaussian", 5), ("gaussian", 1), ("ps", 1.0), ("lsa-ps", 2.5),
+        ("lsa-ps", -1.0),
     ])
     def test_rejects_non_finite_input(self, method, parameter):
-        # sg, gaussian and none used to return nan. y is checked before
-        # any parameter, a negative lambda_bar too.
+        # sg and gaussian, its identity window 1 too, used to return nan. y
+        # is checked before any parameter, a negative lambda_bar too.
         y = np.sin(np.arange(60) / 5.0)
         for bad in (np.nan, np.inf):
             y[10] = bad
@@ -721,7 +729,6 @@ class TestUnitScale:
         # Through the unit scale, 5e-324 beside 1e308 would come back as 0.
         y = np.array([1e308, 5e-324, -5e-324, 1.0, 2.0, 3.0, 4.0])
         for x in (
-            smooth(y, "none", None)[0],
             smooth_savitzky_golay(y, 1, 0),
             smooth_savitzky_golay(y, 5, 4),
             smooth_gaussian(y, 1),

@@ -18,6 +18,9 @@ one machine-parseable JSON line on stderr.
 
 import argparse
 import json
+# argparse's gettext imports locale while every run builds its parser;
+# imported here, it is loaded with the rest of the module.
+import locale  # noqa: F401
 import math
 import sys
 import time
@@ -31,7 +34,6 @@ from pathlib import Path
 import numpy as np
 
 from . import select as select_mod
-from . import sim
 from .errors import IngestError, InvalidConfigError, LsapsError, OutputError
 from .peaks import PeakEntry, detect_peaks, second_difference
 from .smoothers import METHODS, PENALIZED, smooth
@@ -362,6 +364,8 @@ def _parse_scenario(data):
     """The scenario of the JSON value ``data``. Its shape (objects, lists
     and keys) is checked here; its values by the sim dataclasses and
     ``sim.check_sweep``."""
+    from . import sim  # not at module top: ``lsaps smooth`` never needs it
+
     _require(isinstance(data, dict), "top level must be a JSON object")
     peaks = sim.DEFAULT_PEAKS
     if "peaks" in data:
@@ -393,9 +397,11 @@ def _parse_scenario(data):
 
 
 def _param_str(parameter):
+    """A sweep parameter as text: a (window, poly_order) pair as "5/2", and
+    a float in FLOAT_FMT, inf too, which ``_fmt`` would name as an SNR."""
     if isinstance(parameter, tuple):
         return "/".join(str(p) for p in parameter)
-    return _fmt(parameter)
+    return FLOAT_FMT % parameter if isinstance(parameter, float) else str(parameter)
 
 
 def _csv_field(text):
@@ -445,6 +451,8 @@ def _write_table(path, columns):
 
 
 def _run_benchmark(args) -> int:
+    from . import sim
+
     scenario, resolutions, sigmas, method_grids, seeds = load_scenario_file(args.scenario)
     report = sim.run_benchmark(scenario, resolutions, sigmas, method_grids, seeds)
     summary = {

@@ -103,8 +103,14 @@ def integer(name: str, value) -> int:
 
 def real(name: str, value):
     """``value`` itself; an InvalidConfigError that names it unless it is
-    a real number: an int or a float, of Python or numpy, and not a bool.
-    Whether it is finite, or in range, is for the caller to check."""
+    a real number: an int or a float, of Python or numpy, and not a bool,
+    nor an int beyond float64. Whether it is finite, or in range, is for
+    the caller to check."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise InvalidConfigError(f"{name} must be a real number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:  # an int, whose digits may be too many to print
+        raise InvalidConfigError(f"{name} must be within float64's range, "
+                                 f"got an integer of {value.bit_length()} bits") from None
     return value

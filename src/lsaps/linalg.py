@@ -27,28 +27,29 @@ storage (see ``hat_diagonal``). The LAPACK routines are called directly,
 and their ``info`` is mapped to this package's errors here.
 
 Of scipy, only its LAPACK extension ``scipy.linalg._flapack`` is loaded:
-``import scipy`` for scipy's library setup, then the extension from
-scipy's ``linalg`` directory, registered in ``sys.modules`` under its
-own name, so that a later ``import scipy.linalg`` reuses it. Importing
-``scipy.linalg`` itself would run its package init, which through
-scipy's vendored array-api-compat loads numpy's lazy submodules
-(``numpy.f2py``, ``numpy.testing``, ...) and more than doubles the
-import time of ``lsaps.cli``. ``dpbtrf``, ``dpbtrs`` and ``dtbtrs`` are
-the very objects that ``scipy.linalg.lapack`` exports, and
-``LinAlgError`` is numpy's, which scipy.linalg re-exports. Where the
-extension is not found, as on a scipy of another layout, they come
-from ``scipy.linalg.lapack``.
+from scipy's ``linalg`` directory, found through ``find_spec("scipy")``
+without running scipy's package init, and registered in ``sys.modules``
+under its own name, so that a later ``import scipy.linalg`` reuses it.
+scipy's package init loads 22 modules, ``subprocess`` among them, and
+the ``scipy.linalg`` package init, through scipy's vendored
+array-api-compat, numpy's lazy submodules (``numpy.f2py``,
+``numpy.testing``, ...), which more than doubles the import time of
+``lsaps.cli``. ``dpbtrf``, ``dpbtrs`` and ``dtbtrs`` are the very
+objects that ``scipy.linalg.lapack`` exports, and ``LinAlgError`` is
+numpy's, which scipy.linalg re-exports. Where the extension is not
+found, as on a scipy of another layout, or does not load, as where
+scipy's package init sets up the library path (Windows wheels add a DLL
+directory there), they come from ``scipy.linalg.lapack``.
 """
 
 import math
 import os
 import sys
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 from numpy.linalg import LinAlgError
 
 from .errors import (
@@ -64,21 +65,25 @@ from .errors import (
 
 
 def _load_lapack():
-    """scipy's LAPACK extension module, loaded without scipy.linalg's
-    package init; ``scipy.linalg.lapack`` where it is not found."""
+    """scipy's LAPACK extension module, loaded without scipy's package
+    init or scipy.linalg's; ``scipy.linalg.lapack`` where it is not found
+    or does not load."""
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
-    finder = FileFinder(os.path.join(scipy.__path__[0], "linalg"),
+    finder = FileFinder(os.path.join(find_spec("scipy").submodule_search_locations[0], "linalg"),
                         (ExtensionFileLoader, EXTENSION_SUFFIXES))
     spec = finder.find_spec(name)
-    if spec is None:
-        from scipy.linalg import lapack
-        return lapack
-    module = module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
+    if spec is not None:
+        try:
+            module = module_from_spec(spec)
+            sys.modules[name] = module
+            spec.loader.exec_module(module)
+            return module
+        except (ImportError, OSError):
+            sys.modules.pop(name, None)
+    from scipy.linalg import lapack
+    return lapack
 
 
 _lapack = _load_lapack()

@@ -24,9 +24,9 @@ NOISE_FREE_DB = math.inf
 
 
 def _finite(name, value) -> bool:
-    """Whether ``value`` is finite in float64, where an int beyond it is
-    not; an InvalidConfigError unless it is a real number (``errors.real``)."""
-    return abs(real(name, value)) <= sys.float_info.max
+    """Whether ``value`` is finite; an InvalidConfigError unless it is a
+    real number within float64's range (``errors.real``)."""
+    return math.isfinite(real(name, value))
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ class SimScenario:
     peak, for an x_range that is not two increasing finite numbers or a
     peak center outside it, InvalidConfigError for an n that is not an
     integer or an x_range value that is not a real number and
-    InvalidSizeError for n < 5."""
+    InvalidSizeError for n < 5 or n > sys.maxsize."""
 
     peaks: tuple = DEFAULT_PEAKS
     n: int = 1000
@@ -126,8 +126,8 @@ class SimScenario:
     def __post_init__(self):
         if len(self.peaks) < 1:
             raise InvalidInputError("scenario needs at least one peak")
-        if integer("n", self.n) < 5:
-            raise InvalidSizeError(f"scenario needs n >= 5, got n={self.n}")
+        if not 5 <= integer("n", self.n) <= sys.maxsize:  # the most points an array holds
+            raise InvalidSizeError(f"scenario needs 5 <= n <= {sys.maxsize}, got n={self.n}")
         lo, hi = self.x_range
         if not (_finite("x_range", lo) and _finite("x_range", hi) and lo < hi):
             raise InvalidInputError("x_range must be two increasing finite numbers")
@@ -197,6 +197,15 @@ def _at_least(low: int, name, value) -> int:
     value = integer(name, value)
     if value < low:
         raise InvalidConfigError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def _resolution(name, value) -> int:
+    """``value`` as an int; an InvalidConfigError that names it unless it
+    is an integer from 5 to sys.maxsize, the most points an array holds."""
+    value = _at_least(5, name, value)
+    if value > sys.maxsize:
+        raise InvalidConfigError(f"{name} must be <= {sys.maxsize}, got {value}")
     return value
 
 
@@ -409,11 +418,12 @@ def check_sweep(resolutions, sigmas, method_grids, seeds):
     (``resolutions``, ``noise_sigmas``, ``seeds`` or ``methods.<name>``)
     and the value, for an empty axis, one that is not a sequence or one
     that repeats a value (1 and 1.0 are a repeat: cells are aggregated
-    by value), a resolution that is not an integer >= 5, a seed that is
-    not an integer >= 0 (a bool is not), a sigma that is not a finite
-    number >= 0, a method not in ``smoothers.METHODS`` and a grid value
-    not of its method's type: a pair of integers for ``sg``, an integer
-    for ``gaussian``, a real number otherwise. A value out of range, such
+    by value), a resolution that is not an integer from 5 to
+    ``sys.maxsize``, a seed that is not an integer >= 0 (a bool is not), a
+    sigma that is not a finite number >= 0, a method not in
+    ``smoothers.METHODS`` and a grid value not of its method's type: a
+    pair of integers for ``sg``, an integer for ``gaussian``, a real
+    number within float64's range otherwise. A value out of range, such
     as a window wider than n or a negative lambda_bar, fails its own cells.
     """
     if not method_grids:
@@ -421,7 +431,7 @@ def check_sweep(resolutions, sigmas, method_grids, seeds):
     for method in method_grids:
         if method not in METHODS:
             raise InvalidConfigError(f"unknown method {method!r} in 'methods'")
-    return (_axis("resolutions", resolutions, functools.partial(_at_least, 5)),
+    return (_axis("resolutions", resolutions, _resolution),
             _axis("noise_sigmas", sigmas, _sigma),
             {method: _axis(f"methods.{method}", grid,
                            {"sg": _sg_pair, "gaussian": integer}.get(method, real))

@@ -595,25 +595,25 @@ def _gaussian_kernel(n: int, window):
     (coeff, lo, hi, off) adds coeff * y[lo + off : hi + off] to the
     output's [lo, hi), and ``norm``, read-only, is the kernel weight that
     each output point receives, its edge normalisation. Each depends on
-    (window, n) alone. Raises for an invalid window."""
-    window = integer("window", window)
+    (window, n) alone. Only the taps that reach the signal, |off| < n,
+    are built: at most 2n - 1, however wide the window. Raises for an
+    invalid window."""
+    window = real("window", integer("window", window))
     if window < 1:
         raise InvalidConfigError(f"window must be >= 1, got {window}")
     if window == 1 or n == 1:
         return None
     sigma = window / 5.0
-    positions = np.arange(window, dtype=float)
-    center = (window - 1) / 2.0
-    kernel = np.exp(-0.5 * ((positions - center) / sigma) ** 2)
+    # Tap k of the window lies at off = k - window // 2 from the output
+    # point, and at k - (window - 1) / 2 = off (+ 0.5 for an even window)
+    # from the kernel's center.
+    offsets = np.arange(max(-(window // 2), 1 - n), min(window - window // 2, n))
+    kernel = np.exp(-0.5 * ((offsets + (0.0 if window % 2 else 0.5)) / sigma) ** 2)
     kernel /= kernel.sum()
-    offsets = np.arange(window) - window // 2
     terms = []
     norm = np.zeros(n)
-    for coeff, off in zip(kernel, offsets):
-        lo = max(0, -off)
-        hi = min(n, n - off)
-        if lo >= hi:
-            continue
+    for coeff, off in zip(kernel, offsets.tolist()):
+        lo, hi = max(0, -off), min(n, n - off)
         terms.append((coeff, lo, hi, off))
         norm[lo:hi] += coeff
     norm.flags.writeable = False

@@ -789,6 +789,16 @@ class TestBenchmarkCommand:
         assert expected == (b"parameter,output_snr_db,seed\r\n1,,0\r\n20,,1\r\n0.5,1.25,2\r\n"
                             b"2,3,3\r\n5/2,noise-free,4\r\n1/0,-inf,5\r\n")
 
+    def test_infinite_parameter_is_labelled_inf(self, tmp_path):
+        # A lam of inf fails its cell, whose parameter is written "inf",
+        # not the "noise-free" label of an SNR.
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"resolutions": [50], "seeds": [0],
+                                    "methods": {"ps": [1, math.inf]}}))
+        assert cli.main(["benchmark", str(path), "--out", str(tmp_path / "bench")]) == 0
+        rows = (tmp_path / "bench" / "cells.csv").read_text().splitlines()
+        assert rows[2] == '50,0,ps,inf,0,noise-free,,,"InvalidConfigError: lam must be finite, got inf"'
+
     @pytest.mark.parametrize("methods", [{"gaussian": [0], "lsa-ps": [-1]},
                                          {"ps": [-1], "sg": [[5, 9]]}])
     def test_sweep_without_good_cells_writes_full_headers(self, tmp_path, methods):
@@ -921,19 +931,52 @@ class TestBenchmarkCommand:
 
 def test_cli_import_skips_unneeded_modules():
     # A fresh interpreter, so modules imported by other tests do not count.
-    # lsaps.linalg loads scipy's LAPACK extension alone: the scipy.linalg
-    # package init would pull in numpy.f2py, numpy.testing and, through it,
-    # unittest.
+    # lsaps.linalg loads scipy's LAPACK extension alone: scipy's package
+    # init would pull in subprocess, and the scipy.linalg one numpy.f2py,
+    # numpy.testing and, through it, unittest. lsaps.sim is loaded by the
+    # benchmark subcommand alone.
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import lsaps.cli; "
-        "print(' '.join(m for m in ('scipy.signal', 'scipy.sparse', 'scipy.linalg', 'numpy.f2py', "
-        "'numpy.testing', 'unittest', 'statistics') if m in sys.modules))"
+        "print(' '.join(m for m in ('scipy', 'scipy.signal', 'scipy.sparse', 'scipy.linalg', "
+        "'numpy.f2py', 'numpy.testing', 'unittest', 'statistics', 'lsaps.sim') "
+        "if m in sys.modules))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == ""
+
+
+def test_package_names_load_on_first_use():
+    # lsaps/__init__.py serves the names of __all__, and the submodules,
+    # through a module __getattr__ (PEP 562). In a fresh interpreter,
+    # `import lsaps` loads no lsaps module, dir() lists every name, and the
+    # first use of a name or a submodule loads its module.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import lsaps\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('lsaps.'))\n"
+        "print(set(lsaps.__all__) <= set(dir(lsaps)), *loaded())\n"
+        "lsaps.snr\n"
+        "print('lsaps.sim' in loaded(), 'lsaps.cli' in loaded())\n"
+        "print(lsaps.smoothers.smooth_ps is lsaps.smooth_ps, 'lsaps.cli' in loaded())\n"
+        "lsaps.cli\n"
+        "print('lsaps.cli' in loaded())"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.split() == ["True", "True", "False", "True", "False", "True"]
+    # Every name resolves, to the object of its own name.
+    import lsaps
+    assert lsaps.__all__ == sorted(lsaps.__all__) and len(lsaps.__all__) == 18
+    for name in lsaps.__all__:
+        assert getattr(lsaps, name).__name__ == name
+    from lsaps import snr
+    assert snr is sim.snr and lsaps.run_benchmark is sim.run_benchmark
+    with pytest.raises(AttributeError, match="^module 'lsaps' has no attribute 'unknown'$"):
+        lsaps.unknown
 
 
 def test_cli_sg_smooth_skips_scipy_signal_and_ndimage(tmp_path, noisy_file):

@@ -3,11 +3,12 @@ a bad y, and a property test over every array argument and scalar parameter."""
 
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lsaps import linalg
@@ -160,6 +161,17 @@ CASES = [
           ("SimScenario-float-n", lambda n: SimScenario(n=n), 5.5, "n must be an integer, got 5.5"),
           ("smooth-sg-not-a-pair", lambda parameter: smooth(np.ones(6), "sg", parameter), 5,
            "a Savitzky-Golay parameter is a (window, poly_order) pair, got 5"),
+          # Ints beyond float64 raised a bare OverflowError, or numpy's
+          # ValueError as a resolution.
+          ("smooth-ps-huge-int", lambda lam: smooth(np.ones(6), "ps", lam), 10**400,
+           "lam must be within float64's range, got an integer of 1329 bits"),
+          ("smooth_lsa_ps-huge-int", lambda lambda_bar: smooth_lsa_ps(_with(0.0, 0), lambda_bar),
+           -10**400, "lambda_bar must be within float64's range, got an integer of 1329 bits"),
+          ("smooth_gaussian-huge-int", lambda window: smooth_gaussian(np.ones(6), window),
+           10**400, "window must be within float64's range, got an integer of 1329 bits"),
+          ("run_benchmark-huge-resolution",
+           lambda n: run_benchmark(SimScenario(), [n], [0.1], {"ps": [1.0]}, [0]),
+           sys.maxsize + 1, f"resolutions[0] must be <= {sys.maxsize}, got {sys.maxsize + 1}"),
       )),
 ]
 
@@ -242,9 +254,10 @@ NOT_REAL_ARRAYS = st.one_of(
 )
 
 # Bad scalar parameters: strings, None and complex numbers raised a bare
-# TypeError or ValueError, bools ran as the integers 1 and 0, and NaN and
-# +-inf are not finite.
-BAD_SCALARS = ["1", None, 1j, True, False, np.True_, math.nan, math.inf, -math.inf]
+# TypeError or ValueError, bools ran as the integers 1 and 0, NaN and +-inf
+# are not finite, and ints beyond float64 raised a bare OverflowError.
+BAD_SCALARS = ["1", None, 1j, True, False, np.True_, math.nan, math.inf, -math.inf,
+               10**400, -10**400]
 
 
 def _snr(reference, estimate):
@@ -319,10 +332,12 @@ def test_bad_arrays_raise_lsaps_errors_or_give_finite_output(name, data):
 
 
 # Sweep grid values of each type that JSON or a Python caller can give:
-# integers, floats where a window is an integer, bools, None, strings, and
-# lists, nested or not, among them Savitzky-Golay pairs given as lists.
+# integers, beyond float64 too, floats where a window is an integer, bools,
+# None, strings, and lists, nested or not, among them Savitzky-Golay pairs
+# given as lists.
 GRID_VALUES = st.one_of(
-    st.integers(-3, 40), st.floats(), st.booleans(), st.none(), st.text(max_size=2),
+    st.integers(-3, 40), st.sampled_from([10**400, -10**400]), st.floats(), st.booleans(),
+    st.none(), st.text(max_size=2),
     st.lists(st.one_of(st.integers(-3, 40), st.floats(-40.0, 40.0)), max_size=3),
     st.tuples(st.integers(-3, 40), st.integers(-3, 40)),
     st.lists(st.lists(st.integers(0, 9), max_size=2), max_size=2),
@@ -330,6 +345,8 @@ GRID_VALUES = st.one_of(
 
 
 @settings(max_examples=100, deadline=None)
+@example(grids={"ps": [10**400], "gaussian": [10**400]}, t=np.zeros(3))
+@example(grids={"lsa-ps": [-10**400], "gaussian": [-10**400]}, t=np.zeros(3))
 @given(grids=st.dictionaries(st.sampled_from(["ps", "lsa-ps", "sg", "gaussian", "none"]),
                              st.lists(GRID_VALUES, max_size=3), max_size=3),
        t=st.one_of(arrays(), NOT_REAL_ARRAYS))

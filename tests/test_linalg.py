@@ -658,3 +658,29 @@ class TestLapackLoad:
         direct = fresh_interpreter("from lsaps import linalg\n" + SOLVE_DIGEST)
         assert hidden[0] == "True"
         assert hidden[1:] == direct
+
+    @pytest.mark.parametrize("step", ["create_module", "exec_module"])
+    def test_fallback_when_the_extension_does_not_load(self, step):
+        # Where scipy's package init sets up the library path, the direct
+        # load fails: the extension loader raises once, for _flapack, and
+        # the routines come from scipy.linalg.lapack, with no half-loaded
+        # module left in sys.modules.
+        failed = fresh_interpreter(
+            "from importlib.machinery import ExtensionFileLoader\n"
+            f"load = ExtensionFileLoader.{step}\n"
+            "failed = []\n"
+            "def failing(self, arg):\n"
+            "    if self.name == 'scipy.linalg._flapack' and not failed:\n"
+            "        failed.append(arg)\n"
+            "        raise ImportError('the library path is not set up')\n"
+            "    return load(self, arg)\n"
+            f"ExtensionFileLoader.{step} = failing\n"
+            "from lsaps import linalg\n"
+            "from scipy.linalg import lapack\n"
+            "print(bool(failed), linalg._lapack is lapack)\n"
+            "print(sys.modules['scipy.linalg._flapack'] is lapack._flapack is not failed[0])\n"
+            + SOLVE_DIGEST
+        )
+        direct = fresh_interpreter("from lsaps import linalg\n" + SOLVE_DIGEST)
+        assert failed[:3] == ["True"] * 3
+        assert failed[3:] == direct

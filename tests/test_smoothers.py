@@ -375,19 +375,23 @@ class TestGaussian:
     def test_plan_is_the_per_signal_convolution(self, n):
         # A plan's kernels, offsets and edge normalisations, made once per
         # length, give the bits of the convolution built for each signal,
-        # and each bad window its own error, in grid order.
+        # and each bad window its own error, in grid order. The kernel is
+        # normalised over the taps that reach the signal, |off| < n: every
+        # tap of a window below 2n, so only windows 10 and 61 at n = 5 lose
+        # taps.
         def convolve(y, window):
             if window == 1 or n == 1:
                 return y
             positions = np.arange(window) - (window - 1) / 2.0
-            kernel = np.exp(-0.5 * (positions / (window / 5.0)) ** 2)
+            offsets = np.arange(window) - window // 2
+            reach = np.abs(offsets) < n
+            kernel = np.exp(-0.5 * (positions[reach] / (window / 5.0)) ** 2)
             kernel /= kernel.sum()
             out, norm = np.zeros(n), np.zeros(n)
-            for coeff, off in zip(kernel, np.arange(window) - window // 2):
+            for coeff, off in zip(kernel, offsets[reach]):
                 lo, hi = max(0, -off), min(n, n - off)
-                if lo < hi:
-                    out[lo:hi] += coeff * y[lo + off : hi + off]
-                    norm[lo:hi] += coeff
+                out[lo:hi] += coeff * y[lo + off : hi + off]
+                norm[lo:hi] += coeff
             return out / norm
 
         grid = [*COMPARISON_GRIDS["gaussian"], 2.5, 0, -3, 5.0, 61]
@@ -402,6 +406,26 @@ class TestGaussian:
                     assert type(result) is InvalidConfigError and str(result) == failures[i]
                 else:
                     assert result[0].tobytes() == convolve(y, window).tobytes(), window
+
+    @pytest.mark.parametrize("window", [10**9, 10**9 + 1])
+    def test_window_far_wider_than_n_builds_only_the_taps_that_reach(self, window):
+        # At most 2n - 1 taps, not a window-long kernel: 10**9 taps would be
+        # 8 GB. The result is each point's directly renormalised weighted mean.
+        import tracemalloc
+
+        n = 50
+        y = np.random.default_rng(15).standard_normal(n)
+        tracemalloc.start()
+        try:
+            x = smooth_gaussian(y, window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, peak
+        # Point j lies at off = j - i from output point i.
+        distance = np.arange(n) - np.arange(n)[:, None] + (window + 1) % 2 / 2
+        weights = np.exp(-0.5 * (distance / (window / 5.0)) ** 2)
+        assert np.allclose(x, weights @ y / weights.sum(axis=1), rtol=0, atol=1e-12)
 
     def test_rejects_2d_input(self):
         with pytest.raises(ValueError, match="y must be 1-d"):

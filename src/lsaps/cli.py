@@ -11,9 +11,14 @@ Two subcommands:
     Run the synthetic Lorentzian sweep described by a JSON scenario
     file and write the per-cell and aggregate tables.
 
-All numeric output uses 12 significant digits, so re-ingesting an
-emitted file is idempotent at that precision. Errors exit nonzero with
-one machine-parseable JSON line on stderr.
+All numeric output uses 12 significant digits, the text of
+``FLOAT_FMT % v``, so re-ingesting an emitted file is idempotent at that
+precision. ``smoothed.txt`` and ``second_derivative.txt``, 3n values, take
+their digits from a numpy kernel that is exact where it is used: a value
+whose 12-digit rounding float64 arithmetic cannot prove, within 1e-3 of a
+decimal tie or outside [1e-11, 1e12), is formatted by ``%`` alone
+(``_format_slots``). Errors exit nonzero with one machine-parseable JSON
+line on stderr.
 """
 
 import argparse
@@ -212,7 +217,7 @@ def ingest(path, delimiter=None):
         raise IngestError(f"cannot read {path}: {exc}") from None
 
 
-# Rows formatted per string operation; bounds the Python floats alive at once.
+# Rows formatted per string or array operation; bounds the memory of a block.
 WRITE_BLOCK_ROWS = 8192
 
 
@@ -239,25 +244,147 @@ def _write_columns(path, columns, header=None):
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
+# The FLOAT_FMT kernel of ``_write_signal``. A value's text is laid out in
+# SLOTS fixed byte slots: a sign, the "0.000" of a fixed-notation value
+# below 1, 12 digits each followed by a slot for the decimal point, and an
+# exponent "e-05". Slots a value does not use hold 0 bytes.
+SLOTS = 34
+# 10**k for k in [0, 22], exactly: 5**22 < 2**53.
+_POW10 = np.array([float(10**k) for k in range(23)])
+# Rows 1000·i + c, where chunk i of a value's 12 digits, 3 digits each, is
+# c: c's digits as ASCII, each followed by a 0 point slot, and the count of
+# the value's digits up to the last nonzero one of chunk i, or 0 if c is 0.
+_c = np.arange(1000)
+_CHUNK_DIGITS = np.zeros((4000, 6), np.uint8)
+_CHUNK_DIGITS[:, ::2] = np.tile(48 + _c[:, None] // [100, 10, 1] % 10, (4, 1))
+_SIGNIFICANT = np.where(_c != 0, 3 * np.arange(4)[:, None]
+                        + (_c % 10 != 0) + (_c % 100 != 0) + (_c != 0), 0).astype(np.int8).ravel()
+del _c
+
+
+def _slot_tables():
+    """The bytes of each key's slots apart from the digits, and the mask
+    of the digit slots it shows. A key stands for a decimal exponent x in
+    [-11, 12], a count nd in [1, 12] of significant digits and a sign:
+    key = ((x + 11)·12 + nd − 1)·2 + (1 if negative else 0)."""
+    x, nd, neg = (a.reshape(-1, 1) for a in
+                  np.meshgrid(np.arange(-11, 13), np.arange(1, 13), [0, 1], indexing="ij"))
+    fixed = (x >= -4) & (x < 12)
+    p = np.where(fixed, x, 0)  # the digit the point follows; below 0, it is in the prefix
+    j = np.arange(12)
+    template = np.zeros((len(x), SLOTS), np.uint8)
+    template[:, :1] = 45 * neg
+    prefix = np.where(p < 0, 1 - p, 0)  # "0." and -x - 1 zeros
+    template[:, 1:6] = np.where(np.arange(5) < prefix, np.frombuffer(b"0.000", np.uint8), 0)
+    template[:, 7:30:2] = np.where((j == p) & (j + 1 < nd), 46, 0)
+    exponent = ~fixed[:, 0]
+    template[exponent, 30] = 101
+    template[exponent, 31] = np.where(x[exponent, 0] < 0, 45, 43)
+    template[exponent, 32] = 48 + abs(x[exponent, 0]) // 10
+    template[exponent, 33] = 48 + abs(x[exponent, 0]) % 10
+    keep = np.zeros((len(x), 24), np.uint8)
+    keep[:, ::2] = np.where(j < np.maximum(nd, p + 1), 255, 0)
+    return template, keep
+
+
+_TEMPLATE, _KEEP = _slot_tables()
+
+
+def _format_slots(values):
+    """The text of FLOAT_FMT % v for each of ``values``, a float64 array,
+    one row of SLOTS bytes per value, in the layout above.
+
+    Exactness: with e = ⌊log10|v|⌋ and k = 11 − e in [0, 22], 10**k is
+    exact, so s = |v|·10**k is rounded once, by at most 2**-14 where s <
+    1e12 + 1. Where m = rint(s) lies within 0.499 of s, the exact product
+    rounds to m too: m is v's 12 significant digits, with exponent e. The
+    carry m = 1e12, or log10 one too small, is 1e11 with exponent e + 1.
+    Every other value is formatted by FLOAT_FMT % v on its own: k outside
+    [0, 22] (|v| below 1e-11 or from 1e12 up, subnormals, inf and NaN), s
+    below 1e11 or m above 1e12 (log10 one off at a power of ten), and s
+    within 1e-3 of a decimal tie. Zero is m = 0, and −0.0 prints as "-0",
+    as FLOAT_FMT prints it. Each temporary is dropped once used, which
+    keeps a block's peak memory down.
+    """
+    a = np.abs(values)
+    with np.errstate(all="ignore"):  # log10 of 0, inf and NaN
+        k = np.floor(np.log10(a))
+        np.subtract(11, k, out=k)
+        exact = (k >= 0) & (k <= 22)
+        s = np.take(_POW10, np.where(exact, k, 0).astype(np.intp))
+        s *= a
+        del a
+        m = np.rint(s)
+        exact &= (s >= 1e11) & (m <= 1e12)
+        s -= m
+        exact &= np.abs(s) <= 0.499
+    del s
+    carry = m == 1e12
+    key = np.where(exact, 11 + carry - k, 0).astype(np.intp)
+    del k
+    exact |= values == 0
+    m = np.where(carry, 1e11, np.where(exact, m, 0))
+    # m's chunks, each step exact in float64, as rows of the chunk tables.
+    high = np.floor(m / 1e6)
+    low = m - high * 1e6
+    del m
+    chunks = np.empty((len(values), 4), np.intp)
+    chunk = np.floor(high / 1e3)
+    chunks[:, 0] = chunk
+    chunks[:, 1] = high + (1e3 - 1e3 * chunk)
+    chunk = np.floor(low / 1e3)
+    chunks[:, 2] = chunk + 2e3
+    chunks[:, 3] = low + (3e3 - 1e3 * chunk)
+    del high, low, chunk
+    digits = np.take(_CHUNK_DIGITS, chunks, axis=0).reshape(len(values), 24)
+    nd = np.take(_SIGNIFICANT, chunks)
+    del chunks
+    nd = np.maximum(np.maximum(nd[:, 0], nd[:, 1]), np.maximum(nd[:, 2], nd[:, 3]))
+    key = ((key + 11) * 12 + np.maximum(nd, 1) - 1) * 2 + np.signbit(values)
+    digits &= np.take(_KEEP, key, axis=0)
+    slots = np.take(_TEMPLATE, key, axis=0)
+    slots[:, 6:30] |= digits
+    fallback = np.flatnonzero(~exact)
+    if fallback.size:
+        text = b"".join((FLOAT_FMT % v).encode().ljust(SLOTS, b"\0")
+                        for v in values[fallback].tolist())
+        slots[fallback] = np.frombuffer(text, np.uint8).reshape(-1, SLOTS)
+    return slots
+
+
 def _write_signal(out_dir, abscissa, smoothed, d2):
-    """Write smoothed.txt and second_derivative.txt, as ``_write_columns``
-    would, in lockstep, a block of rows at a time. ``d2`` leaves out the
-    first and the last point."""
+    """Write smoothed.txt and second_derivative.txt, the bytes that
+    ``_write_columns`` writes on POSIX, in lockstep, a block of
+    WRITE_BLOCK_ROWS rows at a time. ``d2`` leaves out the first and the
+    last point. Lines end in "\\n" on every platform.
+
+    Each column of a block is laid out by ``_format_slots``, one row of
+    SLOTS bytes per value, which is exact or falls back to FLOAT_FMT % v
+    (its docstring gives the argument and the values that fall back). A
+    row of a file is the abscissa's slots, a tab, the value's slots and a
+    newline, and dropping the 0 bytes leaves the text.
+    """
     n = len(abscissa)
-    with (out_dir / "smoothed.txt").open("w") as fx, \
-            (out_dir / "second_derivative.txt").open("w") as fd:
+    with (out_dir / "smoothed.txt").open("wb") as fx, \
+            (out_dir / "second_derivative.txt").open("wb") as fd:
         for start in range(0, n, WRITE_BLOCK_ROWS):
             stop = min(start + WRITE_BLOCK_ROWS, n)
-            # The abscissa is formatted once, into the rows' template of
-            # both files: "x\t%.12g\n" per row.
-            rows = ((FLOAT_FMT + "\t%" + FLOAT_FMT + "\n") * (stop - start)
-                    % tuple(abscissa[start:stop].tolist()))
-            fx.write(rows % tuple(smoothed[start:stop].tolist()))
-            if start == 0:
-                rows = rows[rows.find("\n") + 1 :]
-            if stop == n:
-                rows = rows[: rows.rfind("\n", 0, -1) + 1]
-            fd.write(rows % tuple(d2[max(start, 1) - 1 : min(stop, n - 1) - 1].tolist()))
+            first, last = max(start, 1), min(stop, n - 1)
+            rows = np.empty((stop - start, 2 * SLOTS + 2), np.uint8)
+            rows[:, :SLOTS] = _format_slots(abscissa[start:stop])
+            rows[:, SLOTS] = 9
+            rows[:, SLOTS + 1 : -1] = _format_slots(smoothed[start:stop])
+            rows[:, -1] = 10
+            fx.write(_text(rows))
+            # The abscissa is formatted once, for the rows of both files.
+            rows = rows[first - start : last - start]
+            rows[:, SLOTS + 1 : -1] = _format_slots(d2[first - 1 : last - 1])
+            fd.write(_text(rows))
+
+
+def _text(rows):
+    """The bytes of ``rows`` without their 0 bytes."""
+    return rows.tobytes().translate(None, b"\0")
 
 
 def _run_smooth(args) -> int:

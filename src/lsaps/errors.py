@@ -90,6 +90,18 @@ def checked(name: str, values, shape=None):
     return values
 
 
+def shown(value, form=str) -> str:
+    """``form(value)``, for an error message; but an int of more digits
+    than Python converts to text (4300 by default) is given by its bit
+    length, as ``real`` gives it, and a container of one by its type."""
+    try:
+        return form(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"an integer of {value.bit_length()} bits"
+        return f"a {type(value).__name__} holding an integer too long to print"
+
+
 def integer(name: str, value) -> int:
     """``value`` as an int, by ``operator.index``; an InvalidConfigError
     that names it where it is not an integer, such as 5.0, or is a bool."""
@@ -98,7 +110,7 @@ def integer(name: str, value) -> int:
             return operator.index(value)
         except TypeError:
             pass
-    raise InvalidConfigError(f"{name} must be an integer, got {value}")
+    raise InvalidConfigError(f"{name} must be an integer, got {shown(value)}")
 
 
 def real(name: str, value):
@@ -107,7 +119,7 @@ def real(name: str, value):
     nor an int beyond float64. Whether it is finite, or in range, is for
     the caller to check."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise InvalidConfigError(f"{name} must be a real number, got {value!r}")
+        raise InvalidConfigError(f"{name} must be a real number, got {shown(value, repr)}")
     try:
         float(value)
     except OverflowError:  # an int, whose digits may be too many to print

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidSizeError, checked, integer
+from .errors import InvalidConfigError, InvalidSizeError, checked, integer, shown
 from .smoothers import to_unit
 
 
@@ -66,7 +66,7 @@ def detect_peaks(x, k: int, abscissa=None):
         raise InvalidSizeError(f"peak detection needs n >= 5, got n={n}")
     k = integer("k", k)
     if k < 1:
-        raise InvalidConfigError(f"k must be >= 1, got {k}")
+        raise InvalidConfigError(f"k must be >= 1, got {shown(k)}")
     if abscissa is None:
         abscissa = np.arange(n, dtype=float)
     else:

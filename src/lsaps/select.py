@@ -26,6 +26,7 @@ from .errors import (
     SingularSystemError,
     checked,
     real,
+    shown,
 )
 from .localfit import floor_weights
 from .smoothers import PENALIZED, _penalized, from_unit, to_unit
@@ -148,12 +149,13 @@ def select_parameter(
         finite.
     """
     if method not in PENALIZED:
-        raise InvalidConfigError(f"auto-selection supports only ps and lsa-ps, got {method!r}")
+        raise InvalidConfigError(
+            f"auto-selection supports only ps and lsa-ps, got {shown(method, repr)}")
     try:
         grid = tuple(float(real("candidate", g)) for g in grid)
     except TypeError:  # not iterable
         raise InvalidConfigError(
-            f"candidate grid must be a sequence of numbers, got {grid!r}") from None
+            f"candidate grid must be a sequence of numbers, got {shown(grid, repr)}") from None
     if not grid:
         raise InvalidConfigError("candidate grid must be non-empty")
     bad = [g for g in grid if not math.isfinite(g)]

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (InvalidConfigError, InvalidInputError, InvalidSizeError,
-                     UndefinedMetricError, checked, integer, real)
+                     UndefinedMetricError, checked, integer, real, shown)
 from .smoothers import METHODS, grid_plan
 
 NOISE_FREE_DB = math.inf
@@ -127,7 +127,7 @@ class SimScenario:
         if len(self.peaks) < 1:
             raise InvalidInputError("scenario needs at least one peak")
         if not 5 <= integer("n", self.n) <= sys.maxsize:  # the most points an array holds
-            raise InvalidSizeError(f"scenario needs 5 <= n <= {sys.maxsize}, got n={self.n}")
+            raise InvalidSizeError(f"scenario needs 5 <= n <= {sys.maxsize}, got n={shown(self.n)}")
         lo, hi = self.x_range
         if not (_finite("x_range", lo) and _finite("x_range", hi) and lo < hi):
             raise InvalidInputError("x_range must be two increasing finite numbers")
@@ -196,7 +196,7 @@ def _at_least(low: int, name, value) -> int:
     is an integer >= low."""
     value = integer(name, value)
     if value < low:
-        raise InvalidConfigError(f"{name} must be >= {low}, got {value}")
+        raise InvalidConfigError(f"{name} must be >= {low}, got {shown(value)}")
     return value
 
 
@@ -205,7 +205,7 @@ def _resolution(name, value) -> int:
     is an integer from 5 to sys.maxsize, the most points an array holds."""
     value = _at_least(5, name, value)
     if value > sys.maxsize:
-        raise InvalidConfigError(f"{name} must be <= {sys.maxsize}, got {value}")
+        raise InvalidConfigError(f"{name} must be <= {sys.maxsize}, got {shown(value)}")
     return value
 
 
@@ -430,7 +430,7 @@ def check_sweep(resolutions, sigmas, method_grids, seeds):
         raise InvalidConfigError("'methods' must not be empty")
     for method in method_grids:
         if method not in METHODS:
-            raise InvalidConfigError(f"unknown method {method!r} in 'methods'")
+            raise InvalidConfigError(f"unknown method {shown(method, repr)} in 'methods'")
     return (_axis("resolutions", resolutions, _resolution),
             _axis("noise_sigmas", sigmas, _sigma),
             {method: _axis(f"methods.{method}", grid,
@@ -446,14 +446,14 @@ def _axis(key, values, check) -> list:
     try:
         items = list(enumerate(values))
     except TypeError:
-        raise InvalidConfigError(f"'{key}' must be a list, got {values!r}") from None
+        raise InvalidConfigError(f"'{key}' must be a list, got {shown(values, repr)}") from None
     values = [check(f"{key}[{i}]", value) for i, value in items]
     if not values:
         raise InvalidConfigError(f"'{key}' must not be empty")
     seen = set()
     for value in values:
         if value in seen:
-            raise InvalidConfigError(f"'{key}' repeats the value {value}")
+            raise InvalidConfigError(f"'{key}' repeats the value {shown(value)}")
         seen.add(value)
     return values
 
@@ -469,7 +469,7 @@ def _sg_pair(name, value) -> tuple:
         window, poly_order = value
     except (TypeError, ValueError):
         raise InvalidConfigError(f"{name} must be a [window, poly_order] pair, "
-                                 f"got {value!r}") from None
+                                 f"got {shown(value, repr)}") from None
     return integer(f"{name}[0]", window), integer(f"{name}[1]", poly_order)
 
 

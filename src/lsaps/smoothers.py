@@ -51,7 +51,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import linalg
 from .errors import (DegenerateSignalError, InvalidConfigError, InvalidSizeError,
-                     ResultOverflowError, checked, integer, real)
+                     ResultOverflowError, checked, integer, real, shown)
 from .localfit import local_quadratic_curvature
 
 
@@ -117,7 +117,7 @@ def penalized_weights(y_unit, method: str, clip: bool = True):
                 "median curvature weight is zero, so the LSA-PS penalty scale collapses"
             )
         return (np.minimum(raw, median) if clip else raw), median
-    raise InvalidConfigError(f"unknown method {method!r}")
+    raise InvalidConfigError(f"unknown method {shown(method, repr)}")
 
 
 
@@ -273,7 +273,7 @@ def _blocks(y, method, grid, clip, planned=None):
     """``grid_blocks``: the checks of the method and of y, then the run
     of ``planned``, the (n, run) of a plan, or of a plan made for y."""
     if method not in METHODS:
-        return _one_block([InvalidConfigError(f"unknown method {method!r}")] * len(grid))
+        return _one_block([InvalidConfigError(f"unknown method {shown(method, repr)}")] * len(grid))
     unit = _attempt(to_unit, y)
     if isinstance(unit, Exception):
         return _one_block([unit] * len(grid))
@@ -400,17 +400,18 @@ def _sg_order(n: int, parameter):
         window, poly_order = parameter
     except (TypeError, ValueError):
         raise InvalidConfigError(
-            f"a Savitzky-Golay parameter is a (window, poly_order) pair, got {parameter!r}"
+            "a Savitzky-Golay parameter is a (window, poly_order) pair, "
+            f"got {shown(parameter, repr)}"
         ) from None
     window, poly_order = integer("window", window), integer("poly_order", poly_order)
     if window < 1 or window % 2 == 0:
-        raise InvalidConfigError(f"window must be odd and >= 1, got {window}")
+        raise InvalidConfigError(f"window must be odd and >= 1, got {shown(window)}")
     if window > 1 and not 1 <= poly_order < window:
         raise InvalidConfigError(
-            f"poly_order must satisfy 1 <= order < window, got order={poly_order}"
+            f"poly_order must satisfy 1 <= order < window, got order={shown(poly_order)}"
         )
     if n < window:
-        raise InvalidSizeError(f"signal length {n} < window {window}")
+        raise InvalidSizeError(f"signal length {n} < window {shown(window)}")
     return None if window == 1 or poly_order == window - 1 else (window, poly_order)
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import struct
 import subprocess
 import sys
 import tempfile
@@ -300,6 +301,87 @@ def test_signal_files_match_per_row_format(tmp_path, monkeypatch, n):
         f"{fmt % a}\t{fmt % x}\n" for a, x in zip(abscissa, smoothed))
     assert (tmp_path / "second_derivative.txt").read_text() == "".join(
         f"{fmt % a}\t{fmt % x}\n" for a, x in zip(abscissa[1:-1], d2))
+
+
+def _from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _decimal(mantissa, exponent, ulps, negative):
+    """The float nearest the decimal mantissa·10**exponent, moved by ulps
+    units in the last place, negated where asked."""
+    x = float(f"{mantissa}e{exponent}")
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return -x if negative else x
+
+
+# Values where %.12g is hard to match: any float64 bit pattern, 12-digit
+# decimal ties ("d5": 13 digits ending in 5), 12-digit decimals, the carry
+# 9.9999999999995 to 10, powers of ten, all a few units in the last place
+# either side, and the notation edges, zeros, subnormals, infinities and NaN.
+SIGNAL_VALUES = st.one_of(
+    st.integers(0, 2**64 - 1).map(_from_bits),
+    st.builds(_decimal,
+              st.one_of(st.integers(10**11, 10**12 - 1).map(lambda d: f"{d}5"),
+                        st.integers(10**11, 10**12 - 1).map(str),
+                        st.sampled_from(["99999999999995", "99999999999994999", "1", "5"])),
+              st.one_of(st.integers(-30, 10), st.integers(-340, 300)),
+              st.integers(-3, 3), st.booleans()),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf,
+                     math.nan, 1e-5, 9.99999999999e-6, 9.999999999995e-6, 1e-4, 1e11, 1e12,
+                     999999999999.5, 999999999999.4, 100000000000.5, 0.5, 1e-11, 1e-12, 1e22,
+                     1e23]),
+)
+
+
+@pytest.mark.parametrize("block_rows", [cli.WRITE_BLOCK_ROWS, 3])
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(SIGNAL_VALUES, min_size=1, max_size=40),
+       size=st.floats(0.0, 2.2), shift=st.integers(0, 39))
+# Decimal ties whose float64 product with a power of ten rounds to the tie.
+@example(values=[9.999999999995e-06, 5606394622.305, -5.606394622305e-08, 95378.45024235],
+         size=2.0, shift=1)
+def test_signal_writer_matches_per_row_format_on_any_float(block_rows, values, size, shift):
+    # The files are the rows FLOAT_FMT writes, however a value falls in its
+    # block, and whether or not the kernel formats it. ``size`` is n in
+    # blocks, so the default size writes up to three blocks.
+    n = 5 + int(size * block_rows)
+    pool = np.resize(np.array(values), 3 * n + shift)
+    abscissa, smoothed, d2 = pool[:n], pool[n + shift : 2 * n + shift], pool[2 * n : 3 * n - 2]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "WRITE_BLOCK_ROWS", block_rows)
+        out = Path(tmp)
+        cli._write_signal(out, abscissa, smoothed, d2)
+        for name, rows in (("smoothed.txt", zip(abscissa, smoothed)),
+                           ("second_derivative.txt", zip(abscissa[1:-1], d2))):
+            fmt = cli.FLOAT_FMT
+            expected = [f"{fmt % a}\t{fmt % x}" for a, x in rows] + [""]
+            lines = (out / name).read_bytes().decode().split("\n")
+            # The first wrong lines, not a diff of two long texts.
+            wrong = [(i, got, want) for i, (got, want) in enumerate(zip(lines, expected))
+                     if got != want]
+            assert not wrong and len(lines) == len(expected), (name, wrong[:3])
+
+
+def test_signal_writer_memory_is_one_block(tmp_path):
+    # The writer holds a block of rows at a time: at n = 1e5 its traced peak
+    # is about 1.7 MB, where formatting the whole signal at once would take
+    # over 20 MB.
+    import tracemalloc
+
+    n = 100_000
+    rng = np.random.default_rng(33)
+    abscissa = np.linspace(0.0, 100.0, n)
+    smoothed = rng.standard_normal(n)
+    d2 = np.diff(smoothed, 2)
+    tracemalloc.start()
+    try:
+        cli._write_signal(tmp_path, abscissa, smoothed, d2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
 
 
 class TestSmoothCommand:

@@ -172,6 +172,25 @@ CASES = [
           ("run_benchmark-huge-resolution",
            lambda n: run_benchmark(SimScenario(), [n], [0.1], {"ps": [1.0]}, [0]),
            sys.maxsize + 1, f"resolutions[0] must be <= {sys.maxsize}, got {sys.maxsize + 1}"),
+          # Ints of more digits than Python converts to text raised a bare
+          # ValueError from the message meant for them.
+          ("smooth_savitzky_golay-unprintable-int",
+           lambda window: smooth_savitzky_golay(np.ones(50), window, 2), 10**5000,
+           "window must be odd and >= 1, got an integer of 16610 bits"),
+          ("detect_peaks-unprintable-int", lambda k: detect_peaks(np.sin(np.arange(50.0)), k),
+           -10**5000, "k must be >= 1, got an integer of 16610 bits"),
+          ("detect_peaks-unprintable-int-in-list",
+           lambda k: detect_peaks(np.sin(np.arange(50.0)), k), [10**5000],
+           "k must be an integer, got a list holding an integer too long to print"),
+          ("run_benchmark-unprintable-seed",
+           lambda seed: run_benchmark(SimScenario(), [50], [0.0], {"ps": [1.0]}, [seed]),
+           -10**5000, "seeds[0] must be >= 0, got an integer of 16610 bits"),
+          ("run_benchmark-unprintable-resolution",
+           lambda n: run_benchmark(SimScenario(), [n], [0.1], {"ps": [1.0]}, [0]), 10**5000,
+           f"resolutions[0] must be <= {sys.maxsize}, got an integer of 16610 bits"),
+          ("run_benchmark-unprintable-negative-resolution",
+           lambda n: run_benchmark(SimScenario(), [n], [0.1], {"ps": [1.0]}, [0]), -10**5000,
+           "resolutions[0] must be >= 5, got an integer of 16610 bits"),
       )),
 ]
 
@@ -255,9 +274,10 @@ NOT_REAL_ARRAYS = st.one_of(
 
 # Bad scalar parameters: strings, None and complex numbers raised a bare
 # TypeError or ValueError, bools ran as the integers 1 and 0, NaN and +-inf
-# are not finite, and ints beyond float64 raised a bare OverflowError.
+# are not finite, ints beyond float64 raised a bare OverflowError, and ints
+# of more digits than Python converts to text a bare ValueError.
 BAD_SCALARS = ["1", None, 1j, True, False, np.True_, math.nan, math.inf, -math.inf,
-               10**400, -10**400]
+               10**400, -10**400, 10**5000, -10**5000]
 
 
 def _snr(reference, estimate):
@@ -332,11 +352,12 @@ def test_bad_arrays_raise_lsaps_errors_or_give_finite_output(name, data):
 
 
 # Sweep grid values of each type that JSON or a Python caller can give:
-# integers, beyond float64 too, floats where a window is an integer, bools,
+# integers, beyond float64 and beyond printing too, floats where a window is an integer, bools,
 # None, strings, and lists, nested or not, among them Savitzky-Golay pairs
 # given as lists.
 GRID_VALUES = st.one_of(
-    st.integers(-3, 40), st.sampled_from([10**400, -10**400]), st.floats(), st.booleans(),
+    st.integers(-3, 40), st.sampled_from([10**400, -10**400, 10**5000, -10**5000]), st.floats(),
+    st.booleans(),
     st.none(), st.text(max_size=2),
     st.lists(st.one_of(st.integers(-3, 40), st.floats(-40.0, 40.0)), max_size=3),
     st.tuples(st.integers(-3, 40), st.integers(-3, 40)),

@@ -234,9 +234,10 @@ def _output_dir(path):
 
 
 def _write_columns(path, columns, header=None):
-    """Write ``columns`` tab-separated in FLOAT_FMT, which prints integers as such."""
+    """Write ``columns`` tab-separated in FLOAT_FMT, which prints integers
+    as such, each row ending in "\n" on every platform."""
     row = "\t".join([FLOAT_FMT] * len(columns)) + "\n"
-    with Path(path).open("w") as fh:
+    with Path(path).open("w", newline="\n") as fh:
         if header is not None:
             fh.write("\t".join(header) + "\n")
         for start in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
@@ -452,7 +453,7 @@ def _run_smooth(args) -> int:
                 "best_index": curve.best_index,
             }
 
-        with (out_dir / "summary.json").open("w") as fh:
+        with (out_dir / "summary.json").open("w", newline="\n") as fh:
             json.dump(summary, fh, indent=2)
             fh.write("\n")
     return 0
@@ -595,7 +596,7 @@ def _run_benchmark(args) -> int:
         _write_table(out_dir / "cells.csv", report.cells)
         _write_table(out_dir / "aggregates.csv", report.aggregates)
         _write_table(out_dir / "best.csv", report.best)
-        with (out_dir / "summary.json").open("w") as fh:
+        with (out_dir / "summary.json").open("w", newline="\n") as fh:
             json.dump(summary, fh, indent=2)
             fh.write("\n")
     return 0

@@ -1,6 +1,9 @@
 """Exception types shared across the package, the one input array check and
-the checks of integer and real-number parameters."""
+the checks of scalar parameters: an integer, a real number, a finite real
+number >= 0 (lam, lambda_bar, a CV candidate, a noise sigma) and an
+integer >= a bound (a seed, a resolution, k peaks, a Gaussian window)."""
 
+import math
 import operator
 
 import numpy as np
@@ -125,4 +128,23 @@ def real(name: str, value):
     except OverflowError:  # an int, whose digits may be too many to print
         raise InvalidConfigError(f"{name} must be within float64's range, "
                                  f"got an integer of {value.bit_length()} bits") from None
+    return value
+
+
+def nonnegative(name: str, value):
+    """``value`` itself; an InvalidConfigError that names it unless it is
+    a real number (``real``) that is finite and >= 0."""
+    if not math.isfinite(real(name, value)):
+        raise InvalidConfigError(f"{name} must be finite, got {value}")
+    if value < 0:
+        raise InvalidConfigError(f"{name} must be >= 0, got {value}")
+    return value
+
+
+def at_least(low: int, name: str, value) -> int:
+    """``value`` as an int; an InvalidConfigError that names it unless it
+    is an integer (``integer``) >= low."""
+    value = integer(name, value)
+    if value < low:
+        raise InvalidConfigError(f"{name} must be >= {low}, got {shown(value)}")
     return value

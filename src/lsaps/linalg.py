@@ -60,7 +60,7 @@ from .errors import (
     ResultOverflowError,
     SingularSystemError,
     checked,
-    real,
+    nonnegative,
 )
 
 
@@ -173,8 +173,8 @@ def assembler(weights):
     all finite and >= 0. The returned function checks each lam on its
     own, so each lam of a grid keeps its own error, while the weights are
     checked once per grid. It raises ``InvalidConfigError`` for a lam
-    that is not a real number (``errors.real``), is not finite, is
-    negative, or makes an entry of M overflow float64;
+    that is not a finite real number >= 0 (``errors.nonnegative``) or
+    makes an entry of M overflow float64;
     ``SingularSystemError`` for lam = 0 with a zero weight; and
     ``NotPositiveDefiniteError`` for a failed pivot (``_cholesky``).
 
@@ -209,11 +209,7 @@ def assembler(weights):
         ends[0, 3], counts = 4.0, (1, 0, 0, 1, 1)
 
     def assemble(lam) -> Factor:
-        if not math.isfinite(real("lam", lam)):
-            raise InvalidConfigError(f"lam must be finite, got {lam}")
-        if lam < 0:
-            raise InvalidConfigError(f"lam must be >= 0, got {lam}")
-        if lam == 0 and has_zero:
+        if nonnegative("lam", lam) == 0 and has_zero:
             raise SingularSystemError("lam = 0 with a zero weight gives a singular system")
         with np.errstate(over="ignore"):
             ab = np.repeat(ends * lam, counts, axis=1)

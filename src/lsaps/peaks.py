@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidSizeError, checked, integer, shown
+from .errors import InvalidSizeError, at_least, checked
 from .smoothers import to_unit
 
 
@@ -64,9 +64,7 @@ def detect_peaks(x, k: int, abscissa=None):
     n = x.shape[0]
     if n < 5:
         raise InvalidSizeError(f"peak detection needs n >= 5, got n={n}")
-    k = integer("k", k)
-    if k < 1:
-        raise InvalidConfigError(f"k must be >= 1, got {shown(k)}")
+    k = at_least(1, "k", k)
     if abscissa is None:
         abscissa = np.arange(n, dtype=float)
     else:

@@ -25,7 +25,7 @@ from .errors import (
     SelectionFailedError,
     SingularSystemError,
     checked,
-    real,
+    nonnegative,
     shown,
 )
 from .localfit import floor_weights
@@ -133,10 +133,10 @@ def select_parameter(
     ------
     InvalidConfigError
         If the method is not ``ps`` or ``lsa-ps``, which is checked
-        first; if the grid is not a sequence of real numbers
-        (``errors.real``), is empty or holds a negative or non-finite
-        candidate, which is checked before y; or if a candidate's lambda
-        overflows the system's band.
+        first; if the grid is not a sequence, is empty or holds a
+        candidate that is not a finite real number >= 0
+        (``errors.nonnegative``), which is checked before y; or if a
+        candidate's lambda overflows the system's band.
     SelectionFailedError
         If every candidate on the grid fails.
     ResultOverflowError
@@ -152,17 +152,12 @@ def select_parameter(
         raise InvalidConfigError(
             f"auto-selection supports only ps and lsa-ps, got {shown(method, repr)}")
     try:
-        grid = tuple(float(real("candidate", g)) for g in grid)
+        grid = tuple(float(nonnegative("candidate", g)) for g in grid)
     except TypeError:  # not iterable
         raise InvalidConfigError(
             f"candidate grid must be a sequence of numbers, got {shown(grid, repr)}") from None
     if not grid:
         raise InvalidConfigError("candidate grid must be non-empty")
-    bad = [g for g in grid if not math.isfinite(g)]
-    if bad:
-        raise InvalidConfigError(f"candidates must be finite, got {bad[0]}")
-    if any(g < 0 for g in grid):
-        raise InvalidConfigError("candidates must be >= 0")
 
     y_unit, e = to_unit(y)
     fit, weights = _penalized(y_unit, e, method, clip, grid)

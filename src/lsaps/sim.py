@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (InvalidConfigError, InvalidInputError, InvalidSizeError,
-                     UndefinedMetricError, checked, integer, real, shown)
+                     UndefinedMetricError, at_least, checked, integer, nonnegative, real, shown)
 from .smoothers import METHODS, grid_plan
 
 NOISE_FREE_DB = math.inf
@@ -165,16 +165,16 @@ def add_noise(clean, sigma: float, seed: int):
 
     Returns (noisy, realized SNR in dB); for sigma = 0, a copy of
     ``clean`` and ``NOISE_FREE_DB``. Raises InvalidConfigError for a
-    sigma that is not a real number or is < 0, for a seed that is not an
-    integer >= 0 (a bool is not an integer) and, for sigma > 0,
+    sigma that is not a finite real number >= 0 (``errors.nonnegative``),
+    for a seed that is not an integer >= 0 (``errors.at_least``; a bool
+    is not an integer) and, for sigma > 0,
     unless the sums of squares of the clean signal and of the noise are
     both positive and finite: the realized SNR is their ratio. Raises
     InvalidSizeError for a ``clean`` that is not 1-d and InvalidInputError
     for one that is not an array of real numbers or not finite.
     """
-    if real("sigma", sigma) < 0:
-        raise InvalidConfigError("sigma must be >= 0")
-    seed = _at_least(0, "seed", seed)
+    nonnegative("sigma", sigma)
+    seed = at_least(0, "seed", seed)
     clean = checked("clean", clean)
     if sigma == 0:
         return clean.copy(), NOISE_FREE_DB
@@ -191,19 +191,10 @@ def add_noise(clean, sigma: float, seed: int):
     return clean + eps, _db(signal, noise)
 
 
-def _at_least(low: int, name, value) -> int:
-    """``value`` as an int; an InvalidConfigError that names it unless it
-    is an integer >= low."""
-    value = integer(name, value)
-    if value < low:
-        raise InvalidConfigError(f"{name} must be >= {low}, got {shown(value)}")
-    return value
-
-
 def _resolution(name, value) -> int:
     """``value`` as an int; an InvalidConfigError that names it unless it
     is an integer from 5 to sys.maxsize, the most points an array holds."""
-    value = _at_least(5, name, value)
+    value = at_least(5, name, value)
     if value > sys.maxsize:
         raise InvalidConfigError(f"{name} must be <= {sys.maxsize}, got {shown(value)}")
     return value
@@ -420,11 +411,12 @@ def check_sweep(resolutions, sigmas, method_grids, seeds):
     that repeats a value (1 and 1.0 are a repeat: cells are aggregated
     by value), a resolution that is not an integer from 5 to
     ``sys.maxsize``, a seed that is not an integer >= 0 (a bool is not), a
-    sigma that is not a finite number >= 0, a method not in
-    ``smoothers.METHODS`` and a grid value not of its method's type: a
-    pair of integers for ``sg``, an integer for ``gaussian``, a real
-    number within float64's range otherwise. A value out of range, such
-    as a window wider than n or a negative lambda_bar, fails its own cells.
+    sigma that is not a finite real number >= 0 (``errors.nonnegative``),
+    a method not in ``smoothers.METHODS`` and a grid value not of its
+    method's type: a pair of integers for ``sg``, an integer for
+    ``gaussian``, a real number within float64's range otherwise. A value
+    out of range, such as a window wider than n or a lambda_bar that is
+    negative or not finite, fails its own cells.
     """
     if not method_grids:
         raise InvalidConfigError("'methods' must not be empty")
@@ -432,11 +424,11 @@ def check_sweep(resolutions, sigmas, method_grids, seeds):
         if method not in METHODS:
             raise InvalidConfigError(f"unknown method {shown(method, repr)} in 'methods'")
     return (_axis("resolutions", resolutions, _resolution),
-            _axis("noise_sigmas", sigmas, _sigma),
+            [float(sigma) for sigma in _axis("noise_sigmas", sigmas, nonnegative)],
             {method: _axis(f"methods.{method}", grid,
                            {"sg": _sg_pair, "gaussian": integer}.get(method, real))
              for method, grid in method_grids.items()},
-            _axis("seeds", seeds, functools.partial(_at_least, 0)))
+            _axis("seeds", seeds, functools.partial(at_least, 0)))
 
 
 def _axis(key, values, check) -> list:
@@ -456,12 +448,6 @@ def _axis(key, values, check) -> list:
             raise InvalidConfigError(f"'{key}' repeats the value {shown(value)}")
         seen.add(value)
     return values
-
-
-def _sigma(name, value) -> float:
-    if not (_finite(name, value) and value >= 0):
-        raise InvalidConfigError(f"{name} must be a finite number >= 0, got {value}")
-    return float(value)
 
 
 def _sg_pair(name, value) -> tuple:

@@ -51,7 +51,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import linalg
 from .errors import (DegenerateSignalError, InvalidConfigError, InvalidSizeError,
-                     ResultOverflowError, checked, integer, real, shown)
+                     ResultOverflowError, at_least, checked, integer, nonnegative, real, shown)
 from .localfit import local_quadratic_curvature
 
 
@@ -151,8 +151,8 @@ def smooth_lsa_ps(y, lambda_bar: float, clip: bool = True):
     Raises
     ------
     InvalidConfigError
-        If ``lambda_bar`` is not a real number (``errors.real``), is
-        negative, or the effective penalty is not finite.
+        If ``lambda_bar`` is not a finite real number >= 0
+        (``errors.nonnegative``), or the effective penalty is not finite.
     InvalidSizeError, InvalidInputError
         If ``y`` is not 1-d, or not an array of real numbers or not
         finite, respectively.
@@ -207,8 +207,8 @@ def smooth(y, method: str, parameter, clip: bool = True):
     method, then ``InvalidSizeError`` for a y that is not 1-d and
     ``InvalidInputError`` for one that is not an array of real numbers or
     not finite, and only then the ``InvalidConfigError`` of the parameter,
-    such as a negative ``lambda_bar``, a lam or lambda_bar that is not a
-    real number, a window or order that is not an integer, or an ``sg``
+    such as a lam or lambda_bar that is negative or not a finite real
+    number, a window or order that is not an integer, or an ``sg``
     parameter that is not a (window, poly_order) pair.
     """
     # A one-parameter grid is one block of one result.
@@ -239,7 +239,7 @@ def grid_blocks(y, method: str, grid, clip: bool = True):
     signal wider than ``SG_CHUNK``, the window matrix that those
     products read. A failure of that work is the result of each
     parameter that reaches it, after the checks that come first for that
-    parameter, such as a negative ``lambda_bar``. Each block is computed
+    parameter, such as a negative lam or ``lambda_bar``. Each block is computed
     when it is asked for, so one block is held at a time.
     """
     return _blocks(y, method, list(grid), clip)
@@ -385,8 +385,7 @@ def _penalized_grid(y_unit, e: int, method, grid, clip, system=None):
     name = "lam" if method == "ps" else "lambda_bar"
 
     def fit(i, parameter):
-        if real(name, parameter) < 0 and method == "lsa-ps":
-            raise InvalidConfigError(f"lambda_bar must be >= 0, got {parameter}")
+        nonnegative(name, parameter)
         _, x, lam = _value(shared)[0](i)
         return from_unit(x, e), lam
 
@@ -599,9 +598,7 @@ def _gaussian_kernel(n: int, window):
     (window, n) alone. Only the taps that reach the signal, |off| < n,
     are built: at most 2n - 1, however wide the window. Raises for an
     invalid window."""
-    window = real("window", integer("window", window))
-    if window < 1:
-        raise InvalidConfigError(f"window must be >= 1, got {window}")
+    window = real("window", at_least(1, "window", window))
     if window == 1 or n == 1:
         return None
     sigma = window / 5.0

@@ -1,6 +1,9 @@
+import _pyio
 import csv
+import itertools
 import json
 import math
+import os
 import struct
 import subprocess
 import sys
@@ -262,6 +265,16 @@ def test_fast_path_matches_line_parser(case):
         assert _outcome(cli.ingest, path, delimiter) == expected
 
 
+def assert_text(path, expected):
+    """The file at ``path`` holds the text ``expected``, byte for byte; a
+    failure names the first wrong lines, where a diff of two long texts
+    would run for minutes."""
+    lines, want = path.read_bytes().decode().split("\n"), expected.split("\n")
+    wrong = list(itertools.islice(((i, got, line) for i, (got, line) in enumerate(zip(lines, want))
+                                   if got != line), 3))
+    assert not wrong and len(lines) == len(want), (path.name, len(lines), len(want), wrong)
+
+
 @pytest.mark.parametrize("rows", [3, 2 * cli.WRITE_BLOCK_ROWS + 7])
 def test_writer_matches_per_row_format(tmp_path, rows):
     edge = [
@@ -276,13 +289,13 @@ def test_writer_matches_per_row_format(tmp_path, rows):
     path = tmp_path / "out.txt"
     cli._write_columns(path, (col1, col2))
     expected = "".join(f"{cli.FLOAT_FMT % a}\t{cli.FLOAT_FMT % b}\n" for a, b in zip(col1, col2))
-    assert path.read_text() == expected
+    assert_text(path, expected)
     # Integer columns print as integers; a header line comes first.
     index = np.arange(rows)
     cli._write_columns(path, (index, col2, col1), ("index", "b", "a"))
     expected = "".join(f"{i}\t{cli.FLOAT_FMT % b}\t{cli.FLOAT_FMT % a}\n"
                        for i, a, b in zip(index, col1, col2))
-    assert path.read_text() == "index\tb\ta\n" + expected
+    assert_text(path, "index\tb\ta\n" + expected)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 12, 13])
@@ -297,10 +310,10 @@ def test_signal_files_match_per_row_format(tmp_path, monkeypatch, n):
     d2 = np.r_[np.inf, -np.inf, rng.standard_normal(n)][:n - 2]
     cli._write_signal(tmp_path, abscissa, smoothed, d2)
     fmt = cli.FLOAT_FMT
-    assert (tmp_path / "smoothed.txt").read_text() == "".join(
-        f"{fmt % a}\t{fmt % x}\n" for a, x in zip(abscissa, smoothed))
-    assert (tmp_path / "second_derivative.txt").read_text() == "".join(
-        f"{fmt % a}\t{fmt % x}\n" for a, x in zip(abscissa[1:-1], d2))
+    assert_text(tmp_path / "smoothed.txt",
+                "".join(f"{fmt % a}\t{fmt % x}\n" for a, x in zip(abscissa, smoothed)))
+    assert_text(tmp_path / "second_derivative.txt",
+                "".join(f"{fmt % a}\t{fmt % x}\n" for a, x in zip(abscissa[1:-1], d2)))
 
 
 def _from_bits(bits):
@@ -356,12 +369,30 @@ def test_signal_writer_matches_per_row_format_on_any_float(block_rows, values, s
         for name, rows in (("smoothed.txt", zip(abscissa, smoothed)),
                            ("second_derivative.txt", zip(abscissa[1:-1], d2))):
             fmt = cli.FLOAT_FMT
-            expected = [f"{fmt % a}\t{fmt % x}" for a, x in rows] + [""]
-            lines = (out / name).read_bytes().decode().split("\n")
-            # The first wrong lines, not a diff of two long texts.
-            wrong = [(i, got, want) for i, (got, want) in enumerate(zip(lines, expected))
-                     if got != want]
-            assert not wrong and len(lines) == len(expected), (name, wrong[:3])
+            assert_text(out / name, "".join(f"{fmt % a}\t{fmt % x}\n" for a, x in rows))
+
+
+def test_text_outputs_end_lines_in_newline_on_any_platform(tmp_path, noisy_file, monkeypatch):
+    # Text mode writes "\n" as os.linesep, "\r\n" on Windows. Files opened
+    # by the pure Python io, which reads os.linesep as it opens a file,
+    # stand in for such a platform: every output ends its lines in "\n" but
+    # the CSV tables, which end them in "\r\n" as csv.writer does.
+    monkeypatch.setattr(Path, "open", lambda path, *args, **kwargs: _pyio.open(path, *args, **kwargs))
+    monkeypatch.setattr(os, "linesep", "\r\n")
+    path, _ = noisy_file
+    smoothed, bench = tmp_path / "smoothed", tmp_path / "bench"
+    assert cli.main(["smooth", str(path), "--auto", "--peaks", "3", "--out", str(smoothed)]) == 0
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"resolutions": [50], "methods": {"ps": [1]}}))
+    assert cli.main(["benchmark", str(scenario), "--out", str(bench)]) == 0
+    monkeypatch.undo()
+    for name in ("smoothed.txt", "second_derivative.txt", "peaks.txt", "cv_curve.txt",
+                 "summary.json"):
+        assert b"\r" not in (smoothed / name).read_bytes(), name
+    assert b"\r" not in (bench / "summary.json").read_bytes()
+    for name in ("cells.csv", "aggregates.csv", "best.csv"):
+        text = (bench / name).read_bytes()
+        assert text.count(b"\r\n") == text.count(b"\n") > 0, name
 
 
 def test_signal_writer_memory_is_one_block(tmp_path):
@@ -465,9 +496,9 @@ class TestSmoothCommand:
         "extra, message",
         [
             (["--param", "-1"], "lambda_bar must be >= 0"),
-            (["--param", "nan"], "lam must be finite"),
+            (["--param", "nan"], "lambda_bar must be finite"),
             (["--method", "ps", "--param", "-1"], "lam must be >= 0"),
-            (["--auto", "--grid", "nan,1"], "candidates must be finite"),
+            (["--auto", "--grid", "nan,1"], "candidate must be finite"),
             (["--auto", "--grid", "1,,2"], "--grid must be comma-separated numbers"),
             (["--param", "1", "--peaks", "-1"], "k must be >= 1"),
             (["--param", "1", "--peaks", "0"], "k must be >= 1"),
@@ -651,7 +682,7 @@ MALFORMED_SCENARIOS = {
     json.dumps({"seeds": [-1], "noise_sigmas": [0.1], "methods": {"ps": [1.0]}}):
         ("InvalidConfigError", "seeds[0] must be >= 0, got -1"),
     json.dumps({"noise_sigmas": [math.inf], "methods": {"ps": [1.0]}}):
-        ("InvalidConfigError", "noise_sigmas[0] must be a finite number >= 0, got inf"),
+        ("InvalidConfigError", "noise_sigmas[0] must be finite, got inf"),
     json.dumps({"background": {"slope": "x"}, "methods": {"ps": [1.0]}}):
         ("InvalidConfigError", "slope must be a real number, got 'x'"),
     json.dumps({"background": {"hump_width": 0}, "methods": {"ps": [1.0]}}):
@@ -870,6 +901,17 @@ class TestBenchmarkCommand:
         assert (tmp_path / "t.csv").read_bytes() == expected
         assert expected == (b"parameter,output_snr_db,seed\r\n1,,0\r\n20,,1\r\n0.5,1.25,2\r\n"
                             b"2,3,3\r\n5/2,noise-free,4\r\n1/0,-inf,5\r\n")
+
+    def test_infinite_lambda_bar_is_named(self, tmp_path):
+        # lambda_bar's own check comes before its scaling to lam, which
+        # named lam for it.
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"resolutions": [50], "seeds": [0],
+                                    "methods": {"lsa-ps": [math.inf]}}))
+        assert cli.main(["benchmark", str(path), "--out", str(tmp_path / "bench")]) == 0
+        with (tmp_path / "bench" / "cells.csv").open(newline="") as fh:
+            [row] = csv.DictReader(fh)
+        assert row["error"] == "InvalidConfigError: lambda_bar must be finite, got inf"
 
     def test_infinite_parameter_is_labelled_inf(self, tmp_path):
         # A lam of inf fails its cell, whose parameter is written "inf",

@@ -80,6 +80,24 @@ CASES = [
                  "seed must be an integer, got 1.5", id="add_noise-float-seed"),
     pytest.param(lambda seed: run_benchmark(SimScenario(), [50], [0.0], {"ps": [1.0]}, [seed]), -1,
                  InvalidConfigError, "seeds[0] must be >= 0, got -1", id="run_benchmark-negative-seed"),
+    # A non-finite lambda_bar was named as the lam it scales to, a negative
+    # lam of PS reported as the failure of the setup it shares, a sigma of
+    # inf as the noise's sum of squares, and a negative one without its value.
+    pytest.param(lambda lambda_bar: smooth(_with(0.0, 0), "lsa-ps", lambda_bar), math.inf,
+                 InvalidConfigError, "lambda_bar must be finite, got inf",
+                 id="smooth-lsa-ps-inf-lambda_bar"),
+    pytest.param(lambda lambda_bar: smooth(_with(0.0, 0), "lsa-ps", lambda_bar), math.nan,
+                 InvalidConfigError, "lambda_bar must be finite, got nan",
+                 id="smooth-lsa-ps-nan-lambda_bar"),
+    pytest.param(lambda lambda_bar: smooth_lsa_ps(_with(0.0, 0), lambda_bar), math.inf,
+                 InvalidConfigError, "lambda_bar must be finite, got inf",
+                 id="smooth_lsa_ps-inf-lambda_bar"),
+    pytest.param(lambda lam: smooth(np.ones(2), "ps", lam), -1, InvalidConfigError,
+                 "lam must be >= 0, got -1", id="smooth-ps-negative-short-y"),
+    pytest.param(lambda sigma: add_noise(np.ones(50), sigma, 0), math.inf, InvalidConfigError,
+                 "sigma must be finite, got inf", id="add_noise-inf-sigma"),
+    pytest.param(lambda sigma: add_noise(np.ones(50), sigma, 0), -1, InvalidConfigError,
+                 "sigma must be >= 0, got -1", id="add_noise-negative-sigma"),
     pytest.param(linalg.assembler, np.float64(1.0), InvalidSizeError,
                  "weights must be 1-d, got shape ()", id="assembler-0d"),
     pytest.param(linalg.assembler, np.ones((6, 50)), InvalidSizeError,

@@ -1,10 +1,12 @@
 """Exception types shared across the package, the one input array check and
-the checks of scalar parameters: an integer, a real number, a finite real
-number >= 0 (lam, lambda_bar, a CV candidate, a noise sigma) and an
-integer >= a bound (a seed, a resolution, k peaks, a Gaussian window)."""
+the checks of scalar parameters: an integer, a bool (clip), a real number,
+a finite real number >= 0 (lam, lambda_bar, a CV candidate, a noise
+sigma), an integer >= a bound (a seed, k peaks, a Gaussian window) and an
+array length (a resolution, a plan's n)."""
 
 import math
 import operator
+import sys
 
 import numpy as np
 
@@ -116,6 +118,14 @@ def integer(name: str, value) -> int:
     raise InvalidConfigError(f"{name} must be an integer, got {shown(value)}")
 
 
+def boolean(name: str, value) -> bool:
+    """``value`` as a bool; an InvalidConfigError that names it unless it
+    is a bool, of Python or numpy."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise InvalidConfigError(f"{name} must be True or False, got {shown(value, repr)}")
+    return bool(value)
+
+
 def real(name: str, value):
     """``value`` itself; an InvalidConfigError that names it unless it is
     a real number: an int or a float, of Python or numpy, and not a bool,
@@ -147,4 +157,14 @@ def at_least(low: int, name: str, value) -> int:
     value = integer(name, value)
     if value < low:
         raise InvalidConfigError(f"{name} must be >= {low}, got {shown(value)}")
+    return value
+
+
+def length(low: int, name: str, value) -> int:
+    """``value`` as an int; an InvalidConfigError that names it unless it
+    is an integer (``integer``) from low to sys.maxsize, the most points
+    an array holds."""
+    value = at_least(low, name, value)
+    if value > sys.maxsize:
+        raise InvalidConfigError(f"{name} must be <= {sys.maxsize}, got {shown(value)}")
     return value

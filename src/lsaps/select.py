@@ -24,6 +24,7 @@ from .errors import (
     ResultOverflowError,
     SelectionFailedError,
     SingularSystemError,
+    boolean,
     checked,
     nonnegative,
     shown,
@@ -133,10 +134,11 @@ def select_parameter(
     ------
     InvalidConfigError
         If the method is not ``ps`` or ``lsa-ps``, which is checked
-        first; if the grid is not a sequence, is empty or holds a
-        candidate that is not a finite real number >= 0
-        (``errors.nonnegative``), which is checked before y; or if a
-        candidate's lambda overflows the system's band.
+        first, then if ``clip`` is not a bool (``errors.boolean``); if
+        the grid is not a sequence, is empty or holds a candidate that is
+        not a finite real number >= 0 (``errors.nonnegative``), which is
+        checked before y; or if a candidate's lambda overflows the
+        system's band.
     SelectionFailedError
         If every candidate on the grid fails.
     ResultOverflowError
@@ -151,6 +153,7 @@ def select_parameter(
     if method not in PENALIZED:
         raise InvalidConfigError(
             f"auto-selection supports only ps and lsa-ps, got {shown(method, repr)}")
+    clip = boolean("clip", clip)
     try:
         grid = tuple(float(nonnegative("candidate", g)) for g in grid)
     except TypeError:  # not iterable

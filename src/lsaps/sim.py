@@ -17,7 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (InvalidConfigError, InvalidInputError, InvalidSizeError,
-                     UndefinedMetricError, at_least, checked, integer, nonnegative, real, shown)
+                     UndefinedMetricError, at_least, checked, integer, length, nonnegative, real,
+                     shown)
 from .smoothers import METHODS, grid_plan
 
 NOISE_FREE_DB = math.inf
@@ -189,15 +190,6 @@ def add_noise(clean, sigma: float, seed: int):
             "noise is not a positive finite number"
         )
     return clean + eps, _db(signal, noise)
-
-
-def _resolution(name, value) -> int:
-    """``value`` as an int; an InvalidConfigError that names it unless it
-    is an integer from 5 to sys.maxsize, the most points an array holds."""
-    value = at_least(5, name, value)
-    if value > sys.maxsize:
-        raise InvalidConfigError(f"{name} must be <= {sys.maxsize}, got {shown(value)}")
-    return value
 
 
 def snr(reference, estimate) -> float:
@@ -423,7 +415,7 @@ def check_sweep(resolutions, sigmas, method_grids, seeds):
     for method in method_grids:
         if method not in METHODS:
             raise InvalidConfigError(f"unknown method {shown(method, repr)} in 'methods'")
-    return (_axis("resolutions", resolutions, _resolution),
+    return (_axis("resolutions", resolutions, functools.partial(length, 5)),
             [float(sigma) for sigma in _axis("noise_sigmas", sigmas, nonnegative)],
             {method: _axis(f"methods.{method}", grid,
                            {"sg": _sg_pair, "gaussian": integer}.get(method, real))
@@ -470,19 +462,18 @@ def run_benchmark(
 
     The axes are checked first, by ``check_sweep``, whose
     ``InvalidConfigError`` fails the whole run before any cell. Each
-    method's grid is planned once per resolution by ``grid_plan``,
-    whose run on each noisy signal of that resolution is the
-    ``grid_blocks`` call of the signal; each block of fits is scored as
-    one stack against the resolution's clean signal, a ``_Reference``
-    whose energy and second difference are computed and checked once, at
-    the first block scored: a clean signal that cannot be scored ends the
-    sweep there, and a sweep whose every cell fails scores no block and
-    does not check it. A resolution's plans are dropped before the next
-    resolution's are made. Per-cell smoother errors, such as those of a
-    window wider than n or a negative lambda, are recorded in the cell
-    and excluded from the aggregates rather than aborting the run.
-    Every column is deterministic under fixed seeds: a rerun returns the
-    same tables.
+    method's grid is planned once per resolution by ``grid_plan``, and
+    the plan runs on each noisy signal of that resolution; each block of
+    fits it yields is scored as one stack against the resolution's clean
+    signal, a ``_Reference`` whose energy and second difference are
+    computed and checked once, at the first block scored: a clean signal
+    that cannot be scored ends the sweep there, and a sweep whose every
+    cell fails scores no block and does not check it. A resolution's
+    plans are dropped before the next resolution's are made. Per-cell
+    smoother errors, such as those of a window wider than n or a negative
+    lambda, are recorded in the cell and excluded from the aggregates
+    rather than aborting the run. Every column is deterministic under
+    fixed seeds: a rerun returns the same tables.
     """
     resolutions, sigmas, method_grids, seeds = check_sweep(resolutions, sigmas, method_grids, seeds)
     cells = {name: [] for name in ("resolution", "sigma", "method", "parameter", "seed",

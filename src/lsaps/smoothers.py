@@ -12,22 +12,22 @@ selection in ``select`` take each x and lam from it.
 ``to_unit`` checks that y is 1-d and finite and scales it by a power
 of two to unit size, so squared curvature and sums of a few entries
 neither overflow nor underflow. It runs once per call of each entry
-point, ``grid_blocks``, ``select.select_parameter``,
+point, ``smooth``, a ``grid_plan``'s plan, ``select.select_parameter``,
 ``peaks.detect_peaks`` and ``peaks.second_difference``, and the work
 below them takes the scaled y. A smoothed signal goes back through
 ``from_unit``, which raises ``ResultOverflowError`` where it exceeds
 float64.
 
-``grid_blocks`` is the one method dispatch: it smooths y with every
-parameter of a grid, a block of parameters at a time, and does the work
-that the parameters share once. Each block comes with its good fits
-stacked as the rows of one array, so that a caller can score them
-together. ``smooth`` is its one-parameter case, and each named smoother
-is the one-parameter case of ``smooth``, so a fit taken alone and the
-same fit taken in a grid are the same bits. ``grid_plan`` does, once for
-many signals of one length, the part of that work that does not depend
-on y: the Savitzky-Golay checks and block runs, the Gaussian kernels,
-offsets and edge normalisations, and the PS factors.
+``_plan`` is the one method dispatch: it smooths y with every parameter
+of a grid, a block of parameters at a time, and does the work that the
+parameters share once. Each block comes with its good fits stacked as
+the rows of one array, so that a caller can score them together. It
+does the part of that work that does not depend on y once, for every
+signal of one length: the Savitzky-Golay checks and block runs, the
+Gaussian kernels, offsets and edge normalisations, and the PS factors.
+``grid_plan`` is its public form, and ``smooth`` its one-parameter
+case; each named smoother is the one-parameter case of ``smooth``, so a
+fit taken alone and the same fit taken in a grid are the same bits.
 
 The Savitzky-Golay baseline is a local least-squares polynomial fit, an
 orthogonal projection built with numpy alone from the QR factor of a
@@ -51,7 +51,8 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import linalg
 from .errors import (DegenerateSignalError, InvalidConfigError, InvalidSizeError,
-                     ResultOverflowError, at_least, checked, integer, nonnegative, real, shown)
+                     ResultOverflowError, at_least, boolean, checked, integer, length,
+                     nonnegative, real, shown)
 from .localfit import local_quadratic_curvature
 
 
@@ -104,8 +105,9 @@ def penalized_weights(y_unit, method: str, clip: bool = True):
         penalty scale collapses (an affine signal, one straight on at least
         half of its points, or curvature that underflows).
     InvalidConfigError
-        For an unknown method.
+        For a ``clip`` that is not a bool, or an unknown method.
     """
+    clip = boolean("clip", clip)
     if method == "ps":
         # An int scale, so that lam * scale is lam itself, of its own type.
         return np.ones(y_unit.shape[0]), 1
@@ -138,7 +140,7 @@ def smooth_lsa_ps(y, lambda_bar: float, clip: bool = True):
         ``lambda_bar * median(weights)`` with the pre-clip median.
     clip : bool
         Clip the weights at their median to avoid over-smoothing near
-        peak flanks.
+        peak flanks; True or False (``errors.boolean``).
 
     Returns
     -------
@@ -202,103 +204,90 @@ def smooth(y, method: str, parameter, clip: bool = True):
 
     ``parameter`` is lam for ``ps``, lambda_bar for ``lsa-ps``, a
     (window, poly_order) pair for ``sg`` and a window for ``gaussian``;
-    ``clip`` applies to ``lsa-ps`` alone. The lambda is None for ``sg``
-    and ``gaussian``. Raises ``InvalidConfigError`` for an unknown
-    method, then ``InvalidSizeError`` for a y that is not 1-d and
+    ``clip``, True or False, applies to ``lsa-ps`` alone. The lambda is
+    None for ``sg`` and ``gaussian``. Raises ``InvalidConfigError`` for an
+    unknown method, then ``InvalidSizeError`` for a y that is not 1-d and
     ``InvalidInputError`` for one that is not an array of real numbers or
-    not finite, and only then the ``InvalidConfigError`` of the parameter,
-    such as a lam or lambda_bar that is negative or not a finite real
-    number, a window or order that is not an integer, or an ``sg``
-    parameter that is not a (window, poly_order) pair.
+    not finite, and only then the ``InvalidConfigError`` of ``clip`` and of
+    the parameter, such as a lam or lambda_bar that is negative or not a
+    finite real number, a window or order that is not an integer, or an
+    ``sg`` parameter that is not a (window, poly_order) pair.
     """
+    _check_method(method)
+    y_unit, e = to_unit(y)
     # A one-parameter grid is one block of one result.
-    [(_, [result])] = grid_blocks(y, method, (parameter,), clip)
+    [(_, [result])] = _plan(y_unit.shape[0], method, [parameter], clip)(y, y_unit, e)
     return _value(result)
 
 
-def grid_blocks(y, method: str, grid, clip: bool = True):
-    """Smooth ``y`` with every parameter of ``grid``, a block of
-    parameters at a time; the one method dispatch. It checks the method,
-    scales y by ``to_unit`` and runs the ``grid_plan`` for y's length.
-
-    Returns an iterator that yields, per block and in grid order,
-    (stack, results): ``results`` holds, per parameter of the block, the
-    (x, effective lambda) that ``smooth`` returns for it or the exception
-    that ``smooth`` raises for it, and ``stack`` is a 2-d array whose row
-    i is the x of the block's i-th good result (the same memory). A block
-    is the whole grid for PS, LSA-PS and gaussian, and for
-    Savitzky-Golay a run of parameters whose fits share one window and
-    basis, with the failures and copies of y among them. An unknown
-    method, then a y that fails ``to_unit``, is the result of every
-    parameter, in one block; only a valid y reaches the checks of each
-    parameter. Work that does not depend on the parameter is done once
-    per call: the unit scale of y and, for PS and LSA-PS, the setup of
-    ``_penalized``, the weights, their check and the right-hand side;
-    for Savitzky-Golay, once per block, the edge fits and the interior
-    product of every order, and once per signal, or per chunk of a
-    signal wider than ``SG_CHUNK``, the window matrix that those
-    products read. A failure of that work is the result of each
-    parameter that reaches it, after the checks that come first for that
-    parameter, such as a negative lam or ``lambda_bar``. Each block is computed
-    when it is asked for, so one block is held at a time.
-    """
-    return _blocks(y, method, list(grid), clip)
-
-
 def grid_plan(n: int, method: str, grid, clip: bool = True):
-    """The work of ``grid_blocks(y, method, grid, clip)`` for n-point
-    signals that does not depend on y, done once: plan(y) returns what
-    that call returns for any y of length n, the same bits and the same
-    errors in the same order (the method, then y, then each parameter).
+    """Plan the smoothing of n-point signals with every parameter of
+    ``grid``; raise ``InvalidConfigError`` for an unknown method, an n
+    that is not an integer from 0 to ``sys.maxsize`` (``errors.length``)
+    or a ``clip`` that is not a bool (``errors.boolean``).
 
-    For Savitzky-Golay the plan holds each parameter's check and the
-    runs of parameters that share a basis, with the stack rows and
-    orders of each run's fits; for Gaussian, each window's check, or its
-    kernel, offsets and edge normalisation; for PS, the assembler of the
-    unit weights and, by grid position, the factor of each lam, made
-    when first asked for and kept where it succeeds, so a failing lam
-    fails again, with the same message, for each signal. LSA-PS, whose
-    weights depend on y, plans nothing. A PS plan holds up to
-    one 24n-byte factor per grid position, and a Gaussian plan one
-    n-point normalisation per window, for as long as its caller holds
-    the plan. A y of another length raises ``InvalidSizeError``, after
-    the checks of the method and of y.
+    plan(y) raises the ``InvalidSizeError`` or ``InvalidInputError`` of
+    ``to_unit`` for a bad y, then ``InvalidSizeError`` for a y of another
+    length than n. It returns an iterator that yields, per block and in
+    grid order, (stack, results): ``results`` holds, per parameter of the
+    block, the (x, effective lambda) that ``smooth`` returns for it or the
+    exception that ``smooth`` raises for it, and ``stack`` is a 2-d array
+    whose row i is the x of the block's i-th good result (the same
+    memory). A block is the whole grid for PS, LSA-PS and gaussian, and
+    for Savitzky-Golay a run of parameters whose fits share one window
+    and basis, with the failures and copies of y among them. Each block
+    is computed when it is asked for, so one block is held at a time.
+
+    Work that does not depend on the parameter is done once per signal:
+    the unit scale of y and, for PS and LSA-PS, the setup of
+    ``_penalized``, the weights, their check and the right-hand side; for
+    Savitzky-Golay, once per block, the edge fits and the interior
+    product of every order, and once per signal, or per chunk of a signal
+    wider than ``SG_CHUNK``, the window matrix that those products read.
+    A failure of that work is the result of each parameter that reaches
+    it, after the checks that come first for it, such as a negative lam.
+
+    Work that does not depend on y is done once, here: for
+    Savitzky-Golay, each parameter's check and the runs of parameters
+    that share a basis; for Gaussian, each window's check, or its kernel,
+    offsets and edge normalisation; for PS, the assembler of the unit
+    weights and, by grid position, the factor of each lam, made when
+    first asked for and kept where it succeeds, so a failing lam fails
+    again, with the same message, for each signal. LSA-PS plans nothing.
+    A PS plan holds up to one 24n-byte factor per grid position, and a
+    Gaussian plan one n-point normalisation per window, for as long as
+    its caller holds the plan.
     """
-    grid = list(grid)
-    planned = (n, _plan(n, method, grid, clip)) if method in METHODS else None
-    return functools.partial(_blocks, method=method, grid=grid, clip=clip, planned=planned)
+    _check_method(method)
+    n = length(0, "n", n)
+    run = _plan(n, method, list(grid), clip)
+
+    def plan(y):
+        y_unit, e = to_unit(y)
+        if y_unit.shape[0] != n:
+            raise InvalidSizeError(f"the plan smooths signals of length {n}, got {y_unit.shape[0]}")
+        return run(y, y_unit, e)
+
+    return plan
 
 
-def _blocks(y, method, grid, clip, planned=None):
-    """``grid_blocks``: the checks of the method and of y, then the run
-    of ``planned``, the (n, run) of a plan, or of a plan made for y."""
+def _check_method(method):
     if method not in METHODS:
-        return _one_block([InvalidConfigError(f"unknown method {shown(method, repr)}")] * len(grid))
-    unit = _attempt(to_unit, y)
-    if isinstance(unit, Exception):
-        return _one_block([unit] * len(grid))
-    y_unit, e = unit
-    n = y_unit.shape[0]
-    if planned is None:
-        planned = n, _plan(n, method, grid, clip)
-    if planned[0] != n:
-        raise InvalidSizeError(f"the plan smooths signals of length {planned[0]}, got {n}")
-    return planned[1](y, y_unit, e)
+        raise InvalidConfigError(f"unknown method {shown(method, repr)}")
 
 
 def _plan(n: int, method: str, grid, clip: bool):
-    """run(y, y_unit, e) -> the blocks of ``grid_blocks`` for a y of
-    length n, with y_unit and e from ``to_unit``, and with the work that
-    does not depend on y done here, once."""
+    """run(y, y_unit, e) -> the blocks of a ``grid_plan``'s plan for a y
+    of length n, with y_unit and e from ``to_unit``, and with the work
+    that does not depend on y done here, once."""
+    clip = boolean("clip", clip)
     if method == "sg":
         runs = list(_sg_runs(n, grid))
         # The rows of the window matrix: the widest window that fits.
         width = max((run[0][0] for run in runs if run[0] is not None), default=1)
         return lambda y, y_unit, e: _sg_blocks(y, y_unit, e, width, runs)
     if method in PENALIZED:
-        # PS's weights depend on n alone, so zeros of length n stand for y.
-        system = (_attempt(_system, *penalized_weights(np.zeros(n), "ps"), grid, True)
-                  if method == "ps" else None)
+        system = _attempt(_ps_system, n, grid) if method == "ps" else None
         return lambda y, y_unit, e: _one_block(
             _penalized_grid(y_unit, e, method, grid, clip, system))
     # Gaussian: each window's check, or its kernel.
@@ -337,29 +326,27 @@ def _value(result):
     return result
 
 
-def _system(weights, scale, grid, keep: bool = False):
+def _system(weights, scale, grid):
     """(A, scale, factor) of a penalized fit over ``grid``: factor(i) is
-    the ``linalg.assembler`` factor of lam = grid[i] * scale. With
-    ``keep``, each factor that succeeds is kept, by grid position, and
-    returned again; a failure is raised again on each call."""
+    the ``linalg.assembler`` factor of lam = grid[i] * scale."""
     assemble = linalg.assembler(weights)
-    if not keep:
-        return weights, scale, lambda i: assemble(grid[i] * scale)
-    kept = [None] * len(grid)
+    return weights, scale, lambda i: assemble(grid[i] * scale)
 
-    def factor(i):
-        if kept[i] is None:
-            kept[i] = assemble(grid[i] * scale)
-        return kept[i]
 
-    return weights, scale, factor
+def _ps_system(n: int, grid):
+    """The ``_system`` of PS for n-point signals, which depends on n
+    alone, with each factor that succeeds kept by grid position; a cache
+    keeps no exception, so a failure is raised again on each call."""
+    # Zeros of length n stand for y: PS's weights do not read it.
+    weights, scale, factor = _system(*penalized_weights(np.zeros(n), "ps"), grid)
+    return weights, scale, functools.cache(factor)
 
 
 def _penalized(y_unit, e: int, method: str, clip: bool, grid, system=None):
     """(fit, A): the fit of y = y_unit * 2**e, with y_unit and e from
     ``to_unit``, over ``grid``, set up once for it: by
     ``penalized_weights`` and ``_system``, or by ``system``, a PS plan's
-    ``_system``, which does not depend on y. fit(i) returns the factor of
+    ``_ps_system``, which does not depend on y. fit(i) returns the factor of
     grid[i], x at unit size and lam in units of y squared, inf or 0 where
     that leaves float64."""
     weights, scale, factor = system or _system(*penalized_weights(y_unit, method, clip), grid)
@@ -378,7 +365,7 @@ def _penalized(y_unit, e: int, method: str, clip: bool, grid, system=None):
 
 def _penalized_grid(y_unit, e: int, method, grid, clip, system=None):
     """The results of ``grid`` for PS or LSA-PS; ``system``, a PS plan's
-    ``_system`` or the exception that making it raised, where given."""
+    ``_ps_system`` or the exception that making it raised, where given."""
     shared = (system if isinstance(system, Exception)
               else _attempt(_penalized, y_unit, e, method, clip, grid, system))
 

@@ -19,8 +19,8 @@ from lsaps.peaks import detect_peaks, second_difference
 from lsaps.select import DEFAULT_GRID, cv_loss_lsa, loo_residuals, select_parameter
 from lsaps.sim import (NOISE_FREE_DB, Background, LorentzianPeak, SimScenario, add_noise,
                        rrse_second_derivative, run_benchmark, snr)
-from lsaps.smoothers import (smooth, smooth_gaussian, smooth_lsa_ps, smooth_ps,
-                             smooth_savitzky_golay)
+from lsaps.smoothers import (grid_plan, penalized_weights, smooth, smooth_gaussian,
+                             smooth_lsa_ps, smooth_ps, smooth_savitzky_golay)
 
 TAKES_Y = {
     "smooth_ps": lambda y: smooth_ps(y, 1.0),
@@ -209,6 +209,33 @@ CASES = [
           ("run_benchmark-unprintable-negative-resolution",
            lambda n: run_benchmark(SimScenario(), [n], [0.1], {"ps": [1.0]}, [0]), -10**5000,
            "resolutions[0] must be >= 5, got an integer of 16610 bits"),
+          # A plan's n raised numpy's bare TypeError or ValueError for PS, and
+          # was taken as it was by the other methods, a string '7' too.
+          *((f"grid_plan-{method}-n-{case}", lambda n, method=method: grid_plan(n, method, [1]),
+             n, message)
+            for method in ("ps", "gaussian")
+            for case, n, message in (
+                ("float", 4.5, "n must be an integer, got 4.5"),
+                ("bool", True, "n must be an integer, got True"),
+                ("str", "7", "n must be an integer, got 7"),
+                ("negative", -1, "n must be >= 0, got -1"),
+                ("huge", 10**30, f"n must be <= {sys.maxsize}, got {10**30}"),
+            )),
+          # A clip that is not a bool was taken as truthy or falsy.
+          ("smooth_lsa_ps-clip-str", lambda clip: smooth_lsa_ps(_with(0.0, 0), 2.5, clip), "off",
+           "clip must be True or False, got 'off'"),
+          ("smooth-lsa-ps-clip-None", lambda clip: smooth(_with(0.0, 0), "lsa-ps", 2.5, clip),
+           None, "clip must be True or False, got None"),
+          ("smooth-sg-clip-int", lambda clip: smooth(np.ones(6), "sg", (5, 2), clip), 1,
+           "clip must be True or False, got 1"),
+          ("grid_plan-clip-str", lambda clip: grid_plan(50, "lsa-ps", [1.0], clip), "on",
+           "clip must be True or False, got 'on'"),
+          ("select_parameter-clip-str",
+           lambda clip: select_parameter(_with(0.0, 0), clip=clip), "off",
+           "clip must be True or False, got 'off'"),
+          ("penalized_weights-clip-None",
+           lambda clip: penalized_weights(_with(0.0, 0), "lsa-ps", clip), None,
+           "clip must be True or False, got None"),
       )),
 ]
 

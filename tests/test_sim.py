@@ -25,7 +25,7 @@ from lsaps.sim import (
     run_benchmark,
     snr,
 )
-from lsaps.smoothers import grid_blocks, smooth
+from lsaps.smoothers import grid_plan, smooth
 from scoring import sigma_for_target_snr, true_peak_indices
 
 
@@ -506,7 +506,7 @@ def reference_report(scenario, resolutions, sigmas, grids, seeds):
     naively: each cell from ``smooth``, ``snr`` and
     ``rrse_second_derivative`` alone, the aggregates with ``statistics``
     and the best rows with ``max`` and ``min``. Each fit taken alone is
-    also checked against its result in ``grid_blocks``."""
+    also checked against its result in a ``grid_plan`` run."""
     cells = []
     for n in resolutions:
         clean = generate_clean(replace(scenario, n=n))
@@ -514,7 +514,8 @@ def reference_report(scenario, resolutions, sigmas, grids, seeds):
             for seed in seeds:
                 noisy, input_snr = add_noise(clean, sigma, seed)
                 for method, grid in grids.items():
-                    blocks = [r for _, results in grid_blocks(noisy, method, grid) for r in results]
+                    plan = grid_plan(len(noisy), method, grid)
+                    blocks = [r for _, results in plan(noisy) for r in results]
                     assert len(blocks) == len(grid)
                     for parameter, in_grid in zip(grid, blocks):
                         row = [n, float(sigma), method, parameter, seed, input_snr]

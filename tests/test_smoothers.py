@@ -20,7 +20,6 @@ from lsaps.smoothers import (
     METHODS,
     SG_SHARED_TOP,
     from_unit,
-    grid_blocks,
     grid_plan,
     penalized_weights,
     smooth,
@@ -33,8 +32,8 @@ from lsaps.smoothers import (
 
 
 def grid_results(y, method, grid, clip=True):
-    """The results of ``grid_blocks``, one per parameter, in grid order."""
-    return [result for _, results in grid_blocks(y, method, grid, clip) for result in results]
+    """The results of a ``grid_plan`` run on y, one per parameter, in grid order."""
+    return [result for _, results in grid_plan(len(y), method, grid, clip)(y) for result in results]
 
 
 def dense_ps_oracle(y, lam):
@@ -170,6 +169,8 @@ class TestLsaPs:
         x_dense = dense_weighted_oracle(y, local_quadratic_curvature(y), lam)
         assert np.linalg.norm(x - x_dense) <= 1e-9 * max(1.0, np.linalg.norm(x_dense))
         assert not np.array_equal(x, smooth_lsa_ps(y, 1.0, clip=True)[0])
+        # numpy's bools are bools (errors.boolean).
+        assert np.array_equal(x, smooth_lsa_ps(y, 1.0, clip=np.False_)[0])
 
     def test_lambda_bar_zero_is_identity(self):
         # All weights positive for generic noise, so A x = A y gives x = y.
@@ -530,11 +531,11 @@ class TestSmoothGrid:
             # The median curvature weight is zero: every lambda_bar but the
             # negative one, whose check comes first, shares the failure.
             (np.r_[1.0, np.zeros(49)], "lsa-ps", [1.0, -1.0, 0.0]),
-            # Non-finite y: the shared failure of every parameter, again
-            # after the lambda_bar check.
+            # Non-finite y, checked before any lambda_bar: the plan raises
+            # the error that smooth raises for every parameter.
             (np.r_[np.nan, np.zeros(49)], "lsa-ps", [1.0, -1.0]),
             (np.r_[np.nan, np.zeros(49)], "sg", [(5, 2), (4, 2)]),
-            # An unknown method, checked before y.
+            # An unknown method, checked before y, raised as the plan is made.
             (np.r_[np.nan, np.zeros(49)], "none", [None]),
             (np.zeros(50), "median", [3, 5]),
             # One Savitzky-Golay block whose orders 2 and 6 overshoot
@@ -543,8 +544,12 @@ class TestSmoothGrid:
         ],
     )
     def test_errors_match_smooth(self, y, method, grid):
+        try:
+            fits = grid_results(y, method, grid)
+        except LsapsError as exc:  # raised by grid_plan or by its plan
+            fits = [exc] * len(grid)
         seen = set()
-        for parameter, fit in zip(grid, grid_results(y, method, grid), strict=True):
+        for parameter, fit in zip(grid, fits, strict=True):
             try:
                 expected = smooth(y, method, parameter)
             except Exception as exc:
@@ -552,6 +557,7 @@ class TestSmoothGrid:
                 assert (type(fit), str(fit)) == (type(exc), str(exc)), parameter
                 seen.add(type(exc))
             else:
+                assert not isinstance(fit, Exception), parameter
                 assert np.array_equal(fit[0], expected[0]), parameter
         assert seen
 
@@ -559,13 +565,18 @@ class TestSmoothGrid:
     def test_blocks_stack_their_good_fits(self, method):
         # Row i of a block's stack is the x of its i-th good result, the
         # same memory; the blocks' results are smooth's, in grid order.
-        # "none" is not a method: one block of its errors, no rows.
+        # "none" is not a method: no plan is made, with smooth's error.
         grid = list(COMPARISON_GRIDS.get(method, [None]))
         if method == "sg":
             grid += [(61, 2), (7, 3), (5, 0)]  # failures among the fits
         y = lorentzian_plus_noise(60, 25)
+        if method == "none":
+            for call in (lambda: grid_plan(60, method, grid), lambda: smooth(y, method, None)):
+                with pytest.raises(InvalidConfigError, match="^unknown method 'none'$"):
+                    call()
+            return
         results = []
-        for stack, block in grid_blocks(y, method, grid):
+        for stack, block in grid_plan(60, method, grid)(y):
             good = [r for r in block if not isinstance(r, Exception)]
             assert stack.shape == (len(good), 60) if good else stack.size == 0
             for row, (x, _) in zip(stack, good, strict=True):
@@ -583,7 +594,7 @@ class TestSmoothGrid:
         # One block per (window, top) run of the comparison grid, the copy
         # at order window - 1 in its window's block; (1, 0) joins the last.
         grid = COMPARISON_GRIDS["sg"]
-        sizes = [len(block) for _, block in grid_blocks(lorentzian_plus_noise(100, 26), "sg", grid)]
+        sizes = [len(block) for _, block in grid_plan(100, "sg", grid)(lorentzian_plus_noise(100, 26))]
         assert sizes == [w - 1 for w in range(3, 36, 2)][:-1] + [35]
         assert sum(sizes) == len(grid)
 
@@ -671,9 +682,9 @@ class TestSmoothGrid:
 
 
 def assert_same_blocks(got, expected):
-    """Two runs of ``grid_blocks`` yield the same blocks: the same stack
-    bits and, per parameter, the same x bits and lambda, or an exception
-    of the same type and message."""
+    """Two plan runs yield the same blocks: the same stack bits and, per
+    parameter, the same x bits and lambda, or an exception of the same
+    type and message."""
     got, expected = list(got), list(expected)
     assert len(got) == len(expected)
     for (stack, results), (stack_0, results_0) in zip(got, expected):
@@ -694,27 +705,61 @@ class TestGridPlan:
 
     @pytest.mark.parametrize("method", [*COMPARISON_GRIDS, "none", "median"])
     def test_plan_is_grid_blocks(self, method):
-        # One plan run on three signals of one length and on a y holding
-        # a NaN: each run is grid_blocks on the same y, bit for bit, with
-        # its errors. PS's kept factors and failing lambdas, Savitzky-
-        # Golay's checks and runs serve every signal alike.
+        # One plan run on three signals of one length: each run yields the
+        # blocks of a fresh plan for its signal, bit for bit, with their
+        # errors, so PS's kept factors and failing lambdas and Savitzky-
+        # Golay's checks and runs serve every signal alike and carry
+        # nothing from one signal to the next. An unknown method is
+        # raised when the plan is made, before any y.
         grid = [*COMPARISON_GRIDS.get(method, [None]), *self.FAILING[method]]
+        if method not in METHODS:
+            with pytest.raises(InvalidConfigError, match=f"^unknown method '{method}'$"):
+                grid_plan(60, method, grid)
+            return
         plan = grid_plan(60, method, grid)
-        nan = lorentzian_plus_noise(60, 30)
-        nan[7] = np.nan
         for y in (lorentzian_plus_noise(60, 27), lorentzian_plus_noise(60, 28),
-                  lorentzian_plus_noise(60, 29), nan):
-            assert_same_blocks(plan(y), grid_blocks(y, method, grid))
+                  lorentzian_plus_noise(60, 29)):
+            assert_same_blocks(plan(y), grid_plan(60, method, grid)(y))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_plan_raises_for_non_finite_y(self, method):
+        plan = grid_plan(60, method, COMPARISON_GRIDS[method])
+        y = lorentzian_plus_noise(60, 30)
+        y[7] = np.nan
+        with pytest.raises(InvalidInputError, match="^y must be finite, got nan at index 7$"):
+            plan(y)
+
+    def test_ps_plan_assembles_each_good_lam_once(self, monkeypatch):
+        # Three signals, one factor per good lambda; lam = 1e308 overflows
+        # the system's band and fails again, with its message, per signal.
+        from lsaps import linalg
+
+        lams = []
+        original = linalg.assembler
+
+        def assembler(weights):
+            assemble = original(weights)
+            return lambda lam: lams.append(lam) or assemble(lam)
+
+        monkeypatch.setattr(linalg, "assembler", assembler)
+        grid = [*COMPARISON_GRIDS["ps"], 1e308]
+        plan = grid_plan(60, "ps", grid)
+        failures = []
+        for seed in (27, 28, 29):
+            [(_, results)] = plan(lorentzian_plus_noise(60, seed))
+            failures += [(type(r), str(r)) for r in results if isinstance(r, Exception)]
+        assert sorted(lams) == sorted([*COMPARISON_GRIDS["ps"], 1e308, 1e308, 1e308])
+        assert failures == [(InvalidConfigError, "lam = 1e+308 is too large: entries of "
+                             "M = diag(weights) + lam * D^T D overflow float64")] * 3
 
     def test_plan_keys_parameters_by_position(self):
         # (5, 2) == (5.0, 2) as values; the second is no window.
         grid = [(5, 2), (5.0, 2)]
         y = lorentzian_plus_noise(40, 31)
-        for blocks in (grid_plan(40, "sg", grid)(y), grid_blocks(y, "sg", grid)):
-            [(_, [(x, _), error])] = blocks
-            assert np.array_equal(x, smooth_savitzky_golay(y, 5, 2))
-            assert type(error) is InvalidConfigError
-            assert str(error) == "window must be an integer, got 5.0"
+        [(_, [(x, _), error])] = grid_plan(40, "sg", grid)(y)
+        assert np.array_equal(x, smooth_savitzky_golay(y, 5, 2))
+        assert type(error) is InvalidConfigError
+        assert str(error) == "window must be an integer, got 5.0"
 
     def test_plan_takes_signals_of_its_length(self):
         plan = grid_plan(40, "ps", [1.0])
@@ -735,14 +780,14 @@ class TestUnitScale:
         # sg and gaussian, its identity window 1 too, used to return nan. y
         # is checked before any parameter, a negative lambda_bar too.
         y = np.sin(np.arange(60) / 5.0)
+        # A grid of a good and a bad parameter: plan(y) raises y's error.
+        plan = grid_plan(60, method, (parameter, BAD_PARAMETER[method], parameter))
         for bad in (np.nan, np.inf):
             y[10] = bad
             message = f"y must be finite, got {bad} at index 10"
-            with pytest.raises(ValueError, match=message):
-                smooth(y, method, parameter)
-            # A grid of a good and a bad parameter: every result is y's error.
-            results = grid_results(y, method, (parameter, BAD_PARAMETER[method], parameter))
-            assert all(type(r) is InvalidInputError and str(r) == message for r in results), results
+            for call in (lambda: smooth(y, method, parameter), lambda: plan(y)):
+                with pytest.raises(InvalidInputError, match=f"^{message}$"):
+                    call()
 
     def test_to_unit(self):
         y = np.array([3.0, -6.0, 0.5])

@@ -87,57 +87,358 @@ def _first_bad_step(abscissa):
     if zero.size:
         return int(zero[0])
     median = np.median(steps)
-    off = np.flatnonzero(np.abs(steps - median) > UNIFORM_RTOL * median)
+    steps -= median
+    off = np.flatnonzero(np.abs(steps, out=steps) > UNIFORM_RTOL * median)
     return int(off[0]) if off.size else None
 
 
+def _first_row(line, delimiter):
+    """(sep, header) for a file whose first non-blank line, stripped, is
+    ``line``: the delimiter the line is split on, and whether it is the
+    single header line. None where it has fewer than two fields."""
+    sep = _line_delimiter(line, delimiter)
+    parts = _fields(line, sep)
+    if len(parts) < 2:
+        return None
+    try:
+        float(parts[0]), float(parts[1])
+    except ValueError:
+        return sep, True
+    return sep, False
+
+
+# The decimal reader of ``_ingest_fast`` (``_read_decimal``). A value is
+# M·10**q for an integer M < 10**19, and Eisel–Lemire (D. Lemire, "Number
+# parsing at a gigabyte per second", Softw. Pract. Exp. 51(8), 2021) rounds
+# it to float64 with one 64×64→128-bit product by a power of five.
+# _POW5[i] is 5**q scaled into [2**63, 2**64) and rounded down, and
+# _EXP2[i] the biased binary exponent of 10**q·2**63/_POW5[i], modulo 2**64,
+# for q = i + _Q_MIN − 1. The first and the last row, past either end of
+# [_Q_MIN, _Q_MAX], hold a product of 0 and an exponent no float has.
+_Q_MIN, _Q_MAX = -342, 308
+
+
+def _pow5_tables():
+    scaled, exponents = [0], [1 << 63]
+    for q in range(_Q_MIN, _Q_MAX + 1):
+        p = 5 ** abs(q)
+        if q >= 0:
+            g = p.bit_length() - 1  # ⌊log2 5**q⌋
+            scaled.append(p << (63 - g) if g <= 63 else p >> (g - 63))
+        else:
+            g = -p.bit_length()
+            scaled.append((1 << (63 - g)) // p)
+        exponents.append((g + q + 63 + 1023) % (1 << 64))
+    scaled.append(0)
+    exponents.append(1 << 63)
+    return np.array(scaled, np.uint64), np.array(exponents, np.uint64)
+
+
+_POW5, _EXP2 = _pow5_tables()
+# A mantissa's digits, right-aligned in 24 bytes: the 32 bytes that end
+# where the mantissa ends are read as four little-endian words, and again
+# one byte earlier. The digits after the point (all of them, where there is
+# none) are taken from the first reading and those before it from the
+# second, which closes the gap of the point. Row k·25 + d of _AFTER and of
+# _BEFORE masks them in either reading for a mantissa of d digits, k after
+# its point (k = 24 for none). A mask byte is 0x0F, which takes an ASCII
+# digit to its value; word 0 holds no digit.
+_s = np.arange(24)
+_d = _s >= 24 - np.arange(25)[None, :, None]
+_k = _s >= 24 - np.arange(25)[:, None, None]
+_AFTER, _BEFORE = (np.concatenate([np.zeros((25, 25, 8), np.uint8), 15 * m.astype(np.uint8)],
+                                  axis=2).reshape(625, 32).view("<u8")
+                   for m in (_d & _k, _d & ~_k))
+del _s, _d, _k
+# Bytes read at a time: the reader's temporaries are those of one chunk.
+DECIMAL_CHUNK = 1 << 17
+_U64 = np.uint64
+_LOW32 = _U64(0xFFFFFFFF)
+
+
+def _eight_digits(words):
+    """The integer of the 8 digit values (0 to 9) of each little-endian
+    word, the first byte the most significant: three multiply-adds that
+    join pairs, then quads, then the eight (Lemire's SWAR method)."""
+    words = words * _U64(10) + (words >> _U64(8))
+    return ((words & _U64(0x000000FF000000FF)) * _U64(100 + (1000000 << 32))
+            + ((words >> _U64(16)) & _U64(0x000000FF000000FF)) * _U64(1 + (10000 << 32))
+            ) >> _U64(32)
+
+
+def _eisel_lemire(m, q, negative):
+    """(values, unsure): the float64 nearest (−1)**negative · m · 10**q
+    for uint64 m and int q, wherever unsure is False.
+
+    m, shifted left to its top bit, times the 64-bit _POW5 of q lies below
+    the exact product by less than m. So the top 54 bits of the 128-bit
+    product, 53 and a rounding bit, are the exact product's unless the 9
+    bits below them are all ones and a carry could reach them; rounding
+    half up is exact unless the product is exactly halfway. Those values,
+    q outside the table, and results that are subnormal or overflow are
+    unsure. Every integer is uint64, so that numpy 1.x gives the dtypes of
+    numpy 2.
+    """
+    i = np.clip(q, _Q_MIN - 1, _Q_MAX + 1)
+    i -= _Q_MIN - 1
+    zero = m == _U64(0)
+    m = np.maximum(m, _U64(1))
+    # Leading zeros from float64's exponent field; where the conversion
+    # rounded up to a power of two, one short, and mended below.
+    shift = m.astype(np.float64).view(np.uint64)
+    shift >>= _U64(52)
+    np.subtract(_U64(64 + 1022), shift, out=shift)
+    m <<= shift
+    short = (m >> _U64(63)) ^ _U64(1)
+    m <<= short
+    shift += short
+    not_m = ~m
+    # hi·2**64 + lo = m·p, from the 32-bit halves of m and p.
+    m1 = m >> _U64(32)
+    m &= _LOW32
+    p0 = _POW5[i]
+    p1 = p0 >> _U64(32)
+    p0 &= _LOW32
+    lo = m * p0
+    mid = lo >> _U64(32)
+    lo &= _LOW32
+    hi = m1 * p1
+    for cross in (m * p1, m1 * p0):
+        hi += cross >> _U64(32)
+        cross &= _LOW32
+        mid += cross
+    hi += mid >> _U64(32)
+    mid <<= _U64(32)
+    lo |= mid
+    upper = hi >> _U64(63)
+    bits = hi >> (upper + _U64(9))
+    unsure = (hi & _U64(0x1FF)) == _U64(0x1FF)
+    unsure &= lo >= not_m
+    halfway = (hi << (_U64(55) - upper)) == _U64(0)
+    halfway &= lo == _U64(0)
+    round_up = bits & _U64(1)
+    halfway &= round_up == _U64(1)
+    unsure |= halfway
+    bits += round_up
+    bits >>= _U64(1)
+    carry = bits >> _U64(53)
+    bits >>= carry
+    exponent = _EXP2[i]
+    exponent += upper
+    exponent += carry
+    exponent -= shift
+    unsure |= exponent - _U64(1) > _U64(2045)
+    bits &= _U64((1 << 52) - 1)
+    exponent <<= _U64(52)
+    bits |= exponent
+    bits[zero] = 0
+    unsure &= ~zero
+    bits |= negative.astype(np.uint64) << _U64(63)
+    return bits.view(np.float64), unsure
+
+
+def _parse_decimal(buf, size, delim):
+    """The float64 values of the first ``size`` bytes of ``buf``, whole
+    lines of two fields each, or None where they are not all in the
+    grammar of ``_read_decimal``. ``delim`` is the delimiter's byte."""
+    u = np.frombuffer(buf, np.uint8, count=size)
+    # Every byte but a digit: the separators, points, exponent marks and
+    # signs, and bytes outside the grammar, which the counts below find.
+    at = np.flatnonzero((u - np.uint8(48)) > 9)
+    kind = u[at]
+    is_sep = (kind == delim) | (kind == 10)
+    at_sep = np.flatnonzero(is_sep)
+    end = at[at_sep]
+    # Separators alternate: the delimiter, then a newline.
+    if len(end) % 2 or not ((kind[at_sep[::2]] == delim).all()
+                            and (kind[at_sep[1::2]] == 10).all()):
+        return None
+    field = np.cumsum(is_sep)  # the field of each non-separator
+    at_point = np.flatnonzero(kind == 46)
+    at_exp = np.flatnonzero((kind | 32) == 101)
+    at_sign = np.flatnonzero((kind == 43) | (kind == 45))
+    if len(end) + len(at_point) + len(at_exp) + len(at_sign) != len(at):
+        return None
+    point, point_field = at[at_point], field[at_point]
+    exp, exp_field = at[at_exp], field[at_exp]
+    if not ((np.diff(point_field) > 0).all() and (np.diff(exp_field) > 0).all()):
+        return None  # two points or exponents in a field
+    # A sign starts a field or an exponent; u[-1] is a newline.
+    prior = u[at[at_sign] - 1]
+    if not (((prior | 32) == 101) | (prior == delim) | (prior == 10)).all():
+        return None
+    start = np.empty_like(end)
+    start[0] = 0
+    start[1:] = end[:-1] + 1
+    mantissa_end = end.copy()
+    mantissa_end[exp_field] = exp
+    has_point = np.zeros(len(end), bool)
+    has_point[point_field] = True
+    after = np.zeros(len(end), np.intp)  # digits after the point
+    after[point_field] = mantissa_end[point_field] - point - 1
+    if not (after >= 0).all():
+        return None  # a point in an exponent
+    first = u[start]
+    negative = first == 45
+    digits = mantissa_end - start - has_point - (negative | (first == 43))
+    if not ((digits >= 1).all() and (digits <= 24).all()):
+        return None
+    q = -after
+    if len(exp):
+        sign = u[exp + 1]
+        last = end[exp_field] - 1
+        width = last - exp - ((sign == 43) | (sign == 45))
+        if not ((width >= 1).all() and (width <= 3).all()):
+            return None
+        value = u[last].astype(np.intp) - 48
+        for place in (1, 2):
+            value += np.where(width > place, u[last - place].astype(np.intp) - 48, 0) * 10 ** place
+        q[exp_field] += np.where(sign == 45, -value, value)
+    # The digits of each mantissa, in the layout of _AFTER and _BEFORE.
+    padded = np.empty(size + 32, np.uint8)
+    padded[:32] = 48
+    padded[32:] = u
+    windows = np.ndarray((size + 1,), "V32", padded, strides=(1,))
+    words = windows[mantissa_end].view("<u8")
+    row = np.where(has_point, after, 24) * 25 + digits
+    earlier = np.empty_like(words)
+    earlier[0] = 0
+    np.right_shift(words[:-1], _U64(56), out=earlier[1:])
+    earlier[1:] |= words[1:] << _U64(8)
+    earlier &= np.take(_BEFORE, row, axis=0).ravel()
+    words &= np.take(_AFTER, row, axis=0).ravel()
+    words |= earlier
+    del earlier
+    groups = _eight_digits(words).reshape(-1, 4)
+    m = groups[:, 1] * _U64(10**16)
+    m += groups[:, 2] * _U64(10**8)
+    m += groups[:, 3]
+    values, unsure = _eisel_lemire(m, q, negative)
+    unsure |= groups[:, 1] >= _U64(1000)  # m ≥ 10**19, past uint64's digits
+    for i in np.flatnonzero(unsure).tolist():
+        values[i] = float(buf[start[i] : end[i]])
+    return values
+
+
+def _line_chunks(fh, buf):
+    """(chunk, size) for ``buf`` and then the rest of the binary file
+    ``fh``, read DECIMAL_CHUNK bytes at a time: the first ``size`` bytes of
+    each chunk are whole lines, and a size of 0 marks a chunk's worth of
+    bytes without a line end. A last line that ends the file gets "\n"."""
+    while True:
+        size = buf.rfind(b"\n") + 1
+        if size or len(buf) >= DECIMAL_CHUNK:
+            yield buf, size
+        block = fh.read(DECIMAL_CHUNK)
+        if not block:
+            break
+        buf = buf[size:] + block
+    if buf[size:]:
+        yield buf[size:] + b"\n", len(buf) - size + 1
+
+
+def _read_decimal(path, delimiter):
+    """The two columns of a file in one layout, or None.
+
+    The layout: after a UTF-8 byte-order mark, blank lines and a header
+    line, all as ``_first_row`` and the line parser read them, every line
+    is two fields split by one single-byte delimiter and ends in "\\n" (the
+    last line may end the file instead). A field is
+    ``[+-]?(\\d+\\.?\\d*|\\.\\d+)([eE][+-]?\\d{1,3})?`` with at most 24
+    digits before the exponent. Each value is the float ``float()``
+    reads; any other byte layout (CR, spaces, blank lines past the first
+    row, a third field, ``nan``, ``1_0``, non-ASCII bytes, a comma in a
+    tab-separated file) returns None. The file is read once, in chunks
+    of whole lines, so that one chunk's temporaries are held at a time.
+    """
+    with path.open("rb") as fh:
+        buf = fh.read(DECIMAL_CHUNK)
+        start = 3 if buf.startswith(b"\xef\xbb\xbf") else 0
+        while True:
+            end = buf.find(b"\n", start)
+            if end < 0 or b"\r" in buf[start:end]:
+                return None
+            line = buf[start:end].decode("utf-8").strip()
+            if line:
+                break
+            start = end + 1
+        first = _first_row(line, delimiter)
+        if first is None:
+            return None
+        sep, header = first
+        if sep is None or len(sep) != 1 or not sep.isascii() or sep in "0123456789+-.eE\r\n":
+            return None
+        xs, ys = [np.empty(0)], [np.empty(0)]
+        for buf, size in _line_chunks(fh, buf[end + 1 if header else start :]):
+            values = _parse_decimal(buf, size, ord(sep)) if size else None
+            if values is None:
+                return None
+            xs.append(values[0::2].copy())
+            ys.append(values[1::2].copy())
+    abscissa = np.concatenate(xs)
+    xs.clear()
+    return abscissa, np.concatenate(ys)
+
+
+def _loadtxt(path, delimiter):
+    """The rows of a file as numpy's C reader splits them on its first
+    line's delimiter, or None where the line parser could split them
+    otherwise."""
+    with path.open(encoding="utf-8-sig") as fh:
+        for skip, line in enumerate(fh):
+            line = line.strip()
+            if line:
+                break
+        else:
+            return None
+        first = _first_row(line, delimiter)
+        if first is None:
+            return None
+        sep, header = first
+        skip += header
+        # Without an explicit delimiter the line parser splits a line
+        # holding a comma on commas, else one holding a tab on tabs;
+        # loadtxt would split it on the first line's delimiter and
+        # could read values the line parser rejects.
+        if delimiter is None and sep != ",":
+            mixed = "," if sep == "\t" else ",\t"
+            while chunk := fh.read(1 << 20):
+                if any(c in chunk for c in mixed):
+                    return None
+        fh.seek(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # "input contained no data"
+            # An open file, not the path, which would import gzip.
+            return np.loadtxt(fh, delimiter=sep, comments=None, usecols=(0, 1),
+                              skiprows=skip, ndmin=2)
+
+
 def _ingest_fast(path, delimiter):
-    """Parse a well-formed file with numpy's C reader.
+    """Parse a well-formed file with the decimal reader, else with numpy's
+    C reader.
 
     Returns None, and raises nothing, wherever ``_ingest_lines`` could
     read the file differently or would raise.
     """
     try:
-        with path.open(encoding="utf-8-sig") as fh:
-            for skip, line in enumerate(fh):
-                line = line.strip()
-                if line:
-                    break
-            else:
-                return None
-            sep = _line_delimiter(line, delimiter)
-            parts = _fields(line, sep)
-            if len(parts) < 2:
-                return None
-            try:
-                float(parts[0]), float(parts[1])
-            except ValueError:
-                skip += 1  # single header line
-            # Without an explicit delimiter the line parser splits a line
-            # holding a comma on commas, else one holding a tab on tabs;
-            # loadtxt would split it on the first line's delimiter and
-            # could read values the line parser rejects.
-            if delimiter is None and sep != ",":
-                mixed = "," if sep == "\t" else ",\t"
-                while chunk := fh.read(1 << 20):
-                    if any(c in chunk for c in mixed):
-                        return None
-            fh.seek(0)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # "input contained no data"
-                # An open file, not the path, which would import gzip.
-                rows = np.loadtxt(fh, delimiter=sep, comments=None, usecols=(0, 1),
-                                  skiprows=skip, ndmin=2)
+        columns = _read_decimal(path, delimiter)
+        if columns is None:
+            rows = _loadtxt(path, delimiter)
+            columns = None if rows is None else (rows[:, 0], rows[:, 1])
     except (OSError, TypeError, ValueError):
         # TypeError: a delimiter loadtxt does not take, e.g. a multi-character one.
         return None
-    if rows.shape[0] < 5 or not np.isfinite(rows).all():
+    if columns is None:
         return None
-    order = np.argsort(rows[:, 0], kind="stable")
-    abscissa = rows[order, 0]
+    abscissa, intensity = columns
+    if len(abscissa) < 5 or not (np.isfinite(abscissa).all() and np.isfinite(intensity).all()):
+        return None
+    if not (abscissa[1:] >= abscissa[:-1]).all():
+        order = np.argsort(abscissa, kind="stable")
+        abscissa, intensity = abscissa[order], intensity[order]
     if _first_bad_step(abscissa) is not None:
         return None
-    return abscissa, rows[order, 1]
+    return np.ascontiguousarray(abscissa), np.ascontiguousarray(intensity)
 
 
 def _ingest_lines(path, delimiter):

@@ -10,7 +10,6 @@ are reproducible across platforms.
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
@@ -115,9 +114,9 @@ COMPARISON_GRIDS = {
 class SimScenario:
     """Peaks on ``n`` points of ``x_range``; InvalidInputError without a
     peak, for an x_range that is not two increasing finite numbers or a
-    peak center outside it, InvalidConfigError for an n that is not an
-    integer or an x_range value that is not a real number and
-    InvalidSizeError for n < 5 or n > sys.maxsize."""
+    peak center outside it, and InvalidConfigError for an n that is not an
+    integer from 5 to sys.maxsize (``errors.length``, the rule of a
+    sweep's resolutions) or an x_range value that is not a real number."""
 
     peaks: tuple = DEFAULT_PEAKS
     n: int = 1000
@@ -127,8 +126,7 @@ class SimScenario:
     def __post_init__(self):
         if len(self.peaks) < 1:
             raise InvalidInputError("scenario needs at least one peak")
-        if not 5 <= integer("n", self.n) <= sys.maxsize:  # the most points an array holds
-            raise InvalidSizeError(f"scenario needs 5 <= n <= {sys.maxsize}, got n={shown(self.n)}")
+        length(5, "n", self.n)
         lo, hi = self.x_range
         if not (_finite("x_range", lo) and _finite("x_range", hi) and lo < hi):
             raise InvalidInputError("x_range must be two increasing finite numbers")

@@ -44,7 +44,7 @@ class TestScenario:
     def test_validation(self):
         with pytest.raises(ValueError):
             SimScenario(peaks=())
-        with pytest.raises(InvalidSizeError):
+        with pytest.raises(InvalidConfigError):
             SimScenario(n=4)
         with pytest.raises(ValueError):
             SimScenario(x_range=(5.0, 1.0))

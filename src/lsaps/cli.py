@@ -356,7 +356,11 @@ def _read_decimal(path, delimiter):
         start = 3 if buf.startswith(b"\xef\xbb\xbf") else 0
         while True:
             end = buf.find(b"\n", start)
-            if end < 0 or b"\r" in buf[start:end]:
+            if end < 0:  # the last line, unless the chunk ends inside a line
+                if start >= len(buf) or len(buf) == DECIMAL_CHUNK:
+                    return None
+                end = len(buf)
+            if b"\r" in buf[start:end]:
                 return None
             line = buf[start:end].decode("utf-8").strip()
             if line:

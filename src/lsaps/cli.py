@@ -11,6 +11,14 @@ Two subcommands:
     Run the synthetic Lorentzian sweep described by a JSON scenario
     file and write the per-cell and aggregate tables.
 
+Spectra in the common layout, two decimal numbers a line split by one
+single-byte delimiter, are read by a numpy decimal reader
+(``_read_decimal``): a digit kernel and Eisel–Lemire rounding in uint64
+arithmetic give the float ``float()`` gives for each field, and a value
+the rounding cannot settle is read by ``float()``. Other files go to
+``np.loadtxt``, and to a line parser where that could read them
+differently.
+
 All numeric output uses 12 significant digits, the text of
 ``FLOAT_FMT % v``, so re-ingesting an emitted file is idempotent at that
 precision. ``smoothed.txt`` and ``second_derivative.txt``, 3n values, take
@@ -27,6 +35,7 @@ import json
 # imported here, it is loaded with the rest of the module.
 import locale  # noqa: F401
 import math
+import os
 import sys
 import time
 import warnings
@@ -111,9 +120,10 @@ def _first_row(line, delimiter):
 # M·10**q for an integer M < 10**19, and Eisel–Lemire (D. Lemire, "Number
 # parsing at a gigabyte per second", Softw. Pract. Exp. 51(8), 2021) rounds
 # it to float64 with one 64×64→128-bit product by a power of five.
-# _POW5[i] is 5**q scaled into [2**63, 2**64) and rounded down, and
-# _EXP2[i] the biased binary exponent of 10**q·2**63/_POW5[i], modulo 2**64,
-# for q = i + _Q_MIN − 1. The first and the last row, past either end of
+# For q = i + _Q_MIN − 1, _POW5[i] is 5**q scaled into [2**63, 2**64) and
+# rounded down, and _EXP2[i] is ⌊log2 10**q⌋ + 63 + 1023 modulo 2**64: the
+# biased exponent of M·10**q, once the product's top bit is added and M's
+# shift taken away. The first and the last row, past either end of
 # [_Q_MIN, _Q_MAX], hold a product of 0 and an exponent no float has.
 _Q_MIN, _Q_MAX = -342, 308
 
@@ -372,16 +382,25 @@ def _read_decimal(path, delimiter):
         sep, header = first
         if sep is None or len(sep) != 1 or not sep.isascii() or sep in "0123456789+-.eE\r\n":
             return None
-        xs, ys = [np.empty(0)], [np.empty(0)]
+        # The columns are sized from the rows of the part of the file read so
+        # far, a twentieth more, and grown where a later part packs more rows:
+        # one array, not a list of chunks, which would leave the heap in
+        # pieces for the fit that follows.
+        file_size = os.fstat(fh.fileno()).st_size
+        columns, n = np.empty((2, 0)), 0
         for buf, size in _line_chunks(fh, buf[end + 1 if header else start :]):
             values = _parse_decimal(buf, size, ord(sep)) if size else None
             if values is None:
                 return None
-            xs.append(values[0::2].copy())
-            ys.append(values[1::2].copy())
-    abscissa = np.concatenate(xs)
-    xs.clear()
-    return abscissa, np.concatenate(ys)
+            rows = len(values) // 2
+            if n + rows > columns.shape[1]:
+                grown = np.empty((2, (n + rows) * file_size // fh.tell() * 21 // 20 + rows))
+                grown[:, :n] = columns[:, :n]
+                columns = grown
+            columns[0, n : n + rows] = values[0::2]
+            columns[1, n : n + rows] = values[1::2]
+            n += rows
+    return columns[0, :n], columns[1, :n]
 
 
 def _loadtxt(path, delimiter):
@@ -500,10 +519,13 @@ def ingest(path, delimiter=None):
     auto-detected; an explicit ``delimiter`` overrides detection. Rows
     are sorted by abscissa; duplicate abscissa values, and steps that
     differ from the median step by more than ``UNIFORM_RTOL`` of it, are
-    rejected. A file that numpy's C reader parses with its first line's
-    delimiter into a valid grid is read that way, and any other file is
-    re-read line by line, which accepts per-line delimiter mixes and
-    names the offending line in every error. The file is read as UTF-8,
+    rejected. A file in the layout of ``_read_decimal`` (two decimal
+    numbers a line, one single-byte delimiter, "\n" line ends) is read by
+    that numpy reader, which gives the floats ``float()`` gives. Else a
+    file that numpy's C reader parses with its first line's delimiter into
+    a valid grid is read that way, and any other file is re-read line by
+    line, which accepts per-line delimiter mixes and names the offending
+    line in every error. The file is read as UTF-8,
     past a leading byte-order mark if it has one. A path that cannot be
     read or decoded as text, such as a directory, raises ``IngestError``
     too.

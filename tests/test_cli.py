@@ -481,9 +481,9 @@ def test_signal_writer_memory_is_one_block(tmp_path):
 
 
 def test_ingest_memory_is_one_chunk(tmp_path, monkeypatch):
-    # The decimal reader holds one chunk's temporaries at a time: at n = 1e5
-    # the traced peak of ingest is about 4.6 MB, where np.loadtxt's takes
-    # 5.6 MB and a reader of the whole file at once about 18 MB.
+    # The decimal reader holds one chunk's temporaries at a time, about 20
+    # bytes a byte of text: at n = 1e5 (3.8 MB of text) the traced peak of
+    # ingest is about 4.6 MB, where np.loadtxt's is 5.6 MB.
     import tracemalloc
 
     n = 100_000

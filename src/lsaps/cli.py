@@ -334,7 +334,7 @@ def _line_chunks(fh, buf):
     """(chunk, size) for ``buf`` and then the rest of the binary file
     ``fh``, read DECIMAL_CHUNK bytes at a time: the first ``size`` bytes of
     each chunk are whole lines, and a size of 0 marks a chunk's worth of
-    bytes without a line end. A last line that ends the file gets "\n"."""
+    bytes without a line end. A last line that ends the file gets "\\n"."""
     while True:
         size = buf.rfind(b"\n") + 1
         if size or len(buf) >= DECIMAL_CHUNK:

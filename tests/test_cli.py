@@ -95,10 +95,14 @@ class TestIngest:
             cli.ingest(path)
 
     def test_non_finite(self, tmp_path):
+        # The decimal reader declines nan and a value that overflows, and
+        # the line parser names the line.
         path = tmp_path / "s.txt"
-        path.write_text("0\t1\n1\tnan\n2\t3\n3\t4\n4\t5\n")
-        with pytest.raises(cli.IngestError, match="non-finite"):
-            cli.ingest(path)
+        for value in ("nan", "1e999"):
+            path.write_text(f"0\t1\n1\t{value}\n2\t3\n3\t4\n4\t5\n")
+            assert cli._read_decimal(path, None) is None
+            with pytest.raises(cli.IngestError, match="^line 2: non-finite value$"):
+                cli.ingest(path)
 
     @pytest.mark.parametrize(
         "abscissa, line", [([0.0, 1.0, 2.0, 4.0, 5.0], 4), ([5.0, 0.0, 1.0, 2.0, 4.0], 5)]
@@ -135,16 +139,20 @@ class TestIngest:
             cli.ingest(path)
 
     def test_fast_path_reads_written_files(self, tmp_path, noisy_file, monkeypatch):
-        # Files written by `lsaps smooth` (12 digits) and at full double
+        # Files written by `lsaps smooth` (12 digits), at full double
         # precision with np.savetxt, as the benchmark writes its inputs,
-        # never reach the line parser.
+        # with np.savetxt's defaults (%.18e split by one space) and with
+        # CRLF line ends never reach the line parser.
         path, (t, y) = noisy_file
         out = tmp_path / "out"
         assert cli.main(["smooth", str(path), "--method", "ps", "--param", "2", "--out", str(out)]) == 0
-        full = tmp_path / "full.txt"
+        full, default, crlf = (tmp_path / f"{name}.txt" for name in ("full", "default", "crlf"))
         np.savetxt(full, np.column_stack([t, y]), fmt="%.17g", delimiter="\t")
-        files = [path, full, out / "smoothed.txt", out / "second_derivative.txt"]
-        expected = [cli._ingest_lines(f, None) for f in files]
+        np.savetxt(default, np.column_stack([t, y]))
+        np.savetxt(crlf, np.column_stack([t, y]), fmt="%.17g", delimiter="\t", newline="\r\n")
+        assert b" " in default.read_bytes() and b"\r\n" in crlf.read_bytes()
+        files = [path, full, default, crlf, out / "smoothed.txt", out / "second_derivative.txt"]
+        expected = [cli._grid(*cli._ingest_lines(f, None)) for f in files]
 
         def line_parser(*args):
             raise AssertionError("the line parser ran")
@@ -154,6 +162,49 @@ class TestIngest:
             got_abscissa, got_intensity = cli.ingest(f)
             assert got_abscissa.tobytes() == abscissa.tobytes()
             assert got_intensity.tobytes() == intensity.tobytes()
+
+    @pytest.mark.parametrize("text, message", [
+        ("0,1\n1,,2\n2,3\n3,4\n4,5\n", "line 2: unparseable row '1,,2'"),
+        ("1,,2\n0,1\n2,3\n3,4\n4,5\n", "line 1: unparseable row '1,,2'"),
+        ("1,\n0,1\n2,3\n3,4\n4,5\n", "line 1: expected two columns, got 1"),
+    ])
+    def test_empty_field(self, tmp_path, text, message):
+        # A missing value is an error, not the next column's value moved
+        # left, on a data line and on the first line alike.
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with pytest.raises(cli.IngestError) as info:
+            cli.ingest(path)
+        assert str(info.value) == message
+
+    def test_trailing_delimiter(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("x,y,\n0,1,\n1,2,\n2,3,\n3,4,\n4,5,\n")
+        abscissa, intensity = cli.ingest(path)
+        assert intensity.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+    @pytest.mark.parametrize("rows, message", [
+        ([0, 1, 2, 3], "need at least 5 data points, got 4"),
+        ([0, 1, 2, 2, 3], "duplicate abscissa values"),
+        ([1, 0, 2, 5, 3], "line 7: abscissa step 2 differs from the median step 1 by more "
+                          "than 0.001 of it; the abscissa must be uniformly spaced"),
+    ])
+    def test_decimal_reader_raises_line_parser_messages(self, tmp_path, monkeypatch, rows, message):
+        # A file the decimal reader accepts is read once, also when its
+        # grid is rejected: the message is the line parser's, naming the
+        # line past a byte-order mark, blank lines and a header.
+        path = tmp_path / "s.txt"
+        path.write_bytes(b"\xef\xbb\xbf\n \r\nx\ty\r\n"
+                         + b"".join(b"%d.5\t%d\r\n" % (x, x) for x in rows))
+        assert _outcome(_line_parser, path, None) == message
+
+        def line_parser(*args):
+            raise AssertionError("the line parser ran")
+
+        monkeypatch.setattr(cli, "_ingest_lines", line_parser)
+        with pytest.raises(cli.IngestError) as info:
+            cli.ingest(path)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("header", [None, "wavenumber\tintensity"])
     @pytest.mark.parametrize("fast", [True, False])
@@ -169,7 +220,7 @@ class TestIngest:
         plain.write_text(text, encoding="utf-8")
         marked.write_text(text, encoding="utf-8-sig")
         assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
-        assert (cli._ingest_fast(marked, None) is not None) == fast
+        assert (cli._read_decimal(marked, None) is not None) == fast
         expected = cli.ingest(plain)
         if fast:
             def line_parser(*args):
@@ -244,6 +295,11 @@ def _outcome(parse, path, delimiter):
     return abscissa.tobytes(), intensity.tobytes()
 
 
+def _line_parser(path, delimiter):
+    """What ingest returns for a file read by the line parser."""
+    return cli._grid(*cli._ingest_lines(path, delimiter))
+
+
 @settings(max_examples=400, deadline=None)
 @given(spectrum_files())
 @example(("intensity\n0\t1\n1\t2\n2\t3\n3\t4\n4\t5\n", None))
@@ -254,17 +310,20 @@ def _outcome(parse, path, delimiter):
           "3\t4.9406564584124654e-324\n4\t1.7976931348623157e308\n", None))
 @example(("x,y\n0,-0\n0.5,0.0010000100001000009\n1,-1e23\n1.5,+.5e-3\n2,9007199254740993", None))
 def test_fast_path_matches_line_parser(case):
-    # Wherever the C reader accepts a file, the line parser reads the
-    # same floats; ingest returns what the line parser returns, or raises
-    # its message.
+    # Wherever the decimal reader accepts a file, the line parser reads
+    # the same floats from the same lines; ingest returns what the line
+    # parser returns, or raises its message.
     text, delimiter = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "s.txt"
         path.write_text(text, newline="")
-        expected = _outcome(cli._ingest_lines, path, delimiter)
-        fast = cli._ingest_fast(path, delimiter)
+        expected = _outcome(_line_parser, path, delimiter)
+        fast = cli._read_decimal(path, delimiter)
         if fast is not None:
-            assert (fast[0].tobytes(), fast[1].tobytes()) == expected
+            abscissa, intensity, lines = cli._ingest_lines(path, delimiter)
+            assert fast[0].tobytes() == abscissa.tobytes()
+            assert fast[1].tobytes() == intensity.tobytes()
+            assert list(fast[2]) == list(lines)
         assert _outcome(cli.ingest, path, delimiter) == expected
 
 
@@ -294,40 +353,48 @@ def grammar_fields(draw):
 # decline the whole file.
 OUTSIDE_GRAMMAR = ("nan", "inf", "1_0", " 1", "1 ", "1e", "1e+", "1e1234", "1..2", "+-1", "e5",
                    ".", "-", "", "1.5e-3.2", "1-", "0x10", "1" * 25, "0." + "1" * 24, "\uff11",
-                   "1\t2", "1,2", "1\r")
+                   "1\t2", "1,2", "1\r2")
 
 
 @settings(max_examples=300, deadline=None)
 @given(rows=st.lists(st.tuples(*[st.one_of(FLOAT_TEXTS, grammar_fields())] * 2),
                      min_size=1, max_size=30),
-       delimiter=st.sampled_from((None, None, ";")), final_newline=st.booleans(),
+       delimiter=st.sampled_from((None, None, None, ";")), newline=st.sampled_from(("\n", "\r\n")),
+       final_newline=st.booleans(),
        bad=st.one_of(st.none(), st.tuples(st.sampled_from(OUTSIDE_GRAMMAR), st.integers(0, 59))),
-       chunk=st.sampled_from((64, cli.DECIMAL_CHUNK)))
+       chunk=st.sampled_from((72, cli.DECIMAL_CHUNK)))
 @example(rows=[(v, v) for v in ("9007199254740993", "1e23", "2.2250738585072011e-308",
                                 "4.9406564584124654e-324", "1.7976931348623157e308", "-0",
                                 "0.0010000100001000009")],
-         delimiter=None, final_newline=True, bad=None, chunk=cli.DECIMAL_CHUNK)
-def test_decimal_reader_matches_float(rows, delimiter, final_newline, bad, chunk):
+         delimiter=None, newline="\n", final_newline=True, bad=None, chunk=cli.DECIMAL_CHUNK)
+def test_decimal_reader_matches_float(rows, delimiter, newline, final_newline, bad, chunk):
     # The decimal reader returns the float() of every field, bit for bit,
-    # in chunks of any size, and None for a file with one field outside
-    # its grammar. A tab or comma file ingests without a delimiter.
-    sep = delimiter or ("\t", ",")[len(rows) % 2]
+    # in chunks of any size that holds a line (the longest, 65 bytes), with
+    # "\n" or "\r\n" line ends, and None for a file with one field outside
+    # its grammar or one that overflows. A tab, comma or single space file
+    # ingests without a delimiter.
+    sep = delimiter or ("\t", ",", " ")[len(rows) % 3]
     fields = [field for row in rows for field in row]
     if bad is not None:  # past the first row, which a bad field could make a header
         fields = ["0", "0", *fields]
         fields[2 + bad[1] % (len(fields) - 2)] = bad[0]
-    text = "\n".join(f"{a}{sep}{b}" for a, b in zip(fields[::2], fields[1::2]))
+    text = newline.join(f"{a}{sep}{b}" for a, b in zip(fields[::2], fields[1::2]))
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "DECIMAL_CHUNK", chunk)
         path = Path(tmp) / "s.txt"
-        path.write_bytes((text + "\n" * final_newline).encode())
+        path.write_bytes((text + newline * final_newline).encode())
         got = cli._read_decimal(path, delimiter)
     if bad is not None:
         assert got is None
         return
+    columns = np.array([[float(t) for t in fields[::2]], [float(t) for t in fields[1::2]]])
+    if np.isinf(columns).any():  # an overflow, whose line the line parser names
+        assert got is None
+        return
     assert got is not None
-    for column, texts in zip(got, (fields[::2], fields[1::2])):
-        assert column.tobytes() == np.array([float(t) for t in texts]).tobytes()
+    for column, expected in zip(got, columns):
+        assert column.tobytes() == expected.tobytes()
+    assert list(got[2]) == list(range(1, len(rows) + 1))
 
 
 def assert_text(path, expected):
@@ -483,7 +550,7 @@ def test_signal_writer_memory_is_one_block(tmp_path):
 def test_ingest_memory_is_one_chunk(tmp_path, monkeypatch):
     # The decimal reader holds one chunk's temporaries at a time, about 20
     # bytes a byte of text: at n = 1e5 (3.8 MB of text) the traced peak of
-    # ingest is about 4.6 MB, where np.loadtxt's is 5.6 MB.
+    # ingest is about 4.6 MB, where the line parser's is 5.2 MB.
     import tracemalloc
 
     n = 100_000
@@ -492,10 +559,10 @@ def test_ingest_memory_is_one_chunk(tmp_path, monkeypatch):
     np.savetxt(path, np.column_stack([np.linspace(0.0, 100.0, n), rng.standard_normal(n)]),
                fmt="%.17g", delimiter="\t")
 
-    def loadtxt(*args):
-        raise AssertionError("np.loadtxt ran")
+    def line_parser(*args):
+        raise AssertionError("the line parser ran")
 
-    monkeypatch.setattr(cli, "_loadtxt", loadtxt)
+    monkeypatch.setattr(cli, "_ingest_lines", line_parser)
     tracemalloc.start()
     try:
         abscissa, _ = cli.ingest(path)
@@ -1219,8 +1286,8 @@ def test_cli_sg_smooth_skips_scipy_signal_and_ndimage(tmp_path, noisy_file):
 ], ids=["smooth-param", "smooth-auto", "benchmark"])
 def test_cli_run_loads_no_new_module(tmp_path, noisy_file, run):
     # A fresh interpreter: a run imports no top-level module that importing
-    # lsaps.cli did not. Smooth runs take the fast ingest path (loadtxt
-    # given a path, not an open file, would import gzip).
+    # lsaps.cli did not. Smooth runs take the decimal reader, not the line
+    # parser.
     path, _ = noisy_file
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({"resolutions": [100], "seeds": [0, 1],

@@ -758,10 +758,15 @@ def _run_smooth(args) -> int:
                 "best_index": curve.best_index,
             }
 
-        with (out_dir / "summary.json").open("w", newline="\n") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
+        _write_summary(out_dir, summary)
     return 0
+
+
+def _write_summary(out_dir: Path, summary: dict):
+    """Write ``summary`` to out_dir/summary.json, indented, with one line end."""
+    with (out_dir / "summary.json").open("w", newline="\n") as fh:
+        json.dump(summary, fh, indent=2)
+        fh.write("\n")
 
 
 def _require(cond, message):
@@ -901,9 +906,7 @@ def _run_benchmark(args) -> int:
         _write_table(out_dir / "cells.csv", report.cells)
         _write_table(out_dir / "aggregates.csv", report.aggregates)
         _write_table(out_dir / "best.csv", report.best)
-        with (out_dir / "summary.json").open("w", newline="\n") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
+        _write_summary(out_dir, summary)
     return 0
 
 

@@ -69,13 +69,15 @@ def floor_weights(weights: np.ndarray) -> np.ndarray:
     Raises
     ------
     InvalidSizeError, InvalidInputError
-        If ``weights`` is not 1-d, or not an array of real numbers or
-        not finite, respectively.
+        If ``weights`` is not 1-d or is empty, or not an array of real
+        numbers or not finite, respectively.
     DegenerateSignalError
         If every weight is zero (an affine input, or curvature that
         underflows).
     """
     weights = checked("weights", weights)
+    if weights.size == 0:
+        raise InvalidSizeError("weights must not be empty")
     positive = weights[weights > 0]
     if positive.size == 0:
         raise DegenerateSignalError(

@@ -29,7 +29,7 @@ def second_difference(x):
     exceeds float64. Raises InvalidSizeError for an ``x`` that is not
     1-d and InvalidInputError for one that is not an array of real
     numbers or not finite."""
-    x_unit, e = to_unit(x)
+    x_unit, e = to_unit(x, "x")
     d = np.diff(x_unit, n=2)
     with np.errstate(over="ignore"):
         return np.ldexp(d, e, out=d)
@@ -58,7 +58,7 @@ def detect_peaks(x, k: int, abscissa=None):
         A ``ValueError``, for a ``k`` that is not an integer, such as 2.5
         or True, or is below 1.
     """
-    x_unit, e = to_unit(x)
+    x_unit, e = to_unit(x, "x")
     x = np.asarray(x, dtype=float)
     d = np.diff(x_unit, n=2)
     n = x.shape[0]

@@ -6,8 +6,9 @@ Both penalized smoothers are one formula, x = (A + lam * D^T D)^{-1} A y
 with a diagonal weight matrix A and lam = parameter * scale. PS is the
 case A = I, scale = 1. LSA-PS builds A from local curvature, optionally
 clips it at its median, and takes scale = median(A) with the pre-clip
-median. ``_penalized`` is the one fit of both: the smoothers and the CV
-selection in ``select`` take each x and lam from it.
+median. ``_penalized`` sets up both, A, the factors and a PS right-hand
+side that is y itself, and reports each fit's lam as its factor's; the
+smoothers and the CV selection in ``select`` take each x and lam from it.
 
 ``to_unit`` checks that y is 1-d and finite and scales it by a power
 of two to unit size, so squared curvature and sums of a few entries
@@ -24,7 +25,8 @@ parameters share once. Each block comes with its good fits stacked as
 the rows of one array, so that a caller can score them together. It
 does the part of that work that does not depend on y once, for every
 signal of one length: the Savitzky-Golay checks and block runs, the
-Gaussian kernels, offsets and edge normalisations, and the PS factors.
+Gaussian kernels, offsets and edge normalisations, and PS's unit
+weights and factors.
 ``grid_plan`` is its public form, and ``smooth`` its one-parameter
 case; each named smoother is the one-parameter case of ``smooth``, so a
 fit taken alone and the same fit taken in a grid are the same bits.
@@ -61,18 +63,19 @@ PENALIZED = ("ps", "lsa-ps")
 METHODS = PENALIZED + ("sg", "gaussian")
 
 
-def to_unit(y):
+def to_unit(y, name: str = "y"):
     """(y * 2**-e, e) with max|y| = m * 2**e, m in [0.5, 1), or e = 0 for
     y = 0; the scaled array is a fresh copy. Raises InvalidSizeError for
     a y that is not 1-d and InvalidInputError for one that is not an
-    array of real numbers or not finite (``errors.checked``).
+    array of real numbers or not finite (``errors.checked``), each naming
+    the array ``name``.
 
     Sums and differences of a few entries of y * 2**-e, which is of unit
     size, cannot overflow. Scaling by a power of two is exact while
     values stay in the normal range, so there a result computed on
     y * 2**-e and scaled back by 2**e is the one computed on y.
     """
-    y = checked("y", y)
+    y = checked(name, y)
     e = math.frexp(float(np.abs(y).max(initial=0.0)))[1]
     return np.ldexp(y, -e), e
 
@@ -105,7 +108,8 @@ def penalized_weights(y_unit, method: str, clip: bool = True):
         penalty scale collapses (an affine signal, one straight on at least
         half of its points, or curvature that underflows).
     InvalidConfigError
-        For a ``clip`` that is not a bool, or an unknown method.
+        For a ``clip`` that is not a bool, or a method other than ps
+        and lsa-ps.
     """
     clip = boolean("clip", clip)
     if method == "ps":
@@ -119,8 +123,8 @@ def penalized_weights(y_unit, method: str, clip: bool = True):
                 "median curvature weight is zero, so the LSA-PS penalty scale collapses"
             )
         return (np.minimum(raw, median) if clip else raw), median
-    raise InvalidConfigError(f"unknown method {shown(method, repr)}")
-
+    raise InvalidConfigError(
+        f"penalized weights take only ps and lsa-ps, got {shown(method, repr)}")
 
 
 def smooth_ps(y, lam: float):
@@ -230,17 +234,18 @@ def grid_plan(n: int, method: str, grid, clip: bool = True):
     ``to_unit`` for a bad y, then ``InvalidSizeError`` for a y of another
     length than n. It returns an iterator that yields, per block and in
     grid order, (stack, results): ``results`` holds, per parameter of the
-    block, the (x, effective lambda) that ``smooth`` returns for it or the
-    exception that ``smooth`` raises for it, and ``stack`` is a 2-d array
-    whose row i is the x of the block's i-th good result (the same
-    memory). A block is the whole grid for PS, LSA-PS and gaussian, and
-    for Savitzky-Golay a run of parameters whose fits share one window
-    and basis, with the failures and copies of y among them. Each block
-    is computed when it is asked for, so one block is held at a time.
+    block, the (x, effective lambda) that ``smooth`` returns for it, a
+    penalized fit's lambda being its factor's, or the exception that
+    ``smooth`` raises for it, and ``stack`` is a 2-d array whose row i is
+    the x of the block's i-th good result (the same memory). A block is
+    the whole grid for PS, LSA-PS and gaussian, and for Savitzky-Golay a
+    run of parameters whose fits share one window and basis, with the
+    failures and copies of y among them. Each block is computed when it
+    is asked for, so one block is held at a time.
 
     Work that does not depend on the parameter is done once per signal:
-    the unit scale of y and, for PS and LSA-PS, the setup of
-    ``_penalized``, the weights, their check and the right-hand side; for
+    the unit scale of y and, for LSA-PS, the setup of ``_penalized``, the
+    weights, their check and the right-hand side A y; for
     Savitzky-Golay, once per block, the edge fits and the interior
     product of every order, and once per signal, or per chunk of a signal
     wider than ``SG_CHUNK``, the window matrix that those products read.
@@ -250,12 +255,12 @@ def grid_plan(n: int, method: str, grid, clip: bool = True):
     Work that does not depend on y is done once, here: for
     Savitzky-Golay, each parameter's check and the runs of parameters
     that share a basis; for Gaussian, each window's check, or its kernel,
-    offsets and edge normalisation; for PS, the assembler of the unit
-    weights and, by grid position, the factor of each lam, made when
-    first asked for and kept where it succeeds, so a failing lam fails
-    again, with the same message, for each signal. LSA-PS plans nothing.
-    A PS plan holds up to one 24n-byte factor per grid position, and a
-    Gaussian plan one n-point normalisation per window, for as long as
+    offsets and edge normalisation; for PS, the unit weights and, by grid
+    position, the factor of each lam, made when first asked for and kept
+    where it succeeds, so a failing lam fails again, with the same
+    message, for each signal. LSA-PS plans nothing. A PS plan holds the
+    n unit weights and up to one 24n-byte factor per grid position, and
+    a Gaussian plan one n-point normalisation per window, for as long as
     its caller holds the plan.
     """
     _check_method(method)
@@ -287,9 +292,9 @@ def _plan(n: int, method: str, grid, clip: bool):
         width = max((run[0][0] for run in runs if run[0] is not None), default=1)
         return lambda y, y_unit, e: _sg_blocks(y, y_unit, e, width, runs)
     if method in PENALIZED:
-        system = _attempt(_ps_system, n, grid) if method == "ps" else None
+        plan = _attempt(_ps_plan, n, grid) if method == "ps" else None
         return lambda y, y_unit, e: _one_block(
-            _penalized_grid(y_unit, e, method, grid, clip, system))
+            _penalized_grid(y_unit, e, method, grid, clip, plan))
     # Gaussian: each window's check, or its kernel.
     kernels = [_attempt(_gaussian_kernel, n, window) for window in grid]
     return lambda y, y_unit, e: _one_block(
@@ -298,17 +303,14 @@ def _plan(n: int, method: str, grid, clip: bool):
 
 
 def _one_block(results):
-    yield _stacked(list(results))
-
-
-def _stacked(results):
-    """One block of per-parameter ``results``: their good x's copied into
-    the rows of one stack, and the results holding those rows."""
+    """Yield one block of per-parameter ``results``: their good x's copied
+    into the rows of one stack, and the results holding those rows."""
+    results = list(results)
     good = [result[0] for result in results if not isinstance(result, Exception)]
     stack = np.array(good) if good else np.empty((0, 0))
     rows = iter(stack)
-    return stack, [result if isinstance(result, Exception) else (next(rows), result[1])
-                   for result in results]
+    yield stack, [result if isinstance(result, Exception) else (next(rows), result[1])
+                  for result in results]
 
 
 def _attempt(fit, *args):
@@ -326,49 +328,46 @@ def _value(result):
     return result
 
 
-def _system(weights, scale, grid):
-    """(A, scale, factor) of a penalized fit over ``grid``: factor(i) is
-    the ``linalg.assembler`` factor of lam = grid[i] * scale."""
+def _ps_plan(n: int, grid):
+    """(A, factor) of PS for n-point signals, which depend on n alone: the
+    unit weights and factor(i), the factor of lam = grid[i], kept by grid
+    position where it succeeds; a cache keeps no exception, so a failure
+    is raised again on each call."""
+    weights = np.ones(n)
     assemble = linalg.assembler(weights)
-    return weights, scale, lambda i: assemble(grid[i] * scale)
+    return weights, functools.cache(lambda i: assemble(grid[i]))
 
 
-def _ps_system(n: int, grid):
-    """The ``_system`` of PS for n-point signals, which depends on n
-    alone, with each factor that succeeds kept by grid position; a cache
-    keeps no exception, so a failure is raised again on each call."""
-    # Zeros of length n stand for y: PS's weights do not read it.
-    weights, scale, factor = _system(*penalized_weights(np.zeros(n), "ps"), grid)
-    return weights, scale, functools.cache(factor)
-
-
-def _penalized(y_unit, e: int, method: str, clip: bool, grid, system=None):
+def _penalized(y_unit, e: int, method: str, clip: bool, grid, plan=None):
     """(fit, A): the fit of y = y_unit * 2**e, with y_unit and e from
-    ``to_unit``, over ``grid``, set up once for it: by
-    ``penalized_weights`` and ``_system``, or by ``system``, a PS plan's
-    ``_ps_system``, which does not depend on y. fit(i) returns the factor of
-    grid[i], x at unit size and lam in units of y squared, inf or 0 where
-    that leaves float64."""
-    weights, scale, factor = system or _system(*penalized_weights(y_unit, method, clip), grid)
-    rhs = weights * y_unit
+    ``to_unit``, over ``grid``, set up once for it: by ``penalized_weights``
+    and ``linalg.assembler``, or by ``plan``, a PS plan's ``_ps_plan``,
+    raised here if making it failed. fit(i) returns the factor of grid[i],
+    x at unit size and the factor's lam, for LSA-PS in units of y squared,
+    inf or 0 where that leaves float64."""
+    if plan is None:
+        weights, scale = penalized_weights(y_unit, method, clip)
+        assemble = linalg.assembler(weights)
+        plan = weights, lambda i: assemble(grid[i] * scale)
+    weights, factor = _value(plan)
+    # PS's A is ones, and 1.0 * v is v.
+    rhs = y_unit if method == "ps" else weights * y_unit
 
     def fit(i):
         f = factor(i)
         x = linalg.solve(f, rhs)
         if method == "ps":
-            return f, x, grid[i]
+            return f, x, f.lam
         with np.errstate(over="ignore", under="ignore"):
-            return f, x, float(np.ldexp(grid[i] * scale, 2 * e))
+            return f, x, float(np.ldexp(f.lam, 2 * e))
 
     return fit, weights
 
 
-def _penalized_grid(y_unit, e: int, method, grid, clip, system=None):
-    """The results of ``grid`` for PS or LSA-PS; ``system``, a PS plan's
-    ``_ps_system`` or the exception that making it raised, where given."""
-    shared = (system if isinstance(system, Exception)
-              else _attempt(_penalized, y_unit, e, method, clip, grid, system))
-
+def _penalized_grid(y_unit, e: int, method, grid, clip, plan):
+    """The results of ``grid`` for PS or LSA-PS; ``plan`` is the PS plan
+    that ``_penalized`` takes, or None."""
+    shared = _attempt(_penalized, y_unit, e, method, clip, grid, plan)
     name = "lam" if method == "ps" else "lambda_bar"
 
     def fit(i, parameter):

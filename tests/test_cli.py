@@ -132,11 +132,14 @@ class TestIngest:
 
 
     def test_one_field_first_line(self, tmp_path):
-        # Not a header: a header line must have two fields too.
+        # Not a header: a header line must have two fields too. A lone CR,
+        # which the decimal reader declines, ends a line for the line
+        # parser, so "x\ry" is two lines of one field.
         path = tmp_path / "s.txt"
-        path.write_text("intensity\n0\t1\n1\t2\n2\t3\n3\t4\n4\t5\n")
-        with pytest.raises(cli.IngestError, match="^line 1: expected two columns, got 1$"):
-            cli.ingest(path)
+        for first in (b"intensity", b"x\ry"):
+            path.write_bytes(first + b"\n0\t1\n1\t2\n2\t3\n3\t4\n4\t5\n")
+            with pytest.raises(cli.IngestError, match="^line 1: expected two columns, got 1$"):
+                cli.ingest(path)
 
     def test_fast_path_reads_written_files(self, tmp_path, noisy_file, monkeypatch):
         # Files written by `lsaps smooth` (12 digits), at full double
@@ -353,7 +356,7 @@ def grammar_fields(draw):
 # decline the whole file.
 OUTSIDE_GRAMMAR = ("nan", "inf", "1_0", " 1", "1 ", "1e", "1e+", "1e1234", "1..2", "+-1", "e5",
                    ".", "-", "", "1.5e-3.2", "1-", "0x10", "1" * 25, "0." + "1" * 24, "\uff11",
-                   "1\t2", "1,2", "1\r2")
+                   "1\t2", "1,2", "1\r2", "1e5.0")
 
 
 @settings(max_examples=300, deadline=None)
@@ -825,6 +828,7 @@ MALFORMED_SCENARIOS = {
     json.dumps({"methods": {"sg": [5]}}):
         ("InvalidConfigError", "methods.sg[0] must be a [window, poly_order] pair, got 5"),
     json.dumps({"seeds": ["x"]}): ("InvalidConfigError", "seeds[0] must be an integer, got x"),
+    json.dumps({"seeds": 5}): ("InvalidConfigError", "'seeds' must be a list, got 5"),
     json.dumps({"background": {"foo": 1}}): ("InvalidConfigError", "unknown 'background' key 'foo'"),
     '{"seeds": [0': ("LsapsError", "Expecting"),
     "[1]": ("InvalidConfigError", "top level must be a JSON object"),

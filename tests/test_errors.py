@@ -28,9 +28,12 @@ TAKES_Y = {
     "smooth_savitzky_golay": lambda y: smooth_savitzky_golay(y, 5, 2),
     "smooth_gaussian": lambda y: smooth_gaussian(y, 3),
     "select_parameter": select_parameter,
-    "detect_peaks": lambda y: detect_peaks(y, 3),
-    "second_difference": second_difference,
     "local_quadratic_curvature": local_quadratic_curvature,
+}
+# Functions of an array x, which their messages once named y.
+TAKES_X = {
+    "detect_peaks": lambda x: detect_peaks(x, 3),
+    "second_difference": second_difference,
 }
 
 
@@ -41,12 +44,13 @@ def _with(value, index):
 
 
 CASES = [
-    *(pytest.param(TAKES_Y[name], y, error, message, id=f"{name}-{case}")
-      for name in TAKES_Y
+    *(pytest.param(call, y, error, message.format(arg), id=f"{name}-{case}")
+      for arg, calls in (("y", TAKES_Y), ("x", TAKES_X))
+      for name, call in calls.items()
       for case, y, error, message in (
-          ("nan", _with(np.nan, 7), InvalidInputError, "y must be finite, got nan at index 7"),
-          ("inf", _with(-np.inf, 12), InvalidInputError, "y must be finite, got -inf at index 12"),
-          ("2d", np.ones((2, 50)), InvalidSizeError, "y must be 1-d, got shape (2, 50)"),
+          ("nan", _with(np.nan, 7), InvalidInputError, "{} must be finite, got nan at index 7"),
+          ("inf", _with(-np.inf, 12), InvalidInputError, "{} must be finite, got -inf at index 12"),
+          ("2d", np.ones((2, 50)), InvalidSizeError, "{} must be 1-d, got shape (2, 50)"),
       )),
     # Once "five-point regression needs n >= 5, got n=2" and numpy's
     # "object too deep for desired array".
@@ -64,6 +68,13 @@ CASES = [
                  "weights must be finite, got nan at index 0", id="floor_weights-nan"),
     pytest.param(floor_weights, np.ones((2, 3)), InvalidSizeError,
                  "weights must be 1-d, got shape (2, 3)", id="floor_weights-2d"),
+    # Once "all curvature weights are zero (affine signal, ...)".
+    pytest.param(floor_weights, np.ones(0), InvalidSizeError,
+                 "weights must not be empty", id="floor_weights-empty"),
+    # Once "unknown method 'sg'", of a method that smooth knows.
+    pytest.param(lambda method: penalized_weights(_with(0.0, 0), method), "sg",
+                 InvalidConfigError, "penalized weights take only ps and lsa-ps, got 'sg'",
+                 id="penalized_weights-sg"),
     pytest.param(lambda y: loo_residuals(y, np.zeros(50), np.zeros(50)), _with(np.nan, 3),
                  InvalidInputError, "y must be finite, got nan at index 3", id="loo_residuals-nan"),
     pytest.param(lambda r: cv_loss_lsa(r, np.ones(50)), _with(np.nan, 3), InvalidInputError,
@@ -118,6 +129,8 @@ CASES = [
                  "height and halfwidth must be > 0", id="LorentzianPeak"),
     pytest.param(lambda width: Background(hump_width=width), 0.0, InvalidInputError,
                  "background hump_width must be > 0", id="Background"),
+    pytest.param(lambda slope: Background(slope=slope), math.inf, InvalidInputError,
+                 "background values must be finite numbers", id="Background-inf"),
     pytest.param(lambda x_range: SimScenario(x_range=x_range), (1.0, 0.0), InvalidInputError,
                  "x_range must be two increasing finite numbers", id="SimScenario"),
     # Arrays that are not of real numbers, which raised numpy's bare
@@ -268,6 +281,12 @@ def test_bad_input_is_an_lsaps_value_error(call, y, error, message):
                  id="hat_diagonal"),
     pytest.param(lambda: snr([1.0, 1e-310], [1.0, 2e-310]), UndefinedMetricError,
                  "the error energy of the estimate underflows float64", id="snr-underflow"),
+    pytest.param(lambda: snr(np.full(10, 1e200), np.full(10, 1e200)), UndefinedMetricError,
+                 "the energy of the reference overflows float64", id="snr-reference-overflow"),
+    pytest.param(lambda: rrse_second_derivative(np.ones(10), np.r_[np.zeros(5), np.full(5, 1e300)]),
+                 UndefinedMetricError,
+                 "the second-difference energy of the truth overflows float64",
+                 id="rrse-truth-overflow"),
     pytest.param(lambda: rrse_second_derivative([0.0, 1e150, 0.0, 0.0], [0.0, 1e-160, 0.0, 0.0]),
                  UndefinedMetricError, "the RRSE of the estimate overflows float64", id="rrse"),
 ])

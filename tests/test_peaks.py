@@ -120,7 +120,7 @@ class TestDetect:
         x = np.sin(np.arange(60) / 5.0)
         x[10] = np.nan
         for find in (lambda x: detect_peaks(x, 3), second_difference):
-            with pytest.raises(ValueError, match="y must be finite, got nan at index 10"):
+            with pytest.raises(ValueError, match="^x must be finite, got nan at index 10$"):
                 find(x)
 
     def test_second_difference_in_range_is_numpy_diff(self):

@@ -450,6 +450,10 @@ class TestSmooth:
         with pytest.raises(InvalidConfigError, match="^unknown method 'none'$"):
             smooth(y, "none", None)
 
+    def test_int_array_is_its_float_array(self):
+        # An int y is taken as the floats it holds.
+        assert smooth_ps(np.arange(10), 1.0).tobytes() == smooth_ps(np.arange(10.0), 1.0).tobytes()
+
     def test_dispatch(self):
         # Each method against its direct smoother call, bit for bit, with
         # the effective lambda: lam itself for PS, none for the baselines.
